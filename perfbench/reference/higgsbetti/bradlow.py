@@ -1,0 +1,333 @@
+"""The stable-pairs ingredient and its provider contract.
+
+Two series about rank-2 Bradlow pairs on the twisted bundle of degree
+e = d2 - 2 d1 + 4g - 4 enter every assembly:
+
+    pairs_equivariant(e, sigma, g)  gauge-equivariant series of the
+                                    sigma-semistable pairs space
+    moduli_min(e, g)                series of the pairs moduli space at
+                                    the parameter just above the bottom wall
+
+Their absolute values live in the stable-pairs literature and are
+supplied through a provider; their exact difference is the wall-crossing
+sum implemented here, which lets relative-mode computations eliminate one
+unknown.  The difference is a sum over the integer walls j strictly
+between e/2 and sigma of
+
+    (t^{2(g-1+2j-e)} - t^{2(e-j)}) P(J) P(S^{e-j} X) / (1-t^2)
+
+plus a top-wall term when sigma is itself an integer: for sigma > e/2 it
+is t^{2(g-1+2 sigma-e)} P(J) P(S^{e-sigma} X)/(1-t^2), and in the
+degenerate case sigma = e/2 (Toledo invariant zero) it is
+t^e P(J) P(S^{e/2} X)/(1-t^2), matching the even-degree boundary term of
+the A-stratum attachment.
+"""
+
+from __future__ import annotations
+
+import json
+from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+
+from .errors import ParameterError, ProviderFileError
+from .ingredients import jacobian_poincare, projective_poincare, sym_poincare
+from .params import ModuliParams, _require_valid
+from .series import RationalExpr, TruncatedSeries, geometric_inverse, polynomial_product
+from .strata import ContributionTerm
+
+
+def sigma_of(p: ModuliParams) -> Fraction:
+    """The pairs stability parameter attached to (d1, d2)."""
+    _require_valid(p)
+    return p.sigma
+
+
+def sigma_min_of(p: ModuliParams) -> Fraction:
+    """Parameter in the lowest chamber; checks e/2 < sigma_min < floor(e/2)+1."""
+    _require_valid(p)
+    half = Fraction(p.e, 2)
+    if not (half < p.sigma_min < half.__floor__() + 1):
+        raise ParameterError(
+            f"internal inconsistency: sigma_min = {p.sigma_min} is not "
+            f"bracketed by ({half}, {half.__floor__() + 1})"
+        )
+    return p.sigma_min
+
+
+def _jac_sym_over_1mt2(g: int, m: int) -> RationalExpr:
+    numer = polynomial_product(
+        tuple(jacobian_poincare(g, 2 * g).coeffs),
+        tuple(sym_poincare(m, g, max(2 * m, 1)).coeffs),
+    )
+    return RationalExpr(numer, (2,))
+
+
+def ww_difference_contributions(p: ModuliParams, order: int) -> list[ContributionTerm]:
+    """Labeled wall-crossing terms of pairs_equivariant - moduli_min."""
+    _require_valid(p)
+    g, d1, d2 = p.g, p.d1, p.d2
+    terms: list[ContributionTerm] = []
+    lo = Fraction(d2, 2)
+    hi = Fraction(d1 + d2, 3)
+    l = lo.__floor__() + 1
+    while Fraction(l) < hi:
+        m = d2 - l - d1 + 2 * g - 2
+        expr = _jac_sym_over_1mt2(g, m)
+        terms.append(ContributionTerm(
+            f"flip[l={l}]+", 2 * (g - 1 + 2 * l - d2), expr, +1))
+        terms.append(ContributionTerm(
+            f"flip[l={l}]-", 2 * (2 * g - 2 + d2 - d1 - l), expr, -1))
+        l += 1
+    if (d1 + d2) % 3 == 0:
+        if p.tau > 0:
+            shift = 2 * (g - 1) + 2 * (2 * d1 - d2) // 3
+            m = 2 * g - 2 - int(p.tau)
+            terms.append(ContributionTerm(
+                "top-wall", shift, _jac_sym_over_1mt2(g, m), +1))
+        else:
+            # bottom wall: the even-degree boundary of the A-attachment
+            terms.append(ContributionTerm(
+                "bottom-wall", p.e, _jac_sym_over_1mt2(g, p.e // 2), +1))
+    return terms
+
+
+def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
+    """pairs_equivariant - moduli_min as a concrete series."""
+    total = TruncatedSeries.zero(order)
+    for term in ww_difference_contributions(p, order):
+        total = total + term.expand(order)
+    return total
+
+
+def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> TruncatedSeries:
+    """Wall-crossing difference parametrized by (g, e, sigma) alone.
+
+    Used by provider files, which carry no degree pair.  Agrees with
+    ww_difference through e = d2 - 2 d1 + 4g - 4, sigma = (e + 2g - 2)/3.
+    """
+    geo2 = geometric_inverse(2, order)
+    jac = jacobian_poincare(g, order)
+    total = TruncatedSeries.zero(order)
+    half = Fraction(e, 2)
+    j = half.__floor__() + 1
+    while Fraction(j) < sigma:
+        piece = jac * sym_poincare(e - j, g, order) * geo2
+        total = total + piece.shifted(2 * (g - 1 + 2 * j - e))
+        total = total - piece.shifted(2 * (e - j))
+        j += 1
+    if sigma.denominator == 1:
+        s = int(sigma)
+        if Fraction(s) > half:
+            piece = jac * sym_poincare(e - s, g, order) * geo2
+            total = total + piece.shifted(2 * (g - 1 + 2 * s - e))
+        elif Fraction(s) == half:
+            piece = jac * sym_poincare(e // 2, g, order) * geo2
+            total = total + piece.shifted(e)
+    return total
+
+
+def maximal_pairs_equivariant(g: int, order: int) -> TruncatedSeries:
+    """Equivariant pairs series at the maximal Toledo invariant,
+    where e = sigma = g-1:  P(J) (P(CP^{2g-3}) + t^{4g-4}/(1-t^2))."""
+    if g < 2:
+        raise ParameterError("genus must be at least 2")
+    jac = jacobian_poincare(g, order)
+    tail = geometric_inverse(2, order).shifted(4 * g - 4)
+    return jac * (projective_poincare(2 * g - 3, order) + tail)
+
+
+def maximal_first_term(g: int, order: int) -> TruncatedSeries:
+    """The maximal-case telescoping sum
+
+        P(J)^2 P(CP^{2g-3})/(1-t^2) + t^{4g-4} P(J)^2/(1-t^2)^2
+
+    which collapses to P(J)^2/(1-t^2)^2 exactly."""
+    jac = jacobian_poincare(g, order)
+    geo2 = geometric_inverse(2, order)
+    first = jac * jac * projective_poincare(2 * g - 3, order) * geo2
+    second = (jac * jac * geo2 * geo2).shifted(4 * g - 4)
+    return first + second
+
+
+def _maximal_params(g: int) -> ModuliParams:
+    from .params import make_params
+
+    return make_params(g, 2 * g - 2, g - 1)
+
+
+def maximal_moduli_min(g: int, order: int) -> TruncatedSeries:
+    """Bottom-chamber moduli series pinned by the maximal case:
+    pairs_equivariant minus the wall-crossing difference."""
+    return maximal_pairs_equivariant(g, order) - ww_difference(_maximal_params(g), order)
+
+
+class BradlowProvider(ABC):
+    """Contract supplying the two absolute pairs series.
+
+    Either query may answer None ("not known"), in which case assemblies
+    fall back to relative mode or derive the missing side through the
+    wall-crossing difference.
+    """
+
+    name = "abstract"
+
+    @abstractmethod
+    def pairs_equivariant(
+        self, e: int, sigma: Fraction, g: int, order: int
+    ) -> TruncatedSeries | None: ...
+
+    @abstractmethod
+    def moduli_min(self, e: int, g: int, order: int) -> TruncatedSeries | None: ...
+
+
+class SymbolicProvider(BradlowProvider):
+    """Answers nothing; keeps both series as explicit unknowns."""
+
+    name = "relative"
+
+    def pairs_equivariant(self, e, sigma, g, order):
+        return None
+
+    def moduli_min(self, e, g, order):
+        return None
+
+
+class MaximalCaseProvider(BradlowProvider):
+    """Closed forms valid only at the maximal Toledo invariant
+    (e = g-1, sigma = g-1)."""
+
+    name = "maximal"
+
+    def pairs_equivariant(self, e, sigma, g, order):
+        if e == g - 1 and sigma == g - 1:
+            return maximal_pairs_equivariant(g, order)
+        return None
+
+    def moduli_min(self, e, g, order):
+        if e == g - 1:
+            return maximal_moduli_min(g, order)
+        return None
+
+
+@dataclass(frozen=True)
+class _ProviderRecord:
+    g: int
+    e: int
+    sigma: Fraction
+    pairs: TruncatedSeries | None
+    min_moduli: TruncatedSeries | None
+
+
+class FileBackedProvider(BradlowProvider):
+    """Answers exactly the (g, e, sigma) tuples present in a file.
+
+    When a record carries only one of the two series, the other is
+    derived through the wall-crossing difference.  Records carrying both
+    are validated against the difference at load time.
+    """
+
+    name = "file"
+
+    def __init__(self, records: list[_ProviderRecord]):
+        self._records = {(r.g, r.e, r.sigma): r for r in records}
+
+    def _find(self, g: int, e: int) -> _ProviderRecord | None:
+        for (rg, re, _), rec in self._records.items():
+            if (rg, re) == (g, e):
+                return rec
+        return None
+
+    def pairs_equivariant(self, e, sigma, g, order):
+        rec = self._records.get((g, e, Fraction(sigma)))
+        if rec is None:
+            return None
+        if order > _record_order(rec):
+            raise ProviderFileError(
+                f"provider record holds order {_record_order(rec)}, need {order}"
+            )
+        if rec.pairs is not None:
+            return rec.pairs.truncated(order)
+        return rec.min_moduli.truncated(order) + ww_from_invariants(g, e, rec.sigma, order)
+
+    def moduli_min(self, e, g, order):
+        rec = self._find(g, e)
+        if rec is None:
+            return None
+        if order > _record_order(rec):
+            raise ProviderFileError(
+                f"provider record holds order {_record_order(rec)}, need {order}"
+            )
+        if rec.min_moduli is not None:
+            return rec.min_moduli.truncated(order)
+        return rec.pairs.truncated(order) - ww_from_invariants(g, e, rec.sigma, order)
+
+
+def _record_order(rec: _ProviderRecord) -> int:
+    series = rec.pairs if rec.pairs is not None else rec.min_moduli
+    return series.order
+
+
+def _parse_record(data: dict) -> _ProviderRecord:
+    try:
+        g = int(data["g"])
+        e = int(data["e"])
+        sigma = Fraction(int(data["sigma"]["num"]), int(data["sigma"]["den"]))
+        order = int(data["order"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ProviderFileError(f"malformed provider record: {exc}") from exc
+
+    def _series(key: str) -> TruncatedSeries | None:
+        raw = data.get(key)
+        if raw is None:
+            return None
+        coeffs = [int(s) for s in raw]
+        if len(coeffs) != order + 1:
+            raise ProviderFileError(f"{key} length does not match order {order}")
+        return TruncatedSeries(tuple(coeffs))
+
+    pairs = _series("pairs_equivariant")
+    min_moduli = _series("moduli_min")
+    if pairs is None and min_moduli is None:
+        raise ProviderFileError("record carries neither series")
+    if pairs is not None and min_moduli is not None:
+        expected = ww_from_invariants(g, e, sigma, order)
+        delta = (pairs - min_moduli) - expected
+        for k in range(order + 1):
+            if delta.coeffs[k] != 0:
+                raise ProviderFileError(f"difference mismatch at degree {k}")
+    return _ProviderRecord(g=g, e=e, sigma=sigma, pairs=pairs, min_moduli=min_moduli)
+
+
+def provider_from_file(path) -> FileBackedProvider:
+    """Load a provider file (a single record object or a list of them)."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ProviderFileError(f"cannot read provider file {path}: {exc}") from exc
+    raw_records = payload if isinstance(payload, list) else [payload]
+    return FileBackedProvider([_parse_record(r) for r in raw_records])
+
+
+def maximal_provider_record(g: int, order: int) -> dict:
+    """Maximal-case series in the provider-file schema (for export)."""
+    return {
+        "g": g,
+        "e": g - 1,
+        "sigma": {"num": g - 1, "den": 1},
+        "order": order,
+        "pairs_equivariant": [str(c) for c in maximal_pairs_equivariant(g, order).coeffs],
+        "moduli_min": [str(c) for c in maximal_moduli_min(g, order).coeffs],
+    }
+
+
+def provider_for_spec(spec: str) -> BradlowProvider:
+    """Resolve a provider description: relative | maximal | file:PATH."""
+    if spec == "relative":
+        return SymbolicProvider()
+    if spec == "maximal":
+        return MaximalCaseProvider()
+    if spec.startswith("file:"):
+        return provider_from_file(spec[5:])
+    raise ParameterError(f"unknown provider {spec!r}")

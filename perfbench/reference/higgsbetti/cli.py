@@ -1,0 +1,643 @@
+"""Command-line interface: compute, strata, verify, ingredients, export.
+
+Exit codes: 0 success, 1 verification failure, 2 parameter error.  Output
+is deterministic (stable key order, exact decimal integers, no floats).
+The environment variable HIGGSBETTI_DEFAULT_ORDER overrides the default
+truncation order 8g+24.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import assemble, bradlow, ingredients, params, series, strata
+from .errors import ParameterError
+
+EXIT_OK = 0
+EXIT_VERIFY = 1
+EXIT_PARAM = 2
+
+
+def _default_order(g: int) -> int:
+    env = os.environ.get("HIGGSBETTI_DEFAULT_ORDER")
+    if env is not None:
+        try:
+            n = int(env)
+        except ValueError as exc:
+            raise ParameterError(
+                f"HIGGSBETTI_DEFAULT_ORDER must be an integer, got {env!r}"
+            ) from exc
+        if n < 1:
+            raise ParameterError("HIGGSBETTI_DEFAULT_ORDER must be >= 1")
+        return n
+    return series.default_order(g)
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _series_csv(s: series.TruncatedSeries) -> str:
+    lines = ["degree,betti"]
+    lines += [f"{k},{c}" for k, c in enumerate(s.coeffs)]
+    return "\n".join(lines)
+
+
+def _params_from_args(args) -> params.ModuliParams:
+    return params.make_params(args.genus, args.d1, args.d2)
+
+
+def _provider_from_args(args, p: params.ModuliParams) -> bradlow.BradlowProvider:
+    spec = args.provider
+    if spec == "maximal" and p.tau != 2 * p.g - 2:
+        raise ParameterError(
+            f"provider 'maximal' is valid only at tau = 2g-2 = {2 * p.g - 2}, "
+            f"got tau = {p.tau}"
+        )
+    return bradlow.provider_for_spec(spec)
+
+
+# ----------------------------------------------------------------- compute
+
+
+_COMPUTERS = {
+    ("u21", "closed"): assemble.u21_closed_form,
+    ("u21", "stratum"): assemble.u21_stratum_route,
+    ("su21", "closed"): assemble.su21_closed_form,
+    ("su21", "stratum"): assemble.su21_stratum_route,
+    ("pu21", "closed"): assemble.pu21_poincare,
+}
+
+
+def cmd_compute(args) -> int:
+    p = _params_from_args(args)
+    if not p.valid and not args.force:
+        raise ParameterError(
+            f"tau = {p.tau} violates |tau| <= 2g-2 = {2 * p.g - 2} "
+            "(use --force to compute anyway)"
+        )
+    provider = _provider_from_args(args, p)
+    order = args.order if args.order else _default_order(p.g)
+    key = (args.group, args.route)
+    if key not in _COMPUTERS:
+        raise ParameterError(f"group {args.group!r} has no {args.route!r} route")
+    result = _COMPUTERS[key](p, provider, order, force=args.force)
+    if args.format == "json":
+        _emit(json.dumps(result.to_json_dict(), sort_keys=True, indent=2), args.out)
+    elif args.format == "csv":
+        if result.mode != "absolute":
+            raise ParameterError(
+                "csv output needs a concrete series; this result is relative "
+                "(unknown Bradlow blocks); use --format json"
+            )
+        _emit(_series_csv(result.series), args.out)
+    else:
+        lines = [
+            f"group {result.group}  (g, d1, d2) = ({p.g}, {p.d1}, {p.d2})  "
+            f"order {order}  mode {result.mode}",
+            f"series: {result.series}",
+        ]
+        for name, coeff in sorted(result.unknown.items()):
+            lines.append(f"unknown block {name}: coefficient {coeff}")
+        _emit("\n".join(lines), args.out)
+    return EXIT_OK
+
+
+# ------------------------------------------------------------------ strata
+
+
+def cmd_strata(args) -> int:
+    p = _params_from_args(args)
+    order = args.order if args.order else _default_order(p.g)
+    l_max = params.HalfInt(args.lmax_doubled) if args.lmax_doubled is not None \
+        else params.HalfInt.from_int(p.d1 + 2 * p.g - 2)
+    descriptors = strata.enumerate_critical(p, l_max)
+    present = {s.kind for s in descriptors}
+    rows = []
+    for s in descriptors:
+        series_head = strata.critical_set_poincare(s, order).coeffs[:6]
+        try:
+            dims = strata.negative_dim(s)
+        except ParameterError:
+            dims = {}
+        rows.append({
+            "kind": s.kind.value,
+            "l": str(s.ell),
+            "range": strata.kind_range_description(s.kind, p),
+            "region": params.region_of(p, s.ell),
+            "dimensions": dims,
+            "series_head": [str(c) for c in series_head],
+            "note": strata.table_note(s.kind),
+        })
+    empty = [k.value for k in strata.StratumKind if k not in present]
+    if args.format == "json":
+        doc = {
+            "params": p.describe(),
+            "l_max": str(l_max),
+            "order": order,
+            "rows": rows,
+            "empty_kinds": empty,
+        }
+        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+    elif args.format == "csv":
+        raise ParameterError("strata output supports text or json")
+    else:
+        lines = [
+            f"critical sets for (g, d1, d2) = ({p.g}, {p.d1}, {p.d2}), "
+            f"l <= {l_max}"
+        ]
+        for r in rows:
+            dims = ", ".join(f"{k}={v}" for k, v in r["dimensions"].items()) or "-"
+            head = " ".join(r["series_head"])
+            lines.append(
+                f"  {r['kind']:>2} @ l={r['l']:>4}  range {r['range']:<22}  "
+                f"region {r['region']:>4}  dims [{dims}]  series {head} ..."
+            )
+            if r["note"]:
+                lines.append(f"      note: {r['note']}")
+        for k in empty:
+            lines.append(f"  {k:>2}: none in range")
+        _emit("\n".join(lines), args.out)
+    return EXIT_OK
+
+
+# ------------------------------------------------------------- ingredients
+
+
+def cmd_ingredients(args) -> int:
+    g = args.genus
+    order = args.order if args.order else _default_order(g if g else 2)
+    op = args.op
+    value: int | None = None
+    if op == "jacobian":
+        out = ingredients.jacobian_poincare(g, order)
+    elif op == "sym":
+        out = ingredients.sym_poincare(args.m, g, order)
+    elif op == "projective":
+        out = ingredients.projective_poincare(args.n, order)
+    elif op == "bg-rank1":
+        out = ingredients.bg_rank1(g, order)
+    elif op == "bg-rank2":
+        out = ingredients.bg_rank2(g, order)
+    elif op == "bg-u21":
+        out = ingredients.bg_u21(g, order)
+    elif op == "bg-su21":
+        out = ingredients.bg_su21(g, order)
+    elif op == "ab-semistable":
+        out = ingredients.ab_semistable_rank2(args.d2, g, order)
+    elif op == "gothen":
+        out = ingredients.gothen_cover_poincare(
+            ingredients.CoverParams(args.m1, args.m2, g), order)
+    elif op == "vdim":
+        value = ingredients.v_dim(ingredients.CoverParams(args.m1, args.m2, g))
+        out = None
+    else:  # pragma: no cover - argparse restricts choices
+        raise ParameterError(f"unknown ingredient op {op!r}")
+    if args.format == "json":
+        doc = {"op": op, "order": None if out is None else order}
+        if out is not None:
+            doc["coefficients"] = [str(c) for c in out.coeffs]
+        else:
+            doc["value"] = str(value)
+        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+    elif args.format == "csv":
+        _emit(_series_csv(out) if out is not None else f"value\n{value}", args.out)
+    else:
+        _emit(str(out) if out is not None else str(value), args.out)
+    return EXIT_OK
+
+
+# ------------------------------------------------------------------ verify
+
+
+@dataclass
+class SuiteResult:
+    name: str
+    hard: bool
+    passed: bool
+    details: list[str]
+    counterexample: dict | None = None
+
+
+def _grid_genera(grid: dict[str, tuple[int, int]], default=(2, 3)) -> list[int]:
+    lo, hi = grid.get("g", default)
+    return list(range(lo, hi + 1))
+
+
+def _valid_pairs(g: int):
+    for d1 in range(0, 2 * g + 1):
+        for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
+            p = params.make_params(g, d1, d2)
+            if p.valid and p.tau >= 0:
+                yield p
+
+
+def _suite_series_laws(grid) -> SuiteResult:
+    import random
+
+    rng = random.Random(20210817)
+    order = 24
+    count = 1000
+    details = []
+
+    def rand_series():
+        return series.TruncatedSeries(
+            tuple(rng.randint(-9, 9) for _ in range(order + 1)))
+
+    for i in range(count):
+        a, b, c = rand_series(), rand_series(), rand_series()
+        if (a + b) + c != a + (b + c) or a * (b * c) != (a * b) * c \
+                or a * (b + c) != a * b + a * c or a * b != b * a:
+            return SuiteResult("series-laws", True, False, [],
+                               {"instance": i, "law": "ring axioms"})
+        m = order // 2
+        if (a * b).truncated(m) != a.truncated(m) * b.truncated(m):
+            return SuiteResult("series-laws", True, False, [],
+                               {"instance": i, "law": "truncation coherence"})
+    details.append(f"ring laws and truncation coherence on {count} instances")
+    # expansion recovery and nonnegativity of the rendered table
+    for g in _grid_genera(grid):
+        expr = series.RationalExpr(
+            tuple(series.binomial_power(2 * g, 2 * g).coeffs), (2, 2, 4))
+        back = expr.expand(order) * expr.denominator_polynomial(order)
+        if back != series.TruncatedSeries.from_coeffs(expr.numerator, order):
+            return SuiteResult("series-laws", True, False, [],
+                               {"g": g, "law": "expand recovery"})
+        for p in _valid_pairs(g):
+            for s in strata.enumerate_critical(
+                    p, params.HalfInt.from_int(p.d1 + 2 * g - 2)):
+                if not strata.critical_set_poincare(s, order).is_nonnegative():
+                    return SuiteResult("series-laws", True, False, [],
+                                       {"stratum": str(s), "law": "nonnegativity"})
+    details.append("expansion recovery and critical-set nonnegativity")
+    return SuiteResult("series-laws", True, True, details)
+
+
+def _suite_ab_cancellation(grid) -> SuiteResult:
+    for g in _grid_genera(grid):
+        order = series.default_order(g)
+        for d2 in range(0, 4):
+            for name, residual in (
+                ("u21", assemble.ab_cancellation_residual(g, d2, order)),
+                ("su21", assemble.su_ab_cancellation_residual(g, d2, order)),
+            ):
+                if not residual.is_zero():
+                    k = residual.degree()
+                    return SuiteResult(
+                        "ab-cancellation", True, False, [],
+                        {"g": g, "d2": d2, "group": name,
+                         "degree": k, "expected": 0,
+                         "got": residual.coeffs[k]})
+    return SuiteResult("ab-cancellation", True, True,
+                       ["zero residual on the (g, d2) grid, both groups"])
+
+
+def _suite_route_u21(grid) -> SuiteResult:
+    checked = 0
+    for g in _grid_genera(grid):
+        order = series.default_order(g)
+        for p in _valid_pairs(g):
+            rep = assemble.verify_route_equivalence("u21", p, order)
+            checked += 1
+            if not rep.zero:
+                k = rep.first_nonzero_degree()
+                return SuiteResult(
+                    "route-u21", True, False, [],
+                    {"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
+                     "expected": 0, "got": rep.residual.coeffs[k],
+                     "terms": rep.term_provenance(k)})
+    return SuiteResult("route-u21", True, True,
+                       [f"zero residual on {checked} parameter tuples"])
+
+
+def _suite_route_su21(grid) -> SuiteResult:
+    details = []
+    for g in _grid_genera(grid):
+        order = series.default_order(g)
+        for p in _valid_pairs(g):
+            rep = assemble.verify_route_equivalence("su21", p, order)
+            if rep.zero:
+                details.append(f"(g={p.g}, d1={p.d1}, d2={p.d2}): zero")
+                continue
+            k = rep.first_nonzero_degree()
+            prov = rep.term_provenance(k)
+            head = ", ".join(f"{lbl}: {c}" for lbl, c in sorted(prov.items())[:4])
+            unknown = {n: s.coeffs[k] for n, s in rep.residual_unknowns.items()}
+            details.append(
+                f"(g={p.g}, d1={p.d1}, d2={p.d2}): first residual at degree {k}, "
+                f"series {rep.residual.coeffs[k]}, unknown {unknown}, terms [{head}]")
+    return SuiteResult("route-su21", False, True, details)
+
+
+def _suite_gothen(grid) -> SuiteResult:
+    order = 40
+    for g in _grid_genera(grid):
+        for m1 in range(0, 2 * g + 1):
+            for m2 in range(0, 2 * g + 1):
+                c = ingredients.CoverParams(m1, m2, g)
+                got = ingredients.gothen_cover_poincare(c, order)
+                base = ingredients.sym_poincare(m1, g, order) \
+                    * ingredients.sym_poincare(m2, g, order)
+                expected = base
+                if m1 <= 2 * g - 2 and m2 <= 2 * g - 2:
+                    expected = base + series.TruncatedSeries.monomial(
+                        m1 + m2, order, ingredients.v_dim(c))
+                if got != expected:
+                    return SuiteResult("gothen", True, False, [],
+                                       {"g": g, "m1": m1, "m2": m2})
+                euler = got.evaluate(-1)
+                base_euler = base.evaluate(-1)
+                correction = ingredients.v_dim(c) * (-1) ** (m1 + m2) \
+                    if (m1 <= 2 * g - 2 and m2 <= 2 * g - 2) else 0
+                if euler != base_euler + correction:
+                    return SuiteResult("gothen", True, False, [],
+                                       {"g": g, "m1": m1, "m2": m2,
+                                        "law": "euler bookkeeping"})
+    spot = ingredients.gothen_cover_poincare(ingredients.CoverParams(1, 1, 2), 8)
+    if spot.coeffs[:5] != (1, 8, 338, 8, 1):
+        return SuiteResult("gothen", True, False, [],
+                           {"spot": "cover(1,1) at g=2", "got": spot.coeffs[:5]})
+    return SuiteResult("gothen", True, True,
+                       ["cover polynomials match the invariant/anomalous split"])
+
+
+def _suite_maximal(grid) -> SuiteResult:
+    provider = bradlow.MaximalCaseProvider()
+    for g in _grid_genera(grid):
+        order = 4 * g + 20
+        jac = ingredients.jacobian_poincare(g, order)
+        geo2 = series.geometric_inverse(2, order)
+        expected = jac * jac * geo2 * geo2
+        if bradlow.maximal_first_term(g, order) != expected:
+            return SuiteResult("maximal", True, False, [],
+                               {"g": g, "law": "telescoping"})
+        p = params.make_params(g, 2 * g - 2, g - 1)
+        res = assemble.u21_closed_form(p, provider, order)
+        if res.mode != "absolute" or res.series != expected:
+            k = (res.series - expected).degree()
+            return SuiteResult("maximal", True, False, [],
+                               {"g": g, "degree": k,
+                                "expected": expected.coeffs[k] if k else None,
+                                "got": res.series.coeffs[k] if k else None})
+        route = assemble.u21_stratum_route(p, provider, order)
+        if route.series != expected:
+            return SuiteResult("maximal", True, False, [],
+                               {"g": g, "law": "stratum route at maximal"})
+    return SuiteResult("maximal", True, True,
+                       ["closed form, route and telescoping agree"])
+
+
+def _suite_torelli(grid) -> SuiteResult:
+    for g in _grid_genera(grid, default=(2, 6)):
+        order = series.default_order(g)
+        for tau in range(0, 2 * g - 1, 2):
+            p = params.make_params(g, tau, tau // 2)
+            assert p.tau == tau and p.mod3_class == 0
+            diff = assemble.su21_closed_form(p, None, order) \
+                - assemble.pu21_poincare(p, None, order)
+            if diff.unknown:
+                return SuiteResult("torelli", True, False, [],
+                                   {"g": g, "tau": tau,
+                                    "law": "difference not concrete"})
+            support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
+            expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
+                        for deg, (m1, m2) in params.s_tau(g, tau).items()}
+            anomalous = assemble.torelli_anomalous_part(p, order)
+            if support != expected or anomalous != expected:
+                return SuiteResult("torelli", True, False, [],
+                                   {"g": g, "tau": tau, "expected": expected,
+                                    "got": support})
+            empty = not expected
+            if empty != params.gamma3_trivial(g, tau) \
+                    or empty != params.kirwan_su_surjective(g, tau):
+                return SuiteResult("torelli", True, False, [],
+                                   {"g": g, "tau": tau, "law": "predicate coherence"})
+    return SuiteResult("torelli", True, True,
+                       ["anomalous support matches the index set and predicates"])
+
+
+def _suite_shift_invariance(grid) -> SuiteResult:
+    builders = {
+        "u21-closed": assemble.u21_closed_form,
+        "u21-stratum": assemble.u21_stratum_route,
+        "su21-closed": assemble.su21_closed_form,
+        "su21-stratum": assemble.su21_stratum_route,
+        "pu21": assemble.pu21_poincare,
+    }
+    for g in _grid_genera(grid, default=(2, 2)):
+        order = series.default_order(g)
+        for p in _valid_pairs(g):
+            base = {name: fn(p, None, order) for name, fn in builders.items()}
+            base_ww = bradlow.ww_difference(p, order)
+            for k in range(-2, 3):
+                q = p.tensor_shift(k)
+                if bradlow.ww_difference(q, order) != base_ww:
+                    return SuiteResult("shift-invariance", True, False, [],
+                                       {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
+                                        "object": "wall-crossing difference"})
+                for name, fn in builders.items():
+                    shifted = fn(q, None, order)
+                    if shifted.series != base[name].series \
+                            or shifted.unknown != base[name].unknown:
+                        return SuiteResult(
+                            "shift-invariance", True, False, [],
+                            {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
+                             "object": name})
+    return SuiteResult("shift-invariance", True, True,
+                       ["assemblies and the wall-crossing difference are "
+                        "invariant under degree shifts"])
+
+
+SUITES = {
+    "series-laws": _suite_series_laws,
+    "ab-cancellation": _suite_ab_cancellation,
+    "route-u21": _suite_route_u21,
+    "route-su21": _suite_route_su21,
+    "gothen": _suite_gothen,
+    "maximal": _suite_maximal,
+    "torelli": _suite_torelli,
+    "shift-invariance": _suite_shift_invariance,
+}
+
+
+def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
+    if not spec:
+        return {}
+    out: dict[str, tuple[int, int]] = {}
+    for piece in spec.split(","):
+        if "=" not in piece:
+            raise ParameterError(f"bad grid element {piece!r}; expected key=lo..hi")
+        key, rng = piece.split("=", 1)
+        if ".." in rng:
+            lo, hi = rng.split("..", 1)
+        else:
+            lo = hi = rng
+        try:
+            out[key.strip()] = (int(lo), int(hi))
+        except ValueError as exc:
+            raise ParameterError(f"bad grid range {rng!r}") from exc
+    return out
+
+
+def cmd_verify(args) -> int:
+    grid = _parse_grid(args.grid)
+    names = list(SUITES) if args.suite in (None, "all") else [args.suite]
+    for name in names:
+        if name not in SUITES:
+            raise ParameterError(
+                f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    results = [SUITES[name](grid) for name in names]
+    hard_failed = [r for r in results if r.hard and not r.passed]
+    if args.format == "json":
+        doc = {
+            "passed": not hard_failed,
+            "suites": [
+                {"name": r.name, "hard": r.hard, "passed": r.passed,
+                 "details": r.details, "counterexample": r.counterexample}
+                for r in results
+            ],
+        }
+        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+    elif args.format == "csv":
+        raise ParameterError("verify output supports text or json")
+    else:
+        lines = []
+        for r in results:
+            status = "pass" if r.passed else "FAIL"
+            tag = "" if r.hard else " (diagnostic)"
+            lines.append(f"{r.name}{tag}: {status}")
+            for d in r.details:
+                lines.append(f"    {d}")
+            if r.counterexample:
+                lines.append(f"    counterexample: "
+                             f"{json.dumps(r.counterexample, sort_keys=True)}")
+        _emit("\n".join(lines), args.out)
+    return EXIT_VERIFY if hard_failed else EXIT_OK
+
+
+# ------------------------------------------------------------------ export
+
+
+def cmd_export(args) -> int:
+    if not args.out:
+        raise ParameterError("export requires --out PATH")
+    if args.what == "provider":
+        g = args.genus
+        order = args.order if args.order else _default_order(g)
+        doc = bradlow.maximal_provider_record(g, order)
+        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+        return EXIT_OK
+    if args.d1 is None or args.d2 is None:
+        raise ParameterError("export --what result requires --d1 and --d2")
+    return cmd_compute(args)
+
+
+# -------------------------------------------------------------------- main
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="higgsbetti",
+        description="Exact equivariant Poincare polynomials of rank-(2,1) "
+                    "Higgs bundle moduli, with identity verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(sp, with_params=True):
+        if with_params:
+            sp.add_argument("--genus", "-g", type=int, required=True)
+            sp.add_argument("--d1", type=int, required=True)
+            sp.add_argument("--d2", type=int, required=True)
+        sp.add_argument("--order", type=int, default=None,
+                        help="truncation order (default 8g+24, or "
+                             "HIGGSBETTI_DEFAULT_ORDER)")
+        sp.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text")
+        sp.add_argument("--out", default=None, help="write output to a file")
+
+    sp = sub.add_parser("compute", help="assemble a Poincare series")
+    add_common(sp)
+    sp.add_argument("--group", choices=("u21", "su21", "pu21"), required=True)
+    sp.add_argument("--route", choices=("closed", "stratum"), default="closed")
+    sp.add_argument("--provider", default="relative",
+                    help="relative | maximal | file:PATH")
+    sp.add_argument("--force", action="store_true",
+                    help="compute even when the Toledo bound is violated")
+    sp.set_defaults(fn=cmd_compute)
+
+    sp = sub.add_parser("strata", help="enumerate critical sets")
+    add_common(sp)
+    sp.add_argument("--lmax", dest="lmax_doubled", type=_parse_lmax, default=None,
+                    metavar="L", help="largest index l (integer or n/2)")
+    sp.set_defaults(fn=cmd_strata)
+
+    sp = sub.add_parser("verify", help="run identity verification suites")
+    sp.add_argument("--suite", default="all",
+                    help="suite name or 'all': " + ", ".join(SUITES))
+    sp.add_argument("--grid", default=None, help="e.g. g=2..3")
+    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_verify)
+
+    sp = sub.add_parser("ingredients", help="evaluate one ingredient series")
+    sp.add_argument("--op", required=True,
+                    choices=("jacobian", "sym", "projective", "bg-rank1",
+                             "bg-rank2", "bg-u21", "bg-su21", "ab-semistable",
+                             "gothen", "vdim"))
+    sp.add_argument("--genus", "-g", type=int, default=2)
+    sp.add_argument("--m", type=int, default=0)
+    sp.add_argument("--m1", type=int, default=0)
+    sp.add_argument("--m2", type=int, default=0)
+    sp.add_argument("--n", type=int, default=0)
+    sp.add_argument("--d2", type=int, default=0)
+    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sp.add_argument("--out", default=None)
+    sp.set_defaults(fn=cmd_ingredients)
+
+    sp = sub.add_parser("export", help="write a result or provider file")
+    sp.add_argument("--genus", "-g", type=int, required=True)
+    sp.add_argument("--d1", type=int, default=None)
+    sp.add_argument("--d2", type=int, default=None)
+    sp.add_argument("--order", type=int, default=None)
+    sp.add_argument("--format", choices=("text", "json", "csv"), default="json")
+    sp.add_argument("--out", default=None)
+    sp.add_argument("--group", choices=("u21", "su21", "pu21"), default="u21")
+    sp.add_argument("--route", choices=("closed", "stratum"), default="closed")
+    sp.add_argument("--provider", default="relative")
+    sp.add_argument("--what", choices=("result", "provider"), default="result")
+    sp.add_argument("--force", action="store_true")
+    sp.set_defaults(fn=cmd_export)
+
+    return parser
+
+
+def _parse_lmax(text: str) -> int:
+    """Parse an integer or n/2 half-integer into a doubled value."""
+    frac = Fraction(text)
+    if (2 * frac).denominator != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
+    return int(2 * frac)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAM
+
+
+if __name__ == "__main__":
+    sys.exit(main())
