@@ -40,7 +40,6 @@ from .params import ModuliParams, s_tau
 from .series import (
     PolynomialWindow,
     TruncatedSeries,
-    geometric_inverse,
     is_polynomial_window,
 )
 
@@ -251,11 +250,11 @@ def _add_c1_sum(b: _Builder, kind: str) -> None:
     p, order = b.p, b.order
     g = p.g
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
     for l in _c1_ells(p):
         m1, m2 = _cover_exponents(p, l)
         if kind == "u21":
-            piece = jac * sym_poincare(m1, g, order) * sym_poincare(m2, g, order) * geo2
+            piece = (jac * sym_poincare(m1, g, order)
+                     * sym_poincare(m2, g, order)).over_one_minus(2)
             label = f"C1[l={l}]"
         elif kind == "su21":
             piece = gothen_cover_poincare(CoverParams(m1, m2, g), order)
@@ -282,8 +281,7 @@ def u21_closed_form(
     order = _order_for(p, order)
     b = _Builder("u21", p, order)
     jac = jacobian_poincare(p.g, order)
-    geo2 = geometric_inverse(2, order)
-    b.add_unknown(PAIRS, jac * geo2, "pairs-block")
+    b.add_unknown(PAIRS, jac.over_one_minus(2), "pairs-block")
     _add_c1_sum(b, "u21")
     return b.finish(provider)
 
@@ -310,22 +308,22 @@ def u21_stratum_route(
     g, d1, d2 = p.g, p.d1, p.d2
     b = _Builder("u21", p, order)
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
 
     b.add("classifying-total", bg_u21(g, order))
     b.add("semistable-bundle-block",
-          -(jac * ab_semistable_rank2(d2, g, order) * geo2))
+          -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2))
     b.add("line-splitting-tail", -_line_splitting_tail(p, order, jac_power=3))
-    b.add_unknown(MODULI_MIN, jac * geo2, "bradlow-moduli-block")
+    b.add_unknown(MODULI_MIN, jac.over_one_minus(2), "bradlow-moduli-block")
     if d2 % 2 == 0:
-        boundary = (jac * jac * sym_poincare(p.e // 2, g, order) * geo2 * geo2)
+        boundary = (jac * jac * sym_poincare(p.e // 2, g, order)).over_one_minus(2, 2)
         b.add("even-degree-boundary", boundary.shifted(p.e))
     for l in _c2_sum_ells(p):
-        piece = jac * jac * sym_poincare(l - d1 + 2 * g - 2, g, order) * geo2 * geo2
+        piece = jac * jac * sym_poincare(l - d1 + 2 * g - 2, g, order)
+        piece = piece.over_one_minus(2, 2)
         b.add(f"C2[l={l}]", -piece.shifted(2 * (2 * g - 2 + l - d1)))
     for l in _b1_diff_ells(p):
         m = d2 - d1 + 2 * g - 2 - l
-        piece = jac * jac * sym_poincare(m, g, order) * geo2 * geo2
+        piece = (jac * jac * sym_poincare(m, g, order)).over_one_minus(2, 2)
         b.add(f"B1-diff[l={l}]", piece.shifted(_mu(p, l)))
     _add_c1_sum(b, "u21")
     return b.finish(provider)
@@ -343,8 +341,7 @@ def su21_closed_form(
     order = _order_for(p, order)
     b = _Builder("su21", p, order)
     jac = jacobian_poincare(p.g, order)
-    geo2 = geometric_inverse(2, order)
-    b.add_unknown(PAIRS, jac * geo2, "pairs-block")
+    b.add_unknown(PAIRS, jac.over_one_minus(2), "pairs-block")
     _add_c1_sum(b, "su21")
     return b.finish(provider)
 
@@ -368,7 +365,6 @@ def su21_stratum_route(
     g, d1, d2 = p.g, p.d1, p.d2
     b = _Builder("su21", p, order)
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
 
     b.add("classifying-total", bg_su21(g, order))
     b.add("semistable-bundle-block", -ab_semistable_rank2(d2, g, order))
@@ -378,11 +374,11 @@ def su21_stratum_route(
         boundary = jac * sym_poincare(p.e // 2, g, order)
         b.add("even-degree-boundary", boundary.shifted(p.e))
     for l in _c2_sum_ells(p):
-        piece = jac * sym_poincare(l - d1 + 2 * g - 2, g, order) * geo2 * geo2
+        piece = (jac * sym_poincare(l - d1 + 2 * g - 2, g, order)).over_one_minus(2, 2)
         b.add(f"C2[l={l}]", -piece.shifted(2 * (2 * g - 2 + l - d1)))
     for l in _b1_diff_ells(p):
         m = d2 - d1 + 2 * g - 2 - l
-        piece = jac * sym_poincare(m, g, order) * geo2
+        piece = (jac * sym_poincare(m, g, order)).over_one_minus(2)
         b.add(f"B1-diff[l={l}]", piece.shifted(_mu(p, l)))
     _add_c1_sum(b, "su21")
     return b.finish(provider)
@@ -402,8 +398,7 @@ def pu21_poincare(
     order = _order_for(p, order)
     b = _Builder("pu21", p, order)
     jac = jacobian_poincare(p.g, order)
-    geo2 = geometric_inverse(2, order)
-    b.add_unknown(PAIRS, jac * geo2, "pairs-block")
+    b.add_unknown(PAIRS, jac.over_one_minus(2), "pairs-block")
     _add_c1_sum(b, "pu21")
     return b.finish(provider)
 
@@ -414,10 +409,10 @@ def _line_splitting_tail_gd(g: int, d2: int, order: int, jac_power: int) -> Trun
     Terms with shift beyond the truncation vanish, so the sum is finite.
     """
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
     block = TruncatedSeries.one(order)
     for _ in range(jac_power):
-        block = block * jac * geo2
+        block = block * jac
+    block = block.over_one_minus(*[2] * jac_power)
     total = TruncatedSeries.zero(order)
     l = d2 // 2 + 1
     while True:
@@ -440,10 +435,9 @@ def ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
     space normalizations.
     """
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
     return (
         bg_u21(g, order)
-        - jac * ab_semistable_rank2(d2, g, order) * geo2
+        - (jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2)
         - _line_splitting_tail_gd(g, d2, order, jac_power=3)
     )
 

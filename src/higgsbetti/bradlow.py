@@ -34,7 +34,13 @@ from pathlib import Path
 from .errors import ParameterError, ProviderFileError
 from .ingredients import jacobian_poincare, projective_poincare, sym_poincare
 from .params import ModuliParams, _require_valid
-from .series import RationalExpr, TruncatedSeries, geometric_inverse, polynomial_product
+from .series import (
+    RationalExpr,
+    TruncatedSeries,
+    geometric_inverse,
+    parse_integer,
+    polynomial_product,
+)
 from .strata import ContributionTerm
 
 
@@ -107,23 +113,22 @@ def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> Truncated
     Used by provider files, which carry no degree pair.  Agrees with
     ww_difference through e = d2 - 2 d1 + 4g - 4, sigma = (e + 2g - 2)/3.
     """
-    geo2 = geometric_inverse(2, order)
     jac = jacobian_poincare(g, order)
     total = TruncatedSeries.zero(order)
     half = Fraction(e, 2)
     j = half.__floor__() + 1
     while Fraction(j) < sigma:
-        piece = jac * sym_poincare(e - j, g, order) * geo2
+        piece = (jac * sym_poincare(e - j, g, order)).over_one_minus(2)
         total = total + piece.shifted(2 * (g - 1 + 2 * j - e))
         total = total - piece.shifted(2 * (e - j))
         j += 1
     if sigma.denominator == 1:
         s = int(sigma)
         if Fraction(s) > half:
-            piece = jac * sym_poincare(e - s, g, order) * geo2
+            piece = (jac * sym_poincare(e - s, g, order)).over_one_minus(2)
             total = total + piece.shifted(2 * (g - 1 + 2 * s - e))
         elif Fraction(s) == half:
-            piece = jac * sym_poincare(e // 2, g, order) * geo2
+            piece = (jac * sym_poincare(e // 2, g, order)).over_one_minus(2)
             total = total + piece.shifted(e)
     return total
 
@@ -145,9 +150,8 @@ def maximal_first_term(g: int, order: int) -> TruncatedSeries:
 
     which collapses to P(J)^2/(1-t^2)^2 exactly."""
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
-    first = jac * jac * projective_poincare(2 * g - 3, order) * geo2
-    second = (jac * jac * geo2 * geo2).shifted(4 * g - 4)
+    first = (jac * jac * projective_poincare(2 * g - 3, order)).over_one_minus(2)
+    second = (jac * jac).over_one_minus(2, 2).shifted(4 * g - 4)
     return first + second
 
 
@@ -270,25 +274,27 @@ def _record_order(rec: _ProviderRecord) -> int:
 
 
 def _parse_record(data: dict) -> _ProviderRecord:
-    try:
-        g = int(data["g"])
-        e = int(data["e"])
-        sigma = Fraction(int(data["sigma"]["num"]), int(data["sigma"]["den"]))
-        order = int(data["order"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ProviderFileError(f"malformed provider record: {exc}") from exc
-
     def _series(key: str) -> TruncatedSeries | None:
         raw = data.get(key)
         if raw is None:
             return None
-        coeffs = [int(s) for s in raw]
+        if not isinstance(raw, list):
+            raise TypeError(f"{key} must be a list of coefficients")
+        coeffs = [parse_integer(c, f"{key} coefficient") for c in raw]
         if len(coeffs) != order + 1:
-            raise ProviderFileError(f"{key} length does not match order {order}")
+            raise ValueError(f"{key} length does not match order {order}")
         return TruncatedSeries(tuple(coeffs))
 
-    pairs = _series("pairs_equivariant")
-    min_moduli = _series("moduli_min")
+    try:
+        g = parse_integer(data["g"], "g")
+        e = parse_integer(data["e"], "e")
+        sigma = Fraction(parse_integer(data["sigma"]["num"], "sigma num"),
+                         parse_integer(data["sigma"]["den"], "sigma den"))
+        order = parse_integer(data["order"], "order")
+        pairs = _series("pairs_equivariant")
+        min_moduli = _series("moduli_min")
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ProviderFileError(f"malformed provider record: {exc}") from exc
     if pairs is None and min_moduli is None:
         raise ProviderFileError("record carries neither series")
     if pairs is not None and min_moduli is not None:

@@ -17,7 +17,6 @@ from .series import (
     RationalExpr,
     TruncatedSeries,
     binomial_power,
-    geometric_inverse,
     polynomial_product,
 )
 
@@ -91,7 +90,7 @@ def projective_poincare(n: int, order: int) -> TruncatedSeries:
 def bg_rank1(g: int, order: int) -> TruncatedSeries:
     """Classifying space of the line-bundle gauge group: (1+t)^{2g}/(1-t^2)."""
     _require_genus(g)
-    return jacobian_poincare(g, order) * geometric_inverse(2, order)
+    return jacobian_poincare(g, order).over_one_minus(2)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,35 @@
 Everything downstream reduces to arithmetic on series in one variable t
 with arbitrary-precision integer coefficients, truncated at a fixed order
 N.  The only denominators that ever occur are products of factors
-(1 - t^a), which expand into geometric series with 0/1 coefficients, so
-all computations stay in exact integer arithmetic: no floats, no
-rationals, no symbolic simplification.
+(1 - t^a), so all computations stay in exact integer arithmetic: no
+floats, no rationals, no symbolic simplification.
+
+Validation happens at the boundary only.  The dataclass constructor,
+``from_coeffs``, ``monomial``, the scalar of ``scale``, ``RationalExpr``
+and the JSON and provider parsers (``parse_integer``) reject anything but
+exact integers; a float or bool never becomes a coefficient.  Results of
+internal arithmetic (``+``, ``-``, unary ``-``, ``*``, ``shifted``,
+``truncated``, ``over_one_minus``) are built from already-checked
+coefficients and go through ``_trusted``, which skips the per-coefficient
+check.
+
+Products use Kronecker substitution.  Trailing zeros are trimmed, then
+each operand is packed into one Python integer, one slot of w bytes per
+coefficient, stored as c + 2^(8w-1) (an offset digit, never negative).
+Subtracting the packed offsets gives the true signed value, so one
+big-integer product handles mixed signs; adding an offset to every slot of
+the product makes each slot c_k + 2^(8w-1) again, read back byte-wise.
+The offset 2^(8w-1) exceeds every |c_k| because w comes from the
+operands' bit lengths plus log2 of the shorter length plus a sign bit.
+Below a measured crossover in the shorter operand's length the schoolbook
+loop is faster and is used instead.
+
+Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
+factor, in place of a product with the geometric series.
+
+Each result tuple is built once from a list: short intermediate tuples
+(prefix tuples concatenated with slices, tuple(generator) + zeros) stay
+in CPython's tuple free lists after use and raise peak memory.
 
 All values are immutable; all operations are pure functions of their
 inputs and safe for concurrent use.
@@ -13,10 +39,17 @@ inputs and safe for concurrent use.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
 from .errors import ParameterError
+
+# Shorter-operand length below which the schoolbook loop beats packing.
+_CROSSOVER = 12
+_DECIMAL = re.compile(r"[-+]?[0-9]+")
 
 
 def default_order(g: int) -> int:
@@ -24,15 +57,108 @@ def default_order(g: int) -> int:
     return 8 * g + 24
 
 
+def _require_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_integer(value, what: str = "coefficient") -> int:
+    """An exact integer from outside input: an int (not bool) or a
+    decimal-integer string.  Floats, bools and anything else raise."""
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise ParameterError(f"{what} {value[:20]!r}...: {exc}") from exc
+    return _require_int(value, what)
+
+
 def _as_coeff_tuple(coeffs) -> tuple[int, ...]:
-    out = []
-    for c in coeffs:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise ParameterError(f"coefficients must be integers, got {c!r}")
-        out.append(c)
+    out = tuple(coeffs)
+    for c in out:
+        if type(c) is not int:  # fast path; int subclasses other than bool pass
+            _require_int(c, "coefficient")
     if not out:
         raise ParameterError("a series needs at least the degree-0 coefficient")
-    return tuple(out)
+    return out
+
+
+def _padded(coeffs, order: int) -> list:
+    """coeffs cut or zero-padded to order + 1 entries, as a new list."""
+    if order < 0:
+        raise ParameterError("order must be nonnegative")
+    cs = list(coeffs[: order + 1])
+    cs += [0] * (order + 1 - len(cs))
+    return cs
+
+
+def _support(c, n: int) -> int:
+    """Length of c[:n] without its trailing zeros."""
+    n = min(n, len(c))
+    # skip long zero tails 64 at a time, at C speed
+    while n > 64 and not any(c[n - 64 : n]):
+        n -= 64
+    while n and not c[n - 1]:
+        n -= 1
+    return n
+
+
+def _product(a, b, size: int) -> list:
+    """Coefficients 0..size-1 of the product of two coefficient sequences."""
+    la, lb = _support(a, size), _support(b, size)
+    n = min(size, la + lb - 1)
+    if n <= 0:
+        return [0] * max(size, 0)
+    if min(la, lb) < _CROSSOVER:
+        out = [0] * size
+        for i in range(la):
+            x = a[i]
+            if x:
+                for j in range(min(lb, size - i)):
+                    y = b[j]
+                    if y:
+                        out[i + j] += x * y
+        return out
+    out = _packed_product(a[:la], b[:lb], n)
+    out += [0] * (size - n)
+    return out
+
+
+def _packed_product(a, b, n: int) -> list:
+    """Coefficients 0..n-1 of a*b by one big-integer product (Kronecker)."""
+    bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+            + (min(len(a), len(b)) - 1).bit_length() + 1)
+    w = (bits + 7) // 8
+    half = 1 << (8 * w - 1)
+    digit = bytes(w - 1) + b"\x80"  # the offset 2^(8w-1) in one slot
+
+    def pack(c) -> int:
+        raw = b"".join([(x + half).to_bytes(w, "little") for x in c])
+        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(c), "little")
+
+    prod = pack(a) * pack(b) + int.from_bytes(digit * n, "little")
+    size = w * n
+    data = memoryview((prod & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+    return [int.from_bytes(data[k : k + w], "little") - half for k in range(0, size, w)]
+
+
+def _over_one_minus(cs: list, exponents) -> "TruncatedSeries":
+    """cs / prod_a (1 - t^a), dividing in place by the recurrence
+    c[k] += c[k-a], run as a prefix sum along each residue class mod a."""
+    for a in exponents:
+        if a < 1:
+            raise ParameterError("division by 1 - t^a needs a >= 1")
+        for r in range(min(a, len(cs))):
+            cs[r::a] = accumulate(cs[r::a])
+    return _trusted(tuple(cs))
+
+
+def _trusted(coeffs: tuple) -> "TruncatedSeries":
+    """A series over coefficients known to be exact ints (no re-validation)."""
+    out = object.__new__(TruncatedSeries)
+    object.__setattr__(out, "coeffs", coeffs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,28 +182,26 @@ class TruncatedSeries:
         """Build a series from a coefficient list, zero-padded or cut to order."""
         cs = list(coeffs)
         if order is not None:
-            if order < 0:
-                raise ParameterError("order must be nonnegative")
-            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
+            cs = _padded(cs, order)
         return cls(tuple(cs))
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([], order)
+        return _trusted(tuple(_padded((), order)))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coeffs([1], order)
+        return _trusted(tuple(_padded((1,), order)))
 
     @classmethod
     def monomial(cls, degree: int, order: int, coefficient: int = 1) -> "TruncatedSeries":
         """c * t^degree truncated at order (zero if degree > order)."""
         if degree < 0:
             raise ParameterError("monomial degree must be nonnegative")
-        cs = [0] * (order + 1)
+        cs = _padded((), order)
         if degree <= order:
-            cs[degree] = coefficient
-        return cls(tuple(cs))
+            cs[degree] = _require_int(coefficient, "coefficient")
+        return _trusted(tuple(cs))
 
     # -- basic queries -------------------------------------------------
 
@@ -121,14 +245,14 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _trusted(tuple(list(map(operator.add, self.coeffs, other.coeffs))))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_order(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _trusted(tuple(list(map(operator.sub, self.coeffs, other.coeffs))))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coeffs))
+        return _trusted(tuple(list(map(operator.neg, self.coeffs))))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -136,36 +260,35 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        return _trusted(tuple(_product(self.coeffs, other.coeffs, len(self.coeffs))))
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * a for a in self.coeffs))
+        _require_int(c, "scalar")
+        return _trusted(tuple([c * a for a in self.coeffs]))
 
     def shifted(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k; coefficients shifted past the order are lost."""
         if k < 0:
             raise ParameterError("shift exponent must be nonnegative")
-        n = self.order
-        out = [0] * (n + 1)
-        for i in range(n + 1 - k):
-            out[i + k] = self.coeffs[i]
-        return TruncatedSeries(tuple(out))
+        n = len(self.coeffs)
+        out = [0] * n
+        if k < n:
+            out[k:] = self.coeffs[: n - k]
+        return _trusted(tuple(out))
 
     def truncated(self, m: int) -> "TruncatedSeries":
         if not 0 <= m <= self.order:
             raise ParameterError(f"cannot truncate order {self.order} to {m}")
-        return TruncatedSeries(self.coeffs[: m + 1])
+        return _trusted(self.coeffs[: m + 1])
+
+    def over_one_minus(self, *exponents: int) -> "TruncatedSeries":
+        """Divide by prod_a (1 - t^a), one O(N) recurrence per factor.
+
+        Equal to multiplying by geometric_inverse(a, order) for each a.
+        """
+        return _over_one_minus(list(self.coeffs), exponents)
 
     # -- serialization (exact: decimal strings, no floats) --------------
 
@@ -175,8 +298,11 @@ class TruncatedSeries:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TruncatedSeries":
         try:
-            order = int(data["order"])
-            coeffs = [int(s) for s in data["coefficients"]]
+            order = parse_integer(data["order"], "order")
+            raw = data["coefficients"]
+            if not isinstance(raw, list):
+                raise TypeError("coefficients must be a list")
+            coeffs = [parse_integer(c) for c in raw]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed series payload: {exc}") from exc
         if len(coeffs) != order + 1:
@@ -229,14 +355,7 @@ def binomial_power(k: int, order: int) -> TruncatedSeries:
 def polynomial_product(p, q) -> tuple[int, ...]:
     """Full (untruncated) product of two integer coefficient lists."""
     p, q = list(p), list(q)
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return tuple(out)
+    return tuple(_product(p, q, len(p) + len(q) - 1))
 
 
 @dataclass(frozen=True)
@@ -251,17 +370,16 @@ class RationalExpr:
     denom_exponents: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(int(c) for c in self.numerator))
-        exps = tuple(sorted(int(a) for a in self.denom_exponents))
+        object.__setattr__(self, "numerator",
+                           tuple([parse_integer(c) for c in self.numerator]))
+        exps = tuple(sorted([parse_integer(a, "denominator exponent")
+                             for a in self.denom_exponents]))
         if any(a < 1 for a in exps):
             raise ParameterError("denominator exponents must be >= 1")
         object.__setattr__(self, "denom_exponents", exps)
 
     def expand(self, order: int) -> TruncatedSeries:
-        out = TruncatedSeries.from_coeffs(self.numerator, order)
-        for a in self.denom_exponents:
-            out = out * geometric_inverse(a, order)
-        return out
+        return _over_one_minus(_padded(self.numerator, order), self.denom_exponents)
 
     def denominator_polynomial(self, order: int) -> TruncatedSeries:
         """prod_i (1 - t^{a_i}) as a truncated series (for recovery checks)."""

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_poincare, sym_poincare
 from .params import HalfInt, ModuliParams, _require_valid
-from .series import RationalExpr, TruncatedSeries, geometric_inverse
+from .series import RationalExpr, TruncatedSeries
 
 
 class StratumKind(str, Enum):
@@ -152,11 +152,10 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
     """
     p, g = s.params, s.params.g
     jac = jacobian_poincare(g, order)
-    geo2 = geometric_inverse(2, order)
     if s.kind is StratumKind.A:
-        return jac * ab_semistable_rank2(p.d2, g, order) * geo2 * geo2
+        return (jac * ab_semistable_rank2(p.d2, g, order)).over_one_minus(2, 2)
     if s.kind in (StratumKind.B1, StratumKind.B2, StratumKind.B3):
-        return jac * jac * jac * geo2 * geo2 * geo2
+        return (jac * jac * jac).over_one_minus(2, 2, 2)
     l = s.ell.as_int()
     if s.kind is StratumKind.C1:
         m = p.d2 - l - p.d1 + 2 * g - 2
@@ -168,7 +167,7 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
         raise RangeViolationError(
             f"negative symmetric-product exponent {m} for {s}"
         )
-    return jac * jac * sym_poincare(m, g, order) * geo2 * geo2
+    return (jac * jac * sym_poincare(m, g, order)).over_one_minus(2, 2)
 
 
 def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:
@@ -344,8 +343,6 @@ def negative_pair_cohomology(
             piece = piece * jac
         for m in sym_exps:
             piece = piece * sym_poincare(m, g, order)
-        geo = geometric_inverse(2, order)
-        for _ in range(euler_pow):
-            piece = piece * geo
+        piece = piece.over_one_minus(*[2] * euler_pow)
         total = total + piece.shifted(shift).scale(sign)
     return total

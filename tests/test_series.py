@@ -1,8 +1,13 @@
+import json
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from higgsbetti.errors import ParameterError
+from higgsbetti.bradlow import maximal_provider_record, provider_from_file
+from higgsbetti.cli import main
+from higgsbetti.errors import ParameterError, ProviderFileError
 from higgsbetti.series import (
     RationalExpr,
     TruncatedSeries,
@@ -12,6 +17,7 @@ from higgsbetti.series import (
     geometric_inverse,
     is_polynomial_window,
     mul,
+    polynomial_product,
 )
 
 
@@ -110,3 +116,170 @@ def test_ring_axioms(a, b, c):
 def test_truncation_coherence(a, b, m):
     assert (a * b).truncated(m) == a.truncated(m) * b.truncated(m)
     assert (a + b).truncated(m) == a.truncated(m) + b.truncated(m)
+
+
+def naive_product(a, b, size):
+    """Reference convolution: coefficients 0..size-1 of a*b."""
+    out = [0] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def padded_coeffs(draw, length):
+    """length signed coefficients of up to ~400 bits, with runs of leading
+    and trailing zeros (all zeros when the core is empty)."""
+    bits = draw(st.sampled_from([1, 8, 64, 400]))
+    lead = draw(st.integers(min_value=0, max_value=length))
+    core = draw(st.integers(min_value=0, max_value=length - lead))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    cs = [0] * lead + [rng.randint(-(2**bits), 2**bits) for _ in range(core)]
+    return cs + [0] * (length - len(cs))
+
+
+@st.composite
+def series_pairs(draw):
+    order = draw(st.one_of(st.integers(min_value=0, max_value=30),
+                           st.integers(min_value=0, max_value=300)))
+    return (draw(padded_coeffs(order + 1)), draw(padded_coeffs(order + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs())
+def test_product_matches_naive_convolution(pair):
+    a, b = pair
+    n = len(a)
+    got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+    assert list(got.coeffs) == naive_product(a, b, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=60).flatmap(padded_coeffs),
+       st.integers(min_value=1, max_value=60).flatmap(padded_coeffs))
+def test_polynomial_product_matches_naive_convolution(p, q):
+    assert list(polynomial_product(p, q)) == naive_product(p, q, len(p) + len(q) - 1)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 63, 64, 400])
+@pytest.mark.parametrize("length", [12, 16, 64, 256])
+def test_product_at_the_coefficient_bound(bits, length):
+    # |c_k| reaches length * M^2, the most the packed slot must hold
+    m = 2**bits - 1
+    for a, b in [([m] * length, [m] * length), ([m] * length, [-m] * length),
+                 ([m if i % 2 else -m for i in range(length)], [-m] * length)]:
+        got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+        assert list(got.coeffs) == naive_product(a, b, length)
+        assert list(polynomial_product(a, b)) == naive_product(a, b, 2 * length - 1)
+
+
+def test_product_of_zero_series():
+    z = TruncatedSeries.zero(40)
+    f = TruncatedSeries.from_coeffs(range(1, 42))
+    assert z * f == z and f * z == z and z * z == z
+    assert TruncatedSeries.zero(0) * TruncatedSeries.one(0) == TruncatedSeries.zero(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=120).flatmap(lambda n: padded_coeffs(n + 1)))
+def test_division_by_one_minus_t_a_matches_geometric_inverse(cs):
+    f = TruncatedSeries(tuple(cs))
+    order = f.order
+    for a in range(1, 7):
+        assert f.over_one_minus(a) == f * geometric_inverse(a, order)
+    assert f.over_one_minus(2, 2, 4) == (
+        f * geometric_inverse(2, order) * geometric_inverse(2, order)
+        * geometric_inverse(4, order))
+    expr = RationalExpr(tuple(cs), (1, 3))
+    assert expr.expand(order) == (
+        f * geometric_inverse(1, order) * geometric_inverse(3, order))
+
+
+def _exact(f):
+    return type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs)
+
+
+def test_internal_results_hold_exact_ints():
+    f = S([3, -1, 0, 2] + [5] * 30)
+    g = S([1, 1] + [-7] * 32)
+    results = [
+        f + g, f - g, -f, f * g, f * 3, 3 * f, f.scale(-2), f.shifted(4),
+        f.shifted(40), f.truncated(5), f.over_one_minus(2, 3),
+        TruncatedSeries.zero(5), TruncatedSeries.one(5),
+        TruncatedSeries.monomial(3, 5, 7), RationalExpr((1, 2), (2,)).expand(9),
+        RationalExpr(("4", 1), (2,)).expand(9),
+        TruncatedSeries.from_json_dict({"order": 2, "coefficients": ["1", 2, "-3"]}),
+    ]
+    assert all(_exact(r) for r in results)
+    assert all(type(c) is int for c in polynomial_product([1, 2], [3, 4]))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None])
+def test_scalars_must_be_ints(bad):
+    f = S([1, 2, 3])
+    with pytest.raises(ParameterError):
+        f.scale(bad)
+    with pytest.raises(ParameterError):
+        TruncatedSeries.monomial(1, 3, bad)
+
+
+def test_bool_factor_is_rejected():
+    with pytest.raises(ParameterError):
+        S([1, 2]) * True
+
+
+@pytest.mark.parametrize(
+    "bad", [1.7, 1.0, True, False, "1.7", "1e3", " 1", "", None, [1]])
+def test_json_series_rejects_non_integer_coefficients(bad):
+    with pytest.raises(ParameterError):
+        TruncatedSeries.from_json_dict({"order": 1, "coefficients": ["1", bad]})
+
+
+@pytest.mark.parametrize("order", [1.0, True, "1.0"])
+def test_json_series_rejects_non_integer_order(order):
+    with pytest.raises(ParameterError):
+        TruncatedSeries.from_json_dict({"order": order, "coefficients": [1, 2]})
+
+
+def test_json_series_rejects_string_coefficients_payload():
+    with pytest.raises(ParameterError):
+        TruncatedSeries.from_json_dict({"order": 1, "coefficients": "12"})
+
+
+@pytest.mark.parametrize("numerator, exponents", [
+    ((1, 1.5), (2,)), ((1, True), (2,)), ((1.0,), ()), ((1,), (2.0,)), ((1,), (True,)),
+])
+def test_rational_expr_rejects_non_integer_input(numerator, exponents):
+    with pytest.raises(ParameterError):
+        RationalExpr(numerator, exponents)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("g", 2.0), ("order", True), ("e", "1.0"), ("moduli_min", "123"),
+])
+def test_provider_file_rejects_non_integer_fields(tmp_path, key, value):
+    record = maximal_provider_record(2, 24)
+    record[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ProviderFileError):
+        provider_from_file(path)
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda cs: [int(c) + 0.4 for c in cs],  # int() would truncate these silently
+    lambda cs: cs[:3] + [True] + cs[4:],
+])
+def test_provider_file_with_float_or_bool_coefficients_fails(tmp_path, capsys, spoil):
+    record = maximal_provider_record(2, 24)
+    record["pairs_equivariant"] = None
+    record["moduli_min"] = spoil(record["moduli_min"])
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ProviderFileError):
+        provider_from_file(path)
+    code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2",
+                 "--d2", "1", "--provider", f"file:{path}", "--order", "20"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
