@@ -34,7 +34,6 @@ from .bradlow import (
     sigma_min_of,
     sigma_of,
     ww_difference,
-    ww_difference_contributions,
     ww_from_invariants,
 )
 from .errors import (
@@ -72,16 +71,12 @@ from .series import (
     PolynomialWindow,
     RationalExpr,
     TruncatedSeries,
-    add,
     binomial_power,
     default_order,
-    expand,
     geometric_inverse,
     is_polynomial_window,
-    mul,
 )
 from .strata import (
-    ContributionTerm,
     StratumDescriptor,
     StratumKind,
     critical_set_poincare,
@@ -95,23 +90,23 @@ from .strata import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyResult", "BradlowProvider", "ContributionTerm", "CoverParams",
+    "AssemblyResult", "BradlowProvider", "CoverParams",
     "FileBackedProvider", "HalfInt", "MaximalCaseProvider", "ModuliParams",
     "ModuliReport", "ParameterError", "PolynomialWindow", "ProviderFileError",
     "RangeViolationError", "RationalExpr", "RouteEquivalenceReport",
     "StratumDescriptor", "StratumKind", "SymbolicProvider", "TruncatedSeries",
     "UnspecifiedDimensionError", "ab_cancellation_residual",
-    "ab_semistable_rank2", "add", "bg_rank1", "bg_rank2", "bg_su21", "bg_u21",
+    "ab_semistable_rank2", "bg_rank1", "bg_rank2", "bg_su21", "bg_u21",
     "binomial_power", "canonicalize", "critical_set_poincare", "default_order",
-    "delta_set", "enumerate_critical", "expand", "gamma3_trivial",
+    "delta_set", "enumerate_critical", "gamma3_trivial",
     "geometric_inverse", "gothen_cover_poincare", "is_polynomial_window",
     "jacobian_poincare", "kirwan_su_surjective", "make_params",
     "maximal_first_term", "maximal_moduli_min", "maximal_pairs_equivariant",
-    "moduli_poincare", "mul", "negative_dim", "negative_pair_cohomology",
+    "moduli_poincare", "negative_dim", "negative_pair_cohomology",
     "negative_pair_kinds", "projective_poincare", "provider_from_file",
     "pu21_poincare", "region_of", "s_tau", "sigma_min_of", "sigma_of",
     "su21_closed_form", "su21_stratum_route", "su_ab_cancellation_residual",
     "sym_poincare", "table_note", "torelli_anomalous_part", "torelli_trivial",
     "u21_closed_form", "u21_stratum_route", "v_dim", "verify_route_equivalence",
-    "ww_difference", "ww_difference_contributions", "ww_from_invariants",
+    "ww_difference", "ww_from_invariants",
 ]

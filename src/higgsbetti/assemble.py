@@ -33,6 +33,7 @@ from .ingredients import (
     bg_u21,
     gothen_cover_poincare,
     jacobian_poincare,
+    line_splitting_sum,
     sym_poincare,
     v_dim,
 )
@@ -312,7 +313,7 @@ def u21_stratum_route(
     b.add("classifying-total", bg_u21(g, order))
     b.add("semistable-bundle-block",
           -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2))
-    b.add("line-splitting-tail", -_line_splitting_tail(p, order, jac_power=3))
+    b.add("line-splitting-tail", -line_splitting_sum(g, d2, order, 3))
     b.add_unknown(MODULI_MIN, jac.over_one_minus(2), "bradlow-moduli-block")
     if d2 % 2 == 0:
         boundary = (jac * jac * sym_poincare(p.e // 2, g, order)).over_one_minus(2, 2)
@@ -368,7 +369,7 @@ def su21_stratum_route(
 
     b.add("classifying-total", bg_su21(g, order))
     b.add("semistable-bundle-block", -ab_semistable_rank2(d2, g, order))
-    b.add("line-splitting-tail", -_line_splitting_tail(p, order, jac_power=2))
+    b.add("line-splitting-tail", -line_splitting_sum(g, d2, order, 2))
     b.add_unknown(MODULI_MIN, TruncatedSeries.one(order), "bradlow-moduli-block")
     if d2 % 2 == 0:
         boundary = jac * sym_poincare(p.e // 2, g, order)
@@ -403,29 +404,14 @@ def pu21_poincare(
     return b.finish(provider)
 
 
-def _line_splitting_tail_gd(g: int, d2: int, order: int, jac_power: int) -> TruncatedSeries:
-    """Sum over integers l > d2/2 of t^{2(g-1+2l-d2)} (P(J)/(1-t^2))^jac_power.
-
-    Terms with shift beyond the truncation vanish, so the sum is finite.
-    """
-    jac = jacobian_poincare(g, order)
-    block = TruncatedSeries.one(order)
-    for _ in range(jac_power):
-        block = block * jac
-    block = block.over_one_minus(*[2] * jac_power)
-    total = TruncatedSeries.zero(order)
-    l = d2 // 2 + 1
-    while True:
-        shift = 2 * (g - 1 + 2 * l - d2)
-        if shift > order:
-            break
-        total = total + block.shifted(shift)
-        l += 1
-    return total
-
-
-def _line_splitting_tail(p: ModuliParams, order: int, jac_power: int) -> TruncatedSeries:
-    return _line_splitting_tail_gd(p.g, p.d2, order, jac_power)
+# every assembly, keyed by (group, route)
+BUILDERS = {
+    ("u21", "closed"): u21_closed_form,
+    ("u21", "stratum"): u21_stratum_route,
+    ("su21", "closed"): su21_closed_form,
+    ("su21", "stratum"): su21_stratum_route,
+    ("pu21", "closed"): pu21_poincare,
+}
 
 
 def ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
@@ -438,7 +424,7 @@ def ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
     return (
         bg_u21(g, order)
         - (jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2)
-        - _line_splitting_tail_gd(g, d2, order, jac_power=3)
+        - line_splitting_sum(g, d2, order, 3)
     )
 
 
@@ -447,7 +433,7 @@ def su_ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
     return (
         bg_su21(g, order)
         - ab_semistable_rank2(d2, g, order)
-        - _line_splitting_tail_gd(g, d2, order, jac_power=2)
+        - line_splitting_sum(g, d2, order, 2)
     )
 
 
@@ -510,12 +496,6 @@ class RouteEquivalenceReport:
         return out
 
 
-_ROUTES = {
-    "u21": (u21_closed_form, u21_stratum_route),
-    "su21": (su21_closed_form, su21_stratum_route),
-}
-
-
 def verify_route_equivalence(
     group: str, p: ModuliParams, order: int | None = None
 ) -> RouteEquivalenceReport:
@@ -525,12 +505,11 @@ def verify_route_equivalence(
     two transcriptions are mutually consistent.  Nonzero residuals are
     findings, reported with per-term provenance, never exceptions.
     """
-    if group not in _ROUTES:
+    if (group, "stratum") not in BUILDERS:
         raise ParameterError(f"no route pair for group {group!r}")
     order = _order_for(p, order)
-    closed_fn, route_fn = _ROUTES[group]
-    closed = closed_fn(p, None, order)
-    route = route_fn(p, None, order)
+    closed = BUILDERS[(group, "closed")](p, None, order)
+    route = BUILDERS[(group, "stratum")](p, None, order)
     diff = (closed - route).eliminate_pairs()
     return RouteEquivalenceReport(
         group=group,

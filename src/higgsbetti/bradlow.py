@@ -20,7 +20,9 @@ plus a top-wall term when sigma is itself an integer: for sigma > e/2 it
 is t^{2(g-1+2 sigma-e)} P(J) P(S^{e-sigma} X)/(1-t^2), and in the
 degenerate case sigma = e/2 (Toledo invariant zero) it is
 t^e P(J) P(S^{e/2} X)/(1-t^2), matching the even-degree boundary term of
-the A-stratum attachment.
+the A-stratum attachment.  Since sigma - e/2 = tau/4, a negative Toledo
+invariant puts sigma below e/2: there are no walls and the difference
+is zero.
 """
 
 from __future__ import annotations
@@ -34,14 +36,7 @@ from pathlib import Path
 from .errors import ParameterError, ProviderFileError
 from .ingredients import jacobian_poincare, projective_poincare, sym_poincare
 from .params import ModuliParams, _require_valid
-from .series import (
-    RationalExpr,
-    TruncatedSeries,
-    geometric_inverse,
-    parse_integer,
-    polynomial_product,
-)
-from .strata import ContributionTerm
+from .series import TruncatedSeries, geometric_inverse, parse_integer
 
 
 def sigma_of(p: ModuliParams) -> Fraction:
@@ -62,57 +57,9 @@ def sigma_min_of(p: ModuliParams) -> Fraction:
     return p.sigma_min
 
 
-def _jac_sym_over_1mt2(g: int, m: int) -> RationalExpr:
-    numer = polynomial_product(
-        tuple(jacobian_poincare(g, 2 * g).coeffs),
-        tuple(sym_poincare(m, g, max(2 * m, 1)).coeffs),
-    )
-    return RationalExpr(numer, (2,))
-
-
-def ww_difference_contributions(p: ModuliParams, order: int) -> list[ContributionTerm]:
-    """Labeled wall-crossing terms of pairs_equivariant - moduli_min."""
-    _require_valid(p)
-    g, d1, d2 = p.g, p.d1, p.d2
-    terms: list[ContributionTerm] = []
-    lo = Fraction(d2, 2)
-    hi = Fraction(d1 + d2, 3)
-    l = lo.__floor__() + 1
-    while Fraction(l) < hi:
-        m = d2 - l - d1 + 2 * g - 2
-        expr = _jac_sym_over_1mt2(g, m)
-        terms.append(ContributionTerm(
-            f"flip[l={l}]+", 2 * (g - 1 + 2 * l - d2), expr, +1))
-        terms.append(ContributionTerm(
-            f"flip[l={l}]-", 2 * (2 * g - 2 + d2 - d1 - l), expr, -1))
-        l += 1
-    if (d1 + d2) % 3 == 0:
-        if p.tau > 0:
-            shift = 2 * (g - 1) + 2 * (2 * d1 - d2) // 3
-            m = 2 * g - 2 - int(p.tau)
-            terms.append(ContributionTerm(
-                "top-wall", shift, _jac_sym_over_1mt2(g, m), +1))
-        else:
-            # bottom wall: the even-degree boundary of the A-attachment
-            terms.append(ContributionTerm(
-                "bottom-wall", p.e, _jac_sym_over_1mt2(g, p.e // 2), +1))
-    return terms
-
-
-def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
-    """pairs_equivariant - moduli_min as a concrete series."""
-    total = TruncatedSeries.zero(order)
-    for term in ww_difference_contributions(p, order):
-        total = total + term.expand(order)
-    return total
-
-
 def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> TruncatedSeries:
-    """Wall-crossing difference parametrized by (g, e, sigma) alone.
-
-    Used by provider files, which carry no degree pair.  Agrees with
-    ww_difference through e = d2 - 2 d1 + 4g - 4, sigma = (e + 2g - 2)/3.
-    """
+    """pairs_equivariant - moduli_min, the wall-crossing sum over the walls
+    of the module docstring; it depends on (g, e, sigma) alone."""
     jac = jacobian_poincare(g, order)
     total = TruncatedSeries.zero(order)
     half = Fraction(e, 2)
@@ -131,6 +78,12 @@ def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> Truncated
             piece = (jac * sym_poincare(e // 2, g, order)).over_one_minus(2)
             total = total + piece.shifted(e)
     return total
+
+
+def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
+    """pairs_equivariant - moduli_min at a valid degree pair."""
+    _require_valid(p)
+    return ww_from_invariants(p.g, p.e, p.sigma, order)
 
 
 def maximal_pairs_equivariant(g: int, order: int) -> TruncatedSeries:
@@ -155,16 +108,12 @@ def maximal_first_term(g: int, order: int) -> TruncatedSeries:
     return first + second
 
 
-def _maximal_params(g: int) -> ModuliParams:
-    from .params import make_params
-
-    return make_params(g, 2 * g - 2, g - 1)
-
-
 def maximal_moduli_min(g: int, order: int) -> TruncatedSeries:
     """Bottom-chamber moduli series pinned by the maximal case:
     pairs_equivariant minus the wall-crossing difference."""
-    return maximal_pairs_equivariant(g, order) - ww_difference(_maximal_params(g), order)
+    # the maximal point has e = sigma = g-1
+    return maximal_pairs_equivariant(g, order) - ww_from_invariants(
+        g, g - 1, Fraction(g - 1), order)
 
 
 class BradlowProvider(ABC):
@@ -227,50 +176,45 @@ class _ProviderRecord:
 class FileBackedProvider(BradlowProvider):
     """Answers exactly the (g, e, sigma) tuples present in a file.
 
-    When a record carries only one of the two series, the other is
-    derived through the wall-crossing difference.  Records carrying both
-    are validated against the difference at load time.
+    A record is keyed by (g, e); its sigma is fixed by them.  When a
+    record carries only one of the two series, the other is derived
+    through the wall-crossing difference.  Records carrying both are
+    validated against the difference at load time.
     """
 
     name = "file"
 
     def __init__(self, records: list[_ProviderRecord]):
-        self._records = {(r.g, r.e, r.sigma): r for r in records}
-
-    def _find(self, g: int, e: int) -> _ProviderRecord | None:
-        for (rg, re, _), rec in self._records.items():
-            if (rg, re) == (g, e):
-                return rec
-        return None
+        self._records: dict[tuple[int, int], _ProviderRecord] = {}
+        for r in records:
+            if (r.g, r.e) in self._records:
+                raise ProviderFileError(
+                    f"two records for (g, e) = ({r.g}, {r.e})")
+            self._records[(r.g, r.e)] = r
 
     def pairs_equivariant(self, e, sigma, g, order):
-        rec = self._records.get((g, e, Fraction(sigma)))
-        if rec is None:
+        rec = self._records.get((g, e))
+        if rec is None or rec.sigma != sigma:
             return None
-        if order > _record_order(rec):
-            raise ProviderFileError(
-                f"provider record holds order {_record_order(rec)}, need {order}"
-            )
+        _require_order(rec, order)
         if rec.pairs is not None:
             return rec.pairs.truncated(order)
         return rec.min_moduli.truncated(order) + ww_from_invariants(g, e, rec.sigma, order)
 
     def moduli_min(self, e, g, order):
-        rec = self._find(g, e)
+        rec = self._records.get((g, e))
         if rec is None:
             return None
-        if order > _record_order(rec):
-            raise ProviderFileError(
-                f"provider record holds order {_record_order(rec)}, need {order}"
-            )
+        _require_order(rec, order)
         if rec.min_moduli is not None:
             return rec.min_moduli.truncated(order)
         return rec.pairs.truncated(order) - ww_from_invariants(g, e, rec.sigma, order)
 
 
-def _record_order(rec: _ProviderRecord) -> int:
-    series = rec.pairs if rec.pairs is not None else rec.min_moduli
-    return series.order
+def _require_order(rec: _ProviderRecord, order: int) -> None:
+    held = (rec.pairs if rec.pairs is not None else rec.min_moduli).order
+    if order > held:
+        raise ProviderFileError(f"provider record holds order {held}, need {order}")
 
 
 def _parse_record(data: dict) -> _ProviderRecord:
@@ -295,6 +239,18 @@ def _parse_record(data: dict) -> _ProviderRecord:
         min_moduli = _series("moduli_min")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProviderFileError(f"malformed provider record: {exc}") from exc
+    if g < 2:
+        raise ProviderFileError(f"provider record has genus {g}; it must be at least 2")
+    if not g - 1 <= e <= 7 * g - 7:
+        raise ProviderFileError(
+            f"provider record has e = {e} outside {g - 1}..{7 * g - 7}, "
+            f"the range |tau| <= 2g-2 allows at g = {g}")
+    if sigma != Fraction(e + 2 * g - 2, 3):
+        raise ProviderFileError(
+            f"provider record has sigma = {sigma}; (e + 2g - 2)/3 = "
+            f"{Fraction(e + 2 * g - 2, 3)} at (g, e) = ({g}, {e})")
+    if order < 0:
+        raise ProviderFileError(f"provider record has negative order {order}")
     if pairs is None and min_moduli is None:
         raise ProviderFileError("record carries neither series")
     if pairs is not None and min_moduli is not None:

@@ -12,11 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import assemble, bradlow, ingredients, params, series, strata
 from .errors import ParameterError
+from .verify import SUITES, SuiteResult  # noqa: F401  (SuiteResult: what a suite returns)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -69,15 +69,6 @@ def _provider_from_args(args, p: params.ModuliParams) -> bradlow.BradlowProvider
 # ----------------------------------------------------------------- compute
 
 
-_COMPUTERS = {
-    ("u21", "closed"): assemble.u21_closed_form,
-    ("u21", "stratum"): assemble.u21_stratum_route,
-    ("su21", "closed"): assemble.su21_closed_form,
-    ("su21", "stratum"): assemble.su21_stratum_route,
-    ("pu21", "closed"): assemble.pu21_poincare,
-}
-
-
 def cmd_compute(args) -> int:
     p = _params_from_args(args)
     if not p.valid and not args.force:
@@ -88,9 +79,9 @@ def cmd_compute(args) -> int:
     provider = _provider_from_args(args, p)
     order = args.order if args.order else _default_order(p.g)
     key = (args.group, args.route)
-    if key not in _COMPUTERS:
+    if key not in assemble.BUILDERS:
         raise ParameterError(f"group {args.group!r} has no {args.route!r} route")
-    result = _COMPUTERS[key](p, provider, order, force=args.force)
+    result = assemble.BUILDERS[key](p, provider, order, force=args.force)
     if args.format == "json":
         _emit(json.dumps(result.to_json_dict(), sort_keys=True, indent=2), args.out)
     elif args.format == "csv":
@@ -217,256 +208,6 @@ def cmd_ingredients(args) -> int:
 
 
 # ------------------------------------------------------------------ verify
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    hard: bool
-    passed: bool
-    details: list[str]
-    counterexample: dict | None = None
-
-
-def _grid_genera(grid: dict[str, tuple[int, int]], default=(2, 3)) -> list[int]:
-    lo, hi = grid.get("g", default)
-    return list(range(lo, hi + 1))
-
-
-def _valid_pairs(g: int):
-    for d1 in range(0, 2 * g + 1):
-        for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-            p = params.make_params(g, d1, d2)
-            if p.valid and p.tau >= 0:
-                yield p
-
-
-def _suite_series_laws(grid) -> SuiteResult:
-    import random
-
-    rng = random.Random(20210817)
-    order = 24
-    count = 1000
-    details = []
-
-    def rand_series():
-        return series.TruncatedSeries(
-            tuple(rng.randint(-9, 9) for _ in range(order + 1)))
-
-    for i in range(count):
-        a, b, c = rand_series(), rand_series(), rand_series()
-        if (a + b) + c != a + (b + c) or a * (b * c) != (a * b) * c \
-                or a * (b + c) != a * b + a * c or a * b != b * a:
-            return SuiteResult("series-laws", True, False, [],
-                               {"instance": i, "law": "ring axioms"})
-        m = order // 2
-        if (a * b).truncated(m) != a.truncated(m) * b.truncated(m):
-            return SuiteResult("series-laws", True, False, [],
-                               {"instance": i, "law": "truncation coherence"})
-    details.append(f"ring laws and truncation coherence on {count} instances")
-    # expansion recovery and nonnegativity of the rendered table
-    for g in _grid_genera(grid):
-        expr = series.RationalExpr(
-            tuple(series.binomial_power(2 * g, 2 * g).coeffs), (2, 2, 4))
-        back = expr.expand(order) * expr.denominator_polynomial(order)
-        if back != series.TruncatedSeries.from_coeffs(expr.numerator, order):
-            return SuiteResult("series-laws", True, False, [],
-                               {"g": g, "law": "expand recovery"})
-        for p in _valid_pairs(g):
-            for s in strata.enumerate_critical(
-                    p, params.HalfInt.from_int(p.d1 + 2 * g - 2)):
-                if not strata.critical_set_poincare(s, order).is_nonnegative():
-                    return SuiteResult("series-laws", True, False, [],
-                                       {"stratum": str(s), "law": "nonnegativity"})
-    details.append("expansion recovery and critical-set nonnegativity")
-    return SuiteResult("series-laws", True, True, details)
-
-
-def _suite_ab_cancellation(grid) -> SuiteResult:
-    for g in _grid_genera(grid):
-        order = series.default_order(g)
-        for d2 in range(0, 4):
-            for name, residual in (
-                ("u21", assemble.ab_cancellation_residual(g, d2, order)),
-                ("su21", assemble.su_ab_cancellation_residual(g, d2, order)),
-            ):
-                if not residual.is_zero():
-                    k = residual.degree()
-                    return SuiteResult(
-                        "ab-cancellation", True, False, [],
-                        {"g": g, "d2": d2, "group": name,
-                         "degree": k, "expected": 0,
-                         "got": residual.coeffs[k]})
-    return SuiteResult("ab-cancellation", True, True,
-                       ["zero residual on the (g, d2) grid, both groups"])
-
-
-def _suite_route_u21(grid) -> SuiteResult:
-    checked = 0
-    for g in _grid_genera(grid):
-        order = series.default_order(g)
-        for p in _valid_pairs(g):
-            rep = assemble.verify_route_equivalence("u21", p, order)
-            checked += 1
-            if not rep.zero:
-                k = rep.first_nonzero_degree()
-                return SuiteResult(
-                    "route-u21", True, False, [],
-                    {"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
-                     "expected": 0, "got": rep.residual.coeffs[k],
-                     "terms": rep.term_provenance(k)})
-    return SuiteResult("route-u21", True, True,
-                       [f"zero residual on {checked} parameter tuples"])
-
-
-def _suite_route_su21(grid) -> SuiteResult:
-    details = []
-    for g in _grid_genera(grid):
-        order = series.default_order(g)
-        for p in _valid_pairs(g):
-            rep = assemble.verify_route_equivalence("su21", p, order)
-            if rep.zero:
-                details.append(f"(g={p.g}, d1={p.d1}, d2={p.d2}): zero")
-                continue
-            k = rep.first_nonzero_degree()
-            prov = rep.term_provenance(k)
-            head = ", ".join(f"{lbl}: {c}" for lbl, c in sorted(prov.items())[:4])
-            unknown = {n: s.coeffs[k] for n, s in rep.residual_unknowns.items()}
-            details.append(
-                f"(g={p.g}, d1={p.d1}, d2={p.d2}): first residual at degree {k}, "
-                f"series {rep.residual.coeffs[k]}, unknown {unknown}, terms [{head}]")
-    return SuiteResult("route-su21", False, True, details)
-
-
-def _suite_gothen(grid) -> SuiteResult:
-    order = 40
-    for g in _grid_genera(grid):
-        for m1 in range(0, 2 * g + 1):
-            for m2 in range(0, 2 * g + 1):
-                c = ingredients.CoverParams(m1, m2, g)
-                got = ingredients.gothen_cover_poincare(c, order)
-                base = ingredients.sym_poincare(m1, g, order) \
-                    * ingredients.sym_poincare(m2, g, order)
-                expected = base
-                if m1 <= 2 * g - 2 and m2 <= 2 * g - 2:
-                    expected = base + series.TruncatedSeries.monomial(
-                        m1 + m2, order, ingredients.v_dim(c))
-                if got != expected:
-                    return SuiteResult("gothen", True, False, [],
-                                       {"g": g, "m1": m1, "m2": m2})
-                euler = got.evaluate(-1)
-                base_euler = base.evaluate(-1)
-                correction = ingredients.v_dim(c) * (-1) ** (m1 + m2) \
-                    if (m1 <= 2 * g - 2 and m2 <= 2 * g - 2) else 0
-                if euler != base_euler + correction:
-                    return SuiteResult("gothen", True, False, [],
-                                       {"g": g, "m1": m1, "m2": m2,
-                                        "law": "euler bookkeeping"})
-    spot = ingredients.gothen_cover_poincare(ingredients.CoverParams(1, 1, 2), 8)
-    if spot.coeffs[:5] != (1, 8, 338, 8, 1):
-        return SuiteResult("gothen", True, False, [],
-                           {"spot": "cover(1,1) at g=2", "got": spot.coeffs[:5]})
-    return SuiteResult("gothen", True, True,
-                       ["cover polynomials match the invariant/anomalous split"])
-
-
-def _suite_maximal(grid) -> SuiteResult:
-    provider = bradlow.MaximalCaseProvider()
-    for g in _grid_genera(grid):
-        order = 4 * g + 20
-        jac = ingredients.jacobian_poincare(g, order)
-        geo2 = series.geometric_inverse(2, order)
-        expected = jac * jac * geo2 * geo2
-        if bradlow.maximal_first_term(g, order) != expected:
-            return SuiteResult("maximal", True, False, [],
-                               {"g": g, "law": "telescoping"})
-        p = params.make_params(g, 2 * g - 2, g - 1)
-        res = assemble.u21_closed_form(p, provider, order)
-        if res.mode != "absolute" or res.series != expected:
-            k = (res.series - expected).degree()
-            return SuiteResult("maximal", True, False, [],
-                               {"g": g, "degree": k,
-                                "expected": expected.coeffs[k] if k else None,
-                                "got": res.series.coeffs[k] if k else None})
-        route = assemble.u21_stratum_route(p, provider, order)
-        if route.series != expected:
-            return SuiteResult("maximal", True, False, [],
-                               {"g": g, "law": "stratum route at maximal"})
-    return SuiteResult("maximal", True, True,
-                       ["closed form, route and telescoping agree"])
-
-
-def _suite_torelli(grid) -> SuiteResult:
-    for g in _grid_genera(grid, default=(2, 6)):
-        order = series.default_order(g)
-        for tau in range(0, 2 * g - 1, 2):
-            p = params.make_params(g, tau, tau // 2)
-            assert p.tau == tau and p.mod3_class == 0
-            diff = assemble.su21_closed_form(p, None, order) \
-                - assemble.pu21_poincare(p, None, order)
-            if diff.unknown:
-                return SuiteResult("torelli", True, False, [],
-                                   {"g": g, "tau": tau,
-                                    "law": "difference not concrete"})
-            support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
-            expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
-                        for deg, (m1, m2) in params.s_tau(g, tau).items()}
-            anomalous = assemble.torelli_anomalous_part(p, order)
-            if support != expected or anomalous != expected:
-                return SuiteResult("torelli", True, False, [],
-                                   {"g": g, "tau": tau, "expected": expected,
-                                    "got": support})
-            empty = not expected
-            if empty != params.gamma3_trivial(g, tau) \
-                    or empty != params.kirwan_su_surjective(g, tau):
-                return SuiteResult("torelli", True, False, [],
-                                   {"g": g, "tau": tau, "law": "predicate coherence"})
-    return SuiteResult("torelli", True, True,
-                       ["anomalous support matches the index set and predicates"])
-
-
-def _suite_shift_invariance(grid) -> SuiteResult:
-    builders = {
-        "u21-closed": assemble.u21_closed_form,
-        "u21-stratum": assemble.u21_stratum_route,
-        "su21-closed": assemble.su21_closed_form,
-        "su21-stratum": assemble.su21_stratum_route,
-        "pu21": assemble.pu21_poincare,
-    }
-    for g in _grid_genera(grid, default=(2, 2)):
-        order = series.default_order(g)
-        for p in _valid_pairs(g):
-            base = {name: fn(p, None, order) for name, fn in builders.items()}
-            base_ww = bradlow.ww_difference(p, order)
-            for k in range(-2, 3):
-                q = p.tensor_shift(k)
-                if bradlow.ww_difference(q, order) != base_ww:
-                    return SuiteResult("shift-invariance", True, False, [],
-                                       {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
-                                        "object": "wall-crossing difference"})
-                for name, fn in builders.items():
-                    shifted = fn(q, None, order)
-                    if shifted.series != base[name].series \
-                            or shifted.unknown != base[name].unknown:
-                        return SuiteResult(
-                            "shift-invariance", True, False, [],
-                            {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
-                             "object": name})
-    return SuiteResult("shift-invariance", True, True,
-                       ["assemblies and the wall-crossing difference are "
-                        "invariant under degree shifts"])
-
-
-SUITES = {
-    "series-laws": _suite_series_laws,
-    "ab-cancellation": _suite_ab_cancellation,
-    "route-u21": _suite_route_u21,
-    "route-su21": _suite_route_su21,
-    "gothen": _suite_gothen,
-    "maximal": _suite_maximal,
-    "torelli": _suite_torelli,
-    "shift-invariance": _suite_shift_invariance,
-}
 
 
 def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:

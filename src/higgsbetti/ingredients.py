@@ -120,28 +120,30 @@ def bg_su21(g: int, order: int) -> TruncatedSeries:
     return bg_rank2(g, order)
 
 
+def line_splitting_sum(g: int, d2: int, order: int, line_factors: int) -> TruncatedSeries:
+    """Sum over integers l > d2/2 of t^{2(g-1+2l-d2)} (P(J)/(1-t^2))^line_factors.
+
+    Consecutive exponents differ by 4, so the sum is its first term over
+    (1 - t^4); the first exponent is 2g when d2 is odd, 2g+2 when even.
+    """
+    jac = jacobian_poincare(g, order)
+    block = jac
+    for _ in range(line_factors - 1):
+        block = block * jac
+    first = 2 * (g - 1 + 2 * (d2 // 2 + 1) - d2)
+    return block.over_one_minus(*[2] * line_factors, 4).shifted(first)
+
+
 @lru_cache(maxsize=None)
 def ab_semistable_rank2(d2: int, g: int, order: int) -> TruncatedSeries:
     """Equivariant series of the rank-2 degree-d2 semistable stratum.
 
     Atiyah-Bott recursion: the classifying-space total minus one term
-    t^{2(2l - d2 + g - 1)} (BU(1)-gauge)^2 for each unstable type l > d2/2.
-    Within the truncation the sum is finite since the exponent grows
-    linearly in l.  The result depends on d2 only through the exponent
-    arithmetic, hence only on its parity.
+    t^{2(2l - d2 + g - 1)} (BU(1)-gauge)^2 for each unstable type l > d2/2,
+    where BU(1)-gauge has series P(J)/(1-t^2).  The result depends on d2
+    only through the exponent arithmetic, hence only on its parity.
     """
-    _require_genus(g)
-    line2 = bg_rank1(g, order)
-    line2 = line2 * line2
-    l = d2 // 2 + 1  # smallest integer strictly above d2/2
-    out = bg_rank2(g, order)
-    while True:
-        shift = 2 * (2 * l - d2 + g - 1)
-        if shift > order:
-            break
-        out = out - line2.shifted(shift)
-        l += 1
-    return out
+    return bg_rank2(g, order) - line_splitting_sum(g, d2, order, 2)
 
 
 def v_dim(c: CoverParams) -> int:

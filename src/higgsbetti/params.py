@@ -135,6 +135,18 @@ def canonicalize(g: int, d1: int, d2: int) -> tuple[ModuliParams, list[dict]]:
     return p, transforms
 
 
+def valid_points(g: int):
+    """Yield the valid points with tau >= 0 and 0 <= d1 <= 2g.
+
+    With c = d2 - 2 d1, tau = -2c/3, so 0 <= tau <= 2g-2 is exactly
+    -(3g-3) <= c <= 0.  Every valid point is a tensor shift of one of
+    these or of the dual of one.
+    """
+    for d1 in range(0, 2 * g + 1):
+        for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
+            yield make_params(g, d1, d2)
+
+
 def _require_valid(p: ModuliParams) -> None:
     if not p.valid:
         raise ParameterError(

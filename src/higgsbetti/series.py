@@ -323,18 +323,6 @@ class TruncatedSeries:
         return f"{body} + O(t^{self.order + 1})"
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Coefficientwise sum of two series of equal order."""
-    return a + b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
-    if not isinstance(b, TruncatedSeries):
-        raise ParameterError("mul expects two series")
-    return a * b
-
-
 def geometric_inverse(a: int, order: int) -> TruncatedSeries:
     """Expansion of 1/(1 - t^a): coefficient 1 at multiples of a, else 0."""
     if a < 1:
@@ -389,11 +377,6 @@ class RationalExpr:
             factor[0], factor[a] = 1, -1
             poly = polynomial_product(poly, factor)
         return TruncatedSeries.from_coeffs(poly, order)
-
-
-def expand(expr: RationalExpr, order: int) -> TruncatedSeries:
-    """Numerator times the product of geometric inverses, truncated."""
-    return expr.expand(order)
 
 
 @dataclass(frozen=True)

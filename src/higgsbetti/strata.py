@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_poincare, sym_poincare
 from .params import HalfInt, ModuliParams, _require_valid
-from .series import RationalExpr, TruncatedSeries
+from .series import TruncatedSeries
 
 
 class StratumKind(str, Enum):
@@ -42,28 +42,6 @@ class StratumKind(str, Enum):
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(StratumKind)}
-
-
-@dataclass(frozen=True)
-class ContributionTerm:
-    """One labeled summand sign * t^shift * expr of a polynomial formula."""
-
-    label: str
-    exponent_shift: int
-    expr: RationalExpr
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.exponent_shift < 0:
-            raise RangeViolationError(
-                f"negative degree shift {self.exponent_shift} in {self.label}"
-            )
-        if self.sign not in (1, -1):
-            raise ParameterError("sign must be +1 or -1")
-
-    def expand(self, order: int) -> TruncatedSeries:
-        out = self.expr.expand(order).shifted(self.exponent_shift)
-        return out if self.sign == 1 else -out
 
 
 def _ranges(p: ModuliParams) -> dict[StratumKind, tuple]:

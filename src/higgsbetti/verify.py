@@ -1,0 +1,248 @@
+"""Identity verification suites behind ``higgsbetti verify``.
+
+Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
+genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
+exit 1 and carries a counterexample; a diagnostic suite only reports.
+SUITES maps each suite name to its function, in the CLI's run order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import assemble, bradlow, ingredients, params, series, strata
+
+
+@dataclass
+class SuiteResult:
+    name: str
+    hard: bool
+    passed: bool
+    details: list[str]
+    counterexample: dict | None = None
+
+
+def _grid_genera(grid: dict[str, tuple[int, int]], default=(2, 3)) -> list[int]:
+    lo, hi = grid.get("g", default)
+    return list(range(lo, hi + 1))
+
+
+def _suite_series_laws(grid) -> SuiteResult:
+    import random
+
+    rng = random.Random(20210817)
+    order = 24
+    count = 1000
+    details = []
+
+    def rand_series():
+        return series.TruncatedSeries(
+            tuple(rng.randint(-9, 9) for _ in range(order + 1)))
+
+    for i in range(count):
+        a, b, c = rand_series(), rand_series(), rand_series()
+        if (a + b) + c != a + (b + c) or a * (b * c) != (a * b) * c \
+                or a * (b + c) != a * b + a * c or a * b != b * a:
+            return SuiteResult("series-laws", True, False, [],
+                               {"instance": i, "law": "ring axioms"})
+        m = order // 2
+        if (a * b).truncated(m) != a.truncated(m) * b.truncated(m):
+            return SuiteResult("series-laws", True, False, [],
+                               {"instance": i, "law": "truncation coherence"})
+    details.append(f"ring laws and truncation coherence on {count} instances")
+    # expansion recovery and nonnegativity of the rendered table
+    for g in _grid_genera(grid):
+        expr = series.RationalExpr(
+            tuple(series.binomial_power(2 * g, 2 * g).coeffs), (2, 2, 4))
+        back = expr.expand(order) * expr.denominator_polynomial(order)
+        if back != series.TruncatedSeries.from_coeffs(expr.numerator, order):
+            return SuiteResult("series-laws", True, False, [],
+                               {"g": g, "law": "expand recovery"})
+        for p in params.valid_points(g):
+            for s in strata.enumerate_critical(
+                    p, params.HalfInt.from_int(p.d1 + 2 * g - 2)):
+                if not strata.critical_set_poincare(s, order).is_nonnegative():
+                    return SuiteResult("series-laws", True, False, [],
+                                       {"stratum": str(s), "law": "nonnegativity"})
+    details.append("expansion recovery and critical-set nonnegativity")
+    return SuiteResult("series-laws", True, True, details)
+
+
+def _suite_ab_cancellation(grid) -> SuiteResult:
+    for g in _grid_genera(grid):
+        order = series.default_order(g)
+        for d2 in range(0, 4):
+            for name, residual in (
+                ("u21", assemble.ab_cancellation_residual(g, d2, order)),
+                ("su21", assemble.su_ab_cancellation_residual(g, d2, order)),
+            ):
+                if not residual.is_zero():
+                    k = residual.degree()
+                    return SuiteResult(
+                        "ab-cancellation", True, False, [],
+                        {"g": g, "d2": d2, "group": name,
+                         "degree": k, "expected": 0,
+                         "got": residual.coeffs[k]})
+    return SuiteResult("ab-cancellation", True, True,
+                       ["zero residual on the (g, d2) grid, both groups"])
+
+
+def _suite_route_u21(grid) -> SuiteResult:
+    checked = 0
+    for g in _grid_genera(grid):
+        order = series.default_order(g)
+        for p in params.valid_points(g):
+            rep = assemble.verify_route_equivalence("u21", p, order)
+            checked += 1
+            if not rep.zero:
+                k = rep.first_nonzero_degree()
+                return SuiteResult(
+                    "route-u21", True, False, [],
+                    {"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
+                     "expected": 0, "got": rep.residual.coeffs[k],
+                     "terms": rep.term_provenance(k)})
+    return SuiteResult("route-u21", True, True,
+                       [f"zero residual on {checked} parameter tuples"])
+
+
+def _suite_route_su21(grid) -> SuiteResult:
+    details = []
+    for g in _grid_genera(grid):
+        order = series.default_order(g)
+        for p in params.valid_points(g):
+            rep = assemble.verify_route_equivalence("su21", p, order)
+            if rep.zero:
+                details.append(f"(g={p.g}, d1={p.d1}, d2={p.d2}): zero")
+                continue
+            k = rep.first_nonzero_degree()
+            prov = rep.term_provenance(k)
+            head = ", ".join(f"{lbl}: {c}" for lbl, c in sorted(prov.items())[:4])
+            unknown = {n: s.coeffs[k] for n, s in rep.residual_unknowns.items()}
+            details.append(
+                f"(g={p.g}, d1={p.d1}, d2={p.d2}): first residual at degree {k}, "
+                f"series {rep.residual.coeffs[k]}, unknown {unknown}, terms [{head}]")
+    return SuiteResult("route-su21", False, True, details)
+
+
+def _suite_gothen(grid) -> SuiteResult:
+    order = 40
+    for g in _grid_genera(grid):
+        for m1 in range(0, 2 * g + 1):
+            for m2 in range(0, 2 * g + 1):
+                c = ingredients.CoverParams(m1, m2, g)
+                got = ingredients.gothen_cover_poincare(c, order)
+                base = ingredients.sym_poincare(m1, g, order) \
+                    * ingredients.sym_poincare(m2, g, order)
+                expected = base
+                if m1 <= 2 * g - 2 and m2 <= 2 * g - 2:
+                    expected = base + series.TruncatedSeries.monomial(
+                        m1 + m2, order, ingredients.v_dim(c))
+                if got != expected:
+                    return SuiteResult("gothen", True, False, [],
+                                       {"g": g, "m1": m1, "m2": m2})
+                euler = got.evaluate(-1)
+                base_euler = base.evaluate(-1)
+                correction = ingredients.v_dim(c) * (-1) ** (m1 + m2) \
+                    if (m1 <= 2 * g - 2 and m2 <= 2 * g - 2) else 0
+                if euler != base_euler + correction:
+                    return SuiteResult("gothen", True, False, [],
+                                       {"g": g, "m1": m1, "m2": m2,
+                                        "law": "euler bookkeeping"})
+    spot = ingredients.gothen_cover_poincare(ingredients.CoverParams(1, 1, 2), 8)
+    if spot.coeffs[:5] != (1, 8, 338, 8, 1):
+        return SuiteResult("gothen", True, False, [],
+                           {"spot": "cover(1,1) at g=2", "got": spot.coeffs[:5]})
+    return SuiteResult("gothen", True, True,
+                       ["cover polynomials match the invariant/anomalous split"])
+
+
+def _suite_maximal(grid) -> SuiteResult:
+    provider = bradlow.MaximalCaseProvider()
+    for g in _grid_genera(grid):
+        order = 4 * g + 20
+        jac = ingredients.jacobian_poincare(g, order)
+        geo2 = series.geometric_inverse(2, order)
+        expected = jac * jac * geo2 * geo2
+        if bradlow.maximal_first_term(g, order) != expected:
+            return SuiteResult("maximal", True, False, [],
+                               {"g": g, "law": "telescoping"})
+        p = params.make_params(g, 2 * g - 2, g - 1)
+        res = assemble.u21_closed_form(p, provider, order)
+        if res.mode != "absolute" or res.series != expected:
+            k = (res.series - expected).degree()
+            return SuiteResult("maximal", True, False, [],
+                               {"g": g, "degree": k,
+                                "expected": expected.coeffs[k] if k else None,
+                                "got": res.series.coeffs[k] if k else None})
+        route = assemble.u21_stratum_route(p, provider, order)
+        if route.series != expected:
+            return SuiteResult("maximal", True, False, [],
+                               {"g": g, "law": "stratum route at maximal"})
+    return SuiteResult("maximal", True, True,
+                       ["closed form, route and telescoping agree"])
+
+
+def _suite_torelli(grid) -> SuiteResult:
+    for g in _grid_genera(grid, default=(2, 6)):
+        order = series.default_order(g)
+        for tau in range(0, 2 * g - 1, 2):
+            p = params.make_params(g, tau, tau // 2)
+            assert p.tau == tau and p.mod3_class == 0
+            diff = assemble.su21_closed_form(p, None, order) \
+                - assemble.pu21_poincare(p, None, order)
+            if diff.unknown:
+                return SuiteResult("torelli", True, False, [],
+                                   {"g": g, "tau": tau,
+                                    "law": "difference not concrete"})
+            support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
+            expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
+                        for deg, (m1, m2) in params.s_tau(g, tau).items()}
+            anomalous = assemble.torelli_anomalous_part(p, order)
+            if support != expected or anomalous != expected:
+                return SuiteResult("torelli", True, False, [],
+                                   {"g": g, "tau": tau, "expected": expected,
+                                    "got": support})
+            empty = not expected
+            if empty != params.gamma3_trivial(g, tau) \
+                    or empty != params.kirwan_su_surjective(g, tau):
+                return SuiteResult("torelli", True, False, [],
+                                   {"g": g, "tau": tau, "law": "predicate coherence"})
+    return SuiteResult("torelli", True, True,
+                       ["anomalous support matches the index set and predicates"])
+
+
+def _suite_shift_invariance(grid) -> SuiteResult:
+    for g in _grid_genera(grid, default=(2, 2)):
+        order = series.default_order(g)
+        for p in params.valid_points(g):
+            base = {key: fn(p, None, order) for key, fn in assemble.BUILDERS.items()}
+            base_ww = bradlow.ww_difference(p, order)
+            for k in range(-2, 3):
+                q = p.tensor_shift(k)
+                if bradlow.ww_difference(q, order) != base_ww:
+                    return SuiteResult("shift-invariance", True, False, [],
+                                       {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
+                                        "object": "wall-crossing difference"})
+                for (group, route), fn in assemble.BUILDERS.items():
+                    shifted = fn(q, None, order)
+                    if shifted.series != base[group, route].series \
+                            or shifted.unknown != base[group, route].unknown:
+                        return SuiteResult(
+                            "shift-invariance", True, False, [],
+                            {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
+                             "object": f"{group}-{route}"})
+    return SuiteResult("shift-invariance", True, True,
+                       ["assemblies and the wall-crossing difference are "
+                        "invariant under degree shifts"])
+
+
+SUITES = {
+    "series-laws": _suite_series_laws,
+    "ab-cancellation": _suite_ab_cancellation,
+    "route-u21": _suite_route_u21,
+    "route-su21": _suite_route_su21,
+    "gothen": _suite_gothen,
+    "maximal": _suite_maximal,
+    "torelli": _suite_torelli,
+    "shift-invariance": _suite_shift_invariance,
+}

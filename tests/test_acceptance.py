@@ -38,18 +38,11 @@ from higgsbetti.params import (
     make_params,
     s_tau,
     torelli_trivial,
+    valid_points,
 )
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 from higgsbetti.strata import critical_set_poincare, enumerate_critical
 from higgsbetti.params import HalfInt
-
-
-def _valid_pairs(g):
-    for d1 in range(0, 2 * g + 1):
-        for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-            p = make_params(g, d1, d2)
-            if p.valid and p.tau >= 0:
-                yield p
 
 
 def test_criterion_01_maximal_closed_form():
@@ -74,7 +67,7 @@ def test_criterion_02_atiyah_bott_cancellation():
 def test_criterion_03_u21_route_equivalence():
     for g in (2, 3):
         order = 8 * g + 24
-        for p in _valid_pairs(g):
+        for p in valid_points(g):
             rep = verify_route_equivalence("u21", p, order)
             assert rep.zero, (p.g, p.d1, p.d2, rep.first_nonzero_degree())
 
@@ -156,7 +149,7 @@ def test_criterion_07a_difference_formula_spot_value():
 
 def test_criterion_07b_difference_formula_vanishing():
     for g in (2, 3):
-        for p in _valid_pairs(g):
+        for p in valid_points(g):
             if not p.is_coprime:
                 continue
             lo, hi = p.d2 / 2, (p.d1 + p.d2) / 3
@@ -218,7 +211,7 @@ def test_criterion_08d_nonnegativity():
             res = fn(p, provider, order)
             assert res.mode == "absolute"
             assert res.series.is_nonnegative(), fn.__name__
-        for q in _valid_pairs(g):
+        for q in valid_points(g):
             top = HalfInt.from_int(q.d1 + 2 * g - 2)
             for s in enumerate_critical(q, top):
                 assert critical_set_poincare(s, order).is_nonnegative(), str(s)
@@ -228,7 +221,7 @@ def test_criterion_09_su_route_residual_diagnostic():
     reports = []
     for g in (2, 3):
         order = 8 * g + 24
-        for p in _valid_pairs(g):
+        for p in valid_points(g):
             rep = verify_route_equivalence("su21", p, order)
             k = rep.first_nonzero_degree()
             if k is not None:

@@ -1,11 +1,15 @@
 import json
+import math
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from higgsbetti.bradlow import (
     MaximalCaseProvider,
     SymbolicProvider,
+    _parse_record,
     maximal_first_term,
     maximal_moduli_min,
     maximal_pairs_equivariant,
@@ -14,13 +18,34 @@ from higgsbetti.bradlow import (
     sigma_min_of,
     sigma_of,
     ww_difference,
-    ww_difference_contributions,
     ww_from_invariants,
 )
+from higgsbetti.cli import main
 from higgsbetti.errors import ProviderFileError
 from higgsbetti.ingredients import jacobian_poincare, sym_poincare
 from higgsbetti.params import make_params
 from higgsbetti.series import TruncatedSeries, geometric_inverse
+
+
+def _ww_oracle(g, e, sigma, order):
+    """The wall sum of the bradlow docstring, written with products only."""
+    def t(k):
+        return TruncatedSeries.monomial(k, order)
+
+    def block(m):  # P(J) P(S^m X) / (1-t^2)
+        return (jacobian_poincare(g, order) * sym_poincare(m, g, order)
+                * geometric_inverse(2, order))
+
+    half = Fraction(e, 2)
+    total = TruncatedSeries.zero(order)
+    for j in range(math.floor(half) + 1, math.ceil(sigma)):  # e/2 < j < sigma
+        total = total + (t(2 * (g - 1 + 2 * j - e)) - t(2 * (e - j))) * block(e - j)
+    if sigma.denominator == 1 and sigma > half:
+        s = int(sigma)
+        total = total + t(2 * (g - 1 + 2 * s - e)) * block(e - s)
+    elif sigma == half:
+        total = total + t(e) * block(e // 2)
+    return total
 
 
 def test_sigma_examples():
@@ -56,26 +81,34 @@ def test_ww_zero_toledo_boundary_term():
 
 
 def test_ww_matches_invariant_coordinates():
-    for g in (2, 3):
+    # the whole valid domain |tau| <= 2g-2, tau < 0 included
+    for g in (2, 3, 4):
         order = 6 * g + 10
-        for d1 in range(0, 2 * g + 1):
-            for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-                p = make_params(g, d1, d2)
-                if not p.valid:
-                    continue
-                assert ww_difference(p, order) == ww_from_invariants(
-                    g, p.e, p.sigma, order), (g, d1, d2)
+        for d1 in range(-1, 3):
+            for c in range(-(3 * g - 3), 3 * g - 2):
+                p = make_params(g, d1, 2 * d1 + c)
+                assert p.valid
+                w = ww_difference(p, order)
+                assert w == _ww_oracle(g, p.e, p.sigma, order), (g, p.d1, p.d2)
+                assert w == ww_from_invariants(g, p.e, p.sigma, order)
+                if p.tau < 0:
+                    assert w.is_zero(), (g, p.d1, p.d2)
 
 
-def test_ww_equals_sum_of_contributions_and_shift_invariance():
+def test_ww_zero_at_negative_toledo():
+    # sigma < e/2: no walls, in particular no bottom-wall term when 3 | d1+d2
+    p = make_params(2, 0, 3)
+    assert p.tau < 0 and p.mod3_class == 0
+    assert ww_difference(p, 40).is_zero()
+
+
+def test_ww_shift_invariance():
     order = 30
     p = make_params(3, 4, 3)
-    total = TruncatedSeries.zero(order)
-    for term in ww_difference_contributions(p, order):
-        total = total + term.expand(order)
-    assert total == ww_difference(p, order)
+    base = ww_difference(p, order)
+    assert not base.is_zero()
     for k in (-2, -1, 1, 2):
-        assert ww_difference(p.tensor_shift(k), order) == total
+        assert ww_difference(p.tensor_shift(k), order) == base
 
 
 def test_maximal_telescoping():
@@ -161,3 +194,102 @@ def test_provider_file_single_series_derives_other(tmp_path):
     provider = provider_from_file(path)
     assert provider.pairs_equivariant(1, Fraction(1), 2, 14) == \
         maximal_pairs_equivariant(2, 14)
+
+
+def _write(tmp_path, payload, name="rec.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("g", 1, "genus 1"),
+    ("sigma", {"num": 10 ** 6, "den": 1}, "sigma = 1000000"),
+    ("e", 0, "e = 0 outside 1..7"),
+    ("e", 8, "e = 8 outside 1..7"),
+])
+def test_provider_file_rejects_inconsistent_invariants(tmp_path, capsys, field, value,
+                                                       message):
+    record = maximal_provider_record(2, 20)  # g = 2, e = 1, sigma = 1
+    record["pairs_equivariant"] = None
+    record[field] = value
+    path = _write(tmp_path, record)
+    with pytest.raises(ProviderFileError, match=message):
+        provider_from_file(path)
+    code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2",
+                 "--d2", "1", "--provider", f"file:{path}", "--order", "20"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_provider_file_rejects_duplicate_records(tmp_path):
+    record = maximal_provider_record(2, 20)
+    other = dict(record, pairs_equivariant=None)
+    with pytest.raises(ProviderFileError, match=r"two records for \(g, e\) = \(2, 1\)"):
+        provider_from_file(_write(tmp_path, [record, other]))
+
+
+def test_provider_file_answers_each_record_by_genus_and_degree(tmp_path):
+    order = 20
+    mm = jacobian_poincare(2, order) * sym_poincare(2, 2, order)
+    nonmaximal = {  # (g, d1, d2) = (2, 0, 0): e = 4, sigma = 2
+        "g": 2, "e": 4, "sigma": {"num": 2, "den": 1}, "order": order,
+        "pairs_equivariant": None, "moduli_min": [str(c) for c in mm.coeffs],
+    }
+    records = [maximal_provider_record(2, order), nonmaximal,
+               maximal_provider_record(3, order)]
+    provider = provider_from_file(_write(tmp_path, records))
+    assert provider.moduli_min(1, 2, order) == maximal_moduli_min(2, order)
+    assert provider.moduli_min(2, 3, order) == maximal_moduli_min(3, order)
+    assert provider.moduli_min(4, 2, order) == mm
+    assert provider.pairs_equivariant(4, Fraction(2), 2, order) == \
+        mm + ww_from_invariants(2, 4, Fraction(2), order)
+    assert provider.pairs_equivariant(4, Fraction(7, 3), 2, order) is None
+    assert provider.moduli_min(3, 2, order) is None
+
+
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["num", "den"]), st.integers(-3, 12)),
+)
+
+_integer_or_fraction = st.one_of(
+    st.integers(-3, 30),
+    st.fixed_dictionaries({"num": st.integers(-3, 30), "den": st.integers(-1, 4)}),
+)
+
+
+@st.composite
+def _provider_records(draw):
+    """A consistent record at some g = 2..4, then junk in some fields."""
+    g = draw(st.integers(2, 4))
+    e = draw(st.integers(g - 1, 7 * g - 7))
+    sigma = Fraction(e + 2 * g - 2, 3)
+    order = draw(st.integers(0, 12))
+    mm = [draw(st.integers(-5, 5)) for _ in range(order + 1)]
+    pairs = TruncatedSeries(tuple(mm)) + ww_from_invariants(g, e, sigma, order)
+    record = {
+        "g": g, "e": e, "sigma": {"num": sigma.numerator, "den": sigma.denominator},
+        "order": order,
+        "pairs_equivariant": draw(st.sampled_from([None, [str(c) for c in pairs.coeffs]])),
+        "moduli_min": mm,
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(record) + ["extra"]), max_size=3)):
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(st.one_of(_integer_or_fraction, _junk))
+    return draw(st.one_of(st.just(record), _junk))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_provider_records())
+def test_parse_record_loads_or_raises_provider_file_error(data):
+    try:
+        rec = _parse_record(data)
+    except ProviderFileError:
+        return
+    assert rec.g >= 2 and rec.g - 1 <= rec.e <= 7 * rec.g - 7
+    assert rec.sigma == Fraction(rec.e + 2 * rec.g - 2, 3)
+    assert rec.pairs is not None or rec.min_moduli is not None

@@ -162,3 +162,34 @@ def test_gothen_euler_bookkeeping(g):
             if m1 <= 2 * g - 2 and m2 <= 2 * g - 2:
                 expected += (-1) ** (m1 + m2) * v_dim(c)
             assert cover.evaluate(-1) == expected
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_pow(p, n):
+    out = [1]
+    for _ in range(n):
+        out = _poly_mul(out, p)
+    return out
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d2", [1, 3])
+def test_ab_semistable_odd_degree_closed_form(d2, g):
+    # Harder-Narasimhan closed form of the odd-degree rank-2 semistable
+    # stratum, independent of the Atiyah-Bott recursion:
+    # (1+t)^{2g} [(1+t^3)^{2g} - t^{2g} (1+t)^{2g}] / ((1-t^2)^2 (1-t^4))
+    order = 60
+    jac = _poly_pow([1, 1], 2 * g)
+    first = _poly_pow([1, 0, 0, 1], 2 * g)
+    second = [0] * (2 * g) + jac
+    bracket = [a - b for a, b in zip(first, second + [0] * (len(first) - len(second)))]
+    numer = TruncatedSeries.from_coeffs(_poly_mul(jac, bracket)[:order + 1], order)
+    geo2, geo4 = geometric_inverse(2, order), geometric_inverse(4, order)
+    assert ab_semistable_rank2(d2, g, order) == numer * geo2 * geo2 * geo4

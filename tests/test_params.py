@@ -13,6 +13,7 @@ from higgsbetti.params import (
     region_of,
     s_tau,
     torelli_trivial,
+    valid_points,
 )
 
 
@@ -174,3 +175,14 @@ def test_halfint_behaviour():
     assert HalfInt.from_fraction(Fraction(5, 2)) == HalfInt(5)
     with pytest.raises(ParameterError):
         HalfInt.from_fraction(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_valid_points_against_brute_force(g):
+    want = [(d1, d2) for d1 in range(0, 2 * g + 1)
+            for d2 in range(-12 * g, 12 * g + 1)
+            if abs(Fraction(2 * (2 * d1 - d2), 3)) <= 2 * g - 2
+            and 2 * d1 - d2 >= 0]
+    got = [(p.d1, p.d2) for p in valid_points(g)]
+    assert got == want
+    assert all(p.g == g and p.valid and p.tau >= 0 for p in valid_points(g))
