@@ -21,7 +21,7 @@ imported values.  A provider can substitute absolute values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bradlow import BradlowProvider, SymbolicProvider, ww_difference
@@ -37,11 +37,12 @@ from .ingredients import (
     sym_poincare,
     v_dim,
 )
-from .params import ModuliParams, s_tau
+from .params import ModuliParams, canonicalize, s_tau
 from .series import (
     PolynomialWindow,
     TruncatedSeries,
     is_polynomial_window,
+    resolve_order,
 )
 
 PAIRS = "pairs_equivariant"
@@ -64,7 +65,9 @@ class AssemblyResult:
     """Known series plus explicit unknown blocks a*pairs + b*moduli_min.
 
     The expanded terms always sum to the known series exactly.  In
-    absolute mode the unknown map is empty.
+    absolute mode the unknown map is empty.  ``params`` is the point
+    assembled; ``transforms`` records how it was reached from the point
+    asked for (a dualization when that point has tau < 0).
     """
 
     group: str
@@ -74,6 +77,7 @@ class AssemblyResult:
     series: TruncatedSeries
     unknown: dict[str, TruncatedSeries]
     terms: tuple[TermValue, ...]
+    transforms: tuple[dict, ...] = ()
 
     def __sub__(self, other: "AssemblyResult") -> "AssemblyResult":
         if self.order != other.order:
@@ -84,24 +88,19 @@ class AssemblyResult:
             diff = self.unknown.get(key, zero) - other.unknown.get(key, zero)
             if not diff.is_zero():
                 unknown[key] = diff
-        mode = "absolute" if not unknown else "relative"
-        return AssemblyResult(
+        return replace(
+            self,
             group=f"{self.group}-minus-{other.group}" if self.group != other.group
             else self.group,
-            params=self.params,
-            order=self.order,
-            mode=mode,
+            mode="absolute" if not unknown else "relative",
             series=self.series - other.series,
             unknown=unknown,
             terms=self.terms + tuple(t.negated() for t in other.terms),
         )
 
     def scaled_by(self, factor: TruncatedSeries) -> "AssemblyResult":
-        return AssemblyResult(
-            group=self.group,
-            params=self.params,
-            order=self.order,
-            mode=self.mode,
+        return replace(
+            self,
             series=self.series * factor,
             unknown={k: v * factor for k, v in self.unknown.items()},
             terms=tuple(TermValue(t.label, t.series * factor) for t in self.terms),
@@ -123,10 +122,8 @@ class AssemblyResult:
         else:
             unknown[MODULI_MIN] = merged
         extra = TermValue("wall-crossing-elimination", coeff * ww)
-        return AssemblyResult(
-            group=self.group,
-            params=self.params,
-            order=self.order,
+        return replace(
+            self,
             mode="absolute" if not unknown else "relative",
             series=self.series + extra.series,
             unknown=unknown,
@@ -137,7 +134,7 @@ class AssemblyResult:
         def _coeffs(s: TruncatedSeries | None):
             return None if s is None else [str(c) for c in s.coeffs]
 
-        return {
+        doc = {
             "group": self.group,
             "g": self.params.g,
             "d1": self.params.d1,
@@ -154,13 +151,21 @@ class AssemblyResult:
                 for t in self.terms
             ],
         }
+        if self.transforms:
+            doc["transforms"] = list(self.transforms)
+        return doc
 
 
 class _Builder:
-    def __init__(self, group: str, p: ModuliParams, order: int):
+    """Collects the terms of one assembly at a point with tau >= 0."""
+
+    def __init__(self, group: str, p: ModuliParams, order: int,
+                 transforms: list[dict]):
         self.group = group
         self.p = p
         self.order = order
+        self.transforms = tuple(transforms)
+        self.jac = jacobian_poincare(p.g, order)
         self.known = TruncatedSeries.zero(order)
         self.terms: list[TermValue] = []
         self.unknown: dict[str, TruncatedSeries] = {}
@@ -209,15 +214,44 @@ class _Builder:
             series=known,
             unknown=unknown,
             terms=tuple(terms),
+            transforms=self.transforms,
         )
 
 
-def _require_usable(p: ModuliParams, force: bool) -> None:
-    if not p.valid and not force:
-        raise ParameterError(
-            f"tau = {p.tau} violates |tau| <= 2g-2 = {2 * p.g - 2}; "
-            "pass force to compute anyway"
-        )
+def _assembly(group: str):
+    """Turn a term-adding body into the public builder
+    ``(p, provider=None, order=None, *, force=False) -> AssemblyResult``.
+
+    This is the one way into every assembly.  It refuses |tau| > 2g-2
+    unless forced, dualizes a point with tau < 0 to (-d1, -d2) through
+    ``canonicalize`` (duality of Higgs bundles identifies the two moduli
+    spaces, so every series depends on tau only up to sign), resolves the
+    order, runs the body on a fresh builder and substitutes the provider.
+    """
+
+    def decorate(body):
+        def build(
+            p: ModuliParams,
+            provider: BradlowProvider | None = None,
+            order: int | None = None,
+            *,
+            force: bool = False,
+        ) -> AssemblyResult:
+            if not p.valid and not force:
+                raise ParameterError(
+                    f"tau = {p.tau} violates |tau| <= 2g-2 = {2 * p.g - 2}; "
+                    "pass force to compute anyway"
+                )
+            point, transforms = canonicalize(p)
+            b = _Builder(group, point, resolve_order(p.g, order), transforms)
+            body(b)
+            return b.finish(provider)
+
+        build.__name__ = build.__qualname__ = body.__name__
+        build.__doc__ = body.__doc__
+        return build
+
+    return decorate
 
 
 def _c1_ells(p: ModuliParams) -> list[int]:
@@ -247,17 +281,16 @@ def _cover_exponents(p: ModuliParams, l: int) -> tuple[int, int]:
     return (p.d2 - p.d1 + 2 * p.g - 2 - l, p.d1 - l + 2 * p.g - 2)
 
 
-def _add_c1_sum(b: _Builder, kind: str) -> None:
+def _add_c1_sum(b: _Builder) -> None:
     p, order = b.p, b.order
     g = p.g
-    jac = jacobian_poincare(g, order)
     for l in _c1_ells(p):
         m1, m2 = _cover_exponents(p, l)
-        if kind == "u21":
-            piece = (jac * sym_poincare(m1, g, order)
+        if b.group == "u21":
+            piece = (b.jac * sym_poincare(m1, g, order)
                      * sym_poincare(m2, g, order)).over_one_minus(2)
             label = f"C1[l={l}]"
-        elif kind == "su21":
+        elif b.group == "su21":
             piece = gothen_cover_poincare(CoverParams(m1, m2, g), order)
             label = f"cover-sum[l={l}]"
         else:  # pu21: 3-torsion invariant part of the cover
@@ -266,34 +299,23 @@ def _add_c1_sum(b: _Builder, kind: str) -> None:
         b.add(label, piece.shifted(_mu(p, l)))
 
 
-def u21_closed_form(
-    p: ModuliParams,
-    provider: BradlowProvider | None = None,
-    order: int | None = None,
-    *,
-    force: bool = False,
-) -> AssemblyResult:
+def _add_closed_form(b: _Builder) -> None:
+    b.add_unknown(PAIRS, b.jac.over_one_minus(2), "pairs-block")
+    _add_c1_sum(b)
+
+
+@_assembly("u21")
+def u21_closed_form(b: _Builder) -> None:
     """Equivariant series of the semistable locus, closed form.
 
     Bradlow block (P(J)/(1-t^2)) * pairs_equivariant plus the C1 sum of
     t^{2(g-1+2l-d2)} P(J) P(S^{d2-d1+2g-2-l}) P(S^{d1-l+2g-2})/(1-t^2).
     """
-    _require_usable(p, force)
-    order = _order_for(p, order)
-    b = _Builder("u21", p, order)
-    jac = jacobian_poincare(p.g, order)
-    b.add_unknown(PAIRS, jac.over_one_minus(2), "pairs-block")
-    _add_c1_sum(b, "u21")
-    return b.finish(provider)
+    _add_closed_form(b)
 
 
-def u21_stratum_route(
-    p: ModuliParams,
-    provider: BradlowProvider | None = None,
-    order: int | None = None,
-    *,
-    force: bool = False,
-) -> AssemblyResult:
+@_assembly("u21")
+def u21_stratum_route(b: _Builder) -> None:
     """Equivariant series via the per-stratum Morse-theoretic sum.
 
     Classifying-space total minus one labeled block per critical stratum.
@@ -304,12 +326,8 @@ def u21_stratum_route(
     (the consolidation asserted by tests), while at tau = 0 that member
     does not exist and the term survives.
     """
-    _require_usable(p, force)
-    order = _order_for(p, order)
+    p, order, jac = b.p, b.order, b.jac
     g, d1, d2 = p.g, p.d1, p.d2
-    b = _Builder("u21", p, order)
-    jac = jacobian_poincare(g, order)
-
     b.add("classifying-total", bg_u21(g, order))
     b.add("semistable-bundle-block",
           -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2))
@@ -326,34 +344,17 @@ def u21_stratum_route(
         m = d2 - d1 + 2 * g - 2 - l
         piece = (jac * jac * sym_poincare(m, g, order)).over_one_minus(2, 2)
         b.add(f"B1-diff[l={l}]", piece.shifted(_mu(p, l)))
-    _add_c1_sum(b, "u21")
-    return b.finish(provider)
+    _add_c1_sum(b)
 
 
-def su21_closed_form(
-    p: ModuliParams,
-    provider: BradlowProvider | None = None,
-    order: int | None = None,
-    *,
-    force: bool = False,
-) -> AssemblyResult:
+@_assembly("su21")
+def su21_closed_form(b: _Builder) -> None:
     """Fixed-determinant closed form: Bradlow block plus the cover sum."""
-    _require_usable(p, force)
-    order = _order_for(p, order)
-    b = _Builder("su21", p, order)
-    jac = jacobian_poincare(p.g, order)
-    b.add_unknown(PAIRS, jac.over_one_minus(2), "pairs-block")
-    _add_c1_sum(b, "su21")
-    return b.finish(provider)
+    _add_closed_form(b)
 
 
-def su21_stratum_route(
-    p: ModuliParams,
-    provider: BradlowProvider | None = None,
-    order: int | None = None,
-    *,
-    force: bool = False,
-) -> AssemblyResult:
+@_assembly("su21")
+def su21_stratum_route(b: _Builder) -> None:
     """Fixed-determinant stratum sum, item for item as displayed.
 
     The bookkeeping of the A-item against the closed form's Bradlow block
@@ -361,12 +362,8 @@ def su21_stratum_route(
     diagnostic: its residual against the closed form is reported with
     term provenance, never asserted to vanish.
     """
-    _require_usable(p, force)
-    order = _order_for(p, order)
+    p, order, jac = b.p, b.order, b.jac
     g, d1, d2 = p.g, p.d1, p.d2
-    b = _Builder("su21", p, order)
-    jac = jacobian_poincare(g, order)
-
     b.add("classifying-total", bg_su21(g, order))
     b.add("semistable-bundle-block", -ab_semistable_rank2(d2, g, order))
     b.add("line-splitting-tail", -line_splitting_sum(g, d2, order, 2))
@@ -381,27 +378,15 @@ def su21_stratum_route(
         m = d2 - d1 + 2 * g - 2 - l
         piece = (jac * sym_poincare(m, g, order)).over_one_minus(2)
         b.add(f"B1-diff[l={l}]", piece.shifted(_mu(p, l)))
-    _add_c1_sum(b, "su21")
-    return b.finish(provider)
+    _add_c1_sum(b)
 
 
-def pu21_poincare(
-    p: ModuliParams,
-    provider: BradlowProvider | None = None,
-    order: int | None = None,
-    *,
-    force: bool = False,
-) -> AssemblyResult:
+@_assembly("pu21")
+def pu21_poincare(b: _Builder) -> None:
     """3-torsion invariant part: the fixed-determinant closed form with
     each cover polynomial replaced by the bare product of symmetric
     products (the Bradlow block carries a trivial action and is kept)."""
-    _require_usable(p, force)
-    order = _order_for(p, order)
-    b = _Builder("pu21", p, order)
-    jac = jacobian_poincare(p.g, order)
-    b.add_unknown(PAIRS, jac.over_one_minus(2), "pairs-block")
-    _add_c1_sum(b, "pu21")
-    return b.finish(provider)
+    _add_closed_form(b)
 
 
 # every assembly, keyed by (group, route)
@@ -507,14 +492,13 @@ def verify_route_equivalence(
     """
     if (group, "stratum") not in BUILDERS:
         raise ParameterError(f"no route pair for group {group!r}")
-    order = _order_for(p, order)
     closed = BUILDERS[(group, "closed")](p, None, order)
     route = BUILDERS[(group, "stratum")](p, None, order)
     diff = (closed - route).eliminate_pairs()
     return RouteEquivalenceReport(
         group=group,
-        params=p,
-        order=order,
+        params=closed.params,
+        order=closed.order,
         residual=diff.series,
         residual_unknowns=dict(diff.unknown),
         closed_terms=closed.terms,
@@ -540,33 +524,19 @@ def moduli_poincare(
     """Moduli-space series (1-t^2) times the equivariant series, defined
     in the coprime classes only, with a truncation-window polynomiality
     probe (heuristic: truncation can only falsify polynomiality)."""
-    _require_usable(p, force)
     if not p.is_coprime:
         raise ParameterError(
             "moduli series defined only in the coprime case (d1+d2 not "
             "divisible by 3)"
         )
-    import dataclasses
-
-    order = _order_for(p, order)
     equivariant = u21_closed_form(p, provider, order, force=force)
-    one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], order)
-    result = dataclasses.replace(equivariant.scaled_by(one_minus_t2), group="moduli")
+    one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
+    result = replace(equivariant.scaled_by(one_minus_t2), group="moduli")
     if result.mode == "absolute":
-        w = window if window is not None else max(2, order // 4)
+        w = window if window is not None else max(2, result.order // 4)
         return ModuliReport(
             result=result,
             polynomial=is_polynomial_window(result.series, w),
             nonnegative=result.series.is_nonnegative(),
         )
     return ModuliReport(result=result, polynomial=None, nonnegative=None)
-
-
-def _order_for(p: ModuliParams, order: int | None) -> int:
-    from .series import default_order
-
-    if order is None:
-        return default_order(p.g)
-    if order < 1:
-        raise ParameterError("order must be at least 1")
-    return order

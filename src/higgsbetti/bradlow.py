@@ -35,7 +35,7 @@ from pathlib import Path
 
 from .errors import ParameterError, ProviderFileError
 from .ingredients import jacobian_poincare, projective_poincare, sym_poincare
-from .params import ModuliParams, _require_valid
+from .params import MAX_GENUS, ModuliParams, _require_valid
 from .series import TruncatedSeries, geometric_inverse, parse_integer
 
 
@@ -239,8 +239,10 @@ def _parse_record(data: dict) -> _ProviderRecord:
         min_moduli = _series("moduli_min")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ProviderFileError(f"malformed provider record: {exc}") from exc
-    if g < 2:
-        raise ProviderFileError(f"provider record has genus {g}; it must be at least 2")
+    # the cap keeps the load-time wall-crossing check (about g^3.3) short
+    if not 2 <= g <= MAX_GENUS:
+        raise ProviderFileError(
+            f"provider record has genus {g}; it must be in 2..{MAX_GENUS}")
     if not g - 1 <= e <= 7 * g - 7:
         raise ProviderFileError(
             f"provider record has e = {e} outside {g - 1}..{7 * g - 7}, "

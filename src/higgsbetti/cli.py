@@ -2,15 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parameter error.  Output
 is deterministic (stable key order, exact decimal integers, no floats).
-The environment variable HIGGSBETTI_DEFAULT_ORDER overrides the default
-truncation order 8g+24.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -21,21 +18,6 @@ from .verify import SUITES, SuiteResult  # noqa: F401  (SuiteResult: what a suit
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARAM = 2
-
-
-def _default_order(g: int) -> int:
-    env = os.environ.get("HIGGSBETTI_DEFAULT_ORDER")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ParameterError(
-                f"HIGGSBETTI_DEFAULT_ORDER must be an integer, got {env!r}"
-            ) from exc
-        if n < 1:
-            raise ParameterError("HIGGSBETTI_DEFAULT_ORDER must be >= 1")
-        return n
-    return series.default_order(g)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -58,9 +40,9 @@ def _params_from_args(args) -> params.ModuliParams:
 
 def _provider_from_args(args, p: params.ModuliParams) -> bradlow.BradlowProvider:
     spec = args.provider
-    if spec == "maximal" and p.tau != 2 * p.g - 2:
+    if spec == "maximal" and abs(p.tau) != 2 * p.g - 2:
         raise ParameterError(
-            f"provider 'maximal' is valid only at tau = 2g-2 = {2 * p.g - 2}, "
+            f"provider 'maximal' is valid only at |tau| = 2g-2 = {2 * p.g - 2}, "
             f"got tau = {p.tau}"
         )
     return bradlow.provider_for_spec(spec)
@@ -71,17 +53,11 @@ def _provider_from_args(args, p: params.ModuliParams) -> bradlow.BradlowProvider
 
 def cmd_compute(args) -> int:
     p = _params_from_args(args)
-    if not p.valid and not args.force:
-        raise ParameterError(
-            f"tau = {p.tau} violates |tau| <= 2g-2 = {2 * p.g - 2} "
-            "(use --force to compute anyway)"
-        )
     provider = _provider_from_args(args, p)
-    order = args.order if args.order else _default_order(p.g)
     key = (args.group, args.route)
     if key not in assemble.BUILDERS:
         raise ParameterError(f"group {args.group!r} has no {args.route!r} route")
-    result = assemble.BUILDERS[key](p, provider, order, force=args.force)
+    result = assemble.BUILDERS[key](p, provider, args.order, force=args.force)
     if args.format == "json":
         _emit(json.dumps(result.to_json_dict(), sort_keys=True, indent=2), args.out)
     elif args.format == "csv":
@@ -94,7 +70,7 @@ def cmd_compute(args) -> int:
     else:
         lines = [
             f"group {result.group}  (g, d1, d2) = ({p.g}, {p.d1}, {p.d2})  "
-            f"order {order}  mode {result.mode}",
+            f"order {result.order}  mode {result.mode}",
             f"series: {result.series}",
         ]
         for name, coeff in sorted(result.unknown.items()):
@@ -108,7 +84,7 @@ def cmd_compute(args) -> int:
 
 def cmd_strata(args) -> int:
     p = _params_from_args(args)
-    order = args.order if args.order else _default_order(p.g)
+    order = series.resolve_order(p.g, args.order)
     l_max = params.HalfInt(args.lmax_doubled) if args.lmax_doubled is not None \
         else params.HalfInt.from_int(p.d1 + 2 * p.g - 2)
     descriptors = strata.enumerate_critical(p, l_max)
@@ -166,7 +142,7 @@ def cmd_strata(args) -> int:
 
 def cmd_ingredients(args) -> int:
     g = args.genus
-    order = args.order if args.order else _default_order(g if g else 2)
+    order = series.resolve_order(g if g else 2, args.order)
     op = args.op
     value: int | None = None
     if op == "jacobian":
@@ -273,8 +249,7 @@ def cmd_export(args) -> int:
         raise ParameterError("export requires --out PATH")
     if args.what == "provider":
         g = args.genus
-        order = args.order if args.order else _default_order(g)
-        doc = bradlow.maximal_provider_record(g, order)
+        doc = bradlow.maximal_provider_record(g, series.resolve_order(g, args.order))
         _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
         return EXIT_OK
     if args.d1 is None or args.d2 is None:
@@ -299,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--d1", type=int, required=True)
             sp.add_argument("--d2", type=int, required=True)
         sp.add_argument("--order", type=int, default=None,
-                        help="truncation order (default 8g+24, or "
-                             "HIGGSBETTI_DEFAULT_ORDER)")
+                        help="truncation order (default 8g+24)")
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
         sp.add_argument("--out", default=None, help="write output to a file")
@@ -374,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "genus", 0) > params.MAX_GENUS:
+            raise ParameterError(
+                f"genus {args.genus} is above the largest supported, {params.MAX_GENUS}")
         return args.fn(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

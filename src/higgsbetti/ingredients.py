@@ -58,8 +58,8 @@ def sym_poincare(m: int, g: int, order: int) -> TruncatedSeries:
         P_t(S^m X) = sum_{i=0}^{min(2g,m)} C(2g, i) t^i (1 + t^2 + ... + t^{2(m-i)})
 
     a palindromic polynomial of degree 2m.  Negative m yields the zero
-    series (empty symmetric product), so range bugs upstream surface as
-    loud failures instead of silent truncations.
+    series (the empty symmetric product) without complaint, so a
+    summation range that runs below m = 0 is not detected here.
     """
     _require_genus(g)
     if m < 0:

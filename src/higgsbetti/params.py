@@ -21,6 +21,9 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
+# largest genus accepted from outside input (CLI arguments, provider files)
+MAX_GENUS = 128
+
 
 @dataclass(frozen=True, order=True)
 class HalfInt:
@@ -120,19 +123,17 @@ def make_params(g: int, d1: int, d2: int) -> ModuliParams:
     )
 
 
-def canonicalize(g: int, d1: int, d2: int) -> tuple[ModuliParams, list[dict]]:
+def canonicalize(p: ModuliParams) -> tuple[ModuliParams, list[dict]]:
     """Apply duality so tau >= 0, recording the transform.
 
     Tensor shifts (available via ModuliParams.tensor_shift) change
     (d1 + d2) mod 3 by 0, so a class-2 point with tau > 0 stays class 2;
     class-2 points with tau < 0 land on class 1 via the duality.
     """
-    p = make_params(g, d1, d2)
-    transforms: list[dict] = []
-    if p.tau < 0:
-        p = p.dual()
-        transforms.append({"op": "dualize", "d1": p.d1, "d2": p.d2})
-    return p, transforms
+    if p.tau >= 0:
+        return p, []
+    p = p.dual()
+    return p, [{"op": "dualize", "d1": p.d1, "d2": p.d2}]
 
 
 def valid_points(g: int):

@@ -57,6 +57,15 @@ def default_order(g: int) -> int:
     return 8 * g + 24
 
 
+def resolve_order(g: int, order: int | None) -> int:
+    """The truncation order to use: the default for None, else ``order``;
+    below 1 raises."""
+    order = default_order(g) if order is None else order
+    if order < 1:
+        raise ParameterError("order must be at least 1")
+    return order
+
+
 def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError(f"{what} must be an integer, got {value!r}")

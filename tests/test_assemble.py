@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higgsbetti.assemble import (
+    BUILDERS,
     ab_cancellation_residual,
     moduli_poincare,
     pu21_poincare,
@@ -20,7 +23,7 @@ from higgsbetti.bradlow import (
 )
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import jacobian_poincare, sym_poincare
-from higgsbetti.params import make_params
+from higgsbetti.params import make_params, valid_points
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 
 
@@ -263,3 +266,49 @@ def test_moduli_poincare_concrete_via_file_provider(tmp_path):
     assert rep.result.mode == "absolute"
     assert rep.nonnegative
     assert rep.polynomial is not None
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_maximal_provider_at_the_negative_maximal_point(g):
+    # tau = -(2g-2) is the dual of the maximal point
+    p = make_params(g, -(2 * g - 2), -(g - 1))
+    res = u21_closed_form(p, MaximalCaseProvider())
+    jac = jacobian_poincare(g, res.order)
+    geo2 = geometric_inverse(2, res.order)
+    assert res.mode == "absolute"
+    assert res.series == jac * jac * geo2 * geo2
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_every_builder_at_the_dual_point_matches(g):
+    order = 20
+    for p in valid_points(g):
+        q = p.dual()
+        for key, fn in BUILDERS.items():
+            own, dual = fn(p, None, order), fn(q, None, order)
+            assert (dual.series, dual.unknown) == (own.series, own.unknown), (key, q)
+            doc = dual.to_json_dict()
+            if q.tau < 0:
+                assert (doc["d1"], doc["d2"]) == (p.d1, p.d2)
+                assert doc["transforms"] == [{"op": "dualize", "d1": p.d1, "d2": p.d2}]
+            else:
+                assert "transforms" not in doc and "transforms" not in own.to_json_dict()
+
+
+@st.composite
+def _truncation_cases(draw):
+    g = draw(st.integers(2, 4))
+    d1 = draw(st.integers(-3, 3))
+    c = draw(st.integers(-(3 * g - 3), 3 * g - 3))  # every tau, both signs
+    high = draw(st.integers(1, 48))
+    low = draw(st.integers(1, high))
+    return draw(st.sampled_from(sorted(BUILDERS))), make_params(g, d1, 2 * d1 + c), high, low
+
+
+@settings(max_examples=400, deadline=None)
+@given(_truncation_cases())
+def test_truncation_coherence_of_every_builder(case):
+    key, p, high, low = case
+    full, short = BUILDERS[key](p, None, high), BUILDERS[key](p, None, low)
+    assert full.series.truncated(low) == short.series
+    assert {k: v.truncated(low) for k, v in full.unknown.items()} == short.unknown

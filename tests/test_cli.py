@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
 from higgsbetti.cli import main
+from higgsbetti.params import MAX_GENUS
 
 
 def run(capsys, *argv):
@@ -156,15 +158,45 @@ def test_export_provider_and_file_round_trip(capsys, tmp_path):
     assert out.strip().splitlines()[1:6] == ["0,1", "1,8", "2,30", "3,72", "4,129"]
 
 
-def test_default_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HIGGSBETTI_DEFAULT_ORDER", "10")
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "u21", "-g", "2", "--d1", "2", "--d2", "1"],
+    ["strata", "-g", "2", "--d1", "2", "--d2", "1"],
+    ["ingredients", "--op", "sym", "--m", "2", "-g", "2"],
+    ["export", "--what", "provider", "-g", "2", "--out", os.devnull],
+])
+def test_order_below_one_is_refused(capsys, argv, order):
+    code, out, err = run(capsys, *argv, "--order", order)
+    assert code == 2 and out == ""
+    assert "order must be at least 1" in err
+
+
+def test_maximal_provider_at_the_negative_maximal_point(capsys):
+    # (d1, d2) = (-2, -1) at g = 2 has tau = -2, the dual of (2, 1)
     code, out, _ = run(
-        capsys, "compute", "--group", "u21", "--genus", "2", "--d1", "2",
-        "--d2", "1", "--provider", "maximal", "--format", "json")
+        capsys, "compute", "--group", "u21", "-g", "2", "--d1", "-2", "--d2", "-1",
+        "--provider", "maximal", "--order", "20", "--format", "csv")
     assert code == 0
-    assert json.loads(out)["order"] == 10
-    monkeypatch.setenv("HIGGSBETTI_DEFAULT_ORDER", "zero")
-    code, _, err = run(
-        capsys, "compute", "--group", "u21", "--genus", "2", "--d1", "2",
-        "--d2", "1", "--provider", "maximal", "--format", "json")
-    assert code == 2
+    assert out.strip().splitlines()[1:6] == ["0,1", "1,8", "2,30", "3,72", "4,129"]
+
+
+def test_su21_at_negative_tau(capsys):
+    code, out, _ = run(
+        capsys, "compute", "--group", "su21", "-g", "2", "--d1", "0", "--d2", "2",
+        "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["d1"], doc["d2"]) == (0, -2)
+    assert doc["transforms"] == [{"op": "dualize", "d1": 0, "d2": -2}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "u21", "--d1", "0", "--d2", "0"],
+    ["strata", "--d1", "0", "--d2", "0"],
+    ["ingredients", "--op", "jacobian"],
+    ["export", "--what", "provider", "--out", os.devnull],
+])
+def test_genus_above_the_cap_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "-g", str(MAX_GENUS + 1), "--order", "4")
+    assert code == 2 and out == ""
+    assert f"genus {MAX_GENUS + 1}" in err

@@ -47,13 +47,13 @@ def test_sigma_identity_everywhere():
 
 
 def test_canonicalize():
-    p, transforms = canonicalize(2, 0, 3)
+    p, transforms = canonicalize(make_params(2, 0, 3))
     assert p.tau == 2 and transforms == [{"op": "dualize", "d1": 0, "d2": -3}]
 
     shifted = make_params(2, 2, 1).tensor_shift(1)
     assert (shifted.d1, shifted.d2, shifted.tau) == (3, 3, 2)
 
-    p, transforms = canonicalize(3, 1, 2)
+    p, transforms = canonicalize(make_params(3, 1, 2))
     assert p.tau == 0 and transforms == []
 
 
