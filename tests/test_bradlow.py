@@ -204,10 +204,10 @@ def _write(tmp_path, payload, name="rec.json"):
 
 @pytest.mark.parametrize("field, value, message", [
     ("g", 1, "genus 1"),
-    ("g", 129, "genus 129; it must be in 2..128"),
     ("sigma", {"num": 10 ** 6, "den": 1}, "sigma = 1000000"),
     ("e", 0, "e = 0 outside 1..7"),
     ("e", 8, "e = 8 outside 1..7"),
+    ("g", 129, "genus 129; it must be in 2..128"),
 ])
 def test_provider_file_rejects_inconsistent_invariants(tmp_path, capsys, field, value,
                                                        message):
