@@ -17,31 +17,48 @@ Results default to relative mode: the two absolute pairs series enter as
 explicit unknowns with series coefficients, linked by the exact
 wall-crossing difference, so route equivalence is decidable without any
 imported values.  A provider can substitute absolute values.
+
+Every assembly is a sum of blocks.  A block is the factor and the
+denominator that all strata of one kind share: P(J)/(1-t^2) for C1,
+P(J)^2/(1-t^2)^2 for C2, B1-diff and the boundary term of the u21 route,
+1/((1-t^2)^k (1-t^4)) for the Atiyah-Bott block of a route, and 1 for
+the cover sums.  A term is (label, sign, shift, local numerator, block),
+the local numerator being P(S^m1) P(S^m2), a Gothen cover polynomial or
+P(S^m).  The builder adds each term's shifted numerator into its block's
+sum, and ``finish`` makes one factor product and one division per block.
+A term's own expansion is made only when it is read (JSON ``terms``,
+residual provenance), and provenance expands only up to the degree it
+asks for.  Every block is a unit power series, so a term is dropped
+exactly when its shifted numerator vanishes below the order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import cached_property
 
 from .bradlow import BradlowProvider, SymbolicProvider, ww_difference
 from .errors import ParameterError
 from .ingredients import (
     CoverParams,
     ab_semistable_rank2,
+    atiyah_bott_numerators,
     bg_su21,
     bg_u21,
     gothen_cover_poincare,
     jacobian_poincare,
+    jacobian_polynomial,
     line_splitting_sum,
     sym_poincare,
     v_dim,
 )
-from .params import ModuliParams, canonicalize, s_tau
+from .params import ModuliParams, canonicalize, index_bounds, s_tau
 from .series import (
     PolynomialWindow,
     TruncatedSeries,
     is_polynomial_window,
+    polynomial_product,
     resolve_order,
 )
 
@@ -49,15 +66,76 @@ PAIRS = "pairs_equivariant"
 MODULI_MIN = "moduli_min"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Block:
+    """factor(t) / prod_a (1 - t^a): what every term of one stratum kind
+    shares.  The factor is a polynomial with constant term 1."""
+
+    factor: tuple[int, ...]
+    denominators: tuple[int, ...] = ()
+
+    def expand(self, numerator, order: int) -> TruncatedSeries:
+        """numerator * factor / prod_a (1 - t^a), truncated at order."""
+        cs = list(numerator[: order + 1])
+        if self.factor != (1,):
+            cs = polynomial_product(cs, self.factor)[: order + 1]
+        return TruncatedSeries.from_coeffs(cs, order).over_one_minus(*self.denominators)
+
+
+# the block of a term that is its own expansion
+PLAIN = Block((1,))
+
+
+@dataclass(frozen=True, eq=False)
 class TermValue:
-    """One labeled, fully expanded summand of an assembly."""
+    """One labeled summand sign * t^shift * numerator * block of an
+    assembly, truncated at order.  ``numerator`` holds the first
+    order - shift + 1 coefficients of the term's own polynomial; ``series``
+    expands the term the first time it is read.  Terms compare by label
+    and expansion."""
 
     label: str
-    series: TruncatedSeries
+    sign: int
+    shift: int
+    numerator: tuple[int, ...]
+    block: Block
+    order: int
+
+    @classmethod
+    def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
+        return cls(label, 1, 0, series.coeffs, PLAIN, series.order)
+
+    @cached_property
+    def series(self) -> TruncatedSeries:
+        return self.expanded(self.order)
+
+    def expanded(self, order: int) -> TruncatedSeries:
+        """The term truncated at order (at most its own order)."""
+        if order > self.order:
+            raise ParameterError(f"term holds order {self.order}, asked for {order}")
+        cs = [0] * min(self.shift, order + 1)
+        cs += self.numerator[: order + 1 - len(cs)]
+        out = self.block.expand(cs, order)
+        return -out if self.sign < 0 else out
+
+    def coefficient(self, degree: int) -> int:
+        return self.expanded(degree).coeffs[degree]
 
     def negated(self) -> "TermValue":
-        return TermValue(f"-({self.label})", -self.series)
+        return replace(self, label=f"-({self.label})", sign=-self.sign)
+
+    def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
+        n = len(self.numerator)
+        return replace(self, numerator=polynomial_product(
+            self.numerator, factor.coeffs[:n])[:n])
+
+    def __eq__(self, other):
+        if not isinstance(other, TermValue):
+            return NotImplemented
+        return (self.label, self.series) == (other.label, other.series)
+
+    def __hash__(self):
+        return hash((self.label, self.series))
 
 
 @dataclass(frozen=True)
@@ -103,7 +181,7 @@ class AssemblyResult:
             self,
             series=self.series * factor,
             unknown={k: v * factor for k, v in self.unknown.items()},
-            terms=tuple(TermValue(t.label, t.series * factor) for t in self.terms),
+            terms=tuple(t.scaled_by(factor) for t in self.terms),
         )
 
     def eliminate_pairs(self) -> "AssemblyResult":
@@ -121,7 +199,7 @@ class AssemblyResult:
             unknown.pop(MODULI_MIN, None)
         else:
             unknown[MODULI_MIN] = merged
-        extra = TermValue("wall-crossing-elimination", coeff * ww)
+        extra = TermValue.of_series("wall-crossing-elimination", coeff * ww)
         return replace(
             self,
             mode="absolute" if not unknown else "relative",
@@ -157,7 +235,11 @@ class AssemblyResult:
 
 
 class _Builder:
-    """Collects the terms of one assembly at a point with tau >= 0."""
+    """Collects the terms of one assembly at a point with tau >= 0.
+
+    Each term's shifted numerator goes into its block's accumulator;
+    ``finish`` expands every block once.
+    """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
                  transforms: list[dict]):
@@ -166,16 +248,33 @@ class _Builder:
         self.order = order
         self.transforms = tuple(transforms)
         self.jac = jacobian_poincare(p.g, order)
-        self.known = TruncatedSeries.zero(order)
+        self.blocks: dict[tuple, Block] = {}
+        self.sums: dict[Block, list[int]] = {}
         self.terms: list[TermValue] = []
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
 
-    def add(self, label: str, series: TruncatedSeries) -> None:
-        if series.is_zero():
+    def block(self, jac_power: int, *denominators: int) -> Block:
+        """The block P(J)^jac_power / prod_a (1 - t^a), one per shape."""
+        key = (jac_power, denominators)
+        if key not in self.blocks:
+            self.blocks[key] = Block(jacobian_polynomial(self.p.g, jac_power),
+                                     denominators)
+        return self.blocks[key]
+
+    def add(self, label: str, sign: int, shift: int, numerator, block: Block) -> None:
+        """Add sign * t^shift * numerator * block; a term that vanishes
+        below the order is dropped (every block is a unit series)."""
+        numerator = tuple(numerator[: max(self.order - shift + 1, 0)])
+        if not any(numerator):
             return
-        self.known = self.known + series
-        self.terms.append(TermValue(label, series))
+        acc = self.sums.get(block)
+        if acc is None:
+            acc = self.sums[block] = [0] * (self.order + 1)
+        end = shift + len(numerator)
+        acc[shift:end] = map(operator.add if sign > 0 else operator.sub,
+                             acc[shift:end], numerator)
+        self.terms.append(TermValue(label, sign, shift, numerator, block, self.order))
 
     def add_unknown(self, name: str, coeff: TruncatedSeries, label: str) -> None:
         zero = TruncatedSeries.zero(self.order)
@@ -196,16 +295,18 @@ class _Builder:
                 mm = pairs - ww_difference(p, order)
             values = {PAIRS: pairs, MODULI_MIN: mm}
         unknown: dict[str, TruncatedSeries] = {}
-        known = self.known
+        known = TruncatedSeries.zero(order)
+        for block, acc in self.sums.items():
+            known = known + block.expand(acc, order)
         terms = list(self.terms)
         for name, coeff in self.unknown.items():
             value = values.get(name)
             if value is None:
                 unknown[name] = coeff
             else:
-                concrete = coeff * value
-                known = known + concrete
-                terms.append(TermValue(self.unknown_labels[name], concrete))
+                concrete = TermValue.of_series(self.unknown_labels[name], coeff * value)
+                known = known + concrete.series
+                terms.append(concrete)
         return AssemblyResult(
             group=self.group,
             params=p,
@@ -254,23 +355,20 @@ def _assembly(group: str):
     return decorate
 
 
-def _c1_ells(p: ModuliParams) -> list[int]:
-    lo = Fraction(p.d1 + p.d2, 3)
-    hi = p.d2 - p.d1 + 2 * p.g - 2
-    return list(range(lo.__floor__() + 1, hi + 1))
+def _c1_ells(p: ModuliParams) -> range:
+    bounds = index_bounds(p)
+    return range(bounds.c1_low + 1, bounds.c1_top + 1)
 
 
-def _c2_sum_ells(p: ModuliParams) -> list[int]:
+def _c2_sum_ells(p: ModuliParams) -> range:
     # C2-type block, top member l = d2/2 included when d2 is even
-    lo = Fraction(2 * p.d2 - p.d1, 3)
-    hi = Fraction(p.d2, 2)
-    return list(range(lo.__floor__() + 1, hi.__floor__() + 1))
+    bounds = index_bounds(p)
+    return range(bounds.c2_low + 1, bounds.half_d2 + 1)
 
 
-def _b1_diff_ells(p: ModuliParams) -> list[int]:
-    lo = Fraction(p.d2, 2)
-    hi = Fraction(p.d1 + p.d2, 3)
-    return list(range(lo.__floor__() + 1, hi.__floor__() + 1))
+def _b1_diff_ells(p: ModuliParams) -> range:
+    bounds = index_bounds(p)
+    return range(bounds.half_d2 + 1, bounds.c1_low + 1)
 
 
 def _mu(p: ModuliParams, l: int) -> int:
@@ -281,27 +379,58 @@ def _cover_exponents(p: ModuliParams, l: int) -> tuple[int, int]:
     return (p.d2 - p.d1 + 2 * p.g - 2 - l, p.d1 - l + 2 * p.g - 2)
 
 
+def _sym(b: _Builder, m: int) -> tuple[int, ...]:
+    return sym_poincare(m, b.p.g, b.order).coeffs
+
+
 def _add_c1_sum(b: _Builder) -> None:
     p, order = b.p, b.order
-    g = p.g
+    block = b.block(1, 2) if b.group == "u21" else PLAIN
     for l in _c1_ells(p):
         m1, m2 = _cover_exponents(p, l)
-        if b.group == "u21":
-            piece = (b.jac * sym_poincare(m1, g, order)
-                     * sym_poincare(m2, g, order)).over_one_minus(2)
-            label = f"C1[l={l}]"
-        elif b.group == "su21":
-            piece = gothen_cover_poincare(CoverParams(m1, m2, g), order)
+        shift = _mu(p, l)
+        if shift > order:
+            break
+        if b.group == "su21":
+            local = gothen_cover_poincare(CoverParams(m1, m2, p.g), order).coeffs
             label = f"cover-sum[l={l}]"
-        else:  # pu21: 3-torsion invariant part of the cover
-            piece = sym_poincare(m1, g, order) * sym_poincare(m2, g, order)
-            label = f"invariant-cover-sum[l={l}]"
-        b.add(label, piece.shifted(_mu(p, l)))
+        else:
+            # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); pu21: the 3-torsion
+            # invariant part of the cover, P(S^m1) P(S^m2)
+            n = order - shift + 1
+            local = polynomial_product(_sym(b, m1)[:n], _sym(b, m2)[:n])
+            label = f"C1[l={l}]" if b.group == "u21" else f"invariant-cover-sum[l={l}]"
+        b.add(label, 1, shift, local, block)
 
 
 def _add_closed_form(b: _Builder) -> None:
     b.add_unknown(PAIRS, b.jac.over_one_minus(2), "pairs-block")
     _add_c1_sum(b)
+
+
+def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
+    """Classifying total, semistable-bundle block and line-splitting tail,
+    over (1-t^2)^line_factors (1-t^4); they cancel identically."""
+    total, semistable, tail = atiyah_bott_numerators(
+        b.p.g, b.p.d2 % 2 == 1, line_factors)
+    block = b.block(0, *[2] * line_factors, 4)
+    b.add("classifying-total", 1, 0, total, block)
+    b.add("semistable-bundle-block", -1, 0, semistable, block)
+    b.add("line-splitting-tail", -1, 0, tail, block)
+
+
+def _add_route_sums(b: _Builder, boundary: Block, c2: Block, b1_diff: Block) -> None:
+    """The even-degree boundary term and the C2 and B1-diff sums, each a
+    symmetric product over its block."""
+    p = b.p
+    g, d1, d2 = p.g, p.d1, p.d2
+    if d2 % 2 == 0:
+        b.add("even-degree-boundary", 1, p.e, _sym(b, p.e // 2), boundary)
+    for l in _c2_sum_ells(p):
+        b.add(f"C2[l={l}]", -1, 2 * (2 * g - 2 + l - d1),
+              _sym(b, l - d1 + 2 * g - 2), c2)
+    for l in _b1_diff_ells(p):
+        b.add(f"B1-diff[l={l}]", 1, _mu(p, l), _sym(b, d2 - d1 + 2 * g - 2 - l), b1_diff)
 
 
 @_assembly("u21")
@@ -326,24 +455,10 @@ def u21_stratum_route(b: _Builder) -> None:
     (the consolidation asserted by tests), while at tau = 0 that member
     does not exist and the term survives.
     """
-    p, order, jac = b.p, b.order, b.jac
-    g, d1, d2 = p.g, p.d1, p.d2
-    b.add("classifying-total", bg_u21(g, order))
-    b.add("semistable-bundle-block",
-          -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2))
-    b.add("line-splitting-tail", -line_splitting_sum(g, d2, order, 3))
-    b.add_unknown(MODULI_MIN, jac.over_one_minus(2), "bradlow-moduli-block")
-    if d2 % 2 == 0:
-        boundary = (jac * jac * sym_poincare(p.e // 2, g, order)).over_one_minus(2, 2)
-        b.add("even-degree-boundary", boundary.shifted(p.e))
-    for l in _c2_sum_ells(p):
-        piece = jac * jac * sym_poincare(l - d1 + 2 * g - 2, g, order)
-        piece = piece.over_one_minus(2, 2)
-        b.add(f"C2[l={l}]", -piece.shifted(2 * (2 * g - 2 + l - d1)))
-    for l in _b1_diff_ells(p):
-        m = d2 - d1 + 2 * g - 2 - l
-        piece = (jac * jac * sym_poincare(m, g, order)).over_one_minus(2, 2)
-        b.add(f"B1-diff[l={l}]", piece.shifted(_mu(p, l)))
+    _add_atiyah_bott_block(b, 3)
+    b.add_unknown(MODULI_MIN, b.jac.over_one_minus(2), "bradlow-moduli-block")
+    c2 = b.block(2, 2, 2)  # P(J)^2/(1-t^2)^2
+    _add_route_sums(b, c2, c2, c2)
     _add_c1_sum(b)
 
 
@@ -362,22 +477,9 @@ def su21_stratum_route(b: _Builder) -> None:
     diagnostic: its residual against the closed form is reported with
     term provenance, never asserted to vanish.
     """
-    p, order, jac = b.p, b.order, b.jac
-    g, d1, d2 = p.g, p.d1, p.d2
-    b.add("classifying-total", bg_su21(g, order))
-    b.add("semistable-bundle-block", -ab_semistable_rank2(d2, g, order))
-    b.add("line-splitting-tail", -line_splitting_sum(g, d2, order, 2))
-    b.add_unknown(MODULI_MIN, TruncatedSeries.one(order), "bradlow-moduli-block")
-    if d2 % 2 == 0:
-        boundary = jac * sym_poincare(p.e // 2, g, order)
-        b.add("even-degree-boundary", boundary.shifted(p.e))
-    for l in _c2_sum_ells(p):
-        piece = (jac * sym_poincare(l - d1 + 2 * g - 2, g, order)).over_one_minus(2, 2)
-        b.add(f"C2[l={l}]", -piece.shifted(2 * (2 * g - 2 + l - d1)))
-    for l in _b1_diff_ells(p):
-        m = d2 - d1 + 2 * g - 2 - l
-        piece = (jac * sym_poincare(m, g, order)).over_one_minus(2)
-        b.add(f"B1-diff[l={l}]", piece.shifted(_mu(p, l)))
+    _add_atiyah_bott_block(b, 2)
+    b.add_unknown(MODULI_MIN, TruncatedSeries.one(b.order), "bradlow-moduli-block")
+    _add_route_sums(b, b.block(1), b.block(1, 2, 2), b.block(1, 2))
     _add_c1_sum(b)
 
 
@@ -468,16 +570,14 @@ class RouteEquivalenceReport:
         return None
 
     def term_provenance(self, degree: int) -> dict[str, int]:
-        """Coefficient at one degree of every contributing labeled term."""
+        """Coefficient at one degree of every contributing labeled term
+        (each term expanded only up to that degree)."""
         out: dict[str, int] = {}
-        for t in self.closed_terms:
-            c = t.series.coeffs[degree]
-            if c:
-                out[f"closed:{t.label}"] = c
-        for t in self.route_terms:
-            c = t.series.coeffs[degree]
-            if c:
-                out[f"route:{t.label}"] = c
+        for side, terms in (("closed", self.closed_terms), ("route", self.route_terms)):
+            for t in terms:
+                c = t.coefficient(degree)
+                if c:
+                    out[f"{side}:{t.label}"] = c
         return out
 
 

@@ -23,6 +23,10 @@ t^e P(J) P(S^{e/2} X)/(1-t^2), matching the even-degree boundary term of
 the A-stratum attachment.  Since sigma - e/2 = tau/4, a negative Toledo
 invariant puts sigma below e/2: there are no walls and the difference
 is zero.
+
+Every wall shares the factor P(J)/(1-t^2), so ``ww_from_invariants``
+first sums (t^a - t^b) P(S^{e-j} X) over the walls and then multiplies
+by P(J) and divides by (1-t^2) once.
 """
 
 from __future__ import annotations
@@ -60,24 +64,21 @@ def sigma_min_of(p: ModuliParams) -> Fraction:
 def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> TruncatedSeries:
     """pairs_equivariant - moduli_min, the wall-crossing sum over the walls
     of the module docstring; it depends on (g, e, sigma) alone."""
-    jac = jacobian_poincare(g, order)
     total = TruncatedSeries.zero(order)
     half = Fraction(e, 2)
-    j = half.__floor__() + 1
-    while Fraction(j) < sigma:
-        piece = (jac * sym_poincare(e - j, g, order)).over_one_minus(2)
+    j = e // 2 + 1
+    while j < sigma:
+        piece = sym_poincare(e - j, g, order)
         total = total + piece.shifted(2 * (g - 1 + 2 * j - e))
         total = total - piece.shifted(2 * (e - j))
         j += 1
     if sigma.denominator == 1:
         s = int(sigma)
-        if Fraction(s) > half:
-            piece = (jac * sym_poincare(e - s, g, order)).over_one_minus(2)
-            total = total + piece.shifted(2 * (g - 1 + 2 * s - e))
-        elif Fraction(s) == half:
-            piece = (jac * sym_poincare(e // 2, g, order)).over_one_minus(2)
-            total = total + piece.shifted(e)
-    return total
+        if s > half:
+            total = total + sym_poincare(e - s, g, order).shifted(2 * (g - 1 + 2 * s - e))
+        elif s == half:
+            total = total + sym_poincare(e // 2, g, order).shifted(e)
+    return (jacobian_poincare(g, order) * total).over_one_minus(2)
 
 
 def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:

@@ -187,6 +187,7 @@ def cmd_ingredients(args) -> int:
 
 
 def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
+    """Parse ``g=lo..hi`` (or ``g=n``); the genus is the one grid key."""
     if not spec:
         return {}
     out: dict[str, tuple[int, int]] = {}
@@ -194,14 +195,23 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
         if "=" not in piece:
             raise ParameterError(f"bad grid element {piece!r}; expected key=lo..hi")
         key, rng = piece.split("=", 1)
+        key = key.strip()
+        if key != "g":
+            raise ParameterError(f"unknown grid key {key!r}; the grid takes g=lo..hi")
         if ".." in rng:
             lo, hi = rng.split("..", 1)
         else:
             lo = hi = rng
         try:
-            out[key.strip()] = (int(lo), int(hi))
+            lo, hi = int(lo), int(hi)
         except ValueError as exc:
             raise ParameterError(f"bad grid range {rng!r}") from exc
+        if lo > hi:
+            raise ParameterError(f"grid range {rng!r} is empty")
+        if lo < 2 or hi > params.MAX_GENUS:
+            raise ParameterError(
+                f"grid genus range {rng!r} must lie in 2..{params.MAX_GENUS}")
+        out[key] = (lo, hi)
     return out
 
 
@@ -351,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "genus", 0) > params.MAX_GENUS:
             raise ParameterError(
                 f"genus {args.genus} is above the largest supported, {params.MAX_GENUS}")
+        if (getattr(args, "order", None) or 0) > params.MAX_ORDER:
+            raise ParameterError(
+                f"order {args.order} is above the largest supported, {params.MAX_ORDER}")
         return args.fn(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

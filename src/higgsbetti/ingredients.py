@@ -9,6 +9,7 @@ of symmetric products.  All functions are pure and cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from math import comb
 
@@ -94,16 +95,44 @@ def bg_rank1(g: int, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
+def jacobian_polynomial(g: int, power: int = 1) -> tuple[int, ...]:
+    """Coefficients of P(J)^power = (1+t)^{2g power}, untruncated."""
+    _require_genus(g)
+    n = 2 * g * power
+    return tuple(comb(n, i) for i in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def atiyah_bott_numerators(
+    g: int, odd_d2: bool, line_factors: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Numerators over (1-t^2)^k (1-t^4), k = line_factors, of the
+    Atiyah-Bott block of a stratum route: the classifying total
+    P(J)^{k-1} (1+t^3)^{2g}, the semistable block (total minus tail) and
+    the line-splitting tail t^f P(J)^k, with f = 2g for odd d2 and 2g+2
+    for even d2 (see ``line_splitting_sum``).  k = 2 gives
+    ``bg_rank2``, ``ab_semistable_rank2`` and ``line_splitting_sum(.., 2)``;
+    k = 3 gives ``bg_u21``, P(J) ``ab_semistable_rank2``/(1-t^2) and
+    ``line_splitting_sum(.., 3)``.  The three satisfy total = semistable
+    + tail exactly.  Polynomials, so the cache key holds no order.
+    """
+    one_plus_t3 = [comb(2 * g, k // 3) if k % 3 == 0 else 0 for k in range(6 * g + 1)]
+    total = polynomial_product(jacobian_polynomial(g, line_factors - 1), one_plus_t3)
+    first = 2 * g if odd_d2 else 2 * g + 2
+    tail = (0,) * first + jacobian_polynomial(g, line_factors)
+    n = max(len(total), len(tail))
+    semistable = tuple(map(operator.sub, total + (0,) * (n - len(total)),
+                           tail + (0,) * (n - len(tail))))
+    return total, semistable, tail
+
+
+@lru_cache(maxsize=None)
 def bg_rank2(g: int, order: int) -> TruncatedSeries:
     """Classifying space of the rank-2 gauge group:
     (1+t)^{2g} (1+t^3)^{2g} / ((1-t^2)^2 (1-t^4))."""
     _require_genus(g)
-    one_plus_t3 = [1, 0, 0, 1]
-    numer: tuple[int, ...] = (1,)
-    for _ in range(2 * g):
-        numer = polynomial_product(numer, one_plus_t3)
-    numer = polynomial_product(numer, tuple(binomial_power(2 * g, 2 * g).coeffs))
-    return RationalExpr(numer, (2, 2, 4)).expand(order)
+    total = atiyah_bott_numerators(g, True, 2)[0]  # the same for either parity
+    return RationalExpr(total, (2, 2, 4)).expand(order)
 
 
 def bg_u21(g: int, order: int) -> TruncatedSeries:

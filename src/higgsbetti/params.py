@@ -18,11 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 
 # largest genus accepted from outside input (CLI arguments, provider files)
 MAX_GENUS = 128
+# largest truncation order accepted from the CLI, about twice the default
+# order 8g+24 at MAX_GENUS (1048)
+MAX_ORDER = 2048
 
 
 @dataclass(frozen=True, order=True)
@@ -109,18 +113,31 @@ def make_params(g: int, d1: int, d2: int) -> ModuliParams:
     """Compute all derived invariants; out-of-bound tau flags, not rejects."""
     if g < 2:
         raise ParameterError("genus must be at least 2")
-    tau = Fraction(2 * (2 * d1 - d2), 3)
-    e = d2 - 2 * d1 + 4 * g - 4
-    sigma = 2 * g - 2 + Fraction(d2 - 2 * d1, 3)
-    sigma_min = 2 * g - 2 - d1 + Fraction(d2, 2) + Fraction(1, 4)
-    valid = abs(tau) <= 2 * g - 2
-    # algebraic identities, checked at construction
-    assert sigma == Fraction(e + 2 * g - 2, 3)
-    assert sigma_min == Fraction(e, 2) + Fraction(1, 4)
+    c = 2 * d1 - d2
+    e = 4 * g - 4 - c
+    # sigma = 2g-2 + (d2 - 2 d1)/3 and sigma_min = 2g-2 - d1 + d2/2 + 1/4,
+    # written through e (tests/test_params.py checks both forms)
     return ModuliParams(
-        g=g, d1=d1, d2=d2, tau=tau, e=e, sigma=sigma, sigma_min=sigma_min,
-        mod3_class=(d1 + d2) % 3, valid=valid,
+        g=g, d1=d1, d2=d2, tau=Fraction(2 * c, 3), e=e,
+        sigma=Fraction(e + 2 * g - 2, 3), sigma_min=Fraction(2 * e + 1, 4),
+        mod3_class=(d1 + d2) % 3, valid=abs(2 * c) <= 3 * (2 * g - 2),
     )
+
+
+class IndexBounds(NamedTuple):
+    """Endpoints of the stratum-index ranges.  The fractional ones are
+    open ends and are kept as floors: the first integer above x is
+    floor(x) + 1."""
+
+    half_d2: int  # floor(d2/2): A sits at d2/2, B1 starts above it
+    c2_low: int  # floor((2 d2 - d1)/3): C2 starts above it
+    c1_low: int  # floor((d1 + d2)/3): C1 starts above it
+    c1_top: int  # d2 - d1 + 2g - 2: the last C1 index
+
+
+def index_bounds(p: ModuliParams) -> IndexBounds:
+    g, d1, d2 = p.g, p.d1, p.d2
+    return IndexBounds(d2 // 2, (2 * d2 - d1) // 3, (d1 + d2) // 3, d2 - d1 + 2 * g - 2)
 
 
 def canonicalize(p: ModuliParams) -> tuple[ModuliParams, list[dict]]:
@@ -163,8 +180,7 @@ def delta_set(p: ModuliParams, l_max: HalfInt) -> list[HalfInt]:
     half = HalfInt(p.d2)
     if half <= l_max:
         members.add(half)
-    low = Fraction(2 * p.d2 - p.d1, 3)
-    l = low.__floor__() + 1  # smallest integer strictly above low
+    l = index_bounds(p).c2_low + 1  # smallest integer above (2 d2 - d1)/3
     while Fraction(l) <= l_max.value:
         members.add(HalfInt.from_int(l))
         l += 1

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_poincare, sym_poincare
-from .params import HalfInt, ModuliParams, _require_valid
+from .params import HalfInt, ModuliParams, _require_valid, index_bounds
 from .series import TruncatedSeries
 
 
@@ -44,15 +44,16 @@ class StratumKind(str, Enum):
 _KIND_ORDER = {k: i for i, k in enumerate(StratumKind)}
 
 
-def _ranges(p: ModuliParams) -> dict[StratumKind, tuple]:
-    g, d1, d2 = p.g, p.d1, p.d2
-    half_d2 = Fraction(d2, 2)
+def _ranges(p: ModuliParams) -> dict[StratumKind, tuple[int, int, bool]]:
+    """Index ranges of B1, C1, C2 and C3, in integers: a fractional open
+    end is kept as its floor (see ``params.index_bounds``)."""
+    d1, bounds = p.d1, index_bounds(p)
     return {
         # (exclusive lower, exclusive/inclusive upper, upper inclusive?)
-        StratumKind.B1: (half_d2, Fraction(d1), False),
-        StratumKind.C1: (Fraction(d1 + d2, 3), Fraction(d2 - d1 + 2 * g - 2), True),
-        StratumKind.C2: (Fraction(2 * d2 - d1, 3), Fraction(d1), False),
-        StratumKind.C3: (Fraction(d1), Fraction(d1 + 2 * g - 2), True),
+        StratumKind.B1: (bounds.half_d2, d1, False),
+        StratumKind.C1: (bounds.c1_low, bounds.c1_top, True),
+        StratumKind.C2: (bounds.c2_low, d1, False),
+        StratumKind.C3: (d1, d1 + 2 * p.g - 2, True),
     }
 
 
@@ -116,8 +117,8 @@ def _smallest_admitted(kind: StratumKind, p: ModuliParams) -> int | None:
     if kind is StratumKind.B3:
         return p.d1 + 1
     lo, hi, inclusive = _ranges(p)[kind]
-    l = lo.__floor__() + 1  # smallest integer strictly above lo
-    ok = Fraction(l) <= hi if inclusive else Fraction(l) < hi
+    l = lo + 1  # smallest integer strictly above lo
+    ok = l <= hi if inclusive else l < hi
     return l if ok else None
 
 

@@ -312,3 +312,63 @@ def test_truncation_coherence_of_every_builder(case):
     full, short = BUILDERS[key](p, None, high), BUILDERS[key](p, None, low)
     assert full.series.truncated(low) == short.series
     assert {k: v.truncated(low) for k, v in full.unknown.items()} == short.unknown
+
+
+def _term_sum(res):
+    total = TruncatedSeries.zero(res.order)
+    for t in res.terms:
+        total = total + t.series
+    return total
+
+
+@st.composite
+def _term_sum_cases(draw):
+    g = draw(st.integers(2, 4))
+    d1 = draw(st.integers(-3, 3))
+    c = draw(st.integers(-(3 * g - 3), 3 * g - 3))  # every tau, both signs
+    p = make_params(g, d1, 2 * d1 + c)
+    keys = sorted(BUILDERS)
+    provider = draw(st.sampled_from([None, MaximalCaseProvider()]))
+    return (draw(st.sampled_from(keys)), draw(st.sampled_from(keys)), p,
+            draw(st.integers(1, 120)), provider, draw(st.integers(0, 120)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_sum_cases())
+def test_terms_sum_to_the_series(case):
+    # terms are kept as block numerators and expanded when read; their
+    # expansions must add up to the series the blocks were summed into
+    key, other_key, p, order, provider, degree = case
+    res = BUILDERS[key](p, provider, order)
+    other = BUILDERS[other_key](p, provider, order)
+    for derived in (res, res - other, res.eliminate_pairs(),
+                    (res - other).eliminate_pairs()):
+        assert _term_sum(derived) == derived.series
+    if p.is_coprime:
+        moduli = moduli_poincare(p, provider, order).result
+        assert _term_sum(moduli) == moduli.series
+    k = min(degree, order)
+    for t in res.terms:
+        assert t.expanded(k) == t.series.truncated(k)
+        assert t.coefficient(k) == t.series.coeffs[k]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_atiyah_bott_terms_match_the_ingredients(g):
+    # the route's block numerators against the ingredient series
+    from higgsbetti.ingredients import (
+        ab_semistable_rank2, bg_su21, bg_u21, line_splitting_sum)
+
+    order = 8 * g + 24
+    jac = jacobian_poincare(g, order)
+    for d2 in (0, 1):
+        p = make_params(g, d2, d2)  # tau = 2 d2 / 3 >= 0
+        u21 = {t.label: t.series for t in u21_stratum_route(p, None, order).terms}
+        assert u21["classifying-total"] == bg_u21(g, order)
+        assert u21["semistable-bundle-block"] == \
+            -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2)
+        assert u21["line-splitting-tail"] == -line_splitting_sum(g, d2, order, 3)
+        su21 = {t.label: t.series for t in su21_stratum_route(p, None, order).terms}
+        assert su21["classifying-total"] == bg_su21(g, order)
+        assert su21["semistable-bundle-block"] == -ab_semistable_rank2(d2, g, order)
+        assert su21["line-splitting-tail"] == -line_splitting_sum(g, d2, order, 2)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from higgsbetti.cli import main
-from higgsbetti.params import MAX_GENUS
+from higgsbetti.params import MAX_GENUS, MAX_ORDER
 
 
 def run(capsys, *argv):
@@ -200,3 +200,33 @@ def test_genus_above_the_cap_is_refused(capsys, argv):
     code, out, err = run(capsys, *argv, "-g", str(MAX_GENUS + 1), "--order", "4")
     assert code == 2 and out == ""
     assert f"genus {MAX_GENUS + 1}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "u21", "--d1", "0", "--d2", "0"],
+    ["strata", "--d1", "0", "--d2", "0"],
+    ["ingredients", "--op", "jacobian"],
+    ["export", "--what", "provider", "--out", os.devnull],
+])
+def test_order_above_the_budget_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "-g", "2", "--order", str(MAX_ORDER + 1))
+    assert code == 2 and out == ""
+    assert f"order {MAX_ORDER + 1}" in err
+
+
+def test_order_at_the_budget_is_accepted(capsys):
+    code, out, _ = run(capsys, "ingredients", "--op", "jacobian", "-g", "2",
+                       "--order", str(MAX_ORDER), "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == MAX_ORDER + 2
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("g=3..2", "empty"),  # used to pass, having checked no point
+    ("h=2..3", "unknown grid key"),  # used to run the default genera
+    ("g=1..2", "2.."),
+    (f"g=2..{MAX_GENUS + 1}", "2.."),
+])
+def test_verify_refuses_a_bad_grid(capsys, grid, message):
+    code, out, err = run(capsys, "verify", "--suite", "route-u21", "--grid", grid)
+    assert code == 2 and out == ""
+    assert message in err

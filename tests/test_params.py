@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from higgsbetti.errors import ParameterError
 from higgsbetti.params import (
@@ -8,6 +10,7 @@ from higgsbetti.params import (
     canonicalize,
     delta_set,
     gamma3_trivial,
+    index_bounds,
     kirwan_su_surjective,
     make_params,
     region_of,
@@ -44,6 +47,30 @@ def test_sigma_identity_everywhere():
                 p = make_params(g, d1, d2)
                 assert p.sigma == Fraction(p.e + 2 * g - 2, 3)
                 assert p.sigma_min == Fraction(p.e, 2) + Fraction(1, 4)
+
+
+@given(st.integers(2, 200), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_invariants_equal_the_paper_expressions(g, d1, d2):
+    p = make_params(g, d1, d2)
+    tau = Fraction(2, 3) * (2 * d1 - d2)
+    assert p.tau == tau and p.valid == (abs(tau) <= 2 * g - 2)
+    assert p.e == d2 - 2 * d1 + 4 * g - 4
+    assert p.sigma == 2 * g - 2 + Fraction(d2 - 2 * d1, 3)
+    assert p.sigma_min == 2 * g - 2 - d1 + Fraction(d2, 2) + Fraction(1, 4)
+    # the identities make_params used to assert on every call
+    assert p.sigma == Fraction(p.e + 2 * g - 2, 3)
+    assert p.sigma_min == Fraction(p.e, 2) + Fraction(1, 4)
+    assert all(type(x) is Fraction for x in (p.tau, p.sigma, p.sigma_min))
+    assert type(p.e) is int
+
+
+@given(st.integers(2, 50), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_index_bounds_are_the_floors_of_the_endpoints(g, d1, d2):
+    bounds = index_bounds(make_params(g, d1, d2))
+    assert bounds.half_d2 == Fraction(d2, 2).__floor__()
+    assert bounds.c2_low == Fraction(2 * d2 - d1, 3).__floor__()
+    assert bounds.c1_low == Fraction(d1 + d2, 3).__floor__()
+    assert bounds.c1_top == d2 - d1 + 2 * g - 2
 
 
 def test_canonicalize():
