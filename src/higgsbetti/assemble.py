@@ -22,19 +22,24 @@ Every assembly is a sum of blocks.  A block is the factor and the
 denominator that all strata of one kind share: P(J)/(1-t^2) for C1,
 P(J)^2/(1-t^2)^2 for C2, B1-diff and the boundary term of the u21 route,
 1/((1-t^2)^k (1-t^4)) for the Atiyah-Bott block of a route, and 1 for
-the cover sums.  A term is (label, sign, shift, local numerator, block),
-the local numerator being P(S^m1) P(S^m2), a Gothen cover polynomial or
-P(S^m).  The builder adds each term's shifted numerator into its block's
-sum, and ``finish`` makes one factor product and one division per block.
-A term's own expansion is made only when it is read (JSON ``terms``,
-residual provenance), and provenance expands only up to the degree it
-asks for.  Every block is a unit power series, so a term is dropped
-exactly when its shifted numerator vanishes below the order.
+the cover sums.  A term is (label, sign, shift, factors, block): its own
+polynomial is the product of its factors, (P(S^m1), P(S^m2)) for C1 and
+the invariant covers, (P(S^m),) for C2, B1-diff and the boundary term,
+one Atiyah-Bott numerator, or a Gothen cover's two factors plus its
+monomial correction.  Nothing is multiplied when a term is added.
+``finish`` forms each block's numerator sum, times the block's factor,
+as one big-integer expression (``series.shifted_product_sum``), unpacks
+it once and divides once.  A term's own numerator and expansion are
+formed only when it is read (JSON ``terms``, residual provenance,
+``scaled_by``), and provenance expands only up to the degree it asks for.
+Every block is a unit power series and a product of nonzero polynomials
+has the sum of their lowest degrees as its lowest degree, so a term is
+dropped exactly when a factor is zero or its shift plus the factors'
+lowest degrees exceeds the order.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -46,11 +51,11 @@ from .ingredients import (
     atiyah_bott_numerators,
     bg_su21,
     bg_u21,
-    gothen_cover_poincare,
+    gothen_cover,
     jacobian_poincare,
     jacobian_polynomial,
     line_splitting_sum,
-    sym_poincare,
+    sym_factor,
     v_dim,
 )
 from .params import ModuliParams, canonicalize, index_bounds, s_tau
@@ -58,8 +63,8 @@ from .series import (
     PolynomialWindow,
     TruncatedSeries,
     is_polynomial_window,
-    polynomial_product,
     resolve_order,
+    shifted_product_sum,
 )
 
 PAIRS = "pairs_equivariant"
@@ -74,12 +79,13 @@ class Block:
     factor: tuple[int, ...]
     denominators: tuple[int, ...] = ()
 
-    def expand(self, numerator, order: int) -> TruncatedSeries:
-        """numerator * factor / prod_a (1 - t^a), truncated at order."""
-        cs = list(numerator[: order + 1])
-        if self.factor != (1,):
-            cs = polynomial_product(cs, self.factor)[: order + 1]
-        return TruncatedSeries.from_coeffs(cs, order).over_one_minus(*self.denominators)
+    def expand(self, terms, order: int) -> TruncatedSeries:
+        """The sum of the terms' own polynomials, each times sign * t^shift,
+        times factor / prod_a (1 - t^a), truncated at order: one call of
+        ``shifted_product_sum`` and one division."""
+        entries = [e for t in terms for e in t.entries(t.sign, t.shift)]
+        cs = shifted_product_sum(entries, order + 1, self.factor)
+        return TruncatedSeries(tuple(cs)).over_one_minus(*self.denominators)
 
 
 # the block of a term that is its own expansion
@@ -88,22 +94,39 @@ PLAIN = Block((1,))
 
 @dataclass(frozen=True, eq=False)
 class TermValue:
-    """One labeled summand sign * t^shift * numerator * block of an
-    assembly, truncated at order.  ``numerator`` holds the first
-    order - shift + 1 coefficients of the term's own polynomial; ``series``
-    expands the term the first time it is read.  Terms compare by label
-    and expansion."""
+    """One labeled summand sign * t^shift * (own polynomial) * block of an
+    assembly, truncated at order.  The term's own polynomial is the
+    product of ``factors`` plus, when ``correction`` = (degree, v) is set,
+    the monomial v t^degree (a Gothen cover).  It is never multiplied
+    out when the term is made: ``series`` expands the term the first time
+    it is read, and ``numerator`` forms its first order - shift + 1
+    coefficients when read.  Terms compare by label and expansion."""
 
     label: str
     sign: int
     shift: int
-    numerator: tuple[int, ...]
+    factors: tuple[tuple[int, ...], ...]
     block: Block
     order: int
+    correction: tuple[int, int] | None = None
 
     @classmethod
     def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
-        return cls(label, 1, 0, series.coeffs, PLAIN, series.order)
+        return cls(label, 1, 0, (series.coeffs,), PLAIN, series.order)
+
+    def entries(self, sign: int, shift: int) -> list:
+        """sign * t^shift times the own polynomial, as entries of
+        ``shifted_product_sum``."""
+        out = [(sign, shift, self.factors)]
+        if self.correction is not None:
+            degree, v = self.correction
+            out.append((sign, shift + degree, ((v,),)))
+        return out
+
+    @cached_property
+    def numerator(self) -> tuple[int, ...]:
+        """The first order - shift + 1 coefficients of the own polynomial."""
+        return tuple(shifted_product_sum(self.entries(1, 0), self.order - self.shift + 1))
 
     @cached_property
     def series(self) -> TruncatedSeries:
@@ -113,10 +136,7 @@ class TermValue:
         """The term truncated at order (at most its own order)."""
         if order > self.order:
             raise ParameterError(f"term holds order {self.order}, asked for {order}")
-        cs = [0] * min(self.shift, order + 1)
-        cs += self.numerator[: order + 1 - len(cs)]
-        out = self.block.expand(cs, order)
-        return -out if self.sign < 0 else out
+        return self.block.expand((self,), order)
 
     def coefficient(self, degree: int) -> int:
         return self.expanded(degree).coeffs[degree]
@@ -125,9 +145,7 @@ class TermValue:
         return replace(self, label=f"-({self.label})", sign=-self.sign)
 
     def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
-        n = len(self.numerator)
-        return replace(self, numerator=polynomial_product(
-            self.numerator, factor.coeffs[:n])[:n])
+        return replace(self, factors=(self.numerator, factor.coeffs), correction=None)
 
     def __eq__(self, other):
         if not isinstance(other, TermValue):
@@ -234,11 +252,16 @@ class AssemblyResult:
         return doc
 
 
+def _lowest_degree(f) -> int | None:
+    """Index of the first nonzero coefficient of f, None when f is zero."""
+    return next((k for k, c in enumerate(f) if c), None)
+
+
 class _Builder:
     """Collects the terms of one assembly at a point with tau >= 0.
 
-    Each term's shifted numerator goes into its block's accumulator;
-    ``finish`` expands every block once.
+    ``add`` only records a term; ``finish`` expands every block once, by
+    one ``shifted_product_sum`` over its terms.
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -249,7 +272,6 @@ class _Builder:
         self.transforms = tuple(transforms)
         self.jac = jacobian_poincare(p.g, order)
         self.blocks: dict[tuple, Block] = {}
-        self.sums: dict[Block, list[int]] = {}
         self.terms: list[TermValue] = []
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
@@ -262,19 +284,23 @@ class _Builder:
                                      denominators)
         return self.blocks[key]
 
-    def add(self, label: str, sign: int, shift: int, numerator, block: Block) -> None:
-        """Add sign * t^shift * numerator * block; a term that vanishes
-        below the order is dropped (every block is a unit series)."""
-        numerator = tuple(numerator[: max(self.order - shift + 1, 0)])
-        if not any(numerator):
+    def add(self, label: str, sign: int, shift: int, factors, block: Block,
+            correction: tuple[int, int] | None = None) -> None:
+        """Add sign * t^shift * (product of factors, plus the correction
+        monomial) * block.  A term whose factor product vanishes below the
+        order is dropped: a factor is zero, or shift plus the factors'
+        lowest degrees exceeds the order (every block is a unit series,
+        and a correction never lowers the lowest degree)."""
+        low = shift
+        for f in factors:
+            k = 0 if f[0] else _lowest_degree(f)
+            if k is None:
+                return
+            low += k
+        if low > self.order:
             return
-        acc = self.sums.get(block)
-        if acc is None:
-            acc = self.sums[block] = [0] * (self.order + 1)
-        end = shift + len(numerator)
-        acc[shift:end] = map(operator.add if sign > 0 else operator.sub,
-                             acc[shift:end], numerator)
-        self.terms.append(TermValue(label, sign, shift, numerator, block, self.order))
+        self.terms.append(TermValue(label, sign, shift, tuple(factors), block,
+                                    self.order, correction))
 
     def add_unknown(self, name: str, coeff: TruncatedSeries, label: str) -> None:
         zero = TruncatedSeries.zero(self.order)
@@ -295,9 +321,12 @@ class _Builder:
                 mm = pairs - ww_difference(p, order)
             values = {PAIRS: pairs, MODULI_MIN: mm}
         unknown: dict[str, TruncatedSeries] = {}
+        by_block: dict[Block, list[TermValue]] = {}
+        for t in self.terms:
+            by_block.setdefault(t.block, []).append(t)
         known = TruncatedSeries.zero(order)
-        for block, acc in self.sums.items():
-            known = known + block.expand(acc, order)
+        for block, terms in by_block.items():
+            known = known + block.expand(terms, order)
         terms = list(self.terms)
         for name, coeff in self.unknown.items():
             value = values.get(name)
@@ -380,7 +409,7 @@ def _cover_exponents(p: ModuliParams, l: int) -> tuple[int, int]:
 
 
 def _sym(b: _Builder, m: int) -> tuple[int, ...]:
-    return sym_poincare(m, b.p.g, b.order).coeffs
+    return sym_factor(m, b.p.g, b.order)
 
 
 def _add_c1_sum(b: _Builder) -> None:
@@ -392,15 +421,13 @@ def _add_c1_sum(b: _Builder) -> None:
         if shift > order:
             break
         if b.group == "su21":
-            local = gothen_cover_poincare(CoverParams(m1, m2, p.g), order).coeffs
-            label = f"cover-sum[l={l}]"
+            factors, correction = gothen_cover(CoverParams(m1, m2, p.g), order)
+            b.add(f"cover-sum[l={l}]", 1, shift, factors, block, correction)
         else:
             # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); pu21: the 3-torsion
             # invariant part of the cover, P(S^m1) P(S^m2)
-            n = order - shift + 1
-            local = polynomial_product(_sym(b, m1)[:n], _sym(b, m2)[:n])
             label = f"C1[l={l}]" if b.group == "u21" else f"invariant-cover-sum[l={l}]"
-        b.add(label, 1, shift, local, block)
+            b.add(label, 1, shift, (_sym(b, m1), _sym(b, m2)), block)
 
 
 def _add_closed_form(b: _Builder) -> None:
@@ -414,9 +441,9 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     total, semistable, tail = atiyah_bott_numerators(
         b.p.g, b.p.d2 % 2 == 1, line_factors)
     block = b.block(0, *[2] * line_factors, 4)
-    b.add("classifying-total", 1, 0, total, block)
-    b.add("semistable-bundle-block", -1, 0, semistable, block)
-    b.add("line-splitting-tail", -1, 0, tail, block)
+    b.add("classifying-total", 1, 0, (total,), block)
+    b.add("semistable-bundle-block", -1, 0, (semistable,), block)
+    b.add("line-splitting-tail", -1, 0, (tail,), block)
 
 
 def _add_route_sums(b: _Builder, boundary: Block, c2: Block, b1_diff: Block) -> None:
@@ -425,12 +452,13 @@ def _add_route_sums(b: _Builder, boundary: Block, c2: Block, b1_diff: Block) -> 
     p = b.p
     g, d1, d2 = p.g, p.d1, p.d2
     if d2 % 2 == 0:
-        b.add("even-degree-boundary", 1, p.e, _sym(b, p.e // 2), boundary)
+        b.add("even-degree-boundary", 1, p.e, (_sym(b, p.e // 2),), boundary)
     for l in _c2_sum_ells(p):
         b.add(f"C2[l={l}]", -1, 2 * (2 * g - 2 + l - d1),
-              _sym(b, l - d1 + 2 * g - 2), c2)
+              (_sym(b, l - d1 + 2 * g - 2),), c2)
     for l in _b1_diff_ells(p):
-        b.add(f"B1-diff[l={l}]", 1, _mu(p, l), _sym(b, d2 - d1 + 2 * g - 2 - l), b1_diff)
+        b.add(f"B1-diff[l={l}]", 1, _mu(p, l), (_sym(b, d2 - d1 + 2 * g - 2 - l),),
+              b1_diff)
 
 
 @_assembly("u21")

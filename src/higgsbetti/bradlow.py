@@ -25,8 +25,8 @@ invariant puts sigma below e/2: there are no walls and the difference
 is zero.
 
 Every wall shares the factor P(J)/(1-t^2), so ``ww_from_invariants``
-first sums (t^a - t^b) P(S^{e-j} X) over the walls and then multiplies
-by P(J) and divides by (1-t^2) once.
+sums (t^a - t^b) P(S^{e-j} X) over the walls, times P(J), as one
+``shifted_product_sum`` and divides by (1-t^2) once.
 """
 
 from __future__ import annotations
@@ -38,9 +38,19 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParameterError, ProviderFileError
-from .ingredients import jacobian_poincare, projective_poincare, sym_poincare
-from .params import MAX_GENUS, ModuliParams, _require_valid
-from .series import TruncatedSeries, geometric_inverse, parse_integer
+from .ingredients import (
+    jacobian_poincare,
+    jacobian_polynomial,
+    projective_poincare,
+    sym_factor,
+)
+from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid
+from .series import (
+    TruncatedSeries,
+    geometric_inverse,
+    parse_integer,
+    shifted_product_sum,
+)
 
 
 def sigma_of(p: ModuliParams) -> Fraction:
@@ -64,21 +74,21 @@ def sigma_min_of(p: ModuliParams) -> Fraction:
 def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> TruncatedSeries:
     """pairs_equivariant - moduli_min, the wall-crossing sum over the walls
     of the module docstring; it depends on (g, e, sigma) alone."""
-    total = TruncatedSeries.zero(order)
+    terms = []
     half = Fraction(e, 2)
     j = e // 2 + 1
     while j < sigma:
-        piece = sym_poincare(e - j, g, order)
-        total = total + piece.shifted(2 * (g - 1 + 2 * j - e))
-        total = total - piece.shifted(2 * (e - j))
+        sym = sym_factor(e - j, g, order)
+        terms += [(1, 2 * (g - 1 + 2 * j - e), (sym,)), (-1, 2 * (e - j), (sym,))]
         j += 1
     if sigma.denominator == 1:
         s = int(sigma)
         if s > half:
-            total = total + sym_poincare(e - s, g, order).shifted(2 * (g - 1 + 2 * s - e))
+            terms.append((1, 2 * (g - 1 + 2 * s - e), (sym_factor(e - s, g, order),)))
         elif s == half:
-            total = total + sym_poincare(e // 2, g, order).shifted(e)
-    return (jacobian_poincare(g, order) * total).over_one_minus(2)
+            terms.append((1, e, (sym_factor(e // 2, g, order),)))
+    cs = shifted_product_sum(terms, order + 1, jacobian_polynomial(g))
+    return TruncatedSeries(tuple(cs)).over_one_minus(2)
 
 
 def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
@@ -254,6 +264,10 @@ def _parse_record(data: dict) -> _ProviderRecord:
             f"{Fraction(e + 2 * g - 2, 3)} at (g, e) = ({g}, {e})")
     if order < 0:
         raise ProviderFileError(f"provider record has negative order {order}")
+    if order > MAX_ORDER:
+        raise ProviderFileError(
+            f"provider record has order {order}, above the largest supported, "
+            f"{MAX_ORDER}")
     if pairs is None and min_moduli is None:
         raise ProviderFileError("record carries neither series")
     if pairs is not None and min_moduli is not None:

@@ -82,16 +82,22 @@ def cmd_compute(args) -> int:
 # ------------------------------------------------------------------ strata
 
 
+# the strata table prints the coefficients of degrees 0..HEAD_DEGREE
+HEAD_DEGREE = 5
+
+
 def cmd_strata(args) -> int:
-    p = _params_from_args(args)
+    # a point with tau < 0 is tabulated at its dual, as assemblies are
+    p, transforms = params.canonicalize(_params_from_args(args))
     order = series.resolve_order(p.g, args.order)
+    head_order = min(order, HEAD_DEGREE)
     l_max = params.HalfInt(args.lmax_doubled) if args.lmax_doubled is not None \
         else params.HalfInt.from_int(p.d1 + 2 * p.g - 2)
     descriptors = strata.enumerate_critical(p, l_max)
     present = {s.kind for s in descriptors}
     rows = []
     for s in descriptors:
-        series_head = strata.critical_set_poincare(s, order).coeffs[:6]
+        series_head = strata.critical_set_poincare(s, head_order).coeffs
         try:
             dims = strata.negative_dim(s)
         except ParameterError:
@@ -114,13 +120,16 @@ def cmd_strata(args) -> int:
             "rows": rows,
             "empty_kinds": empty,
         }
+        if transforms:
+            doc["transforms"] = transforms
         _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
     elif args.format == "csv":
         raise ParameterError("strata output supports text or json")
     else:
+        dualized = f", dual of ({-p.d1}, {-p.d2})" if transforms else ""
         lines = [
             f"critical sets for (g, d1, d2) = ({p.g}, {p.d1}, {p.d2}), "
-            f"l <= {l_max}"
+            f"l <= {l_max}{dualized}"
         ]
         for r in rows:
             dims = ", ".join(f"{k}={v}" for k, v in r["dimensions"].items()) or "-"

@@ -19,6 +19,7 @@ from .series import (
     TruncatedSeries,
     binomial_power,
     polynomial_product,
+    shifted_product_sum,
 )
 
 
@@ -50,30 +51,41 @@ def jacobian_poincare(g: int, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def sym_poincare(m: int, g: int, order: int) -> TruncatedSeries:
-    """P_t of the m-th symmetric product of a genus-g surface.
+def sym_polynomial(m: int, g: int) -> tuple[int, ...]:
+    """P_t of the m-th symmetric product of a genus-g surface, untruncated.
 
     Macdonald's generating function sum_m P_t(S^m X) x^m =
     (1+xt)^{2g} / ((1-x)(1-xt^2)); extracting the x^m coefficient gives
 
         P_t(S^m X) = sum_{i=0}^{min(2g,m)} C(2g, i) t^i (1 + t^2 + ... + t^{2(m-i)})
 
-    a palindromic polynomial of degree 2m.  Negative m yields the zero
-    series (the empty symmetric product) without complaint, so a
-    summation range that runs below m = 0 is not detected here.
+    a palindromic polynomial of degree 2m with constant term 1.  Negative
+    m yields the zero polynomial (0,) (the empty symmetric product)
+    without complaint, so a summation range that runs below m = 0 is not
+    detected here.  A polynomial, so the cache key holds no order.
     """
     _require_genus(g)
     if m < 0:
-        return TruncatedSeries.zero(order)
-    out = [0] * (order + 1)
+        return (0,)
+    out = [0] * (2 * m + 1)
     for i in range(0, min(2 * g, m) + 1):
         c = comb(2 * g, i)
-        for k in range(0, m - i + 1):
-            d = i + 2 * k
-            if d > order:
-                break
+        for d in range(i, 2 * m - i + 1, 2):
             out[d] += c
-    return TruncatedSeries(tuple(out))
+    return tuple(out)
+
+
+def sym_factor(m: int, g: int, order: int) -> tuple[int, ...]:
+    """A polynomial equal to P_t(S^m X) in every degree up to order, of
+    degree at most 2 order: for m >= order the coefficient of t^d, d <=
+    order, is the sum of C(2g, i) over i <= d with i = d mod 2, whatever
+    m is, so S^m X is cut to S^order X."""
+    return sym_polynomial(min(m, order), g)
+
+
+def sym_poincare(m: int, g: int, order: int) -> TruncatedSeries:
+    """P_t(S^m X) truncated at order (see ``sym_polynomial``)."""
+    return TruncatedSeries.from_coeffs(sym_factor(m, g, order), order)
 
 
 @lru_cache(maxsize=None)
@@ -188,16 +200,24 @@ def v_dim(c: CoverParams) -> int:
     return (3 ** (2 * c.g) - 1) * _safe_comb(c.m1) * _safe_comb(c.m2)
 
 
-def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:
-    """Gothen's formula for the 3^{2g}-fold cover of S^{m1}X x S^{m2}X:
+def gothen_cover(c: CoverParams, order: int) -> tuple[tuple[tuple[int, ...], ...],
+                                                     tuple[int, int]]:
+    """Gothen's formula for the 3^{2g}-fold cover of S^{m1}X x S^{m2}X,
 
-        P_t = P_t(S^{m1}X) P_t(S^{m2}X) + v t^{m1+m2}
+        P_t = P_t(S^{m1}X) P_t(S^{m2}X) + v t^{m1+m2},
 
-    with the correction v = v_dim(m1, m2) present iff both mi <= 2g-2
-    (it vanishes automatically otherwise, but the branch is kept explicit
-    to mirror the two printed cases).
+    as its factors (``sym_factor`` of m1 and m2, exact up to order) and its
+    monomial correction (m1 + m2, v).  The correction v = v_dim(m1, m2)
+    is present iff both mi <= 2g-2 (it vanishes automatically otherwise,
+    but the branch is kept explicit to mirror the two printed cases).
     """
-    product = sym_poincare(c.m1, c.g, order) * sym_poincare(c.m2, c.g, order)
-    if c.m1 <= 2 * c.g - 2 and c.m2 <= 2 * c.g - 2:
-        return product + TruncatedSeries.monomial(c.m1 + c.m2, order, v_dim(c))
-    return product
+    factors = (sym_factor(c.m1, c.g, order), sym_factor(c.m2, c.g, order))
+    present = c.m1 <= 2 * c.g - 2 and c.m2 <= 2 * c.g - 2
+    return factors, (c.m1 + c.m2, v_dim(c) if present else 0)
+
+
+def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:
+    """The cover polynomial of ``gothen_cover`` truncated at order."""
+    factors, (degree, v) = gothen_cover(c, order)
+    return TruncatedSeries(tuple(shifted_product_sum(
+        [(1, 0, factors), (1, degree, ((v,),))], order + 1)))

@@ -15,16 +15,24 @@ internal arithmetic (``+``, ``-``, unary ``-``, ``*``, ``shifted``,
 coefficients and go through ``_trusted``, which skips the per-coefficient
 check.
 
-Products use Kronecker substitution.  Trailing zeros are trimmed, then
-each operand is packed into one Python integer, one slot of w bytes per
-coefficient, stored as c + 2^(8w-1) (an offset digit, never negative).
-Subtracting the packed offsets gives the true signed value, so one
-big-integer product handles mixed signs; adding an offset to every slot of
-the product makes each slot c_k + 2^(8w-1) again, read back byte-wise.
-The offset 2^(8w-1) exceeds every |c_k| because w comes from the
-operands' bit lengths plus log2 of the shorter length plus a sign bit.
-Below a measured crossover in the shorter operand's length the schoolbook
-loop is faster and is used instead.
+Products use Kronecker substitution: a polynomial is evaluated at
+t = 2^(8w), one slot of w bytes per coefficient, and one big-integer
+product stands for the whole convolution.  ``_pack`` and ``_unpack`` are
+the one home of that format.  A packed value is exact and signed; to read
+it back, an offset 2^(8w-1) is added to every slot, which makes each slot
+the digit c_k + 2^(8w-1) with no borrows between slots.  That is right as
+long as every |c_k| is below 2^(8w-1), so w always comes from a bound on
+the result's coefficients plus a sign bit, rounded up to 1, 2, 4 or 8
+bytes where ``struct`` converts a whole sequence in one call.  Packed
+values may be reduced modulo 2^(8wn), which is truncation at t^n.
+
+``TruncatedSeries`` products trim trailing zeros and take w from the
+operands' bit lengths plus log2 of the shorter length; below a measured
+crossover in the shorter operand's length the schoolbook loop is faster
+and is used instead.  ``shifted_product_sum`` forms a whole sum
+factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
+numerator) as one big-integer expression and unpacks it once; its w
+comes from the l1 norms of the factors.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import operator
 import re
+import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -50,6 +59,8 @@ from .errors import ParameterError
 # Shorter-operand length below which the schoolbook loop beats packing.
 _CROSSOVER = 12
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
+# slot widths in bytes that struct converts, and their format codes
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def default_order(g: int) -> int:
@@ -134,22 +145,148 @@ def _product(a, b, size: int) -> list:
     return out
 
 
+def _slot_width(bits: int) -> int:
+    """Bytes per slot for coefficients of ``bits`` bits, sign bit included:
+    1, 2, 4 or 8, which ``struct`` converts in one call, else the bytes
+    the bits need."""
+    w = (bits + 7) // 8
+    return 1 << (w - 1).bit_length() if w <= 8 else w
+
+
+def _slot_offset(w: int, n: int) -> int:
+    """The offset 2^(8w-1) in each of n slots of w bytes, as one integer."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(c, w: int) -> int:
+    """The exact value sum_k c_k 2^(8wk) of a signed coefficient sequence,
+    each |c_k| below 2^(8w-1).
+
+    At a ``struct`` width each slot is written in two's complement, read
+    back as one unsigned integer, and every negative slot's borrow
+    2^(8w(k+1)) (its top bit, moved up one slot) is subtracted; struct
+    refuses a value out of range, it never wraps.  At other widths each
+    slot is written as the offset digit c_k + 2^(8w-1) and the offsets
+    are subtracted as one integer.
+    """
+    n = len(c)
+    code = _STRUCT_CODES.get(w)
+    if code is not None:
+        u = int.from_bytes(struct.pack(f"<{n}{code}", *c), "little")
+        if min(c) >= 0:
+            return u
+        lows = int.from_bytes((b"\x01" + bytes(w - 1)) * n, "little")
+        return u - (((u >> (8 * w - 1)) & lows) << (8 * w))
+    half = 1 << (8 * w - 1)
+    raw = b"".join([(x + half).to_bytes(w, "little") for x in c])
+    return int.from_bytes(raw, "little") - _slot_offset(w, n)
+
+
+def _unpack(x: int, w: int, n: int) -> list:
+    """Coefficients 0..n-1 of a packed value x, known only modulo
+    2^(8wn), whose coefficients 0..n-1 each lie below 2^(8w-1) in absolute
+    value.  Adding an offset to every slot makes each slot the digit
+    c_k + 2^(8w-1), with no borrows between slots; flipping each digit's
+    top bit then leaves c_k in two's complement, read slot by slot."""
+    size = w * n
+    offset = _slot_offset(w, n)
+    data = (((x + offset) & ((1 << (8 * size)) - 1)) ^ offset).to_bytes(size, "little")
+    code = _STRUCT_CODES.get(w)
+    if code is not None:
+        return list(struct.unpack(f"<{n}{code}", data))
+    view = memoryview(data)
+    return [int.from_bytes(view[k : k + w], "little", signed=True)
+            for k in range(0, size, w)]
+
+
 def _packed_product(a, b, n: int) -> list:
     """Coefficients 0..n-1 of a*b by one big-integer product (Kronecker)."""
-    bits = (max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
-            + (min(len(a), len(b)) - 1).bit_length() + 1)
-    w = (bits + 7) // 8
-    half = 1 << (8 * w - 1)
-    digit = bytes(w - 1) + b"\x80"  # the offset 2^(8w-1) in one slot
+    w = _slot_width(max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
+                    + (min(len(a), len(b)) - 1).bit_length() + 1)
+    return _unpack(_pack(a, w) * _pack(b, w), w, n)
 
-    def pack(c) -> int:
-        raw = b"".join([(x + half).to_bytes(w, "little") for x in c])
-        return int.from_bytes(raw, "little") - int.from_bytes(digit * len(c), "little")
 
-    prod = pack(a) * pack(b) + int.from_bytes(digit * n, "little")
-    size = w * n
-    data = memoryview((prod & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
-    return [int.from_bytes(data[k : k + w], "little") - half for k in range(0, size, w)]
+def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
+    """Coefficients 0..size-1 of factor * sum_j sign_j t^shift_j prod_i f_ji.
+
+    ``terms`` holds entries (sign, shift, factors): a sign of +1 or -1, a
+    shift >= 0 and a sequence of integer coefficient sequences, whose
+    product is 1 when it is empty.  Each factor is cut to size - shift
+    coefficients, which changes no coefficient below size.
+
+    The sum is one big-integer expression at t = 2^(8w): every factor is
+    packed once per cut length, each term is one product of packed
+    integers shifted by whole slots, and the sum, reduced modulo
+    2^(8w size) (modulo t^size), is multiplied by the packed factor and
+    unpacked once.  The slot width comes from an exact bound: every
+    coefficient of a sum of products is at most the sum over its terms of
+    the product of the factors' l1 norms (the l1 norm of a product is at
+    most the product of the norms), times the l1 norm of the factor, and
+    one more bit holds the sign.
+
+    Slots as wide as the largest coefficient make every product slower,
+    so two kinds of term do not set the width of the products.  A term
+    whose factors are all constants (a monomial, such as a Gothen cover's
+    correction) is added to its coefficient after the unpack.  A factor
+    that needs wider slots than the products is applied after the sum is
+    unpacked and packed again at the wider width.
+    """
+    factor = factor[:size]
+    if size <= 0 or not any(factor):
+        return [0] * max(size, 0)
+    # (id, length) -> [cut factor, its l1 norm, packed or None, the factor];
+    # holding the factor keeps its id from being reused during the call
+    cache: dict[tuple[int, int], list] = {}
+    products, monomials, bound = [], [], 0
+    for sign, shift, factors in terms:
+        n = size - shift
+        if n <= 0:
+            continue
+        entries, norm = [], 1
+        for f in factors:
+            key = (id(f), min(len(f), n))
+            e = cache.get(key)
+            if e is None:
+                cut = f[:n]
+                e = cache[key] = [cut, sum(map(abs, cut)), None, f]
+            entries.append(e)
+            norm *= e[1]
+        if not norm:
+            continue
+        if all(len(e[0]) == 1 for e in entries):
+            c = sign
+            for e in entries:
+                c *= e[0][0]
+            monomials.append((shift, c))
+        else:
+            bound += norm
+            products.append((sign, shift, entries))
+    if not products and not monomials:
+        return [0] * size
+    w = _slot_width(bound.bit_length() + 1)  # the bits of the bound and a sign bit
+    total = 0
+    for sign, shift, entries in products:
+        prod = 1
+        for e in entries:
+            if e[2] is None:
+                e[2] = _pack(e[0], w)
+            prod *= e[2]
+        prod <<= 8 * w * shift
+        total = total + prod if sign > 0 else total - prod
+    plain = tuple(factor) == (1,)
+    if plain and not monomials:
+        return _unpack(total, w, size)
+    wide = (bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor))
+    w_wide = _slot_width(wide.bit_length() + 1)
+    if monomials or w_wide != w:
+        cs = _unpack(total, w, size)
+        for shift, c in monomials:
+            cs[shift] += c
+        if plain:
+            return cs
+        total, w = _pack(cs, w_wide), w_wide
+    total = (total & ((1 << (8 * w * size)) - 1)) * _pack(factor, w)
+    return _unpack(total, w, size)
 
 
 def _over_one_minus(cs: list, exponents) -> "TruncatedSeries":

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from higgsbetti.assemble import (
     BUILDERS,
+    PLAIN,
+    TermValue,
     ab_cancellation_residual,
     moduli_poincare,
     pu21_poincare,
@@ -372,3 +374,14 @@ def test_atiyah_bott_terms_match_the_ingredients(g):
         assert su21["classifying-total"] == bg_su21(g, order)
         assert su21["semistable-bundle-block"] == -ab_semistable_rank2(d2, g, order)
         assert su21["line-splitting-tail"] == -line_splitting_sum(g, d2, order, 2)
+
+
+def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():
+    # a term's polynomial may be shorter than order - shift + 1; scaling
+    # it must still reach every degree up to the order
+    one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], 5)
+    term = TermValue("x", 1, 0, ((1,),), PLAIN, 5)
+    assert term.scaled_by(one_minus_t2).series == one_minus_t2
+    shifted = TermValue("y", -1, 2, ((1, 1),), PLAIN, 5)  # -t^2 (1 + t)
+    assert shifted.scaled_by(one_minus_t2).series == \
+        TruncatedSeries.from_coeffs([0, 0, -1, -1, 1, 1], 5)

@@ -23,7 +23,7 @@ from higgsbetti.bradlow import (
 from higgsbetti.cli import main
 from higgsbetti.errors import ProviderFileError
 from higgsbetti.ingredients import jacobian_poincare, sym_poincare
-from higgsbetti.params import make_params
+from higgsbetti.params import MAX_ORDER, make_params
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 
 
@@ -221,6 +221,18 @@ def test_provider_file_rejects_inconsistent_invariants(tmp_path, capsys, field, 
                  "--d2", "1", "--provider", f"file:{path}", "--order", "20"])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_provider_file_order_is_held_to_the_budget(tmp_path, capsys):
+    path = _write(tmp_path, maximal_provider_record(2, MAX_ORDER + 1))
+    message = f"order {MAX_ORDER + 1}, above the largest supported, {MAX_ORDER}"
+    with pytest.raises(ProviderFileError, match=message):
+        provider_from_file(path)
+    code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2",
+                 "--d2", "1", "--provider", f"file:{path}", "--order", "20"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    provider_from_file(_write(tmp_path, maximal_provider_record(2, MAX_ORDER)))
 
 
 def test_provider_file_rejects_duplicate_records(tmp_path):

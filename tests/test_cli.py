@@ -4,7 +4,7 @@ import os
 import pytest
 
 from higgsbetti.cli import main
-from higgsbetti.params import MAX_GENUS, MAX_ORDER
+from higgsbetti.params import MAX_GENUS, MAX_ORDER, valid_points
 
 
 def run(capsys, *argv):
@@ -80,6 +80,40 @@ def test_strata_json_round_trip(capsys):
     assert len(doc["rows"]) == 8
     assert doc["empty_kinds"] == ["C1"]
     assert doc["rows"][0] == json.loads(json.dumps(doc["rows"][0]))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_strata_at_every_point_and_its_dual(capsys, g):
+    # a point with tau < 0 is tabulated at its dual point
+    for p in valid_points(g):
+        argv = ["strata", "--genus", str(g), "--format", "json"]
+        code, out, err = run(capsys, *argv, "--d1", str(p.d1), "--d2", str(p.d2))
+        assert code == 0, (p, err)
+        own = json.loads(out)
+        assert "transforms" not in own
+        code, out, err = run(capsys, *argv, "--d1", str(-p.d1), "--d2", str(-p.d2))
+        assert code == 0, (p, err)
+        dual = json.loads(out)
+        if p.tau > 0:  # at tau = 0 the dual point is a point of its own
+            assert dual.pop("transforms") == [{"op": "dualize", "d1": p.d1, "d2": p.d2}]
+            assert dual == own
+        else:
+            assert "transforms" not in dual
+    code, out, _ = run(capsys, "strata", "--genus", "2", "--d1", "0", "--d2", "3")
+    assert code == 0 and "(2, 0, -3)" in out and "dual of (0, 3)" in out
+
+
+def test_strata_head_at_a_low_order(capsys):
+    # the head holds the coefficients up to min(order, 5)
+    argv = ["strata", "--genus", "2", "--d1", "1", "--d2", "0", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--order", "3")
+    assert code == 0
+    low = json.loads(out)["rows"]
+    code, out, _ = run(capsys, *argv)
+    high = json.loads(out)["rows"]
+    assert [len(r["series_head"]) for r in low] == [4] * len(low)
+    assert [len(r["series_head"]) for r in high] == [6] * len(high)
+    assert [r["series_head"][:4] for r in high] == [r["series_head"] for r in low]
 
 
 def test_verify_single_suites(capsys):

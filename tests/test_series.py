@@ -15,6 +15,7 @@ from higgsbetti.series import (
     geometric_inverse,
     is_polynomial_window,
     polynomial_product,
+    shifted_product_sum,
 )
 
 
@@ -169,6 +170,70 @@ def test_product_at_the_coefficient_bound(bits, length):
         got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
         assert list(got.coeffs) == naive_product(a, b, length)
         assert list(polynomial_product(a, b)) == naive_product(a, b, 2 * length - 1)
+
+
+def naive_product_sum(terms, size, factor):
+    """Reference for shifted_product_sum: full products by convolution,
+    shifted, summed, times factor, cut to size."""
+    total = [0] * size
+    for sign, shift, factors in terms:
+        prod = [1]
+        for f in factors:
+            prod = naive_product(prod, f, len(prod) + len(f) - 1)
+        for k, c in enumerate(prod):
+            if shift + k < size:
+                total[shift + k] += sign * c
+    return naive_product(total, factor, size)
+
+
+@st.composite
+def polynomials(draw):
+    """A signed polynomial of up to ~400-bit coefficients, a constant, a
+    zero polynomial, or a bound-tight one: +-(2^b - 1) followed by zeros,
+    whose one coefficient is its l1 norm and fills b bits."""
+    bits = draw(st.sampled_from([1, 7, 8, 16, 63, 64, 400]))
+    kind = draw(st.sampled_from(["signed", "constant", "zero", "tight"]))
+    length = 1 if kind == "constant" else draw(st.integers(1, 9))
+    if kind == "zero":
+        return (0,) * length
+    if kind == "tight":
+        m = draw(st.sampled_from([-1, 1])) * (2**bits - 1)
+        return (m,) + (0,) * (length - 1)
+    return tuple(draw(st.lists(st.integers(-(2**bits), 2**bits),
+                               min_size=length, max_size=length)))
+
+
+@st.composite
+def product_sums(draw):
+    size = draw(st.integers(0, 24))
+    terms = draw(st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(0, size + 4),
+                                    st.lists(polynomials(), max_size=3)),
+                          max_size=5))
+    factor = draw(st.one_of(st.just((1,)), polynomials()))
+    return terms, size, factor
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_sums())
+def test_shifted_product_sum_matches_naive_convolution(case):
+    terms, size, factor = case
+    assert shifted_product_sum(terms, size, factor) == naive_product_sum(terms, size, factor)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 400])
+def test_shifted_product_sum_at_the_norm_bound(bits):
+    # a constant followed by zeros makes the l1 bound exact: the result is
+    # the bound itself (a bare constant is a monomial, added after the unpack)
+    m = 2**bits - 1
+    for sign in (1, -1):
+        for terms, factor in [([(sign, 0, ((m, 0),))], (1,)),
+                              ([(sign, 1, ((m, 0), (1, 1)))], (1,)),
+                              ([(sign, 0, ((1, 0),))], (m, 0)),
+                              ([(sign, 0, ((m,),)), (1, 1, ((1, 0),))], (m, 0)),
+                              ([(1, 0, ((m, 0),)), (sign, 0, ((m, 0),))], (1,)),
+                              ([(sign, 0, ((m,),))], (1,))]:
+            assert shifted_product_sum(terms, 3, factor) == \
+                naive_product_sum(terms, 3, factor)
 
 
 def test_product_of_zero_series():
