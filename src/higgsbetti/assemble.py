@@ -29,9 +29,10 @@ one Atiyah-Bott numerator, or a Gothen cover's two factors plus its
 monomial correction.  Nothing is multiplied when a term is added.
 ``finish`` forms each block's numerator sum, times the block's factor,
 as one big-integer expression (``series.shifted_product_sum``), unpacks
-it once and divides once.  A term's own numerator and expansion are
-formed only when it is read (JSON ``terms``, residual provenance,
-``scaled_by``), and provenance expands only up to the degree it asks for.
+it once and divides once.  A term's own numerator is formed once, when
+the term is first read (JSON ``terms``, residual provenance,
+``scaled_by``), and every expansion of the term reuses it; provenance
+expands only up to the degree it asks for.
 Every block is a unit power series and a product of nonzero polynomials
 has the sum of their lowest degrees as its lowest degree, so a term is
 dropped exactly when a factor is zero or its shift plus the factors'
@@ -79,11 +80,10 @@ class Block:
     factor: tuple[int, ...]
     denominators: tuple[int, ...] = ()
 
-    def expand(self, terms, order: int) -> TruncatedSeries:
-        """The sum of the terms' own polynomials, each times sign * t^shift,
-        times factor / prod_a (1 - t^a), truncated at order: one call of
-        ``shifted_product_sum`` and one division."""
-        entries = [e for t in terms for e in t.entries(t.sign, t.shift)]
+    def expand(self, entries, order: int) -> TruncatedSeries:
+        """The sum of the entries (sign, shift, factors) of
+        ``shifted_product_sum`` times factor / prod_a (1 - t^a), truncated
+        at order: one call of ``shifted_product_sum`` and one division."""
         cs = shifted_product_sum(entries, order + 1, self.factor)
         return TruncatedSeries(tuple(cs)).over_one_minus(*self.denominators)
 
@@ -98,9 +98,10 @@ class TermValue:
     assembly, truncated at order.  The term's own polynomial is the
     product of ``factors`` plus, when ``correction`` = (degree, v) is set,
     the monomial v t^degree (a Gothen cover).  It is never multiplied
-    out when the term is made: ``series`` expands the term the first time
-    it is read, and ``numerator`` forms its first order - shift + 1
-    coefficients when read.  Terms compare by label and expansion."""
+    out when the term is made: ``numerator`` forms its first
+    order - shift + 1 coefficients the first time the term is read, and
+    every expansion (``series``, ``expanded``, ``coefficient``) and
+    ``scaled_by`` reuse it.  Terms compare by label and expansion."""
 
     label: str
     sign: int
@@ -136,7 +137,7 @@ class TermValue:
         """The term truncated at order (at most its own order)."""
         if order > self.order:
             raise ParameterError(f"term holds order {self.order}, asked for {order}")
-        return self.block.expand((self,), order)
+        return self.block.expand([(self.sign, self.shift, (self.numerator,))], order)
 
     def coefficient(self, degree: int) -> int:
         return self.expanded(degree).coeffs[degree]
@@ -326,7 +327,8 @@ class _Builder:
             by_block.setdefault(t.block, []).append(t)
         known = TruncatedSeries.zero(order)
         for block, terms in by_block.items():
-            known = known + block.expand(terms, order)
+            entries = [e for t in terms for e in t.entries(t.sign, t.shift)]
+            known = known + block.expand(entries, order)
         terms = list(self.terms)
         for name, coeff in self.unknown.items():
             value = values.get(name)

@@ -22,9 +22,10 @@ the one home of that format.  A packed value is exact and signed; to read
 it back, an offset 2^(8w-1) is added to every slot, which makes each slot
 the digit c_k + 2^(8w-1) with no borrows between slots.  That is right as
 long as every |c_k| is below 2^(8w-1), so w always comes from a bound on
-the result's coefficients plus a sign bit, rounded up to 1, 2, 4 or 8
-bytes where ``struct`` converts a whole sequence in one call.  Packed
-values may be reduced modulo 2^(8wn), which is truncation at t^n.
+the result's coefficients plus a sign bit.  Slots of up to 8 bytes are
+rounded up to 1, 2, 4 or 8 bytes, which ``struct`` converts in one call;
+wider slots are converted one slot at a time.  Packed values may be
+reduced modulo 2^(8wn), which is truncation at t^n.
 
 ``TruncatedSeries`` products trim trailing zeros and take w from the
 operands' bit lengths plus log2 of the shorter length; below a measured
@@ -59,7 +60,7 @@ from .errors import ParameterError
 # Shorter-operand length below which the schoolbook loop beats packing.
 _CROSSOVER = 12
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
-# slot widths in bytes that struct converts, and their format codes
+# slot widths that struct converts in one call, and their signed codes
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -160,26 +161,16 @@ def _slot_offset(w: int, n: int) -> int:
 
 def _pack(c, w: int) -> int:
     """The exact value sum_k c_k 2^(8wk) of a signed coefficient sequence,
-    each |c_k| below 2^(8w-1).
-
-    At a ``struct`` width each slot is written in two's complement, read
-    back as one unsigned integer, and every negative slot's borrow
-    2^(8w(k+1)) (its top bit, moved up one slot) is subtracted; struct
-    refuses a value out of range, it never wraps.  At other widths each
-    slot is written as the offset digit c_k + 2^(8w-1) and the offsets
-    are subtracted as one integer.
-    """
-    n = len(c)
+    each |c_k| below 2^(8w-1): each slot is written as the offset digit
+    c_k + 2^(8w-1) and the offsets are subtracted as one integer.
+    ``struct`` refuses a digit out of range, it never wraps."""
+    digits = map((1 << (8 * w - 1)).__add__, c)
     code = _STRUCT_CODES.get(w)
     if code is not None:
-        u = int.from_bytes(struct.pack(f"<{n}{code}", *c), "little")
-        if min(c) >= 0:
-            return u
-        lows = int.from_bytes((b"\x01" + bytes(w - 1)) * n, "little")
-        return u - (((u >> (8 * w - 1)) & lows) << (8 * w))
-    half = 1 << (8 * w - 1)
-    raw = b"".join([(x + half).to_bytes(w, "little") for x in c])
-    return int.from_bytes(raw, "little") - _slot_offset(w, n)
+        raw = struct.pack(f"<{len(c)}{code.upper()}", *digits)
+    else:
+        raw = b"".join([d.to_bytes(w, "little") for d in digits])
+    return int.from_bytes(raw, "little") - _slot_offset(w, len(c))
 
 
 def _unpack(x: int, w: int, n: int) -> list:
@@ -214,66 +205,62 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     product is 1 when it is empty.  Each factor is cut to size - shift
     coefficients, which changes no coefficient below size.
 
-    The sum is one big-integer expression at t = 2^(8w): every factor is
-    packed once per cut length, each term is one product of packed
-    integers shifted by whole slots, and the sum, reduced modulo
-    2^(8w size) (modulo t^size), is multiplied by the packed factor and
-    unpacked once.  The slot width comes from an exact bound: every
-    coefficient of a sum of products is at most the sum over its terms of
-    the product of the factors' l1 norms (the l1 norm of a product is at
-    most the product of the norms), times the l1 norm of the factor, and
-    one more bit holds the sign.
+    The sum is one big-integer expression at t = 2^(8w): each term is one
+    product of its packed factors shifted by whole slots, and the sum,
+    reduced modulo 2^(8w size) (modulo t^size), is multiplied by the
+    packed factor and unpacked once.  The slot width comes from an exact
+    bound: every coefficient of a sum of products is at most the sum over
+    its terms of the product of the factors' l1 norms (the l1 norm of a
+    product is at most the product of the norms), times the l1 norm of
+    the factor, and one more bit holds the sign.
 
     Slots as wide as the largest coefficient make every product slower,
     so two kinds of term do not set the width of the products.  A term
     whose factors are all constants (a monomial, such as a Gothen cover's
     correction) is added to its coefficient after the unpack.  A factor
     that needs wider slots than the products is applied after the sum is
-    unpacked and packed again at the wider width.
+    unpacked and packed again at the wider width.  A sum of one term with
+    one factor, under the factor 1, is copied unpacked.
     """
     factor = factor[:size]
     if size <= 0 or not any(factor):
         return [0] * max(size, 0)
-    # (id, length) -> [cut factor, its l1 norm, packed or None, the factor];
-    # holding the factor keeps its id from being reused during the call
-    cache: dict[tuple[int, int], list] = {}
     products, monomials, bound = [], [], 0
     for sign, shift, factors in terms:
         n = size - shift
         if n <= 0:
             continue
-        entries, norm = [], 1
+        norm = 1
         for f in factors:
-            key = (id(f), min(len(f), n))
-            e = cache.get(key)
-            if e is None:
-                cut = f[:n]
-                e = cache[key] = [cut, sum(map(abs, cut)), None, f]
-            entries.append(e)
-            norm *= e[1]
+            norm *= sum(map(abs, f[:n]))
         if not norm:
             continue
-        if all(len(e[0]) == 1 for e in entries):
+        if all(len(f) == 1 for f in factors):
             c = sign
-            for e in entries:
-                c *= e[0][0]
+            for f in factors:
+                c *= f[0]
             monomials.append((shift, c))
         else:
             bound += norm
-            products.append((sign, shift, entries))
+            products.append((sign, shift, factors))
     if not products and not monomials:
         return [0] * size
+    plain = tuple(factor) == (1,)
+    if plain and not monomials and len(products) == 1 and len(products[0][2]) == 1:
+        sign, shift, (f,) = products[0]  # one factor alone: nothing to multiply
+        cs = [0] * size
+        cut = f[: size - shift]
+        cs[shift : shift + len(cut)] = cut if sign > 0 else [-c for c in cut]
+        return cs
     w = _slot_width(bound.bit_length() + 1)  # the bits of the bound and a sign bit
     total = 0
-    for sign, shift, entries in products:
+    for sign, shift, factors in products:
+        n = size - shift
         prod = 1
-        for e in entries:
-            if e[2] is None:
-                e[2] = _pack(e[0], w)
-            prod *= e[2]
+        for f in factors:
+            prod *= _pack(f[:n], w)
         prod <<= 8 * w * shift
         total = total + prod if sign > 0 else total - prod
-    plain = tuple(factor) == (1,)
     if plain and not monomials:
         return _unpack(total, w, size)
     wide = (bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor))

@@ -231,6 +231,7 @@ def test_shifted_product_sum_at_the_norm_bound(bits):
                               ([(sign, 0, ((1, 0),))], (m, 0)),
                               ([(sign, 0, ((m,),)), (1, 1, ((1, 0),))], (m, 0)),
                               ([(1, 0, ((m, 0),)), (sign, 0, ((m, 0),))], (1,)),
+                              ([(1, 0, ((1, 0),)), (sign, 1, ((1, 0),))], (m, 0)),
                               ([(sign, 0, ((m,),))], (1,))]:
             assert shifted_product_sum(terms, 3, factor) == \
                 naive_product_sum(terms, 3, factor)
