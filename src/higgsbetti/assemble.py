@@ -18,25 +18,28 @@ explicit unknowns with series coefficients, linked by the exact
 wall-crossing difference, so route equivalence is decidable without any
 imported values.  A provider can substitute absolute values.
 
-Every assembly is a sum of blocks.  A block is the factor and the
-denominator that all strata of one kind share: P(J)/(1-t^2) for C1,
-P(J)^2/(1-t^2)^2 for C2, B1-diff and the boundary term of the u21 route,
-1/((1-t^2)^k (1-t^4)) for the Atiyah-Bott block of a route, and 1 for
-the cover sums.  A term is (label, sign, shift, factors, block): its own
-polynomial is the product of its factors, (P(S^m1), P(S^m2)) for C1 and
-the invariant covers, (P(S^m),) for C2, B1-diff and the boundary term,
-one Atiyah-Bott numerator, or a Gothen cover's two factors plus its
-monomial correction.  Nothing is multiplied when a term is added.
-``finish`` forms each block's numerator sum, times the block's factor,
-as one big-integer expression (``series.shifted_product_sum``), unpacks
-it once and divides once.  A term's own numerator is formed once, when
-the term is first read (JSON ``terms``, residual provenance,
-``scaled_by``), and every expansion of the term reuses it; provenance
-expands only up to the degree it asks for.
+Every assembly is a sum of blocks.  A block is a ``RationalExpr``, the
+factor over the denominator that all strata of one kind share:
+P(J)/(1-t^2) for C1, P(J)^2/(1-t^2)^2 for C2, B1-diff and the boundary
+term of the u21 route, 1/((1-t^2)^k (1-t^4)) for the Atiyah-Bott block
+of a route, and 1 (``PLAIN``) for the cover sums; blocks are cached per
+genus and shape (``ingredients.jacobian_block``).  A term is (label,
+entries, block, order), and its entries (sign, shift, factors) are those
+of ``series.shifted_product_sum``: one entry t^mu P(S^m1) P(S^m2) for C1
+and the invariant covers, t^s P(S^m) for C2, B1-diff and the boundary
+term, one Atiyah-Bott numerator, or a Gothen cover's two entries.
+Nothing is multiplied when a term is added.  ``finish`` expands each
+block once over the entries of all its terms (``RationalExpr.expand``:
+one big-integer expression, unpacked once, and one division).  A term's
+own numerator, the sum of its entries, is formed once, when the term is
+first read (JSON ``terms``, residual provenance, ``scaled_by``), and
+every expansion of the term reuses it; provenance expands only up to the
+degree it asks for.
 Every block is a unit power series and a product of nonzero polynomials
 has the sum of their lowest degrees as its lowest degree, so a term is
-dropped exactly when a factor is zero or its shift plus the factors'
-lowest degrees exceeds the order.
+dropped exactly when none of its entries reaches the order: each entry
+has a zero factor, or its shift plus its factors' lowest degrees exceeds
+the order.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from .ingredients import (
     bg_su21,
     bg_u21,
     gothen_cover,
+    jacobian_block,
     jacobian_poincare,
-    jacobian_polynomial,
     line_splitting_sum,
     sym_factor,
     v_dim,
@@ -62,6 +65,7 @@ from .ingredients import (
 from .params import ModuliParams, canonicalize, index_bounds, s_tau
 from .series import (
     PolynomialWindow,
+    RationalExpr,
     TruncatedSeries,
     is_polynomial_window,
     resolve_order,
@@ -72,62 +76,33 @@ PAIRS = "pairs_equivariant"
 MODULI_MIN = "moduli_min"
 
 
-@dataclass(frozen=True, eq=False)
-class Block:
-    """factor(t) / prod_a (1 - t^a): what every term of one stratum kind
-    shares.  The factor is a polynomial with constant term 1."""
-
-    factor: tuple[int, ...]
-    denominators: tuple[int, ...] = ()
-
-    def expand(self, entries, order: int) -> TruncatedSeries:
-        """The sum of the entries (sign, shift, factors) of
-        ``shifted_product_sum`` times factor / prod_a (1 - t^a), truncated
-        at order: one call of ``shifted_product_sum`` and one division."""
-        cs = shifted_product_sum(entries, order + 1, self.factor)
-        return TruncatedSeries(tuple(cs)).over_one_minus(*self.denominators)
-
-
 # the block of a term that is its own expansion
-PLAIN = Block((1,))
+PLAIN = RationalExpr((1,))
 
 
 @dataclass(frozen=True, eq=False)
 class TermValue:
-    """One labeled summand sign * t^shift * (own polynomial) * block of an
-    assembly, truncated at order.  The term's own polynomial is the
-    product of ``factors`` plus, when ``correction`` = (degree, v) is set,
-    the monomial v t^degree (a Gothen cover).  It is never multiplied
-    out when the term is made: ``numerator`` forms its first
-    order - shift + 1 coefficients the first time the term is read, and
-    every expansion (``series``, ``expanded``, ``coefficient``) and
-    ``scaled_by`` reuse it.  Terms compare by label and expansion."""
+    """One labeled summand of an assembly: the sum of its ``entries``
+    (sign, shift, factors), as in ``shifted_product_sum``, times its
+    block, truncated at order.  The entries are never multiplied out when
+    the term is made: ``numerator`` forms the first order + 1 coefficients
+    of their sum the first time the term is read, and every expansion
+    (``series``, ``expanded``, ``coefficient``) and ``scaled_by`` reuse
+    it.  Terms compare by label and expansion."""
 
     label: str
-    sign: int
-    shift: int
-    factors: tuple[tuple[int, ...], ...]
-    block: Block
+    entries: tuple
+    block: RationalExpr
     order: int
-    correction: tuple[int, int] | None = None
 
     @classmethod
     def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
-        return cls(label, 1, 0, (series.coeffs,), PLAIN, series.order)
-
-    def entries(self, sign: int, shift: int) -> list:
-        """sign * t^shift times the own polynomial, as entries of
-        ``shifted_product_sum``."""
-        out = [(sign, shift, self.factors)]
-        if self.correction is not None:
-            degree, v = self.correction
-            out.append((sign, shift + degree, ((v,),)))
-        return out
+        return cls(label, ((1, 0, (series.coeffs,)),), PLAIN, series.order)
 
     @cached_property
     def numerator(self) -> tuple[int, ...]:
-        """The first order - shift + 1 coefficients of the own polynomial."""
-        return tuple(shifted_product_sum(self.entries(1, 0), self.order - self.shift + 1))
+        """The first order + 1 coefficients of the sum of the entries."""
+        return tuple(shifted_product_sum(self.entries, self.order + 1))
 
     @cached_property
     def series(self) -> TruncatedSeries:
@@ -137,16 +112,18 @@ class TermValue:
         """The term truncated at order (at most its own order)."""
         if order > self.order:
             raise ParameterError(f"term holds order {self.order}, asked for {order}")
-        return self.block.expand([(self.sign, self.shift, (self.numerator,))], order)
+        return self.block.expand(order, ((1, 0, (self.numerator,)),))
 
     def coefficient(self, degree: int) -> int:
         return self.expanded(degree).coeffs[degree]
 
     def negated(self) -> "TermValue":
-        return replace(self, label=f"-({self.label})", sign=-self.sign)
+        return replace(self, label=f"-({self.label})",
+                       entries=tuple((-sign, shift, factors)
+                                     for sign, shift, factors in self.entries))
 
     def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
-        return replace(self, factors=(self.numerator, factor.coeffs), correction=None)
+        return replace(self, entries=((1, 0, (self.numerator, factor.coeffs)),))
 
     def __eq__(self, other):
         if not isinstance(other, TermValue):
@@ -253,16 +230,24 @@ class AssemblyResult:
         return doc
 
 
-def _lowest_degree(f) -> int | None:
-    """Index of the first nonzero coefficient of f, None when f is zero."""
-    return next((k for k, c in enumerate(f) if c), None)
+def _reaches(entry, order: int) -> bool:
+    """Whether an entry (sign, shift, factors) has a nonzero coefficient
+    at or below order: no factor is zero, and its shift plus the factors'
+    lowest degrees is at most order."""
+    _, low, factors = entry
+    for f in factors:
+        k = 0 if f[0] else next((k for k, c in enumerate(f) if c), None)
+        if k is None:
+            return False
+        low += k
+    return low <= order
 
 
 class _Builder:
     """Collects the terms of one assembly at a point with tau >= 0.
 
-    ``add`` only records a term; ``finish`` expands every block once, by
-    one ``shifted_product_sum`` over its terms.
+    ``add`` only records a term; ``finish`` expands every block once,
+    over the entries of all its terms.
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -272,36 +257,20 @@ class _Builder:
         self.order = order
         self.transforms = tuple(transforms)
         self.jac = jacobian_poincare(p.g, order)
-        self.blocks: dict[tuple, Block] = {}
         self.terms: list[TermValue] = []
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
 
-    def block(self, jac_power: int, *denominators: int) -> Block:
-        """The block P(J)^jac_power / prod_a (1 - t^a), one per shape."""
-        key = (jac_power, denominators)
-        if key not in self.blocks:
-            self.blocks[key] = Block(jacobian_polynomial(self.p.g, jac_power),
-                                     denominators)
-        return self.blocks[key]
+    def block(self, jac_power: int, *denominators: int) -> RationalExpr:
+        """The block P(J)^jac_power / prod_a (1 - t^a)."""
+        return jacobian_block(self.p.g, jac_power, *denominators)
 
-    def add(self, label: str, sign: int, shift: int, factors, block: Block,
-            correction: tuple[int, int] | None = None) -> None:
-        """Add sign * t^shift * (product of factors, plus the correction
-        monomial) * block.  A term whose factor product vanishes below the
-        order is dropped: a factor is zero, or shift plus the factors'
-        lowest degrees exceeds the order (every block is a unit series,
-        and a correction never lowers the lowest degree)."""
-        low = shift
-        for f in factors:
-            k = 0 if f[0] else _lowest_degree(f)
-            if k is None:
-                return
-            low += k
-        if low > self.order:
-            return
-        self.terms.append(TermValue(label, sign, shift, tuple(factors), block,
-                                    self.order, correction))
+    def add(self, label: str, block: RationalExpr, *entries) -> None:
+        """Add (sum of the entries (sign, shift, factors)) * block.  A term
+        none of whose entries reaches the order is dropped (every block is
+        a unit series)."""
+        if any(_reaches(e, self.order) for e in entries):
+            self.terms.append(TermValue(label, entries, block, self.order))
 
     def add_unknown(self, name: str, coeff: TruncatedSeries, label: str) -> None:
         zero = TruncatedSeries.zero(self.order)
@@ -322,13 +291,12 @@ class _Builder:
                 mm = pairs - ww_difference(p, order)
             values = {PAIRS: pairs, MODULI_MIN: mm}
         unknown: dict[str, TruncatedSeries] = {}
-        by_block: dict[Block, list[TermValue]] = {}
+        by_block: dict[RationalExpr, list] = {}
         for t in self.terms:
-            by_block.setdefault(t.block, []).append(t)
+            by_block.setdefault(t.block, []).extend(t.entries)
         known = TruncatedSeries.zero(order)
-        for block, terms in by_block.items():
-            entries = [e for t in terms for e in t.entries(t.sign, t.shift)]
-            known = known + block.expand(entries, order)
+        for block, entries in by_block.items():
+            known = known + block.expand(order, entries)
         terms = list(self.terms)
         for name, coeff in self.unknown.items():
             value = values.get(name)
@@ -423,13 +391,14 @@ def _add_c1_sum(b: _Builder) -> None:
         if shift > order:
             break
         if b.group == "su21":
-            factors, correction = gothen_cover(CoverParams(m1, m2, p.g), order)
-            b.add(f"cover-sum[l={l}]", 1, shift, factors, block, correction)
+            b.add(f"cover-sum[l={l}]", block,
+                  *[(sign, shift + k, factors) for sign, k, factors
+                    in gothen_cover(CoverParams(m1, m2, p.g), order)])
         else:
             # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); pu21: the 3-torsion
             # invariant part of the cover, P(S^m1) P(S^m2)
             label = f"C1[l={l}]" if b.group == "u21" else f"invariant-cover-sum[l={l}]"
-            b.add(label, 1, shift, (_sym(b, m1), _sym(b, m2)), block)
+            b.add(label, block, (1, shift, (_sym(b, m1), _sym(b, m2))))
 
 
 def _add_closed_form(b: _Builder) -> None:
@@ -443,24 +412,25 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     total, semistable, tail = atiyah_bott_numerators(
         b.p.g, b.p.d2 % 2 == 1, line_factors)
     block = b.block(0, *[2] * line_factors, 4)
-    b.add("classifying-total", 1, 0, (total,), block)
-    b.add("semistable-bundle-block", -1, 0, (semistable,), block)
-    b.add("line-splitting-tail", -1, 0, (tail,), block)
+    b.add("classifying-total", block, (1, 0, (total,)))
+    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)))
+    b.add("line-splitting-tail", block, (-1, 0, (tail,)))
 
 
-def _add_route_sums(b: _Builder, boundary: Block, c2: Block, b1_diff: Block) -> None:
+def _add_route_sums(b: _Builder, boundary: RationalExpr, c2: RationalExpr,
+                    b1_diff: RationalExpr) -> None:
     """The even-degree boundary term and the C2 and B1-diff sums, each a
     symmetric product over its block."""
     p = b.p
     g, d1, d2 = p.g, p.d1, p.d2
     if d2 % 2 == 0:
-        b.add("even-degree-boundary", 1, p.e, (_sym(b, p.e // 2),), boundary)
+        b.add("even-degree-boundary", boundary, (1, p.e, (_sym(b, p.e // 2),)))
     for l in _c2_sum_ells(p):
-        b.add(f"C2[l={l}]", -1, 2 * (2 * g - 2 + l - d1),
-              (_sym(b, l - d1 + 2 * g - 2),), c2)
+        b.add(f"C2[l={l}]", c2,
+              (-1, 2 * (2 * g - 2 + l - d1), (_sym(b, l - d1 + 2 * g - 2),)))
     for l in _b1_diff_ells(p):
-        b.add(f"B1-diff[l={l}]", 1, _mu(p, l), (_sym(b, d2 - d1 + 2 * g - 2 - l),),
-              b1_diff)
+        b.add(f"B1-diff[l={l}]", b1_diff,
+              (1, _mu(p, l), (_sym(b, d2 - d1 + 2 * g - 2 - l),)))
 
 
 @_assembly("u21")
@@ -648,12 +618,12 @@ def moduli_poincare(
     provider: BradlowProvider | None = None,
     order: int | None = None,
     *,
-    window: int | None = None,
     force: bool = False,
 ) -> ModuliReport:
     """Moduli-space series (1-t^2) times the equivariant series, defined
     in the coprime classes only, with a truncation-window polynomiality
-    probe (heuristic: truncation can only falsify polynomiality)."""
+    probe over the top max(2, order // 4) coefficients (heuristic:
+    truncation can only falsify polynomiality)."""
     if not p.is_coprime:
         raise ParameterError(
             "moduli series defined only in the coprime case (d1+d2 not "
@@ -663,10 +633,9 @@ def moduli_poincare(
     one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
     result = replace(equivariant.scaled_by(one_minus_t2), group="moduli")
     if result.mode == "absolute":
-        w = window if window is not None else max(2, result.order // 4)
         return ModuliReport(
             result=result,
-            polynomial=is_polynomial_window(result.series, w),
+            polynomial=is_polynomial_window(result.series, max(2, result.order // 4)),
             nonnegative=result.series.is_nonnegative(),
         )
     return ModuliReport(result=result, polynomial=None, nonnegative=None)

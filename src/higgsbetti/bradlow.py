@@ -25,8 +25,8 @@ invariant puts sigma below e/2: there are no walls and the difference
 is zero.
 
 Every wall shares the factor P(J)/(1-t^2), so ``ww_from_invariants``
-sums (t^a - t^b) P(S^{e-j} X) over the walls, times P(J), as one
-``shifted_product_sum`` and divides by (1-t^2) once.
+expands the walls' (t^a - t^b) P(S^{e-j} X) over that one block
+(``RationalExpr.expand``): one product sum and one division.
 """
 
 from __future__ import annotations
@@ -39,17 +39,15 @@ from pathlib import Path
 
 from .errors import ParameterError, ProviderFileError
 from .ingredients import (
+    jacobian_block,
     jacobian_poincare,
-    jacobian_polynomial,
     projective_poincare,
     sym_factor,
 )
 from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid
 from .series import (
     TruncatedSeries,
-    geometric_inverse,
     parse_integer,
-    shifted_product_sum,
 )
 
 
@@ -87,8 +85,7 @@ def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> Truncated
             terms.append((1, 2 * (g - 1 + 2 * s - e), (sym_factor(e - s, g, order),)))
         elif s == half:
             terms.append((1, e, (sym_factor(e // 2, g, order),)))
-    cs = shifted_product_sum(terms, order + 1, jacobian_polynomial(g))
-    return TruncatedSeries(tuple(cs)).over_one_minus(2)
+    return jacobian_block(g, 1, 2).expand(order, terms)
 
 
 def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
@@ -99,12 +96,11 @@ def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
 
 def maximal_pairs_equivariant(g: int, order: int) -> TruncatedSeries:
     """Equivariant pairs series at the maximal Toledo invariant,
-    where e = sigma = g-1:  P(J) (P(CP^{2g-3}) + t^{4g-4}/(1-t^2))."""
+    where e = sigma = g-1:  P(J) (P(CP^{2g-3}) + t^{4g-4}/(1-t^2)), which
+    is P(J)/(1-t^2), since P(CP^n) + t^{2n+2}/(1-t^2) = 1/(1-t^2)."""
     if g < 2:
         raise ParameterError("genus must be at least 2")
-    jac = jacobian_poincare(g, order)
-    tail = geometric_inverse(2, order).shifted(4 * g - 4)
-    return jac * (projective_poincare(2 * g - 3, order) + tail)
+    return jacobian_poincare(g, order).over_one_minus(2)
 
 
 def maximal_first_term(g: int, order: int) -> TruncatedSeries:

@@ -91,8 +91,14 @@ def cmd_strata(args) -> int:
     p, transforms = params.canonicalize(_params_from_args(args))
     order = series.resolve_order(p.g, args.order)
     head_order = min(order, HEAD_DEGREE)
+    default = p.d1 + 2 * p.g - 2
     l_max = params.HalfInt(args.lmax_doubled) if args.lmax_doubled is not None \
-        else params.HalfInt.from_int(p.d1 + 2 * p.g - 2)
+        else params.HalfInt.from_int(default)
+    # every index above d1 is a B3 row, so the table grows with l_max
+    if l_max.value > default + params.MAX_ORDER:
+        raise ParameterError(
+            f"lmax {l_max} is more than {params.MAX_ORDER} above the default "
+            f"d1 + 2g - 2 = {default}")
     descriptors = strata.enumerate_critical(p, l_max)
     present = {s.kind for s in descriptors}
     rows = []
@@ -151,7 +157,7 @@ def cmd_strata(args) -> int:
 
 def cmd_ingredients(args) -> int:
     g = args.genus
-    order = series.resolve_order(g if g else 2, args.order)
+    order = series.resolve_order(g, args.order)
     op = args.op
     value: int | None = None
     if op == "jacobian":
@@ -367,9 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "genus", 0) > params.MAX_GENUS:
+        genus = getattr(args, "genus", 2)
+        if not 2 <= genus <= params.MAX_GENUS:
             raise ParameterError(
-                f"genus {args.genus} is above the largest supported, {params.MAX_GENUS}")
+                f"genus {genus} is outside the supported range 2..{params.MAX_GENUS}")
         if (getattr(args, "order", None) or 0) > params.MAX_ORDER:
             raise ParameterError(
                 f"order {args.order} is above the largest supported, {params.MAX_ORDER}")

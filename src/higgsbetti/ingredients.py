@@ -19,7 +19,6 @@ from .series import (
     TruncatedSeries,
     binomial_power,
     polynomial_product,
-    shifted_product_sum,
 )
 
 
@@ -115,6 +114,13 @@ def jacobian_polynomial(g: int, power: int = 1) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def jacobian_block(g: int, power: int, *denominators: int) -> RationalExpr:
+    """P(J)^power / prod_a (1 - t^a), the factor and denominator that all
+    terms of one stratum kind share; cached, so it is validated once."""
+    return RationalExpr(jacobian_polynomial(g, power), denominators)
+
+
+@lru_cache(maxsize=None)
 def atiyah_bott_numerators(
     g: int, odd_d2: bool, line_factors: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -200,24 +206,22 @@ def v_dim(c: CoverParams) -> int:
     return (3 ** (2 * c.g) - 1) * _safe_comb(c.m1) * _safe_comb(c.m2)
 
 
-def gothen_cover(c: CoverParams, order: int) -> tuple[tuple[tuple[int, ...], ...],
-                                                     tuple[int, int]]:
+def gothen_cover(c: CoverParams, order: int) -> tuple[tuple, tuple]:
     """Gothen's formula for the 3^{2g}-fold cover of S^{m1}X x S^{m2}X,
 
         P_t = P_t(S^{m1}X) P_t(S^{m2}X) + v t^{m1+m2},
 
-    as its factors (``sym_factor`` of m1 and m2, exact up to order) and its
-    monomial correction (m1 + m2, v).  The correction v = v_dim(m1, m2)
-    is present iff both mi <= 2g-2 (it vanishes automatically otherwise,
-    but the branch is kept explicit to mirror the two printed cases).
+    as its two entries (sign, shift, factors) of ``shifted_product_sum``:
+    the product of ``sym_factor`` of m1 and m2 (exact up to order) and the
+    monomial v t^{m1+m2}.  The monomial v = v_dim(m1, m2) is present iff
+    both mi <= 2g-2 (it vanishes automatically otherwise, but the branch
+    is kept explicit to mirror the two printed cases).
     """
     factors = (sym_factor(c.m1, c.g, order), sym_factor(c.m2, c.g, order))
     present = c.m1 <= 2 * c.g - 2 and c.m2 <= 2 * c.g - 2
-    return factors, (c.m1 + c.m2, v_dim(c) if present else 0)
+    return (1, 0, factors), (1, c.m1 + c.m2, ((v_dim(c) if present else 0,),))
 
 
 def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:
     """The cover polynomial of ``gothen_cover`` truncated at order."""
-    factors, (degree, v) = gothen_cover(c, order)
-    return TruncatedSeries(tuple(shifted_product_sum(
-        [(1, 0, factors), (1, degree, ((v,),))], order + 1)))
+    return RationalExpr((1,)).expand(order, gothen_cover(c, order))

@@ -190,7 +190,8 @@ def delta_set(p: ModuliParams, l_max: HalfInt) -> list[HalfInt]:
 def region_of(p: ModuliParams, k: HalfInt) -> str:
     """Classify k into region I, II, III, or "none" below all regions."""
     _require_valid(p)
-    if k not in delta_set(p, k):
+    # membership in delta_set(p, k), decided without building it
+    if k != HalfInt(p.d2) and not (k.is_integer and k.as_int() > index_bounds(p).c2_low):
         raise ParameterError(f"l = {k} is not in the index set")
     kv = k.value
     g, d1, d2 = p.g, p.d1, p.d2

@@ -217,7 +217,9 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     Slots as wide as the largest coefficient make every product slower,
     so two kinds of term do not set the width of the products.  A term
     whose factors are all constants (a monomial, such as a Gothen cover's
-    correction) is added to its coefficient after the unpack.  A factor
+    correction) is added to its coefficient after the unpack; a sum of
+    monomials alone is a sum of shifted multiples of the factor, packed
+    not at all.  A factor
     that needs wider slots than the products is applied after the sum is
     unpacked and packed again at the wider width.  A sum of one term with
     one factor, under the factor 1, is copied unpacked.
@@ -243,8 +245,12 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
         else:
             bound += norm
             products.append((sign, shift, factors))
-    if not products and not monomials:
-        return [0] * size
+    if not products:  # monomials alone: shifted multiples of the factor
+        cs = [0] * size
+        for shift, c in monomials:
+            for k, f in enumerate(factor[: size - shift]):
+                cs[shift + k] += c * f
+        return cs
     plain = tuple(factor) == (1,)
     if plain and not monomials and len(products) == 1 and len(products[0][2]) == 1:
         sign, shift, (f,) = products[0]  # one factor alone: nothing to multiply
@@ -484,7 +490,9 @@ class RationalExpr:
     """numerator(t) / prod_i (1 - t^{a_i}) with a finite integer numerator.
 
     The denominator is kept factored as a multiset of exponents a_i >= 1;
-    every denominator that occurs downstream has this shape.
+    every denominator that occurs downstream has this shape.  Every sum of
+    terms over a shared factor and denominator (an assembly block, the
+    wall-crossing sum, a critical set) is one ``expand`` of such a value.
     """
 
     numerator: tuple[int, ...]
@@ -499,8 +507,16 @@ class RationalExpr:
             raise ParameterError("denominator exponents must be >= 1")
         object.__setattr__(self, "denom_exponents", exps)
 
-    def expand(self, order: int) -> TruncatedSeries:
-        return _over_one_minus(_padded(self.numerator, order), self.denom_exponents)
+    def expand(self, order: int, terms=((1, 0, ()),)) -> TruncatedSeries:
+        """The sum of the entries (sign, shift, factors) of
+        ``shifted_product_sum`` times this expression, truncated at order:
+        one ``shifted_product_sum`` with the numerator as its factor and
+        one division.  The default entry is 1, which expands the
+        expression itself."""
+        if order < 0:
+            raise ParameterError("order must be nonnegative")
+        return _over_one_minus(shifted_product_sum(terms, order + 1, self.numerator),
+                               self.denom_exponents)
 
     def denominator_polynomial(self, order: int) -> TruncatedSeries:
         """prod_i (1 - t^{a_i}) as a truncated series (for recovery checks)."""

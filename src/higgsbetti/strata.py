@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
-from .ingredients import ab_semistable_rank2, jacobian_poincare, sym_poincare
+from .ingredients import ab_semistable_rank2, jacobian_block, jacobian_poincare, sym_factor
 from .params import HalfInt, ModuliParams, _require_valid, index_bounds
 from .series import TruncatedSeries
 
@@ -130,11 +130,11 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
     every downstream display); see table_note("C1").
     """
     p, g = s.params, s.params.g
-    jac = jacobian_poincare(g, order)
     if s.kind is StratumKind.A:
+        jac = jacobian_poincare(g, order)
         return (jac * ab_semistable_rank2(p.d2, g, order)).over_one_minus(2, 2)
     if s.kind in (StratumKind.B1, StratumKind.B2, StratumKind.B3):
-        return (jac * jac * jac).over_one_minus(2, 2, 2)
+        return jacobian_block(g, 3, 2, 2, 2).expand(order)
     l = s.ell.as_int()
     if s.kind is StratumKind.C1:
         m = p.d2 - l - p.d1 + 2 * g - 2
@@ -146,7 +146,7 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
         raise RangeViolationError(
             f"negative symmetric-product exponent {m} for {s}"
         )
-    return (jac * jac * sym_poincare(m, g, order)).over_one_minus(2, 2)
+    return jacobian_block(g, 2, 2, 2).expand(order, ((1, 0, (sym_factor(m, g, order),)),))
 
 
 def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:
@@ -316,12 +316,7 @@ def negative_pair_cohomology(
             raise RangeViolationError(
                 f"negative symmetric-product exponent for pair ({pair_kind}) at {s}"
             )
-        piece = TruncatedSeries.one(order)
-        jac = jacobian_poincare(g, order)
-        for _ in range(jac_pow):
-            piece = piece * jac
-        for m in sym_exps:
-            piece = piece * sym_poincare(m, g, order)
-        piece = piece.over_one_minus(*[2] * euler_pow)
-        total = total + piece.shifted(shift).scale(sign)
+        block = jacobian_block(g, jac_pow, *[2] * euler_pow)
+        syms = tuple(sym_factor(m, g, order) for m in sym_exps)
+        total = total + block.expand(order, ((sign, shift, syms),))
     return total

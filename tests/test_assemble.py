@@ -24,7 +24,14 @@ from higgsbetti.bradlow import (
     provider_from_file,
 )
 from higgsbetti.errors import ParameterError
-from higgsbetti.ingredients import jacobian_poincare, sym_poincare
+from higgsbetti.ingredients import (
+    CoverParams,
+    gothen_cover,
+    gothen_cover_poincare,
+    jacobian_block,
+    jacobian_poincare,
+    sym_poincare,
+)
 from higgsbetti.params import make_params, valid_points
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 
@@ -380,8 +387,27 @@ def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():
     # a term's polynomial may be shorter than order - shift + 1; scaling
     # it must still reach every degree up to the order
     one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], 5)
-    term = TermValue("x", 1, 0, ((1,),), PLAIN, 5)
+    term = TermValue("x", ((1, 0, ((1,),)),), PLAIN, 5)
     assert term.scaled_by(one_minus_t2).series == one_minus_t2
-    shifted = TermValue("y", -1, 2, ((1, 1),), PLAIN, 5)  # -t^2 (1 + t)
+    shifted = TermValue("y", ((-1, 2, ((1, 1),)),), PLAIN, 5)  # -t^2 (1 + t)
     assert shifted.scaled_by(one_minus_t2).series == \
         TruncatedSeries.from_coeffs([0, 0, -1, -1, 1, 1], 5)
+
+
+@pytest.mark.parametrize("g, m1, m2", [(2, 1, 1), (2, 3, 0), (3, 2, 4)])
+def test_negated_and_scaled_gothen_term(g, m1, m2):
+    # a cover term has two entries, the product and the monomial; negating
+    # or scaling the term must carry both, over a plain and a Jacobian block
+    order, shift = 16, 3
+    entries = tuple((sign, shift + k, factors)
+                    for sign, k, factors in gothen_cover(CoverParams(m1, m2, g), order))
+    cover = gothen_cover_poincare(CoverParams(m1, m2, g), order).shifted(shift)
+    scale = TruncatedSeries.from_coeffs([1, 0, -1, 5], order)
+    jac_over = jacobian_poincare(g, order) * geometric_inverse(2, order)
+    for block, want in ((PLAIN, cover), (jacobian_block(g, 1, 2), cover * jac_over)):
+        term = TermValue("cover", entries, block, order)
+        assert term.series == want
+        assert term.negated().series == -want
+        assert term.negated().label == "-(cover)"
+        assert term.scaled_by(scale).series == want * scale
+        assert term.negated().scaled_by(scale).series == -(want * scale)

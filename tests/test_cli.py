@@ -236,6 +236,34 @@ def test_genus_above_the_cap_is_refused(capsys, argv):
     assert f"genus {MAX_GENUS + 1}" in err
 
 
+@pytest.mark.parametrize("genus", ["1", "0", "-3"])
+def test_genus_below_two_is_refused_before_the_order(capsys, genus):
+    # the default order 8g+24 is below 1 at g = -3; the genus is named first
+    for argv in (["compute", "--group", "u21", "--d1", "0", "--d2", "0"],
+                 ["strata", "--d1", "0", "--d2", "0"],
+                 ["ingredients", "--op", "jacobian"],
+                 ["ingredients", "--op", "projective", "--n", "2"],
+                 ["export", "--what", "provider", "--out", os.devnull]):
+        code, out, err = run(capsys, *argv, "-g", genus)
+        assert code == 2 and out == ""
+        assert f"genus {genus} is outside the supported range 2..{MAX_GENUS}" in err
+
+
+def test_strata_lmax_is_held_to_the_order_budget(capsys):
+    # every index above d1 is a B3 row: lmax at most MAX_ORDER above the
+    # default d1 + 2g - 2 = 2 is tabulated, anything above exits 2
+    argv = ["strata", "-g", "2", "--d1", "0", "--d2", "0", "--format", "json"]
+    top = 2 + MAX_ORDER
+    code, out, _ = run(capsys, *argv, "--lmax", str(top))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert (rows[-1]["kind"], rows[-1]["l"], rows[-1]["region"]) == ("B3", str(top), "III")
+    for lmax in (f"{2 * top + 1}/2", str(10**6)):
+        code, out, err = run(capsys, *argv, "--lmax", lmax)
+        assert code == 2 and out == ""
+        assert f"more than {MAX_ORDER} above the default d1 + 2g - 2 = 2" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--group", "u21", "--d1", "0", "--d2", "0"],
     ["strata", "--d1", "0", "--d2", "0"],

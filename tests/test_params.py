@@ -116,6 +116,20 @@ def test_region_partition():
                     assert region_of(p, k) in {"I", "II", "III", "none"}
 
 
+def test_region_of_refuses_exactly_the_non_members():
+    # region_of decides membership without building delta_set; it must
+    # accept exactly the members, half-integers and points below too
+    for g in (2, 3):
+        for p in valid_points(g):
+            for doubled in range(2 * p.d2 - 8, 2 * (p.d1 + 2 * g + 2)):
+                k = HalfInt(doubled)
+                if k in delta_set(p, k):
+                    assert region_of(p, k) in {"I", "II", "III", "none"}
+                else:
+                    with pytest.raises(ParameterError, match="not in the index set"):
+                        region_of(p, k)
+
+
 def test_s_tau_examples():
     assert s_tau(2, 2) == {}
     assert s_tau(2, 0) == {8: (1, 1), 10: (0, 0)}

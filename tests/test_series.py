@@ -1,7 +1,7 @@
 import json
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -235,6 +235,37 @@ def test_shifted_product_sum_at_the_norm_bound(bits):
                               ([(sign, 0, ((m,),))], (1,))]:
             assert shifted_product_sum(terms, 3, factor) == \
                 naive_product_sum(terms, 3, factor)
+
+
+def naive_expansion(numerator, exponents, terms, order):
+    """Reference for RationalExpr.expand: the numerator times the
+    convolved entries, times one geometric series per denominator factor."""
+    out = TruncatedSeries(tuple(naive_product_sum(terms, order + 1, numerator)))
+    for a in exponents:
+        out = out * geometric_inverse(a, order)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_sums(), st.lists(st.integers(1, 5), max_size=3))
+@example(([(1, 0, ())], 6, (1,)), [2])  # an empty-factor entry: 1/(1-t^2)
+@example(([(-1, 2, ((3,), (5,)))], 6, (1, 1)), [2, 4])  # a monomial entry
+@example(([(1, 0, ((1, 2),)), (1, 1, ((0, 0), (1,)))], 5, (2, -1)), [1])  # zero factor
+@example(([(1, 9, ((1, 1),)), (-1, 1, ((1, 1),))], 6, (3,)), [3])  # shift past the order
+@example(([(1, 0, ((1, 2, 3),)), (1, 2, ((7,),))], 8, (4, 0, -2)), [])  # non-unit numerator
+def test_rational_expand_matches_naive_oracle(case, exponents):
+    terms, size, numerator = case
+    order = max(size - 1, 0)
+    assert RationalExpr(numerator, exponents).expand(order, terms) == \
+        naive_expansion(numerator, exponents, terms, order)
+
+
+def test_rational_expand_defaults_to_the_expression_itself():
+    expr = RationalExpr((1, 4, 6, 4, 1), (2, 4))
+    assert expr.expand(9) == expr.expand(9, [(1, 0, ())]) == \
+        naive_expansion(expr.numerator, (2, 4), [(1, 0, ())], 9)
+    with pytest.raises(ParameterError):
+        expr.expand(-1)
 
 
 def test_product_of_zero_series():
