@@ -261,10 +261,6 @@ class _Builder:
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
 
-    def block(self, jac_power: int, *denominators: int) -> RationalExpr:
-        """The block P(J)^jac_power / prod_a (1 - t^a)."""
-        return jacobian_block(self.p.g, jac_power, *denominators)
-
     def add(self, label: str, block: RationalExpr, *entries) -> None:
         """Add (sum of the entries (sign, shift, factors)) * block.  A term
         none of whose entries reaches the order is dropped (every block is
@@ -384,7 +380,7 @@ def _sym(b: _Builder, m: int) -> tuple[int, ...]:
 
 def _add_c1_sum(b: _Builder) -> None:
     p, order = b.p, b.order
-    block = b.block(1, 2) if b.group == "u21" else PLAIN
+    block = jacobian_block(p.g, 1, 2) if b.group == "u21" else PLAIN
     for l in _c1_ells(p):
         m1, m2 = _cover_exponents(p, l)
         shift = _mu(p, l)
@@ -411,7 +407,7 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     over (1-t^2)^line_factors (1-t^4); they cancel identically."""
     total, semistable, tail = atiyah_bott_numerators(
         b.p.g, b.p.d2 % 2 == 1, line_factors)
-    block = b.block(0, *[2] * line_factors, 4)
+    block = jacobian_block(b.p.g, 0, *[2] * line_factors, 4)
     b.add("classifying-total", block, (1, 0, (total,)))
     b.add("semistable-bundle-block", block, (-1, 0, (semistable,)))
     b.add("line-splitting-tail", block, (-1, 0, (tail,)))
@@ -457,7 +453,7 @@ def u21_stratum_route(b: _Builder) -> None:
     """
     _add_atiyah_bott_block(b, 3)
     b.add_unknown(MODULI_MIN, b.jac.over_one_minus(2), "bradlow-moduli-block")
-    c2 = b.block(2, 2, 2)  # P(J)^2/(1-t^2)^2
+    c2 = jacobian_block(b.p.g, 2, 2, 2)  # P(J)^2/(1-t^2)^2
     _add_route_sums(b, c2, c2, c2)
     _add_c1_sum(b)
 
@@ -479,7 +475,9 @@ def su21_stratum_route(b: _Builder) -> None:
     """
     _add_atiyah_bott_block(b, 2)
     b.add_unknown(MODULI_MIN, TruncatedSeries.one(b.order), "bradlow-moduli-block")
-    _add_route_sums(b, b.block(1), b.block(1, 2, 2), b.block(1, 2))
+    g = b.p.g
+    _add_route_sums(b, jacobian_block(g, 1), jacobian_block(g, 1, 2, 2),
+                    jacobian_block(g, 1, 2))
     _add_c1_sum(b)
 
 

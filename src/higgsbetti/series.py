@@ -217,12 +217,11 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     Slots as wide as the largest coefficient make every product slower,
     so two kinds of term do not set the width of the products.  A term
     whose factors are all constants (a monomial, such as a Gothen cover's
-    correction) is added to its coefficient after the unpack; a sum of
-    monomials alone is a sum of shifted multiples of the factor, packed
-    not at all.  A factor
-    that needs wider slots than the products is applied after the sum is
-    unpacked and packed again at the wider width.  A sum of one term with
-    one factor, under the factor 1, is copied unpacked.
+    correction) is added to its coefficient after the unpack, and a sum of
+    monomials alone is summed as shifted multiples of the factor, with no
+    packing.  A factor that needs wider slots than the products is applied
+    after the sum is unpacked and packed again at the wider width.  A sum
+    of one term with one factor, under the factor 1, is copied unpacked.
     """
     factor = factor[:size]
     if size <= 0 or not any(factor):

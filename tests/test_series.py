@@ -62,6 +62,8 @@ def test_expand_examples():
     assert RationalExpr((1,), (2, 2)).expand(4) == S([1, 0, 2, 0, 3])
     assert RationalExpr((0, 0, 0, 0, 1), (4,)).expand(9) == S(
         [0, 0, 0, 0, 1, 0, 0, 0, 1, 0])
+    with pytest.raises(ParameterError):
+        RationalExpr((1,), (2,)).expand(-1)
 
 
 def test_expand_recovery():
@@ -258,14 +260,6 @@ def test_rational_expand_matches_naive_oracle(case, exponents):
     order = max(size - 1, 0)
     assert RationalExpr(numerator, exponents).expand(order, terms) == \
         naive_expansion(numerator, exponents, terms, order)
-
-
-def test_rational_expand_defaults_to_the_expression_itself():
-    expr = RationalExpr((1, 4, 6, 4, 1), (2, 4))
-    assert expr.expand(9) == expr.expand(9, [(1, 0, ())]) == \
-        naive_expansion(expr.numerator, (2, 4), [(1, 0, ())], 9)
-    with pytest.raises(ParameterError):
-        expr.expand(-1)
 
 
 def test_product_of_zero_series():
