@@ -27,13 +27,12 @@ rounded up to 1, 2, 4 or 8 bytes, which ``struct`` converts in one call;
 wider slots are converted one slot at a time.  Packed values may be
 reduced modulo 2^(8wn), which is truncation at t^n.
 
-``TruncatedSeries`` products trim trailing zeros and take w from the
-operands' bit lengths plus log2 of the shorter length; below a measured
-crossover in the shorter operand's length the schoolbook loop is faster
-and is used instead.  ``shifted_product_sum`` forms a whole sum
+``shifted_product_sum`` is the one product kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
-numerator) as one big-integer expression and unpacks it once; its w
-comes from the l1 norms of the factors.
+numerator) as one big-integer expression and unpacks it once, and its w
+comes from the l1 norms of the factors, the one slot-width rule.  A
+``TruncatedSeries`` product and ``polynomial_product`` are that sum with
+one term of two factors.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -57,8 +56,6 @@ from math import comb
 
 from .errors import ParameterError
 
-# Shorter-operand length below which the schoolbook loop beats packing.
-_CROSSOVER = 12
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
 # slot widths that struct converts in one call, and their signed codes
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -114,38 +111,6 @@ def _padded(coeffs, order: int) -> list:
     return cs
 
 
-def _support(c, n: int) -> int:
-    """Length of c[:n] without its trailing zeros."""
-    n = min(n, len(c))
-    # skip long zero tails 64 at a time, at C speed
-    while n > 64 and not any(c[n - 64 : n]):
-        n -= 64
-    while n and not c[n - 1]:
-        n -= 1
-    return n
-
-
-def _product(a, b, size: int) -> list:
-    """Coefficients 0..size-1 of the product of two coefficient sequences."""
-    la, lb = _support(a, size), _support(b, size)
-    n = min(size, la + lb - 1)
-    if n <= 0:
-        return [0] * max(size, 0)
-    if min(la, lb) < _CROSSOVER:
-        out = [0] * size
-        for i in range(la):
-            x = a[i]
-            if x:
-                for j in range(min(lb, size - i)):
-                    y = b[j]
-                    if y:
-                        out[i + j] += x * y
-        return out
-    out = _packed_product(a[:la], b[:lb], n)
-    out += [0] * (size - n)
-    return out
-
-
 def _slot_width(bits: int) -> int:
     """Bytes per slot for coefficients of ``bits`` bits, sign bit included:
     1, 2, 4 or 8, which ``struct`` converts in one call, else the bytes
@@ -188,13 +153,6 @@ def _unpack(x: int, w: int, n: int) -> list:
     view = memoryview(data)
     return [int.from_bytes(view[k : k + w], "little", signed=True)
             for k in range(0, size, w)]
-
-
-def _packed_product(a, b, n: int) -> list:
-    """Coefficients 0..n-1 of a*b by one big-integer product (Kronecker)."""
-    w = _slot_width(max(max(a), -min(a)).bit_length() + max(max(b), -min(b)).bit_length()
-                    + (min(len(a), len(b)) - 1).bit_length() + 1)
-    return _unpack(_pack(a, w) * _pack(b, w), w, n)
 
 
 def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
@@ -398,7 +356,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return _trusted(tuple(_product(self.coeffs, other.coeffs, len(self.coeffs))))
+        return _trusted(tuple(shifted_product_sum(((1, 0, (self.coeffs, other.coeffs)),),
+                                                  len(self.coeffs))))
 
     __rmul__ = __mul__
 
@@ -480,8 +439,7 @@ def binomial_power(k: int, order: int) -> TruncatedSeries:
 
 def polynomial_product(p, q) -> tuple[int, ...]:
     """Full (untruncated) product of two integer coefficient lists."""
-    p, q = list(p), list(q)
-    return tuple(_product(p, q, len(p) + len(q) - 1))
+    return tuple(shifted_product_sum(((1, 0, (p, q)),), len(p) + len(q) - 1))
 
 
 @dataclass(frozen=True)

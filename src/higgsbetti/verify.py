@@ -9,6 +9,7 @@ SUITES maps each suite name to its function, in the CLI's run order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import assemble, bradlow, ingredients, params, series, strata
 
@@ -25,6 +26,15 @@ class SuiteResult:
 def _grid_genera(grid: dict[str, tuple[int, int]], default=(2, 3)) -> list[int]:
     lo, hi = grid.get("g", default)
     return list(range(lo, hi + 1))
+
+
+def _first_difference(expected, got) -> dict:
+    """The lowest degree at which two series differ, with both coefficients
+    there (all None when they agree)."""
+    k = next((k for k, (e, c) in enumerate(zip(expected.coeffs, got.coeffs)) if e != c),
+             None)
+    return {"degree": k, "expected": None if k is None else expected.coeffs[k],
+            "got": None if k is None else got.coeffs[k]}
 
 
 def _suite_series_laws(grid) -> SuiteResult:
@@ -68,23 +78,35 @@ def _suite_series_laws(grid) -> SuiteResult:
     return SuiteResult("series-laws", True, True, details)
 
 
+def _ab_closed_form(g: int, d2: int, order: int) -> series.TruncatedSeries:
+    """Atiyah-Bott's semistable rank-2 stratum from binomials alone:
+    (1+t)^{2g} [(1+t^3)^{2g} - t^f (1+t)^{2g}] / ((1-t^2)^2 (1-t^4)),
+    with f = 2g for odd d2 and 2g+2 for even d2."""
+    jac = series.binomial_power(2 * g, order)
+    cube = series.TruncatedSeries.from_coeffs(
+        [comb(2 * g, k // 3) if k % 3 == 0 else 0 for k in range(order + 1)])
+    f = 2 * g if d2 % 2 else 2 * g + 2
+    return (jac * (cube - jac.shifted(f))).over_one_minus(2, 2, 4)
+
+
 def _suite_ab_cancellation(grid) -> SuiteResult:
     for g in _grid_genera(grid):
         order = series.default_order(g)
+        zero = series.TruncatedSeries.zero(order)
         for d2 in range(0, 4):
-            for name, residual in (
-                ("u21", assemble.ab_cancellation_residual(g, d2, order)),
-                ("su21", assemble.su_ab_cancellation_residual(g, d2, order)),
+            for law, expected, got in (
+                ("closed form", _ab_closed_form(g, d2, order),
+                 ingredients.ab_semistable_rank2(d2, g, order)),
+                ("u21 residual", zero, assemble.ab_cancellation_residual(g, d2, order)),
+                ("su21 residual", zero, assemble.su_ab_cancellation_residual(g, d2, order)),
             ):
-                if not residual.is_zero():
-                    k = residual.degree()
-                    return SuiteResult(
-                        "ab-cancellation", True, False, [],
-                        {"g": g, "d2": d2, "group": name,
-                         "degree": k, "expected": 0,
-                         "got": residual.coeffs[k]})
+                if got != expected:
+                    return SuiteResult("ab-cancellation", True, False, [],
+                                       {"g": g, "d2": d2, "law": law,
+                                        **_first_difference(expected, got)})
     return SuiteResult("ab-cancellation", True, True,
-                       ["zero residual on the (g, d2) grid, both groups"])
+                       ["closed form of both parities and zero residual "
+                        "on the (g, d2) grid, both groups"])
 
 
 def _suite_route_u21(grid) -> SuiteResult:
@@ -125,11 +147,11 @@ def _suite_route_su21(grid) -> SuiteResult:
 
 
 def _suite_gothen(grid) -> SuiteResult:
-    order = 40
     for g in _grid_genera(grid):
         for m1 in range(0, 2 * g + 1):
             for m2 in range(0, 2 * g + 1):
                 c = ingredients.CoverParams(m1, m2, g)
+                order = 2 * (m1 + m2)  # the degree: the whole polynomial
                 got = ingredients.gothen_cover_poincare(c, order)
                 base = ingredients.sym_poincare(m1, g, order) \
                     * ingredients.sym_poincare(m2, g, order)
@@ -140,20 +162,24 @@ def _suite_gothen(grid) -> SuiteResult:
                 if got != expected:
                     return SuiteResult("gothen", True, False, [],
                                        {"g": g, "m1": m1, "m2": m2})
-                euler = got.evaluate(-1)
-                base_euler = base.evaluate(-1)
-                correction = ingredients.v_dim(c) * (-1) ** (m1 + m2) \
-                    if (m1 <= 2 * g - 2 and m2 <= 2 * g - 2) else 0
-                if euler != base_euler + correction:
+                # a 3^{2g}-fold unramified cover multiplies the Euler
+                # characteristic by 3^{2g}, and chi(S^m X) = (-1)^m C(2g-2, m)
+                # (Macdonald: sum_m chi(S^m X) x^m = (1-x)^{2g-2})
+                chi = got.evaluate(-1)
+                euler = 3 ** (2 * g) * (-1) ** (m1 + m2) \
+                    * comb(2 * g - 2, m1) * comb(2 * g - 2, m2)
+                if chi != euler:
                     return SuiteResult("gothen", True, False, [],
                                        {"g": g, "m1": m1, "m2": m2,
-                                        "law": "euler bookkeeping"})
+                                        "law": "euler characteristic",
+                                        "expected": euler, "got": chi})
     spot = ingredients.gothen_cover_poincare(ingredients.CoverParams(1, 1, 2), 8)
     if spot.coeffs[:5] != (1, 8, 338, 8, 1):
         return SuiteResult("gothen", True, False, [],
                            {"spot": "cover(1,1) at g=2", "got": spot.coeffs[:5]})
     return SuiteResult("gothen", True, True,
-                       ["cover polynomials match the invariant/anomalous split"])
+                       ["cover polynomials match the invariant/anomalous split "
+                        "and the covers' Euler characteristics"])
 
 
 def _suite_maximal(grid) -> SuiteResult:
@@ -169,11 +195,9 @@ def _suite_maximal(grid) -> SuiteResult:
         p = params.make_params(g, 2 * g - 2, g - 1)
         res = assemble.u21_closed_form(p, provider, order)
         if res.mode != "absolute" or res.series != expected:
-            k = (res.series - expected).degree()
             return SuiteResult("maximal", True, False, [],
-                               {"g": g, "degree": k,
-                                "expected": expected.coeffs[k] if k else None,
-                                "got": res.series.coeffs[k] if k else None})
+                               {"g": g, "mode": res.mode,
+                                **_first_difference(expected, res.series)})
         route = assemble.u21_stratum_route(p, provider, order)
         if route.series != expected:
             return SuiteResult("maximal", True, False, [],

@@ -1,10 +1,13 @@
 import json
 import os
+from dataclasses import replace
+from math import comb
 
 import pytest
 
 from higgsbetti.cli import main
 from higgsbetti.params import MAX_GENUS, MAX_ORDER, valid_points
+from higgsbetti.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -163,6 +166,57 @@ def test_verify_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] and doc["suites"][0]["name"] == "maximal"
+
+
+def test_verify_gothen_passes_at_genus_12(capsys):
+    # the cover's monomial v t^{m1+m2} lies past any fixed small order here
+    code, out, _ = run(capsys, "verify", "--suite", "gothen", "--grid", "g=12..12")
+    assert code == 0, out
+
+
+def test_gothen_suite_catches_a_wrong_anomalous_dimension(monkeypatch):
+    # v = (3^{2g}-1) C(2g-2, m1)^2 in the cover and in its re-typed formula
+    # alike, right at the spot value m1 = m2 = 1: only the Euler
+    # characteristic 3^{2g} chi(S^m1 X) chi(S^m2 X) sees it
+    from higgsbetti import ingredients, verify
+
+    monkeypatch.setattr(ingredients, "v_dim", lambda c: (3 ** (2 * c.g) - 1)
+                        * comb(2 * c.g - 2, c.m1) ** 2)
+    result = verify.SUITES["gothen"]({"g": (2, 2)})
+    assert not result.passed
+    assert result.counterexample == {"g": 2, "m1": 0, "m2": 1,
+                                     "law": "euler characteristic",
+                                     "expected": -162, "got": -82}
+
+
+def _one_more_at_degree_0(fn):
+    """fn with 1 added at degree 0 of the series it returns, or of its
+    result's ``series``."""
+    def wrapped(*args):
+        res = fn(*args)
+        series = getattr(res, "series", res)
+        bumped = series + TruncatedSeries.one(series.order)
+        return replace(res, series=bumped) if series is not res else bumped
+    return wrapped
+
+
+@pytest.mark.parametrize("suite, module, name, counterexample", [
+    ("maximal", "assemble", "u21_closed_form",
+     {"g": 2, "mode": "absolute", "degree": 0, "expected": 1, "got": 2}),
+    ("ab-cancellation", "ingredients", "ab_semistable_rank2",
+     {"g": 2, "d2": 0, "law": "closed form", "degree": 0, "expected": 1, "got": 2}),
+    ("ab-cancellation", "assemble", "ab_cancellation_residual",
+     {"g": 2, "d2": 0, "law": "u21 residual", "degree": 0, "expected": 0, "got": 1}),
+])
+def test_counterexample_reports_a_degree_0_difference(monkeypatch, suite, module, name,
+                                                      counterexample):
+    import higgsbetti
+    from higgsbetti import verify
+
+    owner = getattr(higgsbetti, module)
+    monkeypatch.setattr(owner, name, _one_more_at_degree_0(getattr(owner, name)))
+    result = verify.SUITES[suite]({"g": (2, 2)})
+    assert not result.passed and result.counterexample == counterexample
 
 
 def test_ingredients_ops(capsys):

@@ -174,6 +174,52 @@ def test_product_at_the_coefficient_bound(bits, length):
         assert list(polynomial_product(a, b)) == naive_product(a, b, 2 * length - 1)
 
 
+def _both_products(a, b):
+    """Check ``*`` on a and b zero-padded to one length, and
+    ``polynomial_product`` on a and b as given, against the convolution."""
+    assert list(polynomial_product(a, b)) == naive_product(a, b, len(a) + len(b) - 1)
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    got = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+    assert list(got.coeffs) == naive_product(a, b, n)
+
+
+@pytest.mark.parametrize("short", range(1, 12))
+def test_public_products_with_a_short_operand(short):
+    rng = random.Random(short)
+    for bits in (1, 8, 64, 400):
+        a = [rng.randint(-(2**bits), 2**bits) for _ in range(short)]
+        b = [rng.randint(-(2**bits), 2**bits) for _ in range(40)]
+        _both_products(a, b)
+        _both_products(b, a)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([5], [7]), ([-3], [0]), ([0], [4, 5]), ([2], [1, -1, 3]), ([0, 0], [0, 0]),
+    ([0, 0, 0], [1, 2, 3]), ([1, 2, 0, 0], [3, 0, 0, 0]), ([0, 0, 9, 0, 0], [0, -4, 0]),
+])
+def test_public_products_of_edge_operands(a, b):
+    # length-1 operands, all-zero operands and trailing zeros
+    _both_products(a, b)
+    _both_products(b, a)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 400])
+def test_public_products_at_the_norm_bound(bits):
+    # one nonzero coefficient per operand makes a coefficient of the
+    # product equal the product of the l1 norms, 2^bits - 1: the slot must
+    # hold all its bits and a sign bit
+    m = 2**bits - 1
+    pairs = [(m, 1), (1, m)]
+    if bits % 2 == 0:
+        pairs.append((2 ** (bits // 2) - 1, 2 ** (bits // 2) + 1))
+    for x, y in pairs:
+        for sx, sy in [(1, 1), (1, -1), (-1, -1)]:
+            _both_products([sx * x, 0], [sy * y, 0])
+            _both_products([sx * x, 0, 0], [0, 0, sy * y])
+            _both_products([sx * x], [0, sy * y])
+
+
 def naive_product_sum(terms, size, factor):
     """Reference for shifted_product_sum: full products by convolution,
     shifted, summed, times factor, cut to size."""
