@@ -53,6 +53,7 @@ from .ingredients import (
     CoverParams,
     ab_semistable_rank2,
     atiyah_bott_numerators,
+    bg_rank1,
     bg_su21,
     bg_u21,
     gothen_cover,
@@ -256,7 +257,6 @@ class _Builder:
         self.p = p
         self.order = order
         self.transforms = tuple(transforms)
-        self.jac = jacobian_poincare(p.g, order)
         self.terms: list[TermValue] = []
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
@@ -398,7 +398,7 @@ def _add_c1_sum(b: _Builder) -> None:
 
 
 def _add_closed_form(b: _Builder) -> None:
-    b.add_unknown(PAIRS, b.jac.over_one_minus(2), "pairs-block")
+    b.add_unknown(PAIRS, bg_rank1(b.p.g, b.order), "pairs-block")
     _add_c1_sum(b)
 
 
@@ -452,7 +452,7 @@ def u21_stratum_route(b: _Builder) -> None:
     does not exist and the term survives.
     """
     _add_atiyah_bott_block(b, 3)
-    b.add_unknown(MODULI_MIN, b.jac.over_one_minus(2), "bradlow-moduli-block")
+    b.add_unknown(MODULI_MIN, bg_rank1(b.p.g, b.order), "bradlow-moduli-block")
     c2 = jacobian_block(b.p.g, 2, 2, 2)  # P(J)^2/(1-t^2)^2
     _add_route_sums(b, c2, c2, c2)
     _add_c1_sum(b)

@@ -39,6 +39,7 @@ from pathlib import Path
 
 from .errors import ParameterError, ProviderFileError
 from .ingredients import (
+    bg_rank1,
     jacobian_block,
     jacobian_poincare,
     projective_poincare,
@@ -98,9 +99,7 @@ def maximal_pairs_equivariant(g: int, order: int) -> TruncatedSeries:
     """Equivariant pairs series at the maximal Toledo invariant,
     where e = sigma = g-1:  P(J) (P(CP^{2g-3}) + t^{4g-4}/(1-t^2)), which
     is P(J)/(1-t^2), since P(CP^n) + t^{2n+2}/(1-t^2) = 1/(1-t^2)."""
-    if g < 2:
-        raise ParameterError("genus must be at least 2")
-    return jacobian_poincare(g, order).over_one_minus(2)
+    return bg_rank1(g, order)
 
 
 def maximal_first_term(g: int, order: int) -> TruncatedSeries:

@@ -3,7 +3,10 @@
 Jacobians, symmetric products of the surface, projective spaces, gauge
 classifying spaces, the Atiyah-Bott recursion for the rank-2 semistable
 stratum, and the Gothen polynomials of the 3^{2g}-fold covers of products
-of symmetric products.  All functions are pure and cached.
+of symmetric products.  The cached values (symmetric products, Jacobian
+powers and blocks, the Atiyah-Bott numerators) are polynomials or
+rational expressions with no order in their key; a series of some order
+is expanded from them when it is asked for.
 """
 
 from __future__ import annotations
@@ -14,12 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ParameterError
-from .series import (
-    RationalExpr,
-    TruncatedSeries,
-    binomial_power,
-    polynomial_product,
-)
+from .series import RationalExpr, TruncatedSeries, polynomial_product
 
 
 @dataclass(frozen=True)
@@ -42,11 +40,9 @@ def _require_genus(g: int) -> None:
         raise ParameterError("genus must be at least 2")
 
 
-@lru_cache(maxsize=None)
 def jacobian_poincare(g: int, order: int) -> TruncatedSeries:
     """P_t of the Jacobian, a real 2g-torus: (1+t)^{2g}."""
-    _require_genus(g)
-    return binomial_power(2 * g, order)
+    return jacobian_block(g, 1).expand(order)
 
 
 @lru_cache(maxsize=None)
@@ -87,7 +83,6 @@ def sym_poincare(m: int, g: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(sym_factor(m, g, order), order)
 
 
-@lru_cache(maxsize=None)
 def projective_poincare(n: int, order: int) -> TruncatedSeries:
     """P_t of complex projective n-space: 1 + t^2 + ... + t^{2n}."""
     if n < 0:
@@ -98,11 +93,9 @@ def projective_poincare(n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(cs))
 
 
-@lru_cache(maxsize=None)
 def bg_rank1(g: int, order: int) -> TruncatedSeries:
     """Classifying space of the line-bundle gauge group: (1+t)^{2g}/(1-t^2)."""
-    _require_genus(g)
-    return jacobian_poincare(g, order).over_one_minus(2)
+    return jacobian_block(g, 1, 2).expand(order)
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +137,6 @@ def atiyah_bott_numerators(
     return total, semistable, tail
 
 
-@lru_cache(maxsize=None)
 def bg_rank2(g: int, order: int) -> TruncatedSeries:
     """Classifying space of the rank-2 gauge group:
     (1+t)^{2g} (1+t^3)^{2g} / ((1-t^2)^2 (1-t^4))."""
@@ -181,7 +173,6 @@ def line_splitting_sum(g: int, d2: int, order: int, line_factors: int) -> Trunca
     return block.over_one_minus(*[2] * line_factors, 4).shifted(first)
 
 
-@lru_cache(maxsize=None)
 def ab_semistable_rank2(d2: int, g: int, order: int) -> TruncatedSeries:
     """Equivariant series of the rank-2 degree-d2 semistable stratum.
 

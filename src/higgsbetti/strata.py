@@ -6,7 +6,7 @@ the destabilizing line subbundle; the A kind sits at l = d2/2):
 
     A   l = d2/2                      rank-2 summand semistable, zero field
     B1  d2/2 < l < d1                 three line bundles, zero field
-    B2  l = d1                        three line bundles, field unconstrained
+    B2  l = d1 > d2/2                 three line bundles, field unconstrained
     B3  d1 < l                        three line bundles, zero field
     C1  (d1+d2)/3 < l <= d2-d1+2g-2   split stable (1,1)-piece, section to Q
     C2  (2d2-d1)/3 < l < d1           split stable (1,1)-piece, section to S
@@ -44,33 +44,28 @@ class StratumKind(str, Enum):
 _KIND_ORDER = {k: i for i, k in enumerate(StratumKind)}
 
 
-def _ranges(p: ModuliParams) -> dict[StratumKind, tuple[int, int, bool]]:
-    """Index ranges of B1, C1, C2 and C3, in integers: a fractional open
-    end is kept as its floor (see ``params.index_bounds``)."""
+def _index_range(kind: StratumKind, p: ModuliParams, top: int) -> range:
+    """The integer indices l <= top of a kind other than A, from
+    ``params.index_bounds`` (a fractional open end is kept as its floor,
+    and the first integer above it is the floor plus 1).  B2 is l = d1
+    when d1 exceeds d2/2: the middle line-splitting."""
     d1, bounds = p.d1, index_bounds(p)
-    return {
-        # (exclusive lower, exclusive/inclusive upper, upper inclusive?)
-        StratumKind.B1: (bounds.half_d2, d1, False),
-        StratumKind.C1: (bounds.c1_low, bounds.c1_top, True),
-        StratumKind.C2: (bounds.c2_low, d1, False),
-        StratumKind.C3: (d1, d1 + 2 * p.g - 2, True),
-    }
+    lo, hi = {
+        StratumKind.B1: (bounds.half_d2 + 1, d1),
+        StratumKind.B2: (max(d1, bounds.half_d2 + 1), d1 + 1),
+        StratumKind.B3: (d1 + 1, top + 1),
+        StratumKind.C1: (bounds.c1_low + 1, bounds.c1_top + 1),
+        StratumKind.C2: (bounds.c2_low + 1, d1),
+        StratumKind.C3: (d1 + 1, d1 + 2 * p.g - 1),
+    }[kind]
+    return range(lo, min(hi, top + 1))
 
 
 def admits(kind: StratumKind, p: ModuliParams, ell: HalfInt) -> bool:
     """Whether the kind's validity range contains the index l."""
-    v = ell.value
     if kind is StratumKind.A:
-        return v == Fraction(p.d2, 2)
-    if not ell.is_integer:
-        return False
-    if kind is StratumKind.B2:
-        # the middle line-splitting exists only when d1 exceeds d2/2
-        return v == p.d1 and Fraction(p.d2, 2) < p.d1
-    if kind is StratumKind.B3:
-        return v > p.d1
-    lo, hi, inclusive = _ranges(p)[kind]
-    return lo < v <= hi if inclusive else lo < v < hi
+        return ell.doubled == p.d2
+    return ell.is_integer and ell.as_int() in _index_range(kind, p, ell.as_int())
 
 
 @dataclass(frozen=True)
@@ -93,33 +88,13 @@ class StratumDescriptor:
 def enumerate_critical(p: ModuliParams, l_max: HalfInt) -> list[StratumDescriptor]:
     """All descriptors with index at most l_max, sorted by (l, kind)."""
     _require_valid(p)
-    found: list[StratumDescriptor] = []
     half = HalfInt(p.d2)
-    if half <= l_max:
-        found.append(StratumDescriptor(StratumKind.A, half, p))
-    for kind in (StratumKind.B1, StratumKind.B2, StratumKind.B3,
-                 StratumKind.C1, StratumKind.C2, StratumKind.C3):
-        l = _smallest_admitted(kind, p)
-        if l is None:
-            continue
-        while Fraction(l) <= l_max.value:
-            ell = HalfInt.from_int(l)
-            if not admits(kind, p, ell):
-                break
-            found.append(StratumDescriptor(kind, ell, p))
-            l += 1
+    found = [StratumDescriptor(StratumKind.A, half, p)] if half <= l_max else []
+    top = l_max.doubled // 2  # the largest integer index at most l_max
+    for kind in list(StratumKind)[1:]:
+        found += [StratumDescriptor(kind, HalfInt.from_int(l), p)
+                  for l in _index_range(kind, p, top)]
     return sorted(found, key=lambda s: (s.ell, _KIND_ORDER[s.kind]))
-
-
-def _smallest_admitted(kind: StratumKind, p: ModuliParams) -> int | None:
-    if kind is StratumKind.B2:
-        return p.d1 if admits(kind, p, HalfInt.from_int(p.d1)) else None
-    if kind is StratumKind.B3:
-        return p.d1 + 1
-    lo, hi, inclusive = _ranges(p)[kind]
-    l = lo + 1  # smallest integer strictly above lo
-    ok = l <= hi if inclusive else l < hi
-    return l if ok else None
 
 
 def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from higgsbetti.cli import main
+from higgsbetti.cli import MAX_GRID_GENUS, main
 from higgsbetti.params import MAX_GENUS, MAX_ORDER, valid_points
 from higgsbetti.series import TruncatedSeries
 
@@ -189,6 +189,31 @@ def test_gothen_suite_catches_a_wrong_anomalous_dimension(monkeypatch):
                                      "expected": -162, "got": -82}
 
 
+def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):
+    # the top wall t^{2(g-1+2 sigma-e)} P(J) P(S^{e-sigma} X)/(1-t^2) moved
+    # up by t^2: closed form and route share the wall-crossing sum, so only
+    # Poincare duality of the bottom-chamber pairs space sees it first
+    from higgsbetti import bradlow, ingredients, verify
+
+    ww = bradlow.ww_from_invariants
+
+    def shifted_top_wall(g, e, sigma, order):
+        out = ww(g, e, sigma, order)
+        if sigma.denominator == 1 and 2 * sigma > e:
+            s = int(sigma)
+            a = 2 * (g - 1 + 2 * s - e)
+            sym = ingredients.sym_factor(e - s, g, order)
+            out = out + ingredients.jacobian_block(g, 1, 2).expand(
+                order, ((1, a + 2, (sym,)), (-1, a, (sym,))))
+        return out
+
+    monkeypatch.setattr(bradlow, "ww_from_invariants", shifted_top_wall)
+    result = verify.SUITES["maximal"]({"g": (2, 2)})
+    assert not result.passed
+    assert result.counterexample == {"g": 2, "law": "duality", "degree": 0,
+                                     "expected": 7, "got": 1}
+
+
 def _one_more_at_degree_0(fn):
     """fn with 1 added at degree 0 of the series it returns, or of its
     result's ``series``."""
@@ -244,6 +269,15 @@ def test_export_provider_and_file_round_trip(capsys, tmp_path):
         "--format", "csv")
     assert code == 0
     assert out.strip().splitlines()[1:6] == ["0,1", "1,8", "2,30", "3,72", "4,129"]
+
+
+def test_export_writes_no_result(capsys):
+    # a result is written by compute --out PATH
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--what", "result", "-g", "2", "--d1", "2", "--d2", "1",
+              "--out", os.devnull])
+    assert exc.value.code == 2
+    assert "invalid choice: 'result'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", ["0", "-1"])
@@ -341,6 +375,8 @@ def test_order_at_the_budget_is_accepted(capsys):
     ("h=2..3", "unknown grid key"),  # used to run the default genera
     ("g=1..2", "2.."),
     (f"g=2..{MAX_GENUS + 1}", "2.."),
+    ("g=2..3,g=5..5", "one g=lo..hi"),  # used to run g = 5 alone
+    (f"g=2..{MAX_GENUS}", f"2..{MAX_GRID_GENUS}"),  # used to run for days
 ])
 def test_verify_refuses_a_bad_grid(capsys, grid, message):
     code, out, err = run(capsys, "verify", "--suite", "route-u21", "--grid", grid)

@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+from higgsbetti import ingredients
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import (
     CoverParams,
@@ -116,6 +119,16 @@ def test_bg_examples():
     for g in (2, 3):
         assert bg_u21(g, 12) == bg_rank2(g, 12) * bg_rank1(g, 12)
         assert bg_su21(g, 12) == bg_rank2(g, 12)
+
+
+def test_no_cache_is_keyed_by_order():
+    # a value cached per order is one copy per order of an order-free value
+    cached = {name for name, fn in vars(ingredients).items()
+              if hasattr(fn, "cache_info")}
+    assert cached == {"sym_polynomial", "jacobian_polynomial", "jacobian_block",
+                      "atiyah_bott_numerators"}
+    for name in cached:
+        assert "order" not in inspect.signature(getattr(ingredients, name)).parameters
 
 
 def test_ab_semistable_examples():

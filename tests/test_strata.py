@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from higgsbetti.errors import (
@@ -10,7 +12,7 @@ from higgsbetti.ingredients import (
     jacobian_poincare,
     sym_poincare,
 )
-from higgsbetti.params import HalfInt, make_params
+from higgsbetti.params import HalfInt, make_params, valid_points
 from higgsbetti.series import geometric_inverse
 from higgsbetti.strata import (
     StratumDescriptor,
@@ -82,6 +84,43 @@ def test_enumeration_is_complete():
                     ell = HalfInt(doubled)
                     if ell <= lm and admits(kind, p, ell):
                         assert (kind, ell) in listed, (g, d1, d2, kind, str(ell))
+
+
+def _table_admits(kind, p, l):
+    """The module docstring's table, in Fractions; l is a Fraction."""
+    g, d1, d2 = p.g, p.d1, p.d2
+    if kind is StratumKind.A:
+        return l == Fraction(d2, 2)
+    if l.denominator != 1:
+        return False
+    return {
+        StratumKind.B1: Fraction(d2, 2) < l < d1,
+        StratumKind.B2: l == d1 > Fraction(d2, 2),
+        StratumKind.B3: d1 < l,
+        StratumKind.C1: Fraction(d1 + d2, 3) < l <= d2 - d1 + 2 * g - 2,
+        StratumKind.C2: Fraction(2 * d2 - d1, 3) < l < d1,
+        StratumKind.C3: d1 < l <= d1 + 2 * g - 2,
+    }[kind]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_admits_and_enumeration_follow_the_table(g):
+    for q in valid_points(g):
+        for p in (q, q.dual()):
+            low, high = 2 * min(p.d1, p.d2 // 2) - 6, 2 * (p.d1 + 2 * g) + 2
+            for doubled in range(low, high + 1):
+                l = Fraction(doubled, 2)
+                table = [k for k in StratumKind if _table_admits(k, p, l)]
+                assert [k for k in StratumKind if admits(k, p, HalfInt(doubled))] \
+                    == table, (p, doubled)
+            for top in range(low, high + 1, 3):  # integer and half-integer l_max
+                expected = sorted((Fraction(doubled, 2), i)
+                                  for doubled in range(low, top + 1)
+                                  for i, k in enumerate(StratumKind)
+                                  if _table_admits(k, p, Fraction(doubled, 2)))
+                got = [(s.ell.value, list(StratumKind).index(s.kind))
+                       for s in enumerate_critical(p, HalfInt(top))]
+                assert got == expected, (p, top)
 
 
 def test_descriptor_range_validation():
