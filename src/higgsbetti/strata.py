@@ -132,7 +132,10 @@ def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:
     if kind is StratumKind.B1:
         return f"{Fraction(d2, 2)} < l < {d1}"
     if kind is StratumKind.B2:
-        return f"l = d1 = {d1}" + ("" if Fraction(d2, 2) < d1 else " (empty: tau = 0)")
+        # l = d1 > d2/2 holds exactly when tau > 0
+        if p.tau > 0:
+            return f"l = d1 = {d1}"
+        return f"l = d1 = {d1} (empty: tau {'=' if p.tau == 0 else '<'} 0)"
     if kind is StratumKind.B3:
         return f"l > {d1}"
     if kind is StratumKind.C1:

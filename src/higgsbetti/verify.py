@@ -249,7 +249,8 @@ def _suite_shift_invariance(grid) -> SuiteResult:
         for p in params.valid_points(g):
             base = {key: fn(p, None, order) for key, fn in assemble.BUILDERS.items()}
             base_ww = bradlow.ww_difference(p, order)
-            for k in range(-2, 3):
+            # k = 0 is p itself: comparing it with base would test only determinism
+            for k in (-2, -1, 1, 2):
                 q = p.tensor_shift(k)
                 if bradlow.ww_difference(q, order) != base_ww:
                     return SuiteResult("shift-invariance", True, False, [],

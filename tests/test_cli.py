@@ -1,7 +1,10 @@
+import ast
 import json
 import os
+import threading
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +385,153 @@ def test_verify_refuses_a_bad_grid(capsys, grid, message):
     code, out, err = run(capsys, "verify", "--suite", "route-u21", "--grid", grid)
     assert code == 2 and out == ""
     assert message in err
+
+
+# ------------------------------------------------------------- the writer
+
+COMPUTE = ["compute", "--group", "u21", "-g", "2", "--d1", "2", "--d2", "1",
+           "--provider", "maximal", "--order", "20"]
+STRATA = ["strata", "-g", "2", "--d1", "2", "--d2", "1", "--lmax", "4"]
+VERIFY = ["verify", "--suite", "gothen", "--grid", "g=2..2"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*COMPUTE, "--format", "text"],
+    [*COMPUTE, "--format", "json"],
+    [*COMPUTE, "--format", "csv"],
+    [*STRATA, "--format", "text"],
+    [*STRATA, "--format", "json"],
+    ["ingredients", "--op", "sym", "--m", "2", "-g", "2", "--order", "6"],
+    ["ingredients", "--op", "vdim", "--m1", "1", "--m2", "1", "--format", "json"],
+    [*VERIFY, "--format", "text"],
+    [*VERIFY, "--format", "json"],
+])
+def test_out_bytes_equal_stdout_bytes(capsys, tmp_path, argv):
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    # a rewritten file that was longer holds exactly the new bytes after
+    fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+    rewritten.write_bytes(b"\0" * (2 * len(expected) + 7))
+    for path in (fresh, rewritten):
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
+
+def test_export_rewrites_a_file_to_the_bytes_of_a_fresh_one(capsys, tmp_path):
+    argv = ["export", "--what", "provider", "-g", "2", "--order", "24", "--out"]
+    fresh, rewritten = tmp_path / "fresh.json", tmp_path / "rewritten.json"
+    rewritten.write_text("{}" * 10_000)
+    for path in (fresh, rewritten):
+        assert run(capsys, *argv, str(path)) == (0, "", "")
+    assert rewritten.read_bytes() == fresh.read_bytes()
+    assert json.loads(fresh.read_text())["g"] == 2
+
+
+def test_out_through_a_symlink_updates_the_target(capsys, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old contents, longer than the new ones" * 1000)
+    link.symlink_to(target.name)
+    code, expected, _ = run(capsys, *COMPUTE, "--format", "json")
+    assert run(capsys, *COMPUTE, "--format", "json", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == expected.encode()
+
+
+def test_out_keeps_the_inode_hard_links_and_mode(capsys, tmp_path):
+    path, other = tmp_path / "out.txt", tmp_path / "hard-link.txt"
+    path.write_text("x" * 50_000)
+    path.chmod(0o640)
+    os.link(path, other)
+    before = path.stat()
+    assert run(capsys, *COMPUTE, "--out", str(path))[0] == 0
+    after = path.stat()
+    assert (after.st_ino, after.st_mode, after.st_nlink) == \
+        (before.st_ino, before.st_mode, 2)
+    assert other.read_bytes() == path.read_bytes() != b"x" * 50_000
+
+
+def test_a_new_out_file_gets_the_umask_mode(capsys, tmp_path):
+    path = tmp_path / "new.txt"
+    old = os.umask(0o027)
+    try:
+        assert run(capsys, *COMPUTE, "--out", str(path))[0] == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_to_devnull(capsys):
+    assert run(capsys, *COMPUTE, "--format", "json", "--out", os.devnull) == (0, "", "")
+
+
+def test_out_to_a_fifo_delivers_the_whole_output(capsys, tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    try:
+        code = main([*VERIFY, "--format", "json", "--out", str(fifo)])
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # the writer never opened the FIFO: end the read
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert code == 0 and not reader.is_alive()
+    code, expected, _ = run(capsys, *VERIFY, "--format", "json")
+    assert received == [expected.encode()]
+
+
+@pytest.mark.parametrize("argv", [VERIFY, [*COMPUTE, "--format", "json"]])
+@pytest.mark.parametrize("where, reason", [
+    ("missing/x.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_an_unwritable_out_is_a_parameter_error(capsys, tmp_path, argv, where, reason):
+    path = tmp_path / where
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
+def _file_writers(tree: ast.AST) -> list[tuple[int, str]]:
+    """Calls that may open a file for writing: (line, what)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else \
+            fn.attr if isinstance(fn, ast.Attribute) else None
+        if name in ("write_text", "write_bytes"):
+            found.append((node.lineno, name))
+        elif name == "open" and isinstance(fn, ast.Attribute) \
+                and isinstance(fn.value, ast.Name) and fn.value.id == "os":
+            found.append((node.lineno, "os.open"))
+        elif name == "open":
+            # builtin open(file, mode) or Path(...).open(mode)
+            args = node.args[1:2] if isinstance(fn, ast.Name) else node.args[:1]
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                found.append((node.lineno, "open"))
+    return sorted(found)
+
+
+def test_emit_is_the_only_file_writer():
+    import higgsbetti.cli
+    package = Path(higgsbetti.cli.__file__).parent
+    outside, in_emit = [], []
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        emit = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "_emit"]
+        inside = {line for fn in emit for line, _ in _file_writers(fn)}
+        outside += [(source.name, line, what) for line, what in _file_writers(tree)
+                    if line not in inside]
+        in_emit += [(source.name, what) for fn in emit for _, what in _file_writers(fn)]
+    assert outside == []
+    # the check sees the writer it exempts, so it is not vacuous
+    assert ("cli.py", "open") in in_emit

@@ -20,6 +20,7 @@ from higgsbetti.strata import (
     admits,
     critical_set_poincare,
     enumerate_critical,
+    kind_range_description,
     negative_dim,
     negative_pair_cohomology,
     negative_pair_kinds,
@@ -129,6 +130,16 @@ def test_descriptor_range_validation():
         StratumDescriptor(StratumKind.C1, H(1), p)  # C1 range empty here
     with pytest.raises(ParameterError):
         StratumDescriptor(StratumKind.B1, HalfInt(1), p)  # not an integer
+
+
+@pytest.mark.parametrize("point, description", [
+    ((2, 0, 3), "l = d1 = 0 (empty: tau < 0)"),  # tau = -2
+    ((3, -1, 0), "l = d1 = -1 (empty: tau < 0)"),  # tau = -4/3
+    ((2, 0, 0), "l = d1 = 0 (empty: tau = 0)"),
+    ((2, 2, 1), "l = d1 = 2"),  # tau = 2
+])
+def test_b2_range_names_why_it_is_empty(point, description):
+    assert kind_range_description(StratumKind.B2, make_params(*point)) == description
 
 
 def test_critical_set_series_examples():
