@@ -44,8 +44,8 @@ the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .bradlow import BradlowProvider, SymbolicProvider, ww_difference
 from .errors import ParameterError
@@ -65,6 +65,7 @@ from .ingredients import (
 )
 from .params import ModuliParams, canonicalize, index_bounds, s_tau
 from .series import (
+    Frozen,
     PolynomialWindow,
     RationalExpr,
     TruncatedSeries,
@@ -81,8 +82,7 @@ MODULI_MIN = "moduli_min"
 PLAIN = RationalExpr((1,))
 
 
-@dataclass(frozen=True, eq=False)
-class TermValue:
+class TermValue(Frozen):
     """One labeled summand of an assembly: the sum of its ``entries``
     (sign, shift, factors), as in ``shifted_product_sum``, times its
     block, truncated at order.  The entries are never multiplied out when
@@ -91,10 +91,13 @@ class TermValue:
     (``series``, ``expanded``, ``coefficient``) and ``scaled_by`` reuse
     it.  Terms compare by label and expansion."""
 
-    label: str
-    entries: tuple
-    block: RationalExpr
-    order: int
+    _fields = ("label", "entries", "block", "order")
+
+    def __init__(self, label: str, entries: tuple, block: RationalExpr, order: int):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
@@ -119,12 +122,14 @@ class TermValue:
         return self.expanded(degree).coeffs[degree]
 
     def negated(self) -> "TermValue":
-        return replace(self, label=f"-({self.label})",
-                       entries=tuple((-sign, shift, factors)
-                                     for sign, shift, factors in self.entries))
+        return TermValue(f"-({self.label})",
+                         tuple((-sign, shift, factors)
+                               for sign, shift, factors in self.entries),
+                         self.block, self.order)
 
     def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
-        return replace(self, entries=((1, 0, (self.numerator, factor.coeffs)),))
+        return TermValue(self.label, ((1, 0, (self.numerator, factor.coeffs)),),
+                         self.block, self.order)
 
     def __eq__(self, other):
         if not isinstance(other, TermValue):
@@ -135,8 +140,7 @@ class TermValue:
         return hash((self.label, self.series))
 
 
-@dataclass(frozen=True)
-class AssemblyResult:
+class AssemblyResult(NamedTuple):
     """Known series plus explicit unknown blocks a*pairs + b*moduli_min.
 
     The expanded terms always sum to the known series exactly.  In
@@ -163,8 +167,7 @@ class AssemblyResult:
             diff = self.unknown.get(key, zero) - other.unknown.get(key, zero)
             if not diff.is_zero():
                 unknown[key] = diff
-        return replace(
-            self,
+        return self._replace(
             group=f"{self.group}-minus-{other.group}" if self.group != other.group
             else self.group,
             mode="absolute" if not unknown else "relative",
@@ -174,8 +177,7 @@ class AssemblyResult:
         )
 
     def scaled_by(self, factor: TruncatedSeries) -> "AssemblyResult":
-        return replace(
-            self,
+        return self._replace(
             series=self.series * factor,
             unknown={k: v * factor for k, v in self.unknown.items()},
             terms=tuple(t.scaled_by(factor) for t in self.terms),
@@ -197,8 +199,7 @@ class AssemblyResult:
         else:
             unknown[MODULI_MIN] = merged
         extra = TermValue.of_series("wall-crossing-elimination", coeff * ww)
-        return replace(
-            self,
+        return self._replace(
             mode="absolute" if not unknown else "relative",
             series=self.series + extra.series,
             unknown=unknown,
@@ -539,8 +540,7 @@ def torelli_anomalous_part(p: ModuliParams, order: int | None = None) -> dict[in
     return out
 
 
-@dataclass(frozen=True)
-class RouteEquivalenceReport:
+class RouteEquivalenceReport(NamedTuple):
     """Concrete residual of closed form minus stratum route (relative mode,
     pairs eliminated through the wall-crossing difference)."""
 
@@ -604,8 +604,7 @@ def verify_route_equivalence(
     )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(NamedTuple):
     result: AssemblyResult
     polynomial: PolynomialWindow | None
     nonnegative: bool | None
@@ -629,7 +628,7 @@ def moduli_poincare(
         )
     equivariant = u21_closed_form(p, provider, order, force=force)
     one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
-    result = replace(equivariant.scaled_by(one_minus_t2), group="moduli")
+    result = equivariant.scaled_by(one_minus_t2)._replace(group="moduli")
     if result.mode == "absolute":
         return ModuliReport(
             result=result,

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParameterError, ProviderFileError
 from .ingredients import (
@@ -170,8 +170,7 @@ class MaximalCaseProvider(BradlowProvider):
         return None
 
 
-@dataclass(frozen=True)
-class _ProviderRecord:
+class _ProviderRecord(NamedTuple):
     g: int
     e: int
     sigma: Fraction
@@ -278,7 +277,8 @@ def provider_from_file(path) -> FileBackedProvider:
     """Load a provider file (a single record object or a list of them)."""
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer past the digit limit
         raise ProviderFileError(f"cannot read provider file {path}: {exc}") from exc
     raw_records = payload if isinstance(payload, list) else [payload]
     return FileBackedProvider([_parse_record(r) for r in raw_records])

@@ -13,7 +13,7 @@ import stat
 import sys
 from fractions import Fraction
 
-from . import assemble, bradlow, ingredients, params, series, strata
+from . import assemble, bradlow, ingredients, params, series
 from .errors import ParameterError
 from .verify import SUITES, SuiteResult  # noqa: F401  (SuiteResult: what a suite returns)
 
@@ -113,6 +113,8 @@ HEAD_DEGREE = 5
 
 
 def cmd_strata(args) -> int:
+    from . import strata  # only this command uses it; every process compiles its imports
+
     # a point with tau < 0 is tabulated at its dual, as assemblies are
     p, transforms = params.canonicalize(_params_from_args(args))
     order = series.resolve_order(p.g, args.order)
@@ -378,7 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_lmax(text: str) -> int:
     """Parse an integer or n/2 half-integer into a doubled value."""
-    frac = Fraction(text)
+    try:
+        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
     if (2 * frac).denominator != 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
     return int(2 * frac)

@@ -11,28 +11,27 @@ is expanded from them when it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import operator
 from functools import lru_cache
 from math import comb
 
 from .errors import ParameterError
-from .series import RationalExpr, TruncatedSeries, polynomial_product
+from .series import Frozen, RationalExpr, TruncatedSeries, polynomial_product
 
 
-@dataclass(frozen=True)
-class CoverParams:
+class CoverParams(Frozen):
     """Exponents (m1, m2) and genus for the covers of S^{m1}X x S^{m2}X."""
 
-    m1: int
-    m2: int
-    g: int
+    __slots__ = _fields = ("m1", "m2", "g")
 
-    def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
+    def __init__(self, m1: int, m2: int, g: int):
+        if m1 < 0 or m2 < 0:
             raise ParameterError("cover exponents must be nonnegative")
-        if self.g < 2:
+        if g < 2:
             raise ParameterError("genus must be at least 2")
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "g", g)
 
 
 def _require_genus(g: int) -> None:

@@ -16,7 +16,6 @@ surjectivity) are decided exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,8 +28,7 @@ MAX_GENUS = 128
 MAX_ORDER = 2048
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
+class HalfInt(NamedTuple):
     """A half-integer l represented exactly as doubled = 2l."""
 
     doubled: int
@@ -68,8 +66,7 @@ class HalfInt:
         return f"{self.doubled}/2"
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(NamedTuple):
     """(g, d1, d2) with derived invariants; immutable and exact."""
 
     g: int

@@ -6,7 +6,7 @@ N.  The only denominators that ever occur are products of factors
 (1 - t^a), so all computations stay in exact integer arithmetic: no
 floats, no rationals, no symbolic simplification.
 
-Validation happens at the boundary only.  The dataclass constructor,
+Validation happens at the boundary only.  The constructor,
 ``from_coeffs``, ``monomial``, the scalar of ``scale``, ``RationalExpr``
 and the JSON and provider parsers (``parse_integer``) reject anything but
 exact integers; a float or bool never becomes a coefficient.  Results of
@@ -50,9 +50,9 @@ from __future__ import annotations
 import operator
 import re
 import struct
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -250,6 +250,45 @@ def _over_one_minus(cs: list, exponents) -> "TruncatedSeries":
     return _trusted(tuple(cs))
 
 
+class Frozen:
+    """Base of the value classes that validate their input or hold a cache
+    (written by hand rather than as dataclasses, whose code generation at
+    import would dominate a short CLI process).  ``__init__`` sets each
+    field named in ``_fields`` once, through ``object.__setattr__``;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    Two values are equal when they are of the same class and their fields
+    are equal, and hash by their fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: restoring the slots
+        # one by one would go through the __setattr__ that raises
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _trusted(coeffs: tuple) -> "TruncatedSeries":
     """A series over coefficients known to be exact ints (no re-validation)."""
     out = object.__new__(TruncatedSeries)
@@ -257,8 +296,7 @@ def _trusted(coeffs: tuple) -> "TruncatedSeries":
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Coefficients c_0..c_N of sum_k c_k t^k, truncated at order N.
 
     ``coeffs[k]`` is the coefficient of ``t^k``; the order is
@@ -266,10 +304,19 @@ class TruncatedSeries:
     never report coefficients beyond the order.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_coeff_tuple(self.coeffs))
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", _as_coeff_tuple(coeffs))
+
+    # the suites compare series often: no field tuple per comparison
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     # -- constructors -------------------------------------------------
 
@@ -442,8 +489,7 @@ def polynomial_product(p, q) -> tuple[int, ...]:
     return tuple(shifted_product_sum(((1, 0, (p, q)),), len(p) + len(q) - 1))
 
 
-@dataclass(frozen=True)
-class RationalExpr:
+class RationalExpr(Frozen):
     """numerator(t) / prod_i (1 - t^{a_i}) with a finite integer numerator.
 
     The denominator is kept factored as a multiset of exponents a_i >= 1;
@@ -452,14 +498,13 @@ class RationalExpr:
     wall-crossing sum, a critical set) is one ``expand`` of such a value.
     """
 
-    numerator: tuple[int, ...]
-    denom_exponents: tuple[int, ...] = ()
+    __slots__ = _fields = ("numerator", "denom_exponents")
 
-    def __post_init__(self):
+    def __init__(self, numerator, denom_exponents=()):
         object.__setattr__(self, "numerator",
-                           tuple([parse_integer(c) for c in self.numerator]))
+                           tuple([parse_integer(c) for c in numerator]))
         exps = tuple(sorted([parse_integer(a, "denominator exponent")
-                             for a in self.denom_exponents]))
+                             for a in denom_exponents]))
         if any(a < 1 for a in exps):
             raise ParameterError("denominator exponents must be >= 1")
         object.__setattr__(self, "denom_exponents", exps)
@@ -485,8 +530,7 @@ class RationalExpr:
         return TruncatedSeries.from_coeffs(poly, order)
 
 
-@dataclass(frozen=True)
-class PolynomialWindow:
+class PolynomialWindow(NamedTuple):
     """Result of the heuristic polynomiality probe.
 
     Truncation can only falsify polynomiality, never prove it, so the

@@ -21,14 +21,13 @@ not consume these; it uses the consolidated per-stratum route terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_block, jacobian_poincare, sym_factor
 from .params import HalfInt, ModuliParams, _require_valid, index_bounds
-from .series import TruncatedSeries
+from .series import Frozen, TruncatedSeries
 
 
 class StratumKind(str, Enum):
@@ -68,18 +67,18 @@ def admits(kind: StratumKind, p: ModuliParams, ell: HalfInt) -> bool:
     return ell.is_integer and ell.as_int() in _index_range(kind, p, ell.as_int())
 
 
-@dataclass(frozen=True)
-class StratumDescriptor:
-    kind: StratumKind
-    ell: HalfInt
-    params: ModuliParams
+class StratumDescriptor(Frozen):
+    __slots__ = _fields = ("kind", "ell", "params")
 
-    def __post_init__(self):
-        if not admits(self.kind, self.params, self.ell):
+    def __init__(self, kind: StratumKind, ell: HalfInt, params: ModuliParams):
+        if not admits(kind, params, ell):
             raise ParameterError(
-                f"l = {self.ell} is outside the {self.kind.value} range for "
-                f"(g, d1, d2) = ({self.params.g}, {self.params.d1}, {self.params.d2})"
+                f"l = {ell} is outside the {kind.value} range for "
+                f"(g, d1, d2) = ({params.g}, {params.d1}, {params.d2})"
             )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "params", params)
 
     def __str__(self) -> str:
         return f"{self.kind.value}@{self.ell}"

@@ -1,5 +1,28 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 import higgsbetti
 from higgsbetti import cli, verify
+from higgsbetti.assemble import (
+    PLAIN,
+    TermValue,
+    moduli_poincare,
+    u21_closed_form,
+    verify_route_equivalence,
+)
+from higgsbetti.bradlow import _ProviderRecord
+from higgsbetti.ingredients import CoverParams
+from higgsbetti.params import HalfInt, make_params
+from higgsbetti.series import PolynomialWindow, RationalExpr, TruncatedSeries
+from higgsbetti.strata import StratumDescriptor, StratumKind
+from higgsbetti.verify import SuiteResult
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +35,110 @@ def test_cli_runs_the_verify_suites_in_place():
     # one dict: code that swaps a suite in cli.SUITES changes what verify runs
     assert cli.SUITES is verify.SUITES
     assert cli.SuiteResult is verify.SuiteResult
+
+
+# ---------------------------------------------------------- import footprint
+
+
+def _modules_loaded_by(statement: str) -> set[str]:
+    """The modules a fresh interpreter loads to run ``statement``, beyond
+    those its start-up loaded."""
+    code = ("import sys; before = set(sys.modules); " + statement
+            + "; print(*sorted(set(sys.modules) - before))")
+    src = str(Path(higgsbetti.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_the_cli_does_not_import_what_compute_never_runs():
+    loaded = _modules_loaded_by("import higgsbetti.cli")
+    assert "higgsbetti.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "higgsbetti.strata"}
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _modules_loaded_by("import higgsbetti")
+    assert "higgsbetti" in loaded
+    assert not [m for m in loaded if m.startswith("higgsbetti.")]
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from higgsbetti import *", namespace)
+    assert set(higgsbetti.__all__) <= set(namespace)
+    assert set(higgsbetti.__all__) <= set(dir(higgsbetti))
+
+
+# ------------------------------------------------------------- value classes
+
+P = make_params(2, 1, 0)
+
+# each factory builds a new value; two calls give equal values
+VALUES = {
+    "HalfInt": lambda: HalfInt(3),
+    "ModuliParams": lambda: make_params(2, 1, 0),
+    "PolynomialWindow": lambda: PolynomialWindow(True, 4, 2),
+    "_ProviderRecord": lambda: _ProviderRecord(2, 1, Fraction(1),
+                                               TruncatedSeries((1, 4)), None),
+    "AssemblyResult": lambda: u21_closed_form(P, None, 12),
+    "RouteEquivalenceReport": lambda: verify_route_equivalence("u21", P, 12),
+    "ModuliReport": lambda: moduli_poincare(P, None, 12),
+    "SuiteResult": lambda: SuiteResult("laws", True, True, ["checked"]),
+    "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
+    "RationalExpr": lambda: RationalExpr((1, 1), (4, 2)),
+    "CoverParams": lambda: CoverParams(1, 2, 3),
+    "StratumDescriptor": lambda: StratumDescriptor(StratumKind.A, HalfInt(0), P),
+    "TermValue": lambda: TermValue("x", ((1, 0, ((1, 1),)),), PLAIN, 5),
+}
+# a dict or list field makes these unhashable, as they always were
+UNHASHABLE = {"AssemblyResult", "RouteEquivalenceReport", "ModuliReport", "SuiteResult"}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_are_immutable_and_compare_by_fields(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and not a != b
+    if name not in UNHASHABLE:
+        assert hash(a) == hash(b)
+    for field in type(a)._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b
+    assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+def test_values_with_different_fields_differ():
+    assert TruncatedSeries((1, 2, 3)) != TruncatedSeries((1, 2, 4))
+    assert RationalExpr((1, 1), (2,)) != RationalExpr((1, 1), (4,))
+    assert CoverParams(1, 2, 3) != CoverParams(2, 1, 3)
+    assert StratumDescriptor(StratumKind.A, HalfInt(0), P) != \
+        StratumDescriptor(StratumKind.A, HalfInt(0), make_params(2, 0, 0))
+
+
+def test_term_values_compare_by_label_and_expansion():
+    # t + t^2 as one entry, and as two
+    one = TermValue("x", ((1, 1, ((1, 1),)),), PLAIN, 5)
+    two = TermValue("x", ((1, 1, ((1,),)), (1, 2, ((1,),))), PLAIN, 5)
+    assert one == two and hash(one) == hash(two)
+    assert one != TermValue("y", one.entries, PLAIN, 5)
+
+
+def test_half_integers_sort_by_value():
+    values = [HalfInt(3), HalfInt(-1), HalfInt.from_int(1), HalfInt(1)]
+    assert sorted(values) == [HalfInt(-1), HalfInt(1), HalfInt(2), HalfInt(3)]
+    assert HalfInt(1) < HalfInt.from_int(1) <= HalfInt(2) < HalfInt(3)
+    assert max(values) == HalfInt(3)
+
+
+def test_series_and_rational_expressions_never_equal_a_tuple():
+    s = TruncatedSeries((1, 2, 3))
+    for other in ((1, 2, 3), ((1, 2, 3),), s.coeffs):
+        assert s != other and other != s
+    r = RationalExpr((1, 1), (2,))
+    for other in (((1, 1), (2,)), (1, 1), r.numerator):
+        assert r != other and other != r

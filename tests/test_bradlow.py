@@ -242,6 +242,23 @@ def test_provider_file_rejects_duplicate_records(tmp_path):
         provider_from_file(_write(tmp_path, [record, other]))
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b'{"g": 1' + b"0" * 5000 + b"}",  # past the interpreter's 4300-digit limit
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+])
+def test_unreadable_provider_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    with pytest.raises(ProviderFileError, match="cannot read provider file"):
+        provider_from_file(path)
+    code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2",
+                 "--d2", "1", "--provider", f"file:{path}"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert f"error: cannot read provider file {path}: " in out.err
+
+
 def test_provider_file_answers_each_record_by_genus_and_degree(tmp_path):
     order = 20
     mm = jacobian_poincare(2, order) * sym_poincare(2, 2, order)

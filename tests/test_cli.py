@@ -2,7 +2,6 @@ import ast
 import json
 import os
 import threading
-from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -224,7 +223,7 @@ def _one_more_at_degree_0(fn):
         res = fn(*args)
         series = getattr(res, "series", res)
         bumped = series + TruncatedSeries.one(series.order)
-        return replace(res, series=bumped) if series is not res else bumped
+        return res._replace(series=bumped) if series is not res else bumped
     return wrapped
 
 
@@ -353,6 +352,18 @@ def test_strata_lmax_is_held_to_the_order_budget(capsys):
         code, out, err = run(capsys, *argv, "--lmax", lmax)
         assert code == 2 and out == ""
         assert f"more than {MAX_ORDER} above the default d1 + 2g - 2 = 2" in err
+
+
+@pytest.mark.parametrize("lmax, message", [
+    ("1/3", "'1/3' is not a half-integer"),
+    ("1/0", "'1/0' has a zero denominator"),  # was a ZeroDivisionError traceback
+])
+def test_strata_lmax_that_is_no_half_integer_is_an_argument_error(capsys, lmax, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["strata", "-g", "2", "--d1", "0", "--d2", "0", "--lmax", lmax])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument --lmax: {message}" in out.err
 
 
 @pytest.mark.parametrize("argv", [
