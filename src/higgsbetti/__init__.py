@@ -11,8 +11,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the public names by defining module; each module is imported when one of
-# its names is first looked up, so ``import higgsbetti`` loads none of them
+# the public names by defining module; each module is imported when it or
+# one of its names is first looked up, so ``import higgsbetti`` loads none
 _NAMES_BY_MODULE = {
     "assemble": (
         "AssemblyResult", "ModuliReport", "RouteEquivalenceReport",
@@ -59,12 +59,15 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
-    if module is None:
+    if module is not None:
+        value = getattr(import_module(f"{__name__}.{module}"), name)
+    elif name in _NAMES_BY_MODULE:
+        value = import_module(f"{__name__}.{name}")
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_MODULE_OF})
+    return sorted({*globals(), *_MODULE_OF, *_NAMES_BY_MODULE})

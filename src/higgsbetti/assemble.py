@@ -64,8 +64,8 @@ from .ingredients import (
     v_dim,
 )
 from .params import ModuliParams, canonicalize, index_bounds, s_tau
+from .records import Frozen, dataclass_compatible
 from .series import (
-    Frozen,
     PolynomialWindow,
     RationalExpr,
     TruncatedSeries,
@@ -82,6 +82,7 @@ MODULI_MIN = "moduli_min"
 PLAIN = RationalExpr((1,))
 
 
+@dataclass_compatible
 class TermValue(Frozen):
     """One labeled summand of an assembly: the sum of its ``entries``
     (sign, shift, factors), as in ``shifted_product_sum``, times its
@@ -140,6 +141,7 @@ class TermValue(Frozen):
         return hash((self.label, self.series))
 
 
+@dataclass_compatible
 class AssemblyResult(NamedTuple):
     """Known series plus explicit unknown blocks a*pairs + b*moduli_min.
 
@@ -540,6 +542,7 @@ def torelli_anomalous_part(p: ModuliParams, order: int | None = None) -> dict[in
     return out
 
 
+@dataclass_compatible
 class RouteEquivalenceReport(NamedTuple):
     """Concrete residual of closed form minus stratum route (relative mode,
     pairs eliminated through the wall-crossing difference)."""
@@ -604,6 +607,7 @@ def verify_route_equivalence(
     )
 
 
+@dataclass_compatible
 class ModuliReport(NamedTuple):
     result: AssemblyResult
     polynomial: PolynomialWindow | None

@@ -46,6 +46,7 @@ from .ingredients import (
     sym_factor,
 )
 from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid
+from .records import dataclass_compatible
 from .series import (
     TruncatedSeries,
     parse_integer,
@@ -170,6 +171,7 @@ class MaximalCaseProvider(BradlowProvider):
         return None
 
 
+@dataclass_compatible
 class _ProviderRecord(NamedTuple):
     g: int
     e: int

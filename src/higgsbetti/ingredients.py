@@ -16,9 +16,11 @@ from functools import lru_cache
 from math import comb
 
 from .errors import ParameterError
-from .series import Frozen, RationalExpr, TruncatedSeries, polynomial_product
+from .records import Frozen, dataclass_compatible
+from .series import RationalExpr, TruncatedSeries, polynomial_product
 
 
+@dataclass_compatible
 class CoverParams(Frozen):
     """Exponents (m1, m2) and genus for the covers of S^{m1}X x S^{m2}X."""
 

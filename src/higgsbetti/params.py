@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParameterError
+from .records import dataclass_compatible
 
 # largest genus accepted from outside input (CLI arguments, provider files)
 MAX_GENUS = 128
@@ -28,6 +29,7 @@ MAX_GENUS = 128
 MAX_ORDER = 2048
 
 
+@dataclass_compatible
 class HalfInt(NamedTuple):
     """A half-integer l represented exactly as doubled = 2l."""
 
@@ -66,6 +68,7 @@ class HalfInt(NamedTuple):
         return f"{self.doubled}/2"
 
 
+@dataclass_compatible
 class ModuliParams(NamedTuple):
     """(g, d1, d2) with derived invariants; immutable and exact."""
 

@@ -55,6 +55,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import ParameterError
+from .records import Frozen, dataclass_compatible
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
 # slot widths that struct converts in one call, and their signed codes
@@ -250,45 +251,6 @@ def _over_one_minus(cs: list, exponents) -> "TruncatedSeries":
     return _trusted(tuple(cs))
 
 
-class Frozen:
-    """Base of the value classes that validate their input or hold a cache
-    (written by hand rather than as dataclasses, whose code generation at
-    import would dominate a short CLI process).  ``__init__`` sets each
-    field named in ``_fields`` once, through ``object.__setattr__``;
-    assigning or deleting an attribute afterwards raises AttributeError.
-    Two values are equal when they are of the same class and their fields
-    are equal, and hash by their fields."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: restoring the slots
-        # one by one would go through the __setattr__ that raises
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 def _trusted(coeffs: tuple) -> "TruncatedSeries":
     """A series over coefficients known to be exact ints (no re-validation)."""
     out = object.__new__(TruncatedSeries)
@@ -296,6 +258,7 @@ def _trusted(coeffs: tuple) -> "TruncatedSeries":
     return out
 
 
+@dataclass_compatible
 class TruncatedSeries(Frozen):
     """Coefficients c_0..c_N of sum_k c_k t^k, truncated at order N.
 
@@ -308,15 +271,6 @@ class TruncatedSeries(Frozen):
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _as_coeff_tuple(coeffs))
-
-    # the suites compare series often: no field tuple per comparison
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     # -- constructors -------------------------------------------------
 
@@ -489,6 +443,7 @@ def polynomial_product(p, q) -> tuple[int, ...]:
     return tuple(shifted_product_sum(((1, 0, (p, q)),), len(p) + len(q) - 1))
 
 
+@dataclass_compatible
 class RationalExpr(Frozen):
     """numerator(t) / prod_i (1 - t^{a_i}) with a finite integer numerator.
 
@@ -530,6 +485,7 @@ class RationalExpr(Frozen):
         return TruncatedSeries.from_coeffs(poly, order)
 
 
+@dataclass_compatible
 class PolynomialWindow(NamedTuple):
     """Result of the heuristic polynomiality probe.
 

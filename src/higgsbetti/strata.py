@@ -27,7 +27,8 @@ from fractions import Fraction
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_block, jacobian_poincare, sym_factor
 from .params import HalfInt, ModuliParams, _require_valid, index_bounds
-from .series import Frozen, TruncatedSeries
+from .records import Frozen, dataclass_compatible
+from .series import TruncatedSeries
 
 
 class StratumKind(str, Enum):
@@ -67,6 +68,7 @@ def admits(kind: StratumKind, p: ModuliParams, ell: HalfInt) -> bool:
     return ell.is_integer and ell.as_int() in _index_range(kind, p, ell.as_int())
 
 
+@dataclass_compatible
 class StratumDescriptor(Frozen):
     __slots__ = _fields = ("kind", "ell", "params")
 

@@ -12,8 +12,10 @@ from math import comb
 from typing import NamedTuple
 
 from . import assemble, bradlow, ingredients, params, series
+from .records import dataclass_compatible
 
 
+@dataclass_compatible
 class SuiteResult(NamedTuple):
     name: str
     hard: bool

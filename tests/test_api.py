@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import os
 import pickle
+import pprint
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from higgsbetti.assemble import (
     verify_route_equivalence,
 )
 from higgsbetti.bradlow import _ProviderRecord
+from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import CoverParams
 from higgsbetti.params import HalfInt, make_params
 from higgsbetti.series import PolynomialWindow, RationalExpr, TruncatedSeries
@@ -62,6 +65,16 @@ def test_importing_the_package_loads_no_submodule():
     loaded = _modules_loaded_by("import higgsbetti")
     assert "higgsbetti" in loaded
     assert not [m for m in loaded if m.startswith("higgsbetti.")]
+
+
+def test_submodules_are_attributes_of_the_package():
+    loaded = _modules_loaded_by(
+        "import higgsbetti; higgsbetti.series.TruncatedSeries((1,))")
+    assert "higgsbetti.series" in loaded and "higgsbetti.strata" not in loaded
+    assert higgsbetti.strata.StratumDescriptor is StratumDescriptor
+    assert {"assemble", "series", "strata"} <= set(dir(higgsbetti))
+    with pytest.raises(AttributeError):
+        higgsbetti.no_such_name
 
 
 def test_star_import_binds_every_public_name():
@@ -110,6 +123,26 @@ def test_value_classes_are_immutable_and_compare_by_fields(name):
             delattr(a, field)
     assert a == b
     assert pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_work_with_the_dataclasses_functions(name):
+    a = VALUES[name]()
+    assert dataclasses.is_dataclass(a) and dataclasses.is_dataclass(type(a))
+    assert [f.name for f in dataclasses.fields(a)] == list(type(a)._fields)
+    assert dataclasses.replace(a) == a
+    assert dataclasses.asdict(a).keys() == set(type(a)._fields)
+    pprint.pformat(a)
+
+
+def test_dataclasses_replace_changes_one_field():
+    result = VALUES["AssemblyResult"]()
+    other = dataclasses.replace(result, series=-result.series)
+    assert type(other) is type(result) and other != result
+    assert other.series == -result.series and other.terms == result.terms
+    assert dataclasses.replace(HalfInt(3), doubled=5) == HalfInt(5)
+    with pytest.raises(ParameterError):
+        dataclasses.replace(TruncatedSeries((1, 2)), coeffs=(1.5,))
 
 
 def test_values_with_different_fields_differ():
