@@ -46,7 +46,7 @@ _NAMES_BY_MODULE = {
         "default_order", "geometric_inverse", "is_polynomial_window",
     ),
     "strata": (
-        "StratumDescriptor", "StratumKind", "critical_set_poincare",
+        "StratumDescriptor", "StratumKind", "critical_set_poincare", "critical_table",
         "enumerate_critical", "negative_dim", "negative_pair_cohomology",
         "negative_pair_kinds", "table_note",
     ),

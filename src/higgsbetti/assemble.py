@@ -290,11 +290,14 @@ class _Builder:
                 mm = pairs - ww_difference(p, order)
             values = {PAIRS: pairs, MODULI_MIN: mm}
         unknown: dict[str, TruncatedSeries] = {}
-        by_block: dict[RationalExpr, list] = {}
+        # grouped by the (cached) block object: hashing a block hashes its
+        # whole numerator, and two equal blocks apart only cost one more
+        # exact expansion
+        by_block: dict[int, tuple[RationalExpr, list]] = {}
         for t in self.terms:
-            by_block.setdefault(t.block, []).extend(t.entries)
+            by_block.setdefault(id(t.block), (t.block, []))[1].extend(t.entries)
         known = TruncatedSeries.zero(order)
-        for block, entries in by_block.items():
+        for block, entries in by_block.values():
             known = known + block.expand(order, entries)
         terms = list(self.terms)
         for name, coeff in self.unknown.items():
@@ -353,22 +356,6 @@ def _assembly(group: str):
     return decorate
 
 
-def _c1_ells(p: ModuliParams) -> range:
-    bounds = index_bounds(p)
-    return range(bounds.c1_low + 1, bounds.c1_top + 1)
-
-
-def _c2_sum_ells(p: ModuliParams) -> range:
-    # C2-type block, top member l = d2/2 included when d2 is even
-    bounds = index_bounds(p)
-    return range(bounds.c2_low + 1, bounds.half_d2 + 1)
-
-
-def _b1_diff_ells(p: ModuliParams) -> range:
-    bounds = index_bounds(p)
-    return range(bounds.half_d2 + 1, bounds.c1_low + 1)
-
-
 def _mu(p: ModuliParams, l: int) -> int:
     return 2 * (p.g - 1 + 2 * l - p.d2)
 
@@ -384,7 +371,8 @@ def _sym(b: _Builder, m: int) -> tuple[int, ...]:
 def _add_c1_sum(b: _Builder) -> None:
     p, order = b.p, b.order
     block = jacobian_block(p.g, 1, 2) if b.group == "u21" else PLAIN
-    for l in _c1_ells(p):
+    bounds = index_bounds(p)
+    for l in range(bounds.c1_low + 1, bounds.c1_top + 1):
         m1, m2 = _cover_exponents(p, l)
         shift = _mu(p, l)
         if shift > order:
@@ -420,14 +408,15 @@ def _add_route_sums(b: _Builder, boundary: RationalExpr, c2: RationalExpr,
                     b1_diff: RationalExpr) -> None:
     """The even-degree boundary term and the C2 and B1-diff sums, each a
     symmetric product over its block."""
-    p = b.p
+    p, bounds = b.p, index_bounds(b.p)
     g, d1, d2 = p.g, p.d1, p.d2
     if d2 % 2 == 0:
         b.add("even-degree-boundary", boundary, (1, p.e, (_sym(b, p.e // 2),)))
-    for l in _c2_sum_ells(p):
+    # the C2-type sum includes its top member l = d2/2 when d2 is even
+    for l in range(bounds.c2_low + 1, bounds.half_d2 + 1):
         b.add(f"C2[l={l}]", c2,
               (-1, 2 * (2 * g - 2 + l - d1), (_sym(b, l - d1 + 2 * g - 2),)))
-    for l in _b1_diff_ells(p):
+    for l in range(bounds.half_d2 + 1, bounds.c1_low + 1):
         b.add(f"B1-diff[l={l}]", b1_diff,
               (1, _mu(p, l), (_sym(b, d2 - d1 + 2 * g - 2 - l),)))
 
@@ -531,15 +520,13 @@ def torelli_anomalous_part(p: ModuliParams, order: int | None = None) -> dict[in
     For each anomalous degree 6g-6+tau/2+2l the dimension is the
     coefficient (3^{2g}-1) C(2g-2, m1) C(2g-2, m2) of its cover summand.
     """
-    tau = p.tau
-    if tau.denominator != 1 or int(tau) % 2 != 0:
+    p, _ = canonicalize(p)  # a point with tau < 0 has the part of its dual
+    if p.tau.denominator != 1 or p.tau % 2 != 0:
         raise ParameterError("the Toledo invariant must be an even integer here")
-    if not 0 <= tau <= 2 * p.g - 2:
-        raise ParameterError("tau outside [0, 2g-2]")
-    out: dict[int, int] = {}
-    for degree, (m1, m2) in s_tau(p.g, int(tau)).items():
-        out[degree] = v_dim(CoverParams(m1, m2, p.g))
-    return out
+    if p.tau > 2 * p.g - 2:
+        raise ParameterError("tau outside [-(2g-2), 2g-2]")
+    return {degree: v_dim(CoverParams(m1, m2, p.g))
+            for degree, (m1, m2) in s_tau(p.g, int(p.tau)).items()}
 
 
 @dataclass_compatible

@@ -298,11 +298,16 @@ def maximal_provider_record(g: int, order: int) -> dict:
     }
 
 
-def provider_for_spec(spec: str) -> BradlowProvider:
-    """Resolve a provider description: relative | maximal | file:PATH."""
+def provider_for_spec(spec: str, p: ModuliParams) -> BradlowProvider:
+    """Resolve a provider description, relative | maximal | file:PATH, for
+    the point p: ``maximal`` holds only at |tau| = 2g-2."""
     if spec == "relative":
         return SymbolicProvider()
     if spec == "maximal":
+        if abs(p.tau) != 2 * p.g - 2:
+            raise ParameterError(
+                f"provider 'maximal' is valid only at |tau| = 2g-2 = {2 * p.g - 2}, "
+                f"got tau = {p.tau}")
         return MaximalCaseProvider()
     if spec.startswith("file:"):
         return provider_from_file(spec[5:])

@@ -54,118 +54,71 @@ def _emit(text: str, out_path: str | None) -> None:
             f"cannot write --out {out_path}: {exc.strerror or exc}") from exc
 
 
+def _render(args, **build) -> None:
+    """Emit the format ``args.format``, built by its callable alone: a
+    format can be costly (JSON expands every term of a result).  ``json``
+    returns a document, written with sorted keys and an indent of 2;
+    ``csv`` returns the text, and ``text`` gets the one-line JSON encoder
+    for the values it shows and returns the text."""
+    if args.format == "json":
+        out = json.dumps(build["json"](), sort_keys=True, indent=2)
+    elif args.format == "text":
+        out = build["text"](lambda value: json.dumps(value, sort_keys=True))
+    else:
+        out = build["csv"]()
+    _emit(out, args.out)
+
+
 def _series_csv(s: series.TruncatedSeries) -> str:
-    lines = ["degree,betti"]
-    lines += [f"{k},{c}" for k, c in enumerate(s.coeffs)]
-    return "\n".join(lines)
-
-
-def _params_from_args(args) -> params.ModuliParams:
-    return params.make_params(args.genus, args.d1, args.d2)
-
-
-def _provider_from_args(args, p: params.ModuliParams) -> bradlow.BradlowProvider:
-    spec = args.provider
-    if spec == "maximal" and abs(p.tau) != 2 * p.g - 2:
-        raise ParameterError(
-            f"provider 'maximal' is valid only at |tau| = 2g-2 = {2 * p.g - 2}, "
-            f"got tau = {p.tau}"
-        )
-    return bradlow.provider_for_spec(spec)
+    return "\n".join(["degree,betti", *(f"{k},{c}" for k, c in enumerate(s.coeffs))])
 
 
 # ----------------------------------------------------------------- compute
 
 
 def cmd_compute(args) -> int:
-    p = _params_from_args(args)
-    provider = _provider_from_args(args, p)
+    p = params.make_params(args.genus, args.d1, args.d2)
+    provider = bradlow.provider_for_spec(args.provider, p)
     key = (args.group, args.route)
     if key not in assemble.BUILDERS:
         raise ParameterError(f"group {args.group!r} has no {args.route!r} route")
     result = assemble.BUILDERS[key](p, provider, args.order, force=args.force)
-    if args.format == "json":
-        _emit(json.dumps(result.to_json_dict(), sort_keys=True, indent=2), args.out)
-    elif args.format == "csv":
+
+    def csv() -> str:
         if result.mode != "absolute":
             raise ParameterError(
                 "csv output needs a concrete series; this result is relative "
                 "(unknown Bradlow blocks); use --format json"
             )
-        _emit(_series_csv(result.series), args.out)
-    else:
-        lines = [
+        return _series_csv(result.series)
+
+    def text(_json_line) -> str:
+        return "\n".join([
             f"group {result.group}  (g, d1, d2) = ({p.g}, {p.d1}, {p.d2})  "
             f"order {result.order}  mode {result.mode}",
             f"series: {result.series}",
-        ]
-        for name, coeff in sorted(result.unknown.items()):
-            lines.append(f"unknown block {name}: coefficient {coeff}")
-        _emit("\n".join(lines), args.out)
+            *(f"unknown block {name}: coefficient {coeff}"
+              for name, coeff in sorted(result.unknown.items()))])
+
+    _render(args, json=result.to_json_dict, text=text, csv=csv)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ strata
 
 
-# the strata table prints the coefficients of degrees 0..HEAD_DEGREE
-HEAD_DEGREE = 5
-
-
 def cmd_strata(args) -> int:
     from . import strata  # only this command uses it; every process compiles its imports
 
-    # a point with tau < 0 is tabulated at its dual, as assemblies are
-    p, transforms = params.canonicalize(_params_from_args(args))
-    order = series.resolve_order(p.g, args.order)
-    head_order = min(order, HEAD_DEGREE)
-    default = p.d1 + 2 * p.g - 2
-    l_max = params.HalfInt(args.lmax_doubled) if args.lmax_doubled is not None \
-        else params.HalfInt.from_int(default)
-    # every index above d1 is a B3 row, so the table grows with l_max
-    if l_max.value > default + params.MAX_ORDER:
-        raise ParameterError(
-            f"lmax {l_max} is more than {params.MAX_ORDER} above the default "
-            f"d1 + 2g - 2 = {default}")
-    descriptors = strata.enumerate_critical(p, l_max)
-    present = {s.kind for s in descriptors}
-    rows = []
-    for s in descriptors:
-        series_head = strata.critical_set_poincare(s, head_order).coeffs
-        try:
-            dims = strata.negative_dim(s)
-        except ParameterError:
-            dims = {}
-        rows.append({
-            "kind": s.kind.value,
-            "l": str(s.ell),
-            "range": strata.kind_range_description(s.kind, p),
-            "region": params.region_of(p, s.ell),
-            "dimensions": dims,
-            "series_head": [str(c) for c in series_head],
-            "note": strata.table_note(s.kind),
-        })
-    empty = [k.value for k in strata.StratumKind if k not in present]
-    if args.format == "json":
-        doc = {
-            "params": p.describe(),
-            "l_max": str(l_max),
-            "order": order,
-            "rows": rows,
-            "empty_kinds": empty,
-        }
-        if transforms:
-            doc["transforms"] = transforms
-        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
-    elif args.format == "csv":
-        raise ParameterError("strata output supports text or json")
-    else:
-        dualized = f", dual of ({-p.d1}, {-p.d2})" if transforms else ""
-        lines = [
-            f"critical sets for (g, d1, d2) = ({p.g}, {p.d1}, {p.d2}), "
-            f"l <= {l_max}{dualized}"
-        ]
-        for r in rows:
+    doc = strata.critical_table(params.make_params(args.genus, args.d1, args.d2),
+                                args.lmax, args.order)
+
+    def text(_json_line) -> str:
+        p = doc["params"]
+        dualized = f", dual of ({-p['d1']}, {-p['d2']})" if "transforms" in doc else ""
+        lines = [f"critical sets for (g, d1, d2) = ({p['g']}, {p['d1']}, {p['d2']}), "
+                 f"l <= {doc['l_max']}{dualized}"]
+        for r in doc["rows"]:
             dims = ", ".join(f"{k}={v}" for k, v in r["dimensions"].items()) or "-"
             head = " ".join(r["series_head"])
             lines.append(
@@ -174,9 +127,11 @@ def cmd_strata(args) -> int:
             )
             if r["note"]:
                 lines.append(f"      note: {r['note']}")
-        for k in empty:
+        for k in doc["empty_kinds"]:
             lines.append(f"  {k:>2}: none in range")
-        _emit("\n".join(lines), args.out)
+        return "\n".join(lines)
+
+    _render(args, json=lambda: doc, text=text)
     return EXIT_OK
 
 
@@ -184,45 +139,19 @@ def cmd_strata(args) -> int:
 
 
 def cmd_ingredients(args) -> int:
-    g = args.genus
-    order = series.resolve_order(g, args.order)
-    op = args.op
-    value: int | None = None
-    if op == "jacobian":
-        out = ingredients.jacobian_poincare(g, order)
-    elif op == "sym":
-        out = ingredients.sym_poincare(args.m, g, order)
-    elif op == "projective":
-        out = ingredients.projective_poincare(args.n, order)
-    elif op == "bg-rank1":
-        out = ingredients.bg_rank1(g, order)
-    elif op == "bg-rank2":
-        out = ingredients.bg_rank2(g, order)
-    elif op == "bg-u21":
-        out = ingredients.bg_u21(g, order)
-    elif op == "bg-su21":
-        out = ingredients.bg_su21(g, order)
-    elif op == "ab-semistable":
-        out = ingredients.ab_semistable_rank2(args.d2, g, order)
-    elif op == "gothen":
-        out = ingredients.gothen_cover_poincare(
-            ingredients.CoverParams(args.m1, args.m2, g), order)
-    elif op == "vdim":
-        value = ingredients.v_dim(ingredients.CoverParams(args.m1, args.m2, g))
-        out = None
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown ingredient op {op!r}")
-    if args.format == "json":
-        doc = {"op": op, "order": None if out is None else order}
-        if out is not None:
-            doc["coefficients"] = [str(c) for c in out.coeffs]
-        else:
-            doc["value"] = str(value)
-        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
-    elif args.format == "csv":
-        _emit(_series_csv(out) if out is not None else f"value\n{value}", args.out)
-    else:
-        _emit(str(out) if out is not None else str(value), args.out)
+    order = series.resolve_order(args.genus, args.order)
+    value = ingredients.OPS[args.op](args.genus, order, m=args.m, n=args.n,
+                                     d2=args.d2, m1=args.m1, m2=args.m2)
+    scalar = isinstance(value, int)  # vdim
+
+    def doc() -> dict:
+        if scalar:
+            return {"op": args.op, "order": None, "value": str(value)}
+        return {"op": args.op, "order": order,
+                "coefficients": [str(c) for c in value.coeffs]}
+
+    _render(args, json=doc, text=lambda _json_line: str(value),
+            csv=lambda: f"value\n{value}" if scalar else _series_csv(value))
     return EXIT_OK
 
 
@@ -260,26 +189,13 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
 
 def cmd_verify(args) -> int:
     grid = _parse_grid(args.grid)
-    names = list(SUITES) if args.suite in (None, "all") else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            raise ParameterError(
-                f"unknown suite {name!r}; available: {', '.join(SUITES)}")
+    if args.suite != "all" and args.suite not in SUITES:
+        raise ParameterError(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}")
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [SUITES[name](grid) for name in names]
-    hard_failed = [r for r in results if r.hard and not r.passed]
-    if args.format == "json":
-        doc = {
-            "passed": not hard_failed,
-            "suites": [
-                {"name": r.name, "hard": r.hard, "passed": r.passed,
-                 "details": r.details, "counterexample": r.counterexample}
-                for r in results
-            ],
-        }
-        _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
-    elif args.format == "csv":
-        raise ParameterError("verify output supports text or json")
-    else:
+    hard_failed = any(r.hard and not r.passed for r in results)
+
+    def text(json_line) -> str:
         lines = []
         for r in results:
             status = "pass" if r.passed else "FAIL"
@@ -288,9 +204,11 @@ def cmd_verify(args) -> int:
             for d in r.details:
                 lines.append(f"    {d}")
             if r.counterexample:
-                lines.append(f"    counterexample: "
-                             f"{json.dumps(r.counterexample, sort_keys=True)}")
-        _emit("\n".join(lines), args.out)
+                lines.append(f"    counterexample: {json_line(r.counterexample)}")
+        return "\n".join(lines)
+
+    _render(args, text=text, json=lambda: {
+        "passed": not hard_failed, "suites": [r._asdict() for r in results]})
     return EXIT_VERIFY if hard_failed else EXIT_OK
 
 
@@ -302,7 +220,7 @@ def cmd_export(args) -> int:
         raise ParameterError("export requires --out PATH")
     g = args.genus
     doc = bradlow.maximal_provider_record(g, series.resolve_order(g, args.order))
-    _emit(json.dumps(doc, sort_keys=True, indent=2), args.out)
+    _render(args, json=lambda: doc)
     return EXIT_OK
 
 
@@ -317,15 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_params=True):
-        if with_params:
-            sp.add_argument("--genus", "-g", type=int, required=True)
-            sp.add_argument("--d1", type=int, required=True)
-            sp.add_argument("--d2", type=int, required=True)
+    # each command's --format choices are the formats its _render call builds
+    def add_common(sp, formats=("text", "json", "csv")):
+        sp.add_argument("--genus", "-g", type=int, required=True)
+        sp.add_argument("--d1", type=int, required=True)
+        sp.add_argument("--d2", type=int, required=True)
         sp.add_argument("--order", type=int, default=None,
                         help="truncation order (default 8g+24)")
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
+        sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write output to a file")
 
     sp = sub.add_parser("compute", help="assemble a Poincare series")
@@ -339,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("strata", help="enumerate critical sets")
-    add_common(sp)
-    sp.add_argument("--lmax", dest="lmax_doubled", type=_parse_lmax, default=None,
+    add_common(sp, ("text", "json"))
+    sp.add_argument("--lmax", type=_parse_lmax, default=None,
                     metavar="L", help="largest index l (integer or n/2)")
     sp.set_defaults(fn=cmd_strata)
 
@@ -348,15 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", default="all",
                     help="suite name or 'all': " + ", ".join(SUITES))
     sp.add_argument("--grid", default=None, help="e.g. g=2..3")
-    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("ingredients", help="evaluate one ingredient series")
-    sp.add_argument("--op", required=True,
-                    choices=("jacobian", "sym", "projective", "bg-rank1",
-                             "bg-rank2", "bg-u21", "bg-su21", "ab-semistable",
-                             "gothen", "vdim"))
+    sp.add_argument("--op", required=True, choices=tuple(ingredients.OPS))
     sp.add_argument("--genus", "-g", type=int, default=2)
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--m1", type=int, default=0)
@@ -373,20 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--what", choices=("provider",), default="provider")
-    sp.set_defaults(fn=cmd_export)
+    sp.set_defaults(fn=cmd_export, format="json")
 
     return parser
 
 
-def _parse_lmax(text: str) -> int:
-    """Parse an integer or n/2 half-integer into a doubled value."""
+def _parse_lmax(text: str) -> params.HalfInt:
+    """Parse an integer or an n/2 half-integer."""
     try:
         frac = Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
     if (2 * frac).denominator != 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
-    return int(2 * frac)
+    return params.HalfInt(int(2 * frac))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -217,3 +217,21 @@ def gothen_cover(c: CoverParams, order: int) -> tuple[tuple, tuple]:
 def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:
     """The cover polynomial of ``gothen_cover`` truncated at order."""
     return RationalExpr((1,)).expand(order, gothen_cover(c, order))
+
+
+# the ops of ``higgsbetti ingredients`` by name: each takes the genus, the
+# order and, by keyword, the integers m, n, d2, m1 and m2 it reads; each
+# gives a series but vdim, which gives an integer
+OPS = {
+    "jacobian": lambda g, order, **_: jacobian_poincare(g, order),
+    "sym": lambda g, order, m, **_: sym_poincare(m, g, order),
+    "projective": lambda g, order, n, **_: projective_poincare(n, order),
+    "bg-rank1": lambda g, order, **_: bg_rank1(g, order),
+    "bg-rank2": lambda g, order, **_: bg_rank2(g, order),
+    "bg-u21": lambda g, order, **_: bg_u21(g, order),
+    "bg-su21": lambda g, order, **_: bg_su21(g, order),
+    "ab-semistable": lambda g, order, d2, **_: ab_semistable_rank2(d2, g, order),
+    "gothen": lambda g, order, m1, m2, **_:
+        gothen_cover_poincare(CoverParams(m1, m2, g), order),
+    "vdim": lambda g, order, m1, m2, **_: v_dim(CoverParams(m1, m2, g)),
+}

@@ -96,17 +96,9 @@ class ModuliParams(NamedTuple):
         return make_params(self.g, -self.d1, -self.d2)
 
     def describe(self) -> dict:
-        return {
-            "g": self.g,
-            "d1": self.d1,
-            "d2": self.d2,
-            "tau": str(self.tau),
-            "e": self.e,
-            "sigma": str(self.sigma),
-            "sigma_min": str(self.sigma_min),
-            "mod3_class": self.mod3_class,
-            "valid": self.valid,
-        }
+        """The fields, with the rationals as strings."""
+        return {**self._asdict(), "tau": str(self.tau), "sigma": str(self.sigma),
+                "sigma_min": str(self.sigma_min)}
 
 
 def make_params(g: int, d1: int, d2: int) -> ModuliParams:
@@ -138,6 +130,32 @@ class IndexBounds(NamedTuple):
 def index_bounds(p: ModuliParams) -> IndexBounds:
     g, d1, d2 = p.g, p.d1, p.d2
     return IndexBounds(d2 // 2, (2 * d2 - d1) // 3, (d1 + d2) // 3, d2 - d1 + 2 * g - 2)
+
+
+class KindRange(NamedTuple):
+    """lower < l < upper, or l <= upper when ``upper_closed``; no upper end
+    when ``upper`` is None."""
+
+    lower: Fraction
+    upper: int | None
+    upper_closed: bool
+
+
+def kind_range(p: ModuliParams, kind: str) -> KindRange:
+    """The index range of the stratum kind named ``kind``: B1, B3, C1, C2 or
+    C3; A (l = d2/2) and B2 (l = d1, when d1 > d2/2) are single points."""
+    g, d1, d2 = p.g, p.d1, p.d2
+    if kind == "B1":
+        return KindRange(Fraction(d2, 2), d1, False)
+    if kind == "B3":
+        return KindRange(Fraction(d1), None, False)
+    if kind == "C1":
+        return KindRange(Fraction(d1 + d2, 3), d2 - d1 + 2 * g - 2, True)
+    if kind == "C2":
+        return KindRange(Fraction(2 * d2 - d1, 3), d1, False)
+    if kind == "C3":
+        return KindRange(Fraction(d1), d1 + 2 * g - 2, True)
+    raise ParameterError(f"stratum kind {kind!r} has no index range")
 
 
 def canonicalize(p: ModuliParams) -> tuple[ModuliParams, list[dict]]:
@@ -193,16 +211,13 @@ def region_of(p: ModuliParams, k: HalfInt) -> str:
     # membership in delta_set(p, k), decided without building it
     if k != HalfInt(p.d2) and not (k.is_integer and k.as_int() > index_bounds(p).c2_low):
         raise ParameterError(f"l = {k} is not in the index set")
-    kv = k.value
-    g, d1, d2 = p.g, p.d1, p.d2
-    third_sum = Fraction(d1 + d2, 3)
-    third_diff = Fraction(2 * d2 - d1, 3)
-    c1_top = d2 - d1 + 2 * g - 2
-    if third_sum < kv <= c1_top:
+    kv, d1 = k.value, p.d1
+    c1, c2 = kind_range(p, "C1"), kind_range(p, "C2")
+    if c1.lower < kv <= c1.upper:
         return "I"
-    if (third_diff < kv <= third_sum) or (c1_top < kv <= d1):
+    if (c2.lower < kv <= c1.lower) or (c1.upper < kv <= d1):
         return "II"
-    if kv > max(d1, c1_top):
+    if kv > max(d1, c1.upper):
         return "III"
     return "none"
 

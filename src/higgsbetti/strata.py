@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import floor
 
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_block, jacobian_poincare, sym_factor
-from .params import HalfInt, ModuliParams, _require_valid, index_bounds
+from .params import (MAX_ORDER, HalfInt, ModuliParams, _require_valid, canonicalize,
+                     kind_range, region_of)
 from .records import Frozen, dataclass_compatible
-from .series import TruncatedSeries
+from .series import TruncatedSeries, resolve_order
 
 
 class StratumKind(str, Enum):
@@ -46,18 +48,14 @@ _KIND_ORDER = {k: i for i, k in enumerate(StratumKind)}
 
 def _index_range(kind: StratumKind, p: ModuliParams, top: int) -> range:
     """The integer indices l <= top of a kind other than A, from
-    ``params.index_bounds`` (a fractional open end is kept as its floor,
-    and the first integer above it is the floor plus 1).  B2 is l = d1
-    when d1 exceeds d2/2: the middle line-splitting."""
-    d1, bounds = p.d1, index_bounds(p)
-    lo, hi = {
-        StratumKind.B1: (bounds.half_d2 + 1, d1),
-        StratumKind.B2: (max(d1, bounds.half_d2 + 1), d1 + 1),
-        StratumKind.B3: (d1 + 1, top + 1),
-        StratumKind.C1: (bounds.c1_low + 1, bounds.c1_top + 1),
-        StratumKind.C2: (bounds.c2_low + 1, d1),
-        StratumKind.C3: (d1 + 1, d1 + 2 * p.g - 1),
-    }[kind]
+    ``params.kind_range``; B2 is l = d1 when d1 exceeds d2/2: the middle
+    line-splitting."""
+    if kind is StratumKind.B2:
+        lo, hi = p.d1, p.d1 + (2 * p.d1 > p.d2)
+    else:
+        lower, upper, closed = kind_range(p, kind.value)
+        lo = floor(lower) + 1  # the first integer above the open lower end
+        hi = top + 1 if upper is None else upper + closed
     return range(lo, min(hi, top + 1))
 
 
@@ -127,23 +125,61 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
 
 def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:
     """Human-readable validity range of the index l for one kind."""
-    g, d1, d2 = p.g, p.d1, p.d2
     if kind is StratumKind.A:
-        return f"l = d2/2 = {Fraction(d2, 2)}"
-    if kind is StratumKind.B1:
-        return f"{Fraction(d2, 2)} < l < {d1}"
+        return f"l = d2/2 = {Fraction(p.d2, 2)}"
     if kind is StratumKind.B2:
         # l = d1 > d2/2 holds exactly when tau > 0
         if p.tau > 0:
-            return f"l = d1 = {d1}"
-        return f"l = d1 = {d1} (empty: tau {'=' if p.tau == 0 else '<'} 0)"
-    if kind is StratumKind.B3:
-        return f"l > {d1}"
-    if kind is StratumKind.C1:
-        return f"{Fraction(d1 + d2, 3)} < l <= {d2 - d1 + 2 * g - 2}"
-    if kind is StratumKind.C2:
-        return f"{Fraction(2 * d2 - d1, 3)} < l < {d1}"
-    return f"{d1} < l <= {d1 + 2 * g - 2}"
+            return f"l = d1 = {p.d1}"
+        return f"l = d1 = {p.d1} (empty: tau {'=' if p.tau == 0 else '<'} 0)"
+    lower, upper, closed = kind_range(p, kind.value)
+    if upper is None:
+        return f"l > {lower}"
+    return f"{lower} < l {'<=' if closed else '<'} {upper}"
+
+
+# the critical-set table shows the coefficients of degrees 0..HEAD_DEGREE
+HEAD_DEGREE = 5
+
+
+def critical_table(p: ModuliParams, l_max: HalfInt | None = None,
+                   order: int | None = None) -> dict:
+    """The JSON document of ``higgsbetti strata``: a row per descriptor with
+    index at most l_max, and the kinds with none.  A point with tau < 0 is
+    tabulated at its dual, as assemblies are.  l_max defaults to d1 + 2g - 2
+    and may exceed that by MAX_ORDER at most: every index above d1 is a row."""
+    p, transforms = canonicalize(p)
+    order = resolve_order(p.g, order)
+    default = p.d1 + 2 * p.g - 2
+    if l_max is None:
+        l_max = HalfInt.from_int(default)
+    if l_max.value > default + MAX_ORDER:
+        raise ParameterError(
+            f"lmax {l_max} is more than {MAX_ORDER} above the default "
+            f"d1 + 2g - 2 = {default}")
+    descriptors = enumerate_critical(p, l_max)
+    rows = []
+    for s in descriptors:
+        try:
+            dims = negative_dim(s)
+        except ParameterError:
+            dims = {}
+        rows.append({
+            "kind": s.kind.value,
+            "l": str(s.ell),
+            "range": kind_range_description(s.kind, p),
+            "region": region_of(p, s.ell),
+            "dimensions": dims,
+            "series_head": [str(c) for c in
+                            critical_set_poincare(s, min(order, HEAD_DEGREE)).coeffs],
+            "note": table_note(s.kind),
+        })
+    present = {s.kind for s in descriptors}
+    doc = {"params": p.describe(), "l_max": str(l_max), "order": order, "rows": rows,
+           "empty_kinds": [k.value for k in StratumKind if k not in present]}
+    if transforms:
+        doc["transforms"] = transforms
+    return doc
 
 
 def table_note(kind: StratumKind) -> str | None:

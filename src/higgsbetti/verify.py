@@ -3,7 +3,8 @@
 Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
 genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
 exit 1 and carries a counterexample; a diagnostic suite only reports.
-SUITES maps each suite name to its function, in the CLI's run order.
+SUITES maps each suite name to its function, in the CLI's run order,
+which is the order of definition below.
 """
 
 from __future__ import annotations
@@ -24,6 +25,33 @@ class SuiteResult(NamedTuple):
     counterexample: dict | None = None
 
 
+SUITES: dict = {}
+
+
+class _Failed(Exception):
+    """Raised by a suite body; its one argument is the counterexample."""
+
+
+def _suite(name: str, hard: bool = True):
+    """Register the decorated body in SUITES as the suite ``name``.  The
+    body takes the grid and returns the details of a pass, or raises
+    _Failed with its counterexample; the suite returns its SuiteResult."""
+    def register(body):
+        def suite(grid) -> SuiteResult:
+            try:
+                details = body(grid)
+            except _Failed as failed:
+                return SuiteResult(name, hard, False, [], failed.args[0])
+            return SuiteResult(name, hard, True, details)
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
 def _grid_genera(grid: dict[str, tuple[int, int]], default=(2, 3)) -> list[int]:
     lo, hi = grid.get("g", default)
     return list(range(lo, hi + 1))
@@ -38,7 +66,8 @@ def _first_difference(expected, got) -> dict:
             "got": None if k is None else got.coeffs[k]}
 
 
-def _suite_series_laws(grid) -> SuiteResult:
+@_suite("series-laws")
+def _suite_series_laws(grid) -> list[str]:
     import random
 
     from . import strata  # no other suite, and no CLI command but strata, uses it
@@ -46,7 +75,6 @@ def _suite_series_laws(grid) -> SuiteResult:
     rng = random.Random(20210817)
     order = 24
     count = 1000
-    details = []
 
     def rand_series():
         return series.TruncatedSeries(
@@ -56,29 +84,24 @@ def _suite_series_laws(grid) -> SuiteResult:
         a, b, c = rand_series(), rand_series(), rand_series()
         if (a + b) + c != a + (b + c) or a * (b * c) != (a * b) * c \
                 or a * (b + c) != a * b + a * c or a * b != b * a:
-            return SuiteResult("series-laws", True, False, [],
-                               {"instance": i, "law": "ring axioms"})
+            raise _Failed({"instance": i, "law": "ring axioms"})
         m = order // 2
         if (a * b).truncated(m) != a.truncated(m) * b.truncated(m):
-            return SuiteResult("series-laws", True, False, [],
-                               {"instance": i, "law": "truncation coherence"})
-    details.append(f"ring laws and truncation coherence on {count} instances")
+            raise _Failed({"instance": i, "law": "truncation coherence"})
     # expansion recovery and nonnegativity of the rendered table
     for g in _grid_genera(grid):
         expr = series.RationalExpr(
             tuple(series.binomial_power(2 * g, 2 * g).coeffs), (2, 2, 4))
         back = expr.expand(order) * expr.denominator_polynomial(order)
         if back != series.TruncatedSeries.from_coeffs(expr.numerator, order):
-            return SuiteResult("series-laws", True, False, [],
-                               {"g": g, "law": "expand recovery"})
+            raise _Failed({"g": g, "law": "expand recovery"})
         for p in params.valid_points(g):
             for s in strata.enumerate_critical(
                     p, params.HalfInt.from_int(p.d1 + 2 * g - 2)):
                 if not strata.critical_set_poincare(s, order).is_nonnegative():
-                    return SuiteResult("series-laws", True, False, [],
-                                       {"stratum": str(s), "law": "nonnegativity"})
-    details.append("expansion recovery and critical-set nonnegativity")
-    return SuiteResult("series-laws", True, True, details)
+                    raise _Failed({"stratum": str(s), "law": "nonnegativity"})
+    return [f"ring laws and truncation coherence on {count} instances",
+            "expansion recovery and critical-set nonnegativity"]
 
 
 def _ab_closed_form(g: int, d2: int, order: int) -> series.TruncatedSeries:
@@ -92,7 +115,8 @@ def _ab_closed_form(g: int, d2: int, order: int) -> series.TruncatedSeries:
     return (jac * (cube - jac.shifted(f))).over_one_minus(2, 2, 4)
 
 
-def _suite_ab_cancellation(grid) -> SuiteResult:
+@_suite("ab-cancellation")
+def _suite_ab_cancellation(grid) -> list[str]:
     for g in _grid_genera(grid):
         order = series.default_order(g)
         zero = series.TruncatedSeries.zero(order)
@@ -104,15 +128,14 @@ def _suite_ab_cancellation(grid) -> SuiteResult:
                 ("su21 residual", zero, assemble.su_ab_cancellation_residual(g, d2, order)),
             ):
                 if got != expected:
-                    return SuiteResult("ab-cancellation", True, False, [],
-                                       {"g": g, "d2": d2, "law": law,
-                                        **_first_difference(expected, got)})
-    return SuiteResult("ab-cancellation", True, True,
-                       ["closed form of both parities and zero residual "
-                        "on the (g, d2) grid, both groups"])
+                    raise _Failed({"g": g, "d2": d2, "law": law,
+                                   **_first_difference(expected, got)})
+    return ["closed form of both parities and zero residual on the (g, d2) "
+            "grid, both groups"]
 
 
-def _suite_route_u21(grid) -> SuiteResult:
+@_suite("route-u21")
+def _suite_route_u21(grid) -> list[str]:
     checked = 0
     for g in _grid_genera(grid):
         order = series.default_order(g)
@@ -121,16 +144,14 @@ def _suite_route_u21(grid) -> SuiteResult:
             checked += 1
             if not rep.zero:
                 k = rep.first_nonzero_degree()
-                return SuiteResult(
-                    "route-u21", True, False, [],
-                    {"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
-                     "expected": 0, "got": rep.residual.coeffs[k],
-                     "terms": rep.term_provenance(k)})
-    return SuiteResult("route-u21", True, True,
-                       [f"zero residual on {checked} parameter tuples"])
+                raise _Failed({"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
+                               "expected": 0, "got": rep.residual.coeffs[k],
+                               "terms": rep.term_provenance(k)})
+    return [f"zero residual on {checked} parameter tuples"]
 
 
-def _suite_route_su21(grid) -> SuiteResult:
+@_suite("route-su21", hard=False)
+def _suite_route_su21(grid) -> list[str]:
     details = []
     for g in _grid_genera(grid):
         order = series.default_order(g)
@@ -146,10 +167,11 @@ def _suite_route_su21(grid) -> SuiteResult:
             details.append(
                 f"(g={p.g}, d1={p.d1}, d2={p.d2}): first residual at degree {k}, "
                 f"series {rep.residual.coeffs[k]}, unknown {unknown}, terms [{head}]")
-    return SuiteResult("route-su21", False, True, details)
+    return details
 
 
-def _suite_gothen(grid) -> SuiteResult:
+@_suite("gothen")
+def _suite_gothen(grid) -> list[str]:
     for g in _grid_genera(grid):
         for m1 in range(0, 2 * g + 1):
             for m2 in range(0, 2 * g + 1):
@@ -163,8 +185,7 @@ def _suite_gothen(grid) -> SuiteResult:
                     expected = base + series.TruncatedSeries.monomial(
                         m1 + m2, order, ingredients.v_dim(c))
                 if got != expected:
-                    return SuiteResult("gothen", True, False, [],
-                                       {"g": g, "m1": m1, "m2": m2})
+                    raise _Failed({"g": g, "m1": m1, "m2": m2})
                 # a 3^{2g}-fold unramified cover multiplies the Euler
                 # characteristic by 3^{2g}, and chi(S^m X) = (-1)^m C(2g-2, m)
                 # (Macdonald: sum_m chi(S^m X) x^m = (1-x)^{2g-2})
@@ -172,20 +193,18 @@ def _suite_gothen(grid) -> SuiteResult:
                 euler = 3 ** (2 * g) * (-1) ** (m1 + m2) \
                     * comb(2 * g - 2, m1) * comb(2 * g - 2, m2)
                 if chi != euler:
-                    return SuiteResult("gothen", True, False, [],
-                                       {"g": g, "m1": m1, "m2": m2,
-                                        "law": "euler characteristic",
-                                        "expected": euler, "got": chi})
+                    raise _Failed({"g": g, "m1": m1, "m2": m2,
+                                   "law": "euler characteristic",
+                                   "expected": euler, "got": chi})
     spot = ingredients.gothen_cover_poincare(ingredients.CoverParams(1, 1, 2), 8)
     if spot.coeffs[:5] != (1, 8, 338, 8, 1):
-        return SuiteResult("gothen", True, False, [],
-                           {"spot": "cover(1,1) at g=2", "got": spot.coeffs[:5]})
-    return SuiteResult("gothen", True, True,
-                       ["cover polynomials match the invariant/anomalous split "
-                        "and the covers' Euler characteristics"])
+        raise _Failed({"spot": "cover(1,1) at g=2", "got": spot.coeffs[:5]})
+    return ["cover polynomials match the invariant/anomalous split and the "
+            "covers' Euler characteristics"]
 
 
-def _suite_maximal(grid) -> SuiteResult:
+@_suite("maximal")
+def _suite_maximal(grid) -> list[str]:
     provider = bradlow.MaximalCaseProvider()
     for g in _grid_genera(grid):
         # the bottom-chamber pairs space at e = g-1 is smooth and projective
@@ -195,9 +214,8 @@ def _suite_maximal(grid) -> SuiteResult:
         moduli = bradlow.maximal_moduli_min(g, top + 2)
         mirror = series.TruncatedSeries.from_coeffs(moduli.coeffs[top::-1], top + 2)
         if moduli != mirror or not moduli.coeffs[top] or not moduli.is_nonnegative():
-            return SuiteResult("maximal", True, False, [],
-                               {"g": g, "law": "duality",
-                                **_first_difference(mirror, moduli)})
+            raise _Failed({"g": g, "law": "duality",
+                           **_first_difference(mirror, moduli)})
         order = 4 * g + 20
         jac = ingredients.jacobian_poincare(g, order)
         geo2 = series.geometric_inverse(2, order)
@@ -205,19 +223,17 @@ def _suite_maximal(grid) -> SuiteResult:
         p = params.make_params(g, 2 * g - 2, g - 1)
         res = assemble.u21_closed_form(p, provider, order)
         if res.mode != "absolute" or res.series != expected:
-            return SuiteResult("maximal", True, False, [],
-                               {"g": g, "mode": res.mode,
-                                **_first_difference(expected, res.series)})
+            raise _Failed({"g": g, "mode": res.mode,
+                           **_first_difference(expected, res.series)})
         route = assemble.u21_stratum_route(p, provider, order)
         if route.series != expected:
-            return SuiteResult("maximal", True, False, [],
-                               {"g": g, "law": "stratum route at maximal"})
-    return SuiteResult("maximal", True, True,
-                       ["closed form and route agree; the bottom-chamber pairs "
-                        "series obeys Poincare duality"])
+            raise _Failed({"g": g, "law": "stratum route at maximal"})
+    return ["closed form and route agree; the bottom-chamber pairs series "
+            "obeys Poincare duality"]
 
 
-def _suite_torelli(grid) -> SuiteResult:
+@_suite("torelli")
+def _suite_torelli(grid) -> list[str]:
     for g in _grid_genera(grid, default=(2, 6)):
         order = series.default_order(g)
         for tau in range(0, 2 * g - 1, 2):
@@ -226,27 +242,23 @@ def _suite_torelli(grid) -> SuiteResult:
             diff = assemble.su21_closed_form(p, None, order) \
                 - assemble.pu21_poincare(p, None, order)
             if diff.unknown:
-                return SuiteResult("torelli", True, False, [],
-                                   {"g": g, "tau": tau,
-                                    "law": "difference not concrete"})
+                raise _Failed({"g": g, "tau": tau, "law": "difference not concrete"})
             support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
             expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
                         for deg, (m1, m2) in params.s_tau(g, tau).items()}
             anomalous = assemble.torelli_anomalous_part(p, order)
             if support != expected or anomalous != expected:
-                return SuiteResult("torelli", True, False, [],
-                                   {"g": g, "tau": tau, "expected": expected,
-                                    "got": support})
+                raise _Failed({"g": g, "tau": tau, "expected": expected,
+                               "got": support})
             empty = not expected
             if empty != params.gamma3_trivial(g, tau) \
                     or empty != params.kirwan_su_surjective(g, tau):
-                return SuiteResult("torelli", True, False, [],
-                                   {"g": g, "tau": tau, "law": "predicate coherence"})
-    return SuiteResult("torelli", True, True,
-                       ["anomalous support matches the index set and predicates"])
+                raise _Failed({"g": g, "tau": tau, "law": "predicate coherence"})
+    return ["anomalous support matches the index set and predicates"]
 
 
-def _suite_shift_invariance(grid) -> SuiteResult:
+@_suite("shift-invariance")
+def _suite_shift_invariance(grid) -> list[str]:
     for g in _grid_genera(grid, default=(2, 2)):
         order = series.default_order(g)
         for p in params.valid_points(g):
@@ -256,29 +268,13 @@ def _suite_shift_invariance(grid) -> SuiteResult:
             for k in (-2, -1, 1, 2):
                 q = p.tensor_shift(k)
                 if bradlow.ww_difference(q, order) != base_ww:
-                    return SuiteResult("shift-invariance", True, False, [],
-                                       {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
-                                        "object": "wall-crossing difference"})
+                    raise _Failed({"g": g, "d1": p.d1, "d2": p.d2, "k": k,
+                                   "object": "wall-crossing difference"})
                 for (group, route), fn in assemble.BUILDERS.items():
                     shifted = fn(q, None, order)
                     if shifted.series != base[group, route].series \
                             or shifted.unknown != base[group, route].unknown:
-                        return SuiteResult(
-                            "shift-invariance", True, False, [],
-                            {"g": g, "d1": p.d1, "d2": p.d2, "k": k,
-                             "object": f"{group}-{route}"})
-    return SuiteResult("shift-invariance", True, True,
-                       ["assemblies and the wall-crossing difference are "
-                        "invariant under degree shifts"])
-
-
-SUITES = {
-    "series-laws": _suite_series_laws,
-    "ab-cancellation": _suite_ab_cancellation,
-    "route-u21": _suite_route_u21,
-    "route-su21": _suite_route_su21,
-    "gothen": _suite_gothen,
-    "maximal": _suite_maximal,
-    "torelli": _suite_torelli,
-    "shift-invariance": _suite_shift_invariance,
-}
+                        raise _Failed({"g": g, "d1": p.d1, "d2": p.d2, "k": k,
+                                       "object": f"{group}-{route}"})
+    return ["assemblies and the wall-crossing difference are invariant under "
+            "degree shifts"]

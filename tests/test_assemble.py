@@ -116,41 +116,40 @@ def test_stratum_route_matches_consolidated_transcription_for_positive_tau():
 
     order = 30
     for g in (2, 3):
-        for d1 in range(0, 2 * g + 1):
-            for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-                p = make_params(g, d1, d2)
-                if not p.valid or p.tau <= 0:
-                    continue
-                jac = jacobian_poincare(g, order)
-                geo2 = geometric_inverse(2, order)
-                known = bg_u21(g, order) \
-                    - jac * ab_semistable_rank2(d2, g, order) * geo2
-                l = d2 // 2 + 1
-                while 2 * (g - 1 + 2 * l - d2) <= order:
-                    known = known - (jac * jac * jac * geo2 * geo2 * geo2).shifted(
-                        2 * (g - 1 + 2 * l - d2))
-                    l += 1
-                lo = Fraction(2 * d2 - d1, 3).__floor__() + 1
-                for l in range(lo, (d2 - 1) // 2 + 1 if d2 % 2 == 0 else d2 // 2 + 1):
-                    # strict upper bound l < d2/2
-                    piece = jac * jac * sym_poincare(l - d1 + 2 * g - 2, g, order) \
-                        * geo2 * geo2
-                    known = known - piece.shifted(2 * (2 * g - 2 + l - d1))
-                lo = Fraction(d2, 2).__floor__() + 1
-                hi = Fraction(d1 + d2, 3).__floor__()
-                for l in range(lo, hi + 1):
-                    piece = jac * jac \
-                        * sym_poincare(d2 - d1 + 2 * g - 2 - l, g, order) \
-                        * geo2 * geo2
-                    known = known + piece.shifted(2 * (g - 1 + 2 * l - d2))
-                for l in range(Fraction(d1 + d2, 3).__floor__() + 1,
-                               d2 - d1 + 2 * g - 2 + 1):
-                    piece = jac * sym_poincare(d2 - d1 + 2 * g - 2 - l, g, order) \
-                        * sym_poincare(d1 - l + 2 * g - 2, g, order) * geo2
-                    known = known + piece.shifted(2 * (g - 1 + 2 * l - d2))
-                route = u21_stratum_route(p, None, order)
-                assert route.series == known, (g, d1, d2)
-                assert route.unknown["moduli_min"] == jac * geo2
+        for p in valid_points(g):
+            if p.tau <= 0:
+                continue
+            d1, d2 = p.d1, p.d2
+            jac = jacobian_poincare(g, order)
+            geo2 = geometric_inverse(2, order)
+            known = bg_u21(g, order) \
+                - jac * ab_semistable_rank2(d2, g, order) * geo2
+            l = d2 // 2 + 1
+            while 2 * (g - 1 + 2 * l - d2) <= order:
+                known = known - (jac * jac * jac * geo2 * geo2 * geo2).shifted(
+                    2 * (g - 1 + 2 * l - d2))
+                l += 1
+            lo = Fraction(2 * d2 - d1, 3).__floor__() + 1
+            for l in range(lo, (d2 - 1) // 2 + 1 if d2 % 2 == 0 else d2 // 2 + 1):
+                # strict upper bound l < d2/2
+                piece = jac * jac * sym_poincare(l - d1 + 2 * g - 2, g, order) \
+                    * geo2 * geo2
+                known = known - piece.shifted(2 * (2 * g - 2 + l - d1))
+            lo = Fraction(d2, 2).__floor__() + 1
+            hi = Fraction(d1 + d2, 3).__floor__()
+            for l in range(lo, hi + 1):
+                piece = jac * jac \
+                    * sym_poincare(d2 - d1 + 2 * g - 2 - l, g, order) \
+                    * geo2 * geo2
+                known = known + piece.shifted(2 * (g - 1 + 2 * l - d2))
+            for l in range(Fraction(d1 + d2, 3).__floor__() + 1,
+                           d2 - d1 + 2 * g - 2 + 1):
+                piece = jac * sym_poincare(d2 - d1 + 2 * g - 2 - l, g, order) \
+                    * sym_poincare(d1 - l + 2 * g - 2, g, order) * geo2
+                known = known + piece.shifted(2 * (g - 1 + 2 * l - d2))
+            route = u21_stratum_route(p, None, order)
+            assert route.series == known, (g, d1, d2)
+            assert route.unknown["moduli_min"] == jac * geo2
 
 
 def test_su21_closed_maximal_matches_u21():
@@ -179,6 +178,20 @@ def test_torelli_anomalous_examples():
     assert torelli_anomalous_part(make_params(2, 2, 1), 20) == {}
     with pytest.raises(ParameterError):
         torelli_anomalous_part(make_params(3, 1, 0), 20)  # tau = 4/3
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_torelli_anomalous_part_at_negative_tau_is_that_of_the_dual(g):
+    # (0, 3) at g = 3 has tau = -2 and raised "tau outside [0, 2g-2]"
+    checked = 0
+    for q in valid_points(g):
+        if q.tau > 0 and q.tau % 2 == 0:
+            assert torelli_anomalous_part(q.dual()) == torelli_anomalous_part(q), q
+            checked += 1
+    assert checked
+    assert torelli_anomalous_part(make_params(3, 0, 3)) == {15: 2912, 17: 2912}
+    with pytest.raises(ParameterError, match="outside"):
+        torelli_anomalous_part(make_params(g, 0, 3 * g))  # tau = -2g
 
 
 def test_route_equivalence_u21_zero():

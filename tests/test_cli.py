@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -546,3 +547,41 @@ def test_emit_is_the_only_file_writer():
     assert outside == []
     # the check sees the writer it exempts, so it is not vacuous
     assert ("cli.py", "open") in in_emit
+
+
+def _calls(tree: ast.AST, owner: str, name: str) -> list[ast.Call]:
+    """The calls of ``owner.name`` (``name`` alone when owner is empty)."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute) and node.func.attr == name
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == owner
+                 or isinstance(node.func, ast.Name) and not owner and node.func.id == name)]
+
+
+def _reads(tree: ast.AST, attr: str) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and node.attr == attr and isinstance(node.value, ast.Name)
+            and node.value.id == "args"]
+
+
+def test_the_cli_only_parses_arguments_and_formats_output():
+    import higgsbetti.cli
+    tree = ast.parse(Path(higgsbetti.cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # JSON is written by the one renderer
+    assert len(_calls(tree, "json", "dumps")) == len(_calls(functions["_render"], "json", "dumps")) > 0
+    commands = {name: fn for name, fn in functions.items() if name.startswith("cmd_")}
+    for name, fn in commands.items():
+        # a command leaves --format to _render and branches on no --op
+        assert _reads(fn, "format") == [], name
+        tests = [node.test for node in ast.walk(fn) if isinstance(node, (ast.If, ast.IfExp))]
+        tests += [node.subject for node in ast.walk(fn) if isinstance(node, ast.Match)]
+        tests += [node for node in ast.walk(fn) if isinstance(node, ast.Compare)]
+        assert [line for t in tests for line in _reads(t, "op")] == [], name
+    # each command's --format choices are exactly the formats its _render builds
+    subparsers = next(a for a in higgsbetti.cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, sp in subparsers.choices.items():
+        fmt = next((a for a in sp._actions if a.dest == "format"), None)
+        offered = set(fmt.choices) if fmt else {sp.get_default("format")}
+        [render] = _calls(commands[sp.get_default("fn").__name__], "", "_render")
+        assert {k.arg for k in render.keywords} == offered, command

@@ -107,13 +107,9 @@ def test_region_examples():
 def test_region_partition():
     # each index set member lands in exactly one region (or none)
     for g in (2, 3):
-        for d1 in range(0, 2 * g + 1):
-            for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-                p = make_params(g, d1, d2)
-                if not p.valid:
-                    continue
-                for k in delta_set(p, H(d1 + 2 * g + 2)):
-                    assert region_of(p, k) in {"I", "II", "III", "none"}
+        for p in valid_points(g):
+            for k in delta_set(p, H(p.d1 + 2 * g + 2)):
+                assert region_of(p, k) in {"I", "II", "III", "none"}
 
 
 def test_region_of_refuses_exactly_the_non_members():
@@ -173,38 +169,32 @@ def test_shift_covariance_of_delta_and_regions():
 
 def test_delta_set_properties():
     for g in (2, 3):
-        for d1 in range(0, 2 * g + 1):
-            for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-                p = make_params(g, d1, d2)
-                if not p.valid:
-                    continue
-                lm = H(d1 + 2 * g)
-                members = delta_set(p, lm)
-                assert members == sorted(set(members))
-                assert all(ell <= lm for ell in members)
-                assert HalfInt(d2) in members
-                for ell in members:
-                    if not ell.is_integer:
-                        assert ell == HalfInt(d2)
+        for p in valid_points(g):
+            d1, d2 = p.d1, p.d2
+            lm = H(d1 + 2 * g)
+            members = delta_set(p, lm)
+            assert members == sorted(set(members))
+            assert all(ell <= lm for ell in members)
+            assert HalfInt(d2) in members
+            for ell in members:
+                if not ell.is_integer:
+                    assert ell == HalfInt(d2)
 
 
 def test_region_matches_kind_ranges():
     from fractions import Fraction as F
 
     for g in (2, 3):
-        for d1 in range(0, 2 * g + 1):
-            for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-                p = make_params(g, d1, d2)
-                if not p.valid:
-                    continue
-                c1_top = d2 - d1 + 2 * g - 2
-                for ell in delta_set(p, H(d1 + 2 * g + 2)):
-                    region = region_of(p, ell)
-                    v = ell.value
-                    if F(d1 + d2, 3) < v <= c1_top:
-                        assert region == "I"
-                    if v > max(d1, c1_top):
-                        assert region == "III"
+        for p in valid_points(g):
+            d1, d2 = p.d1, p.d2
+            c1_top = d2 - d1 + 2 * g - 2
+            for ell in delta_set(p, H(d1 + 2 * g + 2)):
+                region = region_of(p, ell)
+                v = ell.value
+                if F(d1 + d2, 3) < v <= c1_top:
+                    assert region == "I"
+                if v > max(d1, c1_top):
+                    assert region == "III"
 
 
 def test_halfint_behaviour():
@@ -227,3 +217,20 @@ def test_valid_points_against_brute_force(g):
     got = [(p.d1, p.d2) for p in valid_points(g)]
     assert got == want
     assert all(p.g == g and p.valid and p.tau >= 0 for p in valid_points(g))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_kind_ranges_hold_the_ends_of_the_index_bounds(g):
+    from math import floor
+
+    from higgsbetti.params import index_bounds, kind_range
+
+    for p in valid_points(g):
+        bounds = index_bounds(p)
+        c1 = kind_range(p, "C1")
+        assert (floor(kind_range(p, "B1").lower), floor(kind_range(p, "C2").lower),
+                floor(c1.lower), c1.upper) == tuple(bounds)
+        assert kind_range(p, "C3") == (p.d1, p.d1 + 2 * g - 2, True)
+        assert kind_range(p, "B3") == (p.d1, None, False)
+    with pytest.raises(ParameterError, match="no index range"):
+        kind_range(p, "A")

@@ -57,17 +57,14 @@ def test_enumerate_below_all_ranges():
 
 def test_b_kinds_partition_integers_above_half_d2():
     for g in (2, 3):
-        for d1 in range(0, 2 * g + 1):
-            for d2 in range(2 * d1 - (3 * g - 3), 2 * d1 + 1):
-                p = make_params(g, d1, d2)
-                if not p.valid:
-                    continue
-                for l in range(d2 // 2 - 2, d1 + 2 * g + 3):
-                    ell = H(l)
-                    hits = [k for k in (StratumKind.B1, StratumKind.B2, StratumKind.B3)
-                            if admits(k, p, ell)]
-                    expected = 1 if 2 * l > d2 else 0
-                    assert len(hits) == expected, (g, d1, d2, l, hits)
+        for p in valid_points(g):
+            d1, d2 = p.d1, p.d2
+            for l in range(d2 // 2 - 2, d1 + 2 * g + 3):
+                ell = H(l)
+                hits = [k for k in (StratumKind.B1, StratumKind.B2, StratumKind.B3)
+                        if admits(k, p, ell)]
+                expected = 1 if 2 * l > d2 else 0
+                assert len(hits) == expected, (g, d1, d2, l, hits)
 
 
 def test_enumeration_is_complete():
