@@ -514,7 +514,7 @@ def su_ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
     )
 
 
-def torelli_anomalous_part(p: ModuliParams, order: int | None = None) -> dict[int, int]:
+def torelli_anomalous_part(p: ModuliParams) -> dict[int, int]:
     """Degrees where the Torelli action is nontrivial, with dimensions.
 
     For each anomalous degree 6g-6+tau/2+2l the dimension is the

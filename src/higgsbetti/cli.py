@@ -258,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("strata", help="enumerate critical sets")
     add_common(sp, ("text", "json"))
     sp.add_argument("--lmax", type=_parse_lmax, default=None,
-                    metavar="L", help="largest index l (integer or n/2)")
+                    metavar="L", help="largest index l (integer or n/2; "
+                    "write a negative one as --lmax=-3/2)")
     sp.set_defaults(fn=cmd_strata)
 
     sp = sub.add_parser("verify", help="run identity verification suites")

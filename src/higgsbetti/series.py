@@ -23,14 +23,21 @@ it back, an offset 2^(8w-1) is added to every slot, which makes each slot
 the digit c_k + 2^(8w-1) with no borrows between slots.  That is right as
 long as every |c_k| is below 2^(8w-1), so w always comes from a bound on
 the result's coefficients plus a sign bit.  Slots of up to 8 bytes are
-rounded up to 1, 2, 4 or 8 bytes, which ``struct`` converts in one call;
-wider slots are converted one slot at a time.  Packed values may be
-reduced modulo 2^(8wn), which is truncation at t^n.
+rounded up to 1, 2, 4 or 8 bytes, which ``struct`` converts in one call
+with its signed codes: a pack writes each slot in two's complement and
+one XOR with the offset flips every slot's top bit, which turns it into
+the digit.  Each such (w, n) layout, the compiled ``struct.Struct``, the
+offset and the mask of n slots, is built once and kept in a bounded
+cache (``_layout``).  Wider slots are converted one slot at a time.
+Packed values may be reduced modulo 2^(8wn), which is truncation at t^n.
 
 ``shifted_product_sum`` is the one product kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
 numerator) as one big-integer expression and unpacks it once, and its w
-comes from the l1 norms of the factors, the one slot-width rule.  A
+comes from the l1 norms of the factors, the one slot-width rule.  Most
+of its sums are short (tens of coefficients), so its cost per call
+counts as much as the big-integer products: each factor is cut once,
+and that cut gives both its norm and its pack.  A
 ``TruncatedSeries`` product and ``polynomial_product`` are that sum with
 one term of two factors.
 
@@ -50,6 +57,7 @@ from __future__ import annotations
 import operator
 import re
 import struct
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from typing import NamedTuple
@@ -125,17 +133,28 @@ def _slot_offset(w: int, n: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
+@lru_cache(maxsize=256)
+def _layout(w: int, n: int) -> tuple:
+    """For n slots of w bytes, w in ``_STRUCT_CODES``: the compiled signed
+    ``struct.Struct``, the offset of ``_slot_offset`` and the mask
+    2^(8wn) - 1, shared by ``_pack`` and ``_unpack``."""
+    return (struct.Struct(f"<{n}{_STRUCT_CODES[w]}"), _slot_offset(w, n),
+            (1 << (8 * w * n)) - 1)
+
+
 def _pack(c, w: int) -> int:
     """The exact value sum_k c_k 2^(8wk) of a signed coefficient sequence,
-    each |c_k| below 2^(8w-1): each slot is written as the offset digit
-    c_k + 2^(8w-1) and the offsets are subtracted as one integer.
-    ``struct`` refuses a digit out of range, it never wraps."""
+    each c_k in [-2^(8w-1), 2^(8w-1)).  At 1, 2, 4 or 8 bytes the slots
+    are written in two's complement by one signed ``struct`` call;
+    flipping each slot's top bit (one XOR with the offset) makes each
+    slot the digit c_k + 2^(8w-1), and the offsets are subtracted as one
+    integer.  Wider slots are written as offset digits one slot at a
+    time.  Either way a value out of range raises, it never wraps."""
+    if w in _STRUCT_CODES:
+        layout, offset, _ = _layout(w, len(c))
+        return (int.from_bytes(layout.pack(*c), "little") ^ offset) - offset
     digits = map((1 << (8 * w - 1)).__add__, c)
-    code = _STRUCT_CODES.get(w)
-    if code is not None:
-        raw = struct.pack(f"<{len(c)}{code.upper()}", *digits)
-    else:
-        raw = b"".join([d.to_bytes(w, "little") for d in digits])
+    raw = b"".join([d.to_bytes(w, "little") for d in digits])
     return int.from_bytes(raw, "little") - _slot_offset(w, len(c))
 
 
@@ -146,11 +165,11 @@ def _unpack(x: int, w: int, n: int) -> list:
     c_k + 2^(8w-1), with no borrows between slots; flipping each digit's
     top bit then leaves c_k in two's complement, read slot by slot."""
     size = w * n
+    if w in _STRUCT_CODES:
+        layout, offset, mask = _layout(w, n)
+        return list(layout.unpack((((x + offset) & mask) ^ offset).to_bytes(size, "little")))
     offset = _slot_offset(w, n)
     data = (((x + offset) & ((1 << (8 * size)) - 1)) ^ offset).to_bytes(size, "little")
-    code = _STRUCT_CODES.get(w)
-    if code is not None:
-        return list(struct.unpack(f"<{n}{code}", data))
     view = memoryview(data)
     return [int.from_bytes(view[k : k + w], "little", signed=True)
             for k in range(0, size, w)]
@@ -175,9 +194,10 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
 
     Slots as wide as the largest coefficient make every product slower,
     so two kinds of term do not set the width of the products.  A term
-    whose factors are all constants (a monomial, such as a Gothen cover's
-    correction) is added to its coefficient after the unpack, and a sum of
-    monomials alone is summed as shifted multiples of the factor, with no
+    whose cut factors are all constants (a monomial, such as a Gothen
+    cover's correction) is added to its coefficient after the unpack, and
+    a sum of monomials alone (the expansion of an expression itself) is
+    summed as shifted multiples of the factor, one slice each, with no
     packing.  A factor that needs wider slots than the products is applied
     after the sum is unpacked and packed again at the wider width.  A sum
     of one term with one factor, under the factor 1, is copied unpacked.
@@ -190,40 +210,42 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
         n = size - shift
         if n <= 0:
             continue
-        norm = 1
+        cuts, norm, constant = [], 1, True
         for f in factors:
-            norm *= sum(map(abs, f[:n]))
+            f = f[:n]
+            cuts.append(f)
+            norm *= sum(map(abs, f))
+            constant = constant and len(f) == 1
         if not norm:
             continue
-        if all(len(f) == 1 for f in factors):
+        if constant:
             c = sign
-            for f in factors:
+            for f in cuts:
                 c *= f[0]
             monomials.append((shift, c))
         else:
             bound += norm
-            products.append((sign, shift, factors))
+            products.append((sign, shift, cuts))
     if not products:  # monomials alone: shifted multiples of the factor
         cs = [0] * size
         for shift, c in monomials:
-            for k, f in enumerate(factor[: size - shift]):
-                cs[shift + k] += c * f
+            end = min(size, shift + len(factor))
+            cs[shift:end] = map(operator.add, cs[shift:end], map(c.__mul__, factor))
         return cs
     plain = tuple(factor) == (1,)
     if plain and not monomials and len(products) == 1 and len(products[0][2]) == 1:
-        sign, shift, (f,) = products[0]  # one factor alone: nothing to multiply
+        sign, shift, (cut,) = products[0]  # one factor alone: nothing to multiply
         cs = [0] * size
-        cut = f[: size - shift]
         cs[shift : shift + len(cut)] = cut if sign > 0 else [-c for c in cut]
         return cs
     w = _slot_width(bound.bit_length() + 1)  # the bits of the bound and a sign bit
     total = 0
     for sign, shift, factors in products:
-        n = size - shift
         prod = 1
         for f in factors:
-            prod *= _pack(f[:n], w)
-        prod <<= 8 * w * shift
+            prod *= _pack(f, w)
+        if shift:
+            prod <<= 8 * w * shift
         total = total + prod if sign > 0 else total - prod
     if plain and not monomials:
         return _unpack(total, w, size)

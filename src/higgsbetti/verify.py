@@ -246,7 +246,7 @@ def _suite_torelli(grid) -> list[str]:
             support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
             expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
                         for deg, (m1, m2) in params.s_tau(g, tau).items()}
-            anomalous = assemble.torelli_anomalous_part(p, order)
+            anomalous = assemble.torelli_anomalous_part(p)
             if support != expected or anomalous != expected:
                 raise _Failed({"g": g, "tau": tau, "expected": expected,
                                "got": support})

@@ -108,7 +108,7 @@ def test_criterion_06_torelli_kirwan_coherence():
             expected = {deg: v_dim(CoverParams(m1, m2, g))
                         for deg, (m1, m2) in s_tau(g, tau).items()}
             assert support == expected, (g, tau)
-            assert torelli_anomalous_part(p, order) == expected
+            assert torelli_anomalous_part(p) == expected
             empty = not support
             assert empty == gamma3_trivial(g, tau), (g, tau)
             assert empty == kirwan_su_surjective(g, tau), (g, tau)

@@ -173,11 +173,11 @@ def test_su_minus_pu_support():
 
 
 def test_torelli_anomalous_examples():
-    assert torelli_anomalous_part(make_params(2, 0, 0), 20) == {8: 320, 10: 80}
-    assert torelli_anomalous_part(make_params(4, 4, 2), 40) == {24: 6560}
-    assert torelli_anomalous_part(make_params(2, 2, 1), 20) == {}
+    assert torelli_anomalous_part(make_params(2, 0, 0)) == {8: 320, 10: 80}
+    assert torelli_anomalous_part(make_params(4, 4, 2)) == {24: 6560}
+    assert torelli_anomalous_part(make_params(2, 2, 1)) == {}
     with pytest.raises(ParameterError):
-        torelli_anomalous_part(make_params(3, 1, 0), 20)  # tau = 4/3
+        torelli_anomalous_part(make_params(3, 1, 0))  # tau = 4/3
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

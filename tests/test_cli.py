@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from higgsbetti.cli import MAX_GRID_GENUS, main
-from higgsbetti.params import MAX_GENUS, MAX_ORDER, valid_points
+from higgsbetti.cli import MAX_GRID_GENUS, build_parser, main
+from higgsbetti.params import MAX_GENUS, MAX_ORDER, HalfInt, valid_points
 from higgsbetti.series import TruncatedSeries
 
 
@@ -365,6 +365,13 @@ def test_strata_lmax_that_is_no_half_integer_is_an_argument_error(capsys, lmax, 
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
     assert f"argument --lmax: {message}" in out.err
+
+
+def test_a_negative_lmax_is_written_with_an_equals_sign():
+    # argparse reads the -3/2 of "--lmax -3/2" as an option; "--lmax=-3/2" parses
+    args = build_parser().parse_args(
+        ["strata", "-g", "2", "--d1", "0", "--d2", "0", "--lmax=-3/2"])
+    assert args.lmax == HalfInt(-3)
 
 
 @pytest.mark.parametrize("argv", [

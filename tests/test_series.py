@@ -1,5 +1,6 @@
 import json
 import random
+import struct
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ import pytest
 from higgsbetti.bradlow import maximal_provider_record, provider_from_file
 from higgsbetti.cli import main
 from higgsbetti.errors import ParameterError, ProviderFileError
+from higgsbetti import series
 from higgsbetti.series import (
     RationalExpr,
     TruncatedSeries,
@@ -15,6 +17,8 @@ from higgsbetti.series import (
     geometric_inverse,
     is_polynomial_window,
     polynomial_product,
+    _pack,
+    _unpack,
     shifted_product_sum,
 )
 
@@ -263,6 +267,8 @@ def product_sums(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(product_sums())
+@example(([(1, 3, ((1, 2, 3), (4, 5))), (-1, 0, ((1, 1),))], 4, (1,)))  # cut to a constant
+@example(([(1, 0, ()), (-1, 1, ((3,),))], 5, (1, 2, 3)))  # monomials alone
 def test_shifted_product_sum_matches_naive_convolution(case):
     terms, size, factor = case
     assert shifted_product_sum(terms, size, factor) == naive_product_sum(terms, size, factor)
@@ -283,6 +289,28 @@ def test_shifted_product_sum_at_the_norm_bound(bits):
                               ([(sign, 0, ((m,),))], (1,))]:
             assert shifted_product_sum(terms, 3, factor) == \
                 naive_product_sum(terms, 3, factor)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
+def test_pack_round_trips_the_ends_of_a_slot(w):
+    # a slot of w bytes holds -2^(8w-1) .. 2^(8w-1) - 1
+    top = 2 ** (8 * w - 1)
+    c = [top - 1, -(top - 1), -top, 0, -top, top - 1]
+    packed = _pack(c, w)
+    assert packed == sum(x << (8 * w * k) for k, x in enumerate(c))
+    assert _unpack(packed, w, len(c)) == c
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
+def test_pack_refuses_a_coefficient_beyond_its_slot(w):
+    top = 2 ** (8 * w - 1)
+    for c in ([top], [0, top, 1], [-top - 1]):
+        with pytest.raises((struct.error, OverflowError)):
+            _pack(c, w)
+
+
+def test_the_slot_layout_cache_is_bounded():
+    assert 0 < series._layout.cache_info().maxsize < float("inf")
 
 
 def naive_expansion(numerator, exponents, terms, order):
