@@ -31,10 +31,8 @@ expands the walls' (t^a - t^b) P(S^{e-j} X) over that one block
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ParameterError, ProviderFileError
@@ -277,8 +275,11 @@ def _parse_record(data: dict) -> _ProviderRecord:
 
 def provider_from_file(path) -> FileBackedProvider:
     """Load a provider file (a single record object or a list of them)."""
+    import json  # the CLI's compute imports this module, and only file: reads JSON
+
     try:
-        payload = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            payload = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: not UTF-8, not JSON, or an integer past the digit limit
         raise ProviderFileError(f"cannot read provider file {path}: {exc}") from exc

@@ -7,7 +7,6 @@ is deterministic (stable key order, exact decimal integers, no floats).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -15,11 +14,22 @@ from fractions import Fraction
 
 from . import assemble, bradlow, ingredients, params, series
 from .errors import ParameterError
-from .verify import SUITES, SuiteResult  # noqa: F401  (SuiteResult: what a suite returns)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARAM = 2
+
+# Every process compiles each module it imports, so the modules only some
+# commands run (verify, strata, json) are imported where those run.
+
+
+def __getattr__(name: str):
+    # SUITES (the suites verify runs, which code may swap) and SuiteResult
+    # (what a suite returns) stay names of this module
+    if name in ("SUITES", "SuiteResult"):
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -61,9 +71,14 @@ def _render(args, **build) -> None:
     ``csv`` returns the text, and ``text`` gets the one-line JSON encoder
     for the values it shows and returns the text."""
     if args.format == "json":
+        import json
         out = json.dumps(build["json"](), sort_keys=True, indent=2)
     elif args.format == "text":
-        out = build["text"](lambda value: json.dumps(value, sort_keys=True))
+        def json_line(value) -> str:
+            import json
+            return json.dumps(value, sort_keys=True)
+
+        out = build["text"](json_line)
     else:
         out = build["csv"]()
     _emit(out, args.out)
@@ -108,7 +123,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    from . import strata  # only this command uses it; every process compiles its imports
+    from . import strata
 
     doc = strata.critical_table(params.make_params(args.genus, args.d1, args.d2),
                                 args.lmax, args.order)
@@ -188,6 +203,8 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
 
 
 def cmd_verify(args) -> int:
+    from .verify import SUITES
+
     grid = _parse_grid(args.grid)
     if args.suite != "all" and args.suite not in SUITES:
         raise ParameterError(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}")
@@ -262,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "write a negative one as --lmax=-3/2)")
     sp.set_defaults(fn=cmd_strata)
 
-    sp = sub.add_parser("verify", help="run identity verification suites")
-    sp.add_argument("--suite", default="all",
-                    help="suite name or 'all': " + ", ".join(SUITES))
+    sp = sub.add_parser("verify", help="run identity verification suites",
+                        formatter_class=_SuiteListFormatter)
+    sp.add_argument("--suite", default="all", help="suite name or 'all': ")
     sp.add_argument("--grid", default=None, help="e.g. g=2..3")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--out", default=None)
@@ -291,6 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_export, format="json")
 
     return parser
+
+
+class _SuiteListFormatter(argparse.HelpFormatter):
+    """Ends the ``--suite`` help with the suite names, so that only
+    ``verify --help`` imports verify to list them (``_get_help_string`` is
+    the hook argparse's own ArgumentDefaultsHelpFormatter overrides)."""
+
+    def _get_help_string(self, action):
+        if action.dest != "suite":
+            return action.help
+        from .verify import SUITES
+        return action.help + ", ".join(SUITES)
 
 
 def _parse_lmax(text: str) -> params.HalfInt:

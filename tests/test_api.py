@@ -45,20 +45,41 @@ def test_cli_runs_the_verify_suites_in_place():
 
 def _modules_loaded_by(statement: str) -> set[str]:
     """The modules a fresh interpreter loads to run ``statement``, beyond
-    those its start-up loaded."""
+    those its start-up loaded.  The interpreter runs without ``site``,
+    whose ``.pth`` files may import modules (pathlib, say) of their own."""
     code = ("import sys; before = set(sys.modules); " + statement
-            + "; print(*sorted(set(sys.modules) - before))")
+            + "; print(); print(*sorted(set(sys.modules) - before))")
     src = str(Path(higgsbetti.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code],
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# what no compute process runs: verify's suites, JSON and file paths
+NOT_FOR_COMPUTE = {"higgsbetti.verify", "json", "pathlib"}
 
 
 def test_the_cli_does_not_import_what_compute_never_runs():
     loaded = _modules_loaded_by("import higgsbetti.cli")
     assert "higgsbetti.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "higgsbetti.strata"}
+    assert not loaded & {"dataclasses", "inspect", "higgsbetti.strata", *NOT_FOR_COMPUTE}
+
+
+COMPUTE = ["compute", "-g", "2", "--d1", "2", "--d2", "1", "--group", "u21"]
+
+
+@pytest.mark.parametrize("argv, needed", [
+    ([*COMPUTE, "--format", "text"], set()),
+    ([*COMPUTE, "--format", "csv", "--provider", "maximal"], set()),
+    ([*COMPUTE, "--format", "json"], {"json"}),
+    (["verify", "--suite", "gothen", "--grid", "g=2..2"], {"higgsbetti.verify"}),
+])
+def test_a_cli_process_imports_only_what_its_command_runs(argv, needed):
+    loaded = _modules_loaded_by(
+        f"import higgsbetti.cli; assert higgsbetti.cli.main({argv!r}) == 0")
+    assert needed <= loaded
+    assert not loaded & (NOT_FOR_COMPUTE - needed)
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -259,6 +259,40 @@ def test_unreadable_provider_file_exits_2(tmp_path, capsys, content):
     assert f"error: cannot read provider file {path}: " in out.err
 
 
+@pytest.mark.parametrize("spell", [
+    str,
+    lambda path: path,  # a pathlib.Path
+    lambda path: path.name,
+    lambda path: f"./{path.name}",
+])
+def test_provider_file_path_as_str_path_or_relative(tmp_path, monkeypatch, capsys, spell):
+    path = _write(tmp_path, maximal_provider_record(2, 20))
+    monkeypatch.chdir(tmp_path)
+    provider = provider_from_file(spell(path))
+    assert provider.moduli_min(1, 2, 20) == maximal_moduli_min(2, 20)
+    code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2", "--d2", "1",
+                 "--provider", f"file:{spell(path)}", "--order", "20", "--format", "csv"])
+    assert code == 0 and capsys.readouterr().out.startswith("degree,betti\n0,1\n1,8\n")
+
+
+@pytest.mark.parametrize("content", [
+    None,  # missing
+    b"\xff\xfe{}",  # not UTF-8
+    b"{not json",
+])
+def test_unreadable_provider_file_is_named_as_typed(tmp_path, monkeypatch, capsys, content):
+    if content is not None:
+        (tmp_path / "x.json").write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2",
+                 "--d2", "1", "--provider", "file:./x.json"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err.startswith("error: cannot read provider file ./x.json: ")
+    if content is None:
+        assert out.err.endswith("No such file or directory: './x.json'\n")
+
+
 def test_provider_file_answers_each_record_by_genus_and_degree(tmp_path):
     order = 20
     mm = jacobian_poincare(2, order) * sym_poincare(2, 2, order)

@@ -149,6 +149,75 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+# the help at 80 columns, byte for byte, as the argparse of CPython 3.11 formats it
+TOP_HELP = """\
+usage: higgsbetti [-h] {compute,strata,verify,ingredients,export} ...
+
+Exact equivariant Poincare polynomials of rank-(2,1) Higgs bundle moduli, with
+identity verification.
+
+positional arguments:
+  {compute,strata,verify,ingredients,export}
+    compute             assemble a Poincare series
+    strata              enumerate critical sets
+    verify              run identity verification suites
+    ingredients         evaluate one ingredient series
+    export              write a maximal-case provider file
+
+options:
+  -h, --help            show this help message and exit
+"""
+VERIFY_HELP = """\
+usage: higgsbetti verify [-h] [--suite SUITE] [--grid GRID]
+                         [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --suite SUITE         suite name or 'all': series-laws, ab-cancellation,
+                        route-u21, route-su21, gothen, maximal, torelli,
+                        shift-invariance
+  --grid GRID           e.g. g=2..3
+  --format {text,json}
+  --out OUT
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--help"], TOP_HELP),
+    (["verify", "--help"], VERIFY_HELP),
+])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_verify_help_lists_the_suites_in_definition_order(capsys):
+    import higgsbetti.verify as verify
+    source = Path(verify.__file__).read_text()
+    declared = [node.args[0].value for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_suite"]
+    assert declared == list(verify.SUITES) and len(declared) == 8
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "suite name or 'all': " + ", ".join(declared) + " --grid" in help_text
+
+
+def test_series_laws_draws_what_randint_draws():
+    # the suite's 1000 instances of three series with 25 coefficients each
+    import random
+    from itertools import islice
+
+    from higgsbetti.verify import _digits
+    rng = random.Random(20210817)
+    expected = [rng.randint(-9, 9) for _ in range(3 * 25 * 1000)]
+    assert list(islice(_digits(random.Random(20210817)), len(expected))) == expected
+
+
 def test_verify_hard_failure_exit_code(capsys, monkeypatch):
     import higgsbetti.cli as cli
 
