@@ -47,8 +47,7 @@ _NAMES_BY_MODULE = {
     ),
     "strata": (
         "StratumDescriptor", "StratumKind", "critical_set_poincare", "critical_table",
-        "enumerate_critical", "negative_dim", "negative_pair_cohomology",
-        "negative_pair_kinds", "table_note",
+        "enumerate_critical", "negative_dim", "table_note",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES_BY_MODULE.items()

@@ -63,7 +63,7 @@ from .ingredients import (
     sym_factor,
     v_dim,
 )
-from .params import ModuliParams, canonicalize, index_bounds, s_tau
+from .params import ModuliParams, _require_valid, canonicalize, kind_indices, s_tau
 from .records import Frozen, dataclass_compatible
 from .series import (
     PolynomialWindow,
@@ -322,13 +322,14 @@ class _Builder:
 
 def _assembly(group: str):
     """Turn a term-adding body into the public builder
-    ``(p, provider=None, order=None, *, force=False) -> AssemblyResult``.
+    ``(p, provider=None, order=None) -> AssemblyResult``.
 
-    This is the one way into every assembly.  It refuses |tau| > 2g-2
-    unless forced, dualizes a point with tau < 0 to (-d1, -d2) through
-    ``canonicalize`` (duality of Higgs bundles identifies the two moduli
-    spaces, so every series depends on tau only up to sign), resolves the
-    order, runs the body on a fresh builder and substitutes the provider.
+    This is the one way into every assembly.  It refuses |tau| > 2g-2,
+    where the moduli space is empty (Milnor-Wood), dualizes a point with
+    tau < 0 to (-d1, -d2) through ``canonicalize`` (duality of Higgs
+    bundles identifies the two moduli spaces, so every series depends on
+    tau only up to sign), resolves the order, runs the body on a fresh
+    builder and substitutes the provider.
     """
 
     def decorate(body):
@@ -336,14 +337,8 @@ def _assembly(group: str):
             p: ModuliParams,
             provider: BradlowProvider | None = None,
             order: int | None = None,
-            *,
-            force: bool = False,
         ) -> AssemblyResult:
-            if not p.valid and not force:
-                raise ParameterError(
-                    f"tau = {p.tau} violates |tau| <= 2g-2 = {2 * p.g - 2}; "
-                    "pass force to compute anyway"
-                )
+            _require_valid(p)
             point, transforms = canonicalize(p)
             b = _Builder(group, point, resolve_order(p.g, order), transforms)
             body(b)
@@ -368,15 +363,17 @@ def _sym(b: _Builder, m: int) -> tuple[int, ...]:
     return sym_factor(m, b.p.g, b.order)
 
 
+def _c1_indices(b: _Builder) -> range:
+    """The C1 indices l whose shift mu(l) is at most the order."""
+    return kind_indices(b.p, "C1", (b.order + 2 * (b.p.d2 - b.p.g + 1)) // 4)
+
+
 def _add_c1_sum(b: _Builder) -> None:
     p, order = b.p, b.order
     block = jacobian_block(p.g, 1, 2) if b.group == "u21" else PLAIN
-    bounds = index_bounds(p)
-    for l in range(bounds.c1_low + 1, bounds.c1_top + 1):
+    for l in _c1_indices(b):
         m1, m2 = _cover_exponents(p, l)
         shift = _mu(p, l)
-        if shift > order:
-            break
         if b.group == "su21":
             b.add(f"cover-sum[l={l}]", block,
                   *[(sign, shift + k, factors) for sign, k, factors
@@ -404,21 +401,27 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     b.add("line-splitting-tail", block, (-1, 0, (tail,)))
 
 
+def _c2_entry(b: _Builder, l: int) -> tuple:
+    """The C2 route entry -t^{2m} P(S^m), m = l-d1+2g-2."""
+    m = l - b.p.d1 + 2 * b.p.g - 2
+    return (-1, 2 * m, (_sym(b, m),))
+
+
 def _add_route_sums(b: _Builder, boundary: RationalExpr, c2: RationalExpr,
                     b1_diff: RationalExpr) -> None:
-    """The even-degree boundary term and the C2 and B1-diff sums, each a
-    symmetric product over its block."""
-    p, bounds = b.p, index_bounds(b.p)
-    g, d1, d2 = p.g, p.d1, p.d2
-    if d2 % 2 == 0:
-        b.add("even-degree-boundary", boundary, (1, p.e, (_sym(b, p.e // 2),)))
-    # the C2-type sum includes its top member l = d2/2 when d2 is even
-    for l in range(bounds.c2_low + 1, bounds.half_d2 + 1):
-        b.add(f"C2[l={l}]", c2,
-              (-1, 2 * (2 * g - 2 + l - d1), (_sym(b, l - d1 + 2 * g - 2),)))
-    for l in range(bounds.half_d2 + 1, bounds.c1_low + 1):
+    """The even-degree boundary term, the C2 sum over the C2 indices up to
+    d2/2 and the B1-diff sum over the B1 indices below the first C1 index,
+    each a symmetric product over its block.  The boundary term is the
+    negated C2 entry at l = d2/2."""
+    p = b.p
+    if p.d2 % 2 == 0:
+        _, shift, factors = _c2_entry(b, p.d2 // 2)
+        b.add("even-degree-boundary", boundary, (1, shift, factors))
+    for l in kind_indices(p, "C2", p.d2 // 2):
+        b.add(f"C2[l={l}]", c2, _c2_entry(b, l))
+    for l in kind_indices(p, "B1", _c1_indices(b).start - 1):
         b.add(f"B1-diff[l={l}]", b1_diff,
-              (1, _mu(p, l), (_sym(b, d2 - d1 + 2 * g - 2 - l),)))
+              (1, _mu(p, l), (_sym(b, _cover_exponents(p, l)[0]),)))
 
 
 @_assembly("u21")
@@ -605,8 +608,6 @@ def moduli_poincare(
     p: ModuliParams,
     provider: BradlowProvider | None = None,
     order: int | None = None,
-    *,
-    force: bool = False,
 ) -> ModuliReport:
     """Moduli-space series (1-t^2) times the equivariant series, defined
     in the coprime classes only, with a truncation-window polynomiality
@@ -617,7 +618,7 @@ def moduli_poincare(
             "moduli series defined only in the coprime case (d1+d2 not "
             "divisible by 3)"
         )
-    equivariant = u21_closed_form(p, provider, order, force=force)
+    equivariant = u21_closed_form(p, provider, order)
     one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
     result = equivariant.scaled_by(one_minus_t2)._replace(group="moduli")
     if result.mode == "absolute":

@@ -97,7 +97,7 @@ def cmd_compute(args) -> int:
     key = (args.group, args.route)
     if key not in assemble.BUILDERS:
         raise ParameterError(f"group {args.group!r} has no {args.route!r} route")
-    result = assemble.BUILDERS[key](p, provider, args.order, force=args.force)
+    result = assemble.BUILDERS[key](p, provider, args.order)
 
     def csv() -> str:
         if result.mode != "absolute":
@@ -268,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--route", choices=("closed", "stratum"), default="closed")
     sp.add_argument("--provider", default="relative",
                     help="relative | maximal | file:PATH")
-    sp.add_argument("--force", action="store_true",
-                    help="compute even when the Toledo bound is violated")
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("strata", help="enumerate critical sets")

@@ -17,6 +17,7 @@ surjectivity) are decided exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -116,22 +117,6 @@ def make_params(g: int, d1: int, d2: int) -> ModuliParams:
     )
 
 
-class IndexBounds(NamedTuple):
-    """Endpoints of the stratum-index ranges.  The fractional ones are
-    open ends and are kept as floors: the first integer above x is
-    floor(x) + 1."""
-
-    half_d2: int  # floor(d2/2): A sits at d2/2, B1 starts above it
-    c2_low: int  # floor((2 d2 - d1)/3): C2 starts above it
-    c1_low: int  # floor((d1 + d2)/3): C1 starts above it
-    c1_top: int  # d2 - d1 + 2g - 2: the last C1 index
-
-
-def index_bounds(p: ModuliParams) -> IndexBounds:
-    g, d1, d2 = p.g, p.d1, p.d2
-    return IndexBounds(d2 // 2, (2 * d2 - d1) // 3, (d1 + d2) // 3, d2 - d1 + 2 * g - 2)
-
-
 class KindRange(NamedTuple):
     """lower < l < upper, or l <= upper when ``upper_closed``; no upper end
     when ``upper`` is None."""
@@ -141,21 +126,41 @@ class KindRange(NamedTuple):
     upper_closed: bool
 
 
+def _kind_ends(p: ModuliParams, kind: str) -> tuple[int, int, int | None, bool]:
+    """The ends of a kind's index range: the open lower end num/den, the
+    upper end (None when there is none) and whether it is included."""
+    g, d1, d2 = p.g, p.d1, p.d2
+    if kind == "B1":
+        return d2, 2, d1, False
+    if kind == "B3":
+        return d1, 1, None, False
+    if kind == "C1":
+        return d1 + d2, 3, d2 - d1 + 2 * g - 2, True
+    if kind == "C2":
+        return 2 * d2 - d1, 3, d1, False
+    if kind == "C3":
+        return d1, 1, d1 + 2 * g - 2, True
+    raise ParameterError(f"stratum kind {kind!r} has no index range")
+
+
 def kind_range(p: ModuliParams, kind: str) -> KindRange:
     """The index range of the stratum kind named ``kind``: B1, B3, C1, C2 or
     C3; A (l = d2/2) and B2 (l = d1, when d1 > d2/2) are single points."""
-    g, d1, d2 = p.g, p.d1, p.d2
-    if kind == "B1":
-        return KindRange(Fraction(d2, 2), d1, False)
-    if kind == "B3":
-        return KindRange(Fraction(d1), None, False)
-    if kind == "C1":
-        return KindRange(Fraction(d1 + d2, 3), d2 - d1 + 2 * g - 2, True)
-    if kind == "C2":
-        return KindRange(Fraction(2 * d2 - d1, 3), d1, False)
-    if kind == "C3":
-        return KindRange(Fraction(d1), d1 + 2 * g - 2, True)
-    raise ParameterError(f"stratum kind {kind!r} has no index range")
+    num, den, upper, closed = _kind_ends(p, kind)
+    return KindRange(Fraction(num, den), upper, closed)
+
+
+def kind_indices(p: ModuliParams, kind: str, top: int) -> range:
+    """The integer indices l <= top of the stratum kind named ``kind``: the
+    integers of ``kind_range``, and for B2 the point l = d1 when d1 exceeds
+    d2/2 (the middle line-splitting)."""
+    if kind == "B2":
+        lo, hi = p.d1, p.d1 + (2 * p.d1 > p.d2)
+    else:
+        num, den, upper, closed = _kind_ends(p, kind)
+        lo = num // den + 1  # the first integer above the open lower end
+        hi = top + 1 if upper is None else upper + closed
+    return range(lo, min(hi, top + 1))
 
 
 def canonicalize(p: ModuliParams) -> tuple[ModuliParams, list[dict]]:
@@ -194,25 +199,22 @@ def _require_valid(p: ModuliParams) -> None:
 def delta_set(p: ModuliParams, l_max: HalfInt) -> list[HalfInt]:
     """The ordered index set {d2/2} union {integers l > (2 d2 - d1)/3}, up to l_max."""
     _require_valid(p)
-    members: set[HalfInt] = set()
-    half = HalfInt(p.d2)
-    if half <= l_max:
-        members.add(half)
-    l = index_bounds(p).c2_low + 1  # smallest integer above (2 d2 - d1)/3
-    while Fraction(l) <= l_max.value:
-        members.add(HalfInt.from_int(l))
-        l += 1
+    # the integers above the lower end of the C2 range, up to l_max
+    members = {HalfInt.from_int(l) for l in range(
+        floor(kind_range(p, "C2").lower) + 1, l_max.doubled // 2 + 1)}
+    if HalfInt(p.d2) <= l_max:
+        members.add(HalfInt(p.d2))
     return sorted(members)
 
 
 def region_of(p: ModuliParams, k: HalfInt) -> str:
     """Classify k into region I, II, III, or "none" below all regions."""
     _require_valid(p)
-    # membership in delta_set(p, k), decided without building it
-    if k != HalfInt(p.d2) and not (k.is_integer and k.as_int() > index_bounds(p).c2_low):
-        raise ParameterError(f"l = {k} is not in the index set")
     kv, d1 = k.value, p.d1
     c1, c2 = kind_range(p, "C1"), kind_range(p, "C2")
+    # membership in delta_set(p, k), decided without building it
+    if k != HalfInt(p.d2) and not (k.is_integer and kv > c2.lower):
+        raise ParameterError(f"l = {k} is not in the index set")
     if c1.lower < kv <= c1.upper:
         return "I"
     if (c2.lower < kv <= c1.lower) or (c1.upper < kv <= d1):

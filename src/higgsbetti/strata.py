@@ -13,22 +13,20 @@ the destabilizing line subbundle; the A kind sits at l = d2/2):
     C3  d1 < l <= d1+2g-2             split stable (1,1)-piece, field from S
 
 This module renders the classification table (equivariant series of each
-critical set), the constant dimension formulas of the negative normal
-directions, and the relative-cohomology series of the displayed
-negative-normal pairs, as labeled diagnostic data.  The assembler does
-not consume these; it uses the consolidated per-stratum route terms.
+critical set) and the constant dimension formulas of the negative normal
+directions.  Each kind's index range is ``params.kind_range``; the route
+term of each stratum is written in ``assemble``.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import floor
 
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
 from .ingredients import ab_semistable_rank2, jacobian_block, jacobian_poincare, sym_factor
 from .params import (MAX_ORDER, HalfInt, ModuliParams, _require_valid, canonicalize,
-                     kind_range, region_of)
+                     kind_indices, kind_range, region_of)
 from .records import Frozen, dataclass_compatible
 from .series import TruncatedSeries, resolve_order
 
@@ -46,24 +44,11 @@ class StratumKind(str, Enum):
 _KIND_ORDER = {k: i for i, k in enumerate(StratumKind)}
 
 
-def _index_range(kind: StratumKind, p: ModuliParams, top: int) -> range:
-    """The integer indices l <= top of a kind other than A, from
-    ``params.kind_range``; B2 is l = d1 when d1 exceeds d2/2: the middle
-    line-splitting."""
-    if kind is StratumKind.B2:
-        lo, hi = p.d1, p.d1 + (2 * p.d1 > p.d2)
-    else:
-        lower, upper, closed = kind_range(p, kind.value)
-        lo = floor(lower) + 1  # the first integer above the open lower end
-        hi = top + 1 if upper is None else upper + closed
-    return range(lo, min(hi, top + 1))
-
-
 def admits(kind: StratumKind, p: ModuliParams, ell: HalfInt) -> bool:
     """Whether the kind's validity range contains the index l."""
     if kind is StratumKind.A:
         return ell.doubled == p.d2
-    return ell.is_integer and ell.as_int() in _index_range(kind, p, ell.as_int())
+    return ell.is_integer and ell.as_int() in kind_indices(p, kind.value, ell.as_int())
 
 
 @dataclass_compatible
@@ -92,7 +77,7 @@ def enumerate_critical(p: ModuliParams, l_max: HalfInt) -> list[StratumDescripto
     top = l_max.doubled // 2  # the largest integer index at most l_max
     for kind in list(StratumKind)[1:]:
         found += [StratumDescriptor(kind, HalfInt.from_int(l), p)
-                  for l in _index_range(kind, p, top)]
+                  for l in kind_indices(p, kind.value, top)]
     return sorted(found, key=lambda s: (s.ell, _KIND_ORDER[s.kind]))
 
 
@@ -100,7 +85,7 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
     """Equivariant series of one critical set, per the classification table.
 
     The C1 row uses the symmetric-product exponent d2 - l - d1 + 2g - 2
-    (the value forced by the section degree in the C1 construction and by
+    (the value fixed by the section degree in the C1 construction and by
     every downstream display); see table_note("C1").
     """
     p, g = s.params, s.params.g
@@ -199,7 +184,7 @@ def negative_dim(s: StratumDescriptor, component: str | None = None):
     Only the closed constants are returned: the B1 nonzero-section fiber
     dimension 2g-2+l-d1, the C2 harmonic-space dimension 2g-2+l-d2, and
     the h^{0,1}(S*Q) = g-1+2l-d2 component for the kinds whose index
-    forces deg(S*Q) < 0.  Anything else raises, since the remaining
+    makes deg(S*Q) < 0.  Anything else raises, since the remaining
     summands have no constant formula.
     """
     p, g = s.params, s.params.g
@@ -223,115 +208,3 @@ def negative_dim(s: StratumDescriptor, component: str | None = None):
             f"dimension {component!r} is not specified for {s.kind.value}"
         )
     return dims[component]
-
-
-# Registry of the displayed negative-normal-pair cohomology series.
-# Each entry maps to (shift exponent, jacobian power, sym exponents,
-# euler factors), all as functions of (g, d1, d2, l).  A pair may also be
-# a difference of two such shapes.
-
-
-def _pair_shapes(s: StratumDescriptor) -> dict[str, list[tuple]]:
-    p = s.params
-    g, d1, d2 = p.g, p.d1, p.d2
-    l = s.ell.as_int() if s.ell.is_integer else None
-    k = s.kind
-    c1_top = d2 - d1 + 2 * g - 2
-    shapes: dict[str, list[tuple]] = {}
-    if k is StratumKind.C1:
-        shapes["eta-,eta''"] = [(+1, 2 * (d2 - 2 * l + g - 1), 2, (l - d1 + 2 * g - 2,), 2)]
-        shapes["eta',eta''"] = [
-            (+1, 2 * (d2 - 2 * l + g - 1), 1,
-             (d2 - d1 + 2 * g - 2 - l, d1 - l + 2 * g - 2), 1)
-        ]
-    elif k is StratumKind.B1:
-        shapes["nu-,nu''"] = [(+1, 2 * (2 * l - d2 + g - 1), 3, (), 3)]
-        if l <= c1_top:
-            shapes["nu',omega"] = [(+1, 2 * (l - d1 + 2 * g - 2), 2, (l - d1 + 2 * g - 2,), 2)]
-            shapes["omega,nu''"] = [
-                (+1, 2 * (2 * l - d2 + g - 1), 2, (d2 - d1 + 2 * g - 2 - l,), 2)
-            ]
-        else:
-            shapes["nu',nu''"] = [(+1, 2 * (l - d1 + 2 * g - 2), 2, (l - d1 + 2 * g - 2,), 2)]
-    elif k is StratumKind.C2:
-        shapes["zeta-,zeta'"] = [(+1, 2 * (l - d1 + 2 * g - 2), 2, (l - d1 + 2 * g - 2,), 2)]
-    elif k is StratumKind.C3:
-        if l <= c1_top:
-            shapes["zeta-,zeta''"] = [(+1, 2 * (2 * l - d2 + g - 1), 2, (d1 - l + 2 * g - 2,), 2)]
-            shapes["zeta',zeta''"] = [
-                (+1, 2 * (2 * l - d2 + g - 1), 1,
-                 (d2 - d1 - l + 2 * g - 2, d1 - l + 2 * g - 2), 1)
-            ]
-            shapes["zeta-,zeta'"] = [
-                (+1, 2 * (2 * l - d2 + g - 1), 2, (d1 - l + 2 * g - 2,), 2),
-                (-1, 2 * (2 * l - d2 + g - 1), 1,
-                 (d2 - d1 - l + 2 * g - 2, d1 - l + 2 * g - 2), 1),
-            ]
-        else:
-            shapes["zeta-,zeta'"] = [
-                (+1, 2 * (2 * l - d2 + 2 * g - 2), 2, (d1 - l + 2 * g - 2,), 2)
-            ]
-    elif k is StratumKind.B2:
-        if d1 <= c1_top:
-            # two euler factors on the main pair, as displayed
-            shapes["nu-,nu''"] = [(+1, 2 * (2 * d1 - d2 + g - 1), 3, (), 2)]
-            shapes["nu',nu''"] = [
-                (+1, 2 * (2 * d1 - d2 + g - 1), 2, (d2 - 2 * d1 + 2 * g - 2,), 1)
-            ]
-        else:
-            shapes["nu-,nu'"] = [(+1, 2 * (2 * d1 - d2 + g - 1), 3, (), 3)]
-    elif k is StratumKind.B3:
-        shapes["nu-,nu''"] = [(+1, 2 * (2 * l - d2 + g - 1), 3, (), 3)]
-        if l <= c1_top:
-            shapes["omega,nu''"] = [
-                (+1, 2 * (2 * l - d2 + g - 1), 2, (d2 - d1 - l + 2 * g - 2,), 2)
-            ]
-            shapes["nu',omega"] = [
-                (+1, 2 * (2 * l - d2 + g - 1), 2, (d1 - l + 2 * g - 2,), 2),
-                (-1, 2 * (2 * l - d2 + g - 1), 1,
-                 (d2 - d1 - l + 2 * g - 2, d1 - l + 2 * g - 2), 1),
-            ]
-        elif l <= d1 + 2 * g - 2:
-            shapes["nu',nu''"] = [
-                (+1, 2 * (2 * l - d2 + 2 * g - 2), 2, (d1 - l + 2 * g - 2,), 2)
-            ]
-        else:
-            shapes["nu-,nu'"] = [(+1, 2 * (2 * l - d2 + g - 1), 3, (), 3)]
-    return shapes
-
-
-def negative_pair_kinds(s: StratumDescriptor) -> list[str]:
-    """Names of the displayed pairs available for this descriptor."""
-    return sorted(_pair_shapes(s))
-
-
-def negative_pair_cohomology(
-    s: StratumDescriptor, pair_kind: str, order: int
-) -> TruncatedSeries:
-    """Relative-cohomology series of one displayed negative-normal pair.
-
-    Shape: t^{2 codim} times jacobian and symmetric-product factors over
-    (1-t^2) to the number of circle factors.  A shift or exponent that
-    evaluates negative raises RangeViolationError rather than clamping.
-    """
-    shapes = _pair_shapes(s)
-    if pair_kind not in shapes:
-        raise ParameterError(
-            f"unknown pair {pair_kind!r} for {s.kind.value}; "
-            f"available: {', '.join(sorted(shapes))}"
-        )
-    g = s.params.g
-    total = TruncatedSeries.zero(order)
-    for sign, shift, jac_pow, sym_exps, euler_pow in shapes[pair_kind]:
-        if shift < 0:
-            raise RangeViolationError(
-                f"negative degree shift {shift} for pair ({pair_kind}) at {s}"
-            )
-        if any(m < 0 for m in sym_exps):
-            raise RangeViolationError(
-                f"negative symmetric-product exponent for pair ({pair_kind}) at {s}"
-            )
-        block = jacobian_block(g, jac_pow, *[2] * euler_pow)
-        syms = tuple(sym_factor(m, g, order) for m in sym_exps)
-        total = total + block.expand(order, ((sign, shift, syms),))
-    return total

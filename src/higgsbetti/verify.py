@@ -254,16 +254,24 @@ def _suite_torelli(grid) -> list[str]:
             if diff.unknown:
                 raise _Failed({"g": g, "tau": tau, "law": "difference not concrete"})
             support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
+            labels = params.s_tau(g, tau)
             expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
-                        for deg, (m1, m2) in params.s_tau(g, tau).items()}
+                        for deg, (m1, m2) in labels.items()}
             anomalous = assemble.torelli_anomalous_part(p)
             if support != expected or anomalous != expected:
                 raise _Failed({"g": g, "tau": tau, "expected": expected,
                                "got": support})
-            empty = not expected
-            if empty != params.gamma3_trivial(g, tau) \
-                    or empty != params.kirwan_su_surjective(g, tau):
-                raise _Failed({"g": g, "tau": tau, "law": "predicate coherence"})
+            # Kirwan surjectivity holds where no summand is anomalous; Torelli
+            # can act only through a Lambda^m of a Prym part with 0 < m < 2g-2
+            for name, derived in (
+                ("kirwan_su_surjective", not labels),
+                ("torelli_trivial", all(m in (0, 2 * g - 2)
+                                        for pair in labels.values() for m in pair)),
+            ):
+                got = getattr(params, name)(g, tau)
+                if got != derived:
+                    raise _Failed({"g": g, "tau": tau, "law": name,
+                                   "expected": derived, "got": got})
     return ["anomalous support matches the index set and predicates"]
 
 

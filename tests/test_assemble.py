@@ -253,12 +253,20 @@ def test_term_sum_integrity_everywhere():
                 assert total == elim.series, (fn.__name__, g, d1, d2)
 
 
-def test_invalid_params_refused_unless_forced():
-    p = make_params(2, 3, 0)
-    with pytest.raises(ParameterError):
-        u21_closed_form(p, None, 10)
-    res = u21_closed_form(p, None, 10, force=True)
-    assert res.mode == "relative"
+def test_invalid_params_are_refused():
+    # the moduli space is empty beyond |tau| = 2g-2 (Milnor-Wood)
+    for point in [
+        (2, 3, 0),  # tau = 4 > 2g-2 = 2
+        (2, -3, 0),  # tau = -4
+        (2, 129, 10**20),  # a sum over every index up to d2 would never end
+    ]:
+        p = make_params(*point)
+        for fn in BUILDERS.values():
+            with pytest.raises(ParameterError, match="2g-2"):
+                fn(p, None, 10)
+        if p.is_coprime:
+            with pytest.raises(ParameterError, match="2g-2"):
+                moduli_poincare(p, None, 10)
 
 
 def test_moduli_poincare_errors_and_relative():

@@ -53,6 +53,19 @@ def test_compute_rejects_invalid_tau(capsys):
     assert "2g-2" in err
 
 
+def test_compute_has_no_force_option(capsys):
+    # nothing overrides the Toledo bound: beyond it the moduli space is empty
+    argv = ["compute", "--group", "u21", "--genus", "2", "--d1", "129",
+            "--d2", "99999999999999999999", "--route", "stratum"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--force"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --force" in err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and "2g-2" in err
+
+
 def test_compute_rejects_misplaced_maximal_provider(capsys):
     code, _, err = run(
         capsys, "compute", "--group", "u21", "--genus", "2", "--d1", "0",
@@ -259,6 +272,21 @@ def test_gothen_suite_catches_a_wrong_anomalous_dimension(monkeypatch):
     assert result.counterexample == {"g": 2, "m1": 0, "m2": 1,
                                      "law": "euler characteristic",
                                      "expected": -162, "got": -82}
+
+
+def test_torelli_suite_catches_a_strict_torelli_bound(monkeypatch):
+    # |tau| > 4(g-1)/3 in place of >=: at (g, tau) = (4, 4) the one
+    # anomalous summand has (m1, m2) = (0, 6), on which Torelli acts trivially
+    from fractions import Fraction
+
+    from higgsbetti import params, verify
+
+    monkeypatch.setattr(params, "torelli_trivial",
+                        lambda g, tau: abs(Fraction(tau)) > Fraction(4 * (g - 1), 3))
+    result = verify.SUITES["torelli"]({})
+    assert not result.passed
+    assert result.counterexample == {"g": 4, "tau": 4, "law": "torelli_trivial",
+                                     "expected": True, "got": False}
 
 
 def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):

@@ -10,7 +10,8 @@ from higgsbetti.params import (
     canonicalize,
     delta_set,
     gamma3_trivial,
-    index_bounds,
+    kind_indices,
+    kind_range,
     kirwan_su_surjective,
     make_params,
     region_of,
@@ -62,15 +63,6 @@ def test_invariants_equal_the_paper_expressions(g, d1, d2):
     assert p.sigma_min == Fraction(p.e, 2) + Fraction(1, 4)
     assert all(type(x) is Fraction for x in (p.tau, p.sigma, p.sigma_min))
     assert type(p.e) is int
-
-
-@given(st.integers(2, 50), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
-def test_index_bounds_are_the_floors_of_the_endpoints(g, d1, d2):
-    bounds = index_bounds(make_params(g, d1, d2))
-    assert bounds.half_d2 == Fraction(d2, 2).__floor__()
-    assert bounds.c2_low == Fraction(2 * d2 - d1, 3).__floor__()
-    assert bounds.c1_low == Fraction(d1 + d2, 3).__floor__()
-    assert bounds.c1_top == d2 - d1 + 2 * g - 2
 
 
 def test_canonicalize():
@@ -219,18 +211,22 @@ def test_valid_points_against_brute_force(g):
     assert all(p.g == g and p.valid and p.tau >= 0 for p in valid_points(g))
 
 
-@pytest.mark.parametrize("g", [2, 3])
-def test_kind_ranges_hold_the_ends_of_the_index_bounds(g):
-    from math import floor
+def _in_kind(p, kind, l):
+    """l lies in the kind's range, read off kind_range's Fraction ends."""
+    if kind == "B2":
+        return l == p.d1 > Fraction(p.d2, 2)
+    lower, upper, closed = kind_range(p, kind)
+    return lower < l and (upper is None or l < upper or (closed and l == upper))
 
-    from higgsbetti.params import index_bounds, kind_range
 
-    for p in valid_points(g):
-        bounds = index_bounds(p)
-        c1 = kind_range(p, "C1")
-        assert (floor(kind_range(p, "B1").lower), floor(kind_range(p, "C2").lower),
-                floor(c1.lower), c1.upper) == tuple(bounds)
-        assert kind_range(p, "C3") == (p.d1, p.d1 + 2 * g - 2, True)
-        assert kind_range(p, "B3") == (p.d1, None, False)
+@given(st.integers(2, 50), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4),
+       st.sampled_from(["B1", "B2", "B3", "C1", "C2", "C3"]), st.integers(-3, 40))
+def test_kind_indices_are_the_integers_of_kind_range(g, d1, d2, kind, reach):
+    p = make_params(g, d1, d2)
+    # no member lies below the first integer above the lower end
+    first = d1 if kind == "B2" else kind_range(p, kind).lower.__floor__() + 1
+    top = first + reach
+    assert list(kind_indices(p, kind, top)) == [
+        l for l in range(first - 3, top + 1) if _in_kind(p, kind, l)]
     with pytest.raises(ParameterError, match="no index range"):
-        kind_range(p, "A")
+        kind_indices(p, "A", top)

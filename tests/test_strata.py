@@ -1,12 +1,10 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from higgsbetti.errors import (
-    ParameterError,
-    RangeViolationError,
-    UnspecifiedDimensionError,
-)
+from higgsbetti.assemble import u21_stratum_route
+from higgsbetti.errors import ParameterError, UnspecifiedDimensionError
 from higgsbetti.ingredients import (
     ab_semistable_rank2,
     jacobian_poincare,
@@ -22,8 +20,6 @@ from higgsbetti.strata import (
     enumerate_critical,
     kind_range_description,
     negative_dim,
-    negative_pair_cohomology,
-    negative_pair_kinds,
     table_note,
 )
 
@@ -192,41 +188,49 @@ def test_negative_dim_examples():
         negative_dim(b1, "no_such_component")
 
 
+def _route_terms(p, order):
+    return {t.label: t for t in u21_stratum_route(p, None, order).terms}
+
+
+# The u21 route keeps one negative-normal pair per stratum: B1-diff[l] is the
+# B1 pair (omega, nu''), C2[l] is minus the C2 pair (zeta-, zeta') and C1[l]
+# is the C1 pair (eta', eta'') with the shift 2(2l-d2+g-1).
+
+
 def test_negative_pair_examples():
     order = 12
-    p = make_params(2, 2, 1)
     jac = jacobian_poincare(2, order)
     geo2 = geometric_inverse(2, order)
 
-    b1 = StratumDescriptor(StratumKind.B1, H(1), p)
-    got = negative_pair_cohomology(b1, "nu',omega", order)
-    # shift 2(l - d1 + 2g - 2) = 2 over jacobian^2 sym(1) / (1-t^2)^2
-    want = (jac * jac * sym_poincare(1, 2, order) * geo2 * geo2).shifted(2)
-    assert got == want
+    # (2, 2, 1), B1 at l = 1: shift 2(2l - d2 + g - 1) = 4 over
+    # P(J)^2 P(S^{d2-d1+2g-2-l}) = P(J)^2 P(S^0) over (1-t^2)^2
+    b1 = _route_terms(make_params(2, 2, 1), order)["B1-diff[l=1]"]
+    assert b1.series == (jac * jac * geo2 * geo2).shifted(4)
 
-    c2 = StratumDescriptor(StratumKind.C2, H(1), p)
-    assert negative_pair_cohomology(c2, "zeta-,zeta'", order) == want
+    # (2, 2, 2), C2 at l = 1: shift 2(l - d1 + 2g - 2) = 2 over
+    # P(J)^2 P(S^1)/(1-t^2)^2, with the sign of a subtracted stratum
+    c2 = _route_terms(make_params(2, 2, 2), order)["C2[l=1]"]
+    assert c2.series == -(jac * jac * sym_poincare(1, 2, order) * geo2 * geo2).shifted(2)
 
-    q = make_params(2, 0, 0)
-    c1 = StratumDescriptor(StratumKind.C1, H(1), q)
-    with pytest.raises(RangeViolationError):
-        # shift 2(d2 - 2l + g - 1) = -2
-        negative_pair_cohomology(c1, "eta',eta''", order)
-    with pytest.raises(ParameterError):
-        negative_pair_cohomology(c1, "no-such-pair", order)
+    # (2, 0, 0), C1 at l = 1: shift 2(2l - d2 + g - 1) = 6, where the
+    # displayed 2(d2 - 2l + g - 1) is -2, over P(J) P(S^1)^2/(1-t^2)
+    c1 = _route_terms(make_params(2, 0, 0), order)["C1[l=1]"]
+    assert [shift for _, shift, _ in c1.entries] == [6]
+    sym1 = sym_poincare(1, 2, order)
+    assert c1.series == (jac * sym1 * sym1 * geo2).shifted(6)
 
 
 def test_negative_pair_shift_invariance():
+    # a tensor shift moves every stratum index l to l + 1 and keeps its term
     order = 14
-    p = make_params(2, 2, 1)
-    for s in enumerate_critical(p, H(4)):
-        if s.kind is StratumKind.A:
-            continue
-        q = p.tensor_shift(1)
-        moved = StratumDescriptor(s.kind, s.ell.shifted(1), q)
-        for pair in negative_pair_kinds(s):
-            try:
-                base = negative_pair_cohomology(s, pair, order)
-            except RangeViolationError:
-                continue
-            assert negative_pair_cohomology(moved, pair, order) == base
+
+    def moved(label):
+        return re.sub(r"l=(-?\d+)", lambda m: f"l={int(m.group(1)) + 1}", label)
+
+    for point in [(2, 2, 1), (2, 2, 2), (2, 0, 0), (3, 3, 2), (3, 4, 2)]:
+        p = make_params(*point)
+        base = {moved(label): t.series for label, t in _route_terms(p, order).items()}
+        shifted = {label: t.series
+                   for label, t in _route_terms(p.tensor_shift(1), order).items()}
+        assert shifted == base, point
+        assert any(label.startswith(("C1", "C2", "B1")) for label in base)
