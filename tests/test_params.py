@@ -65,6 +65,19 @@ def test_invariants_equal_the_paper_expressions(g, d1, d2):
     assert type(p.e) is int
 
 
+@given(st.integers(2, 50), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_index_bounds_are_the_floors_of_the_endpoints(g, d1, d2):
+    # the integer index bounds are the floors of kind_range's Fraction ends,
+    # and kind_indices starts at the first integer above each of them
+    p = make_params(g, d1, d2)
+    ends = {"B1": Fraction(d2, 2), "C2": Fraction(2 * d2 - d1, 3),
+            "C1": Fraction(d1 + d2, 3)}
+    for kind, lower in ends.items():
+        assert kind_range(p, kind).lower == lower
+        assert kind_indices(p, kind, lower.__floor__() + 1).start == lower.__floor__() + 1
+    assert kind_range(p, "C1").upper == d2 - d1 + 2 * g - 2
+
+
 def test_canonicalize():
     p, transforms = canonicalize(make_params(2, 0, 3))
     assert p.tau == 2 and transforms == [{"op": "dualize", "d1": 0, "d2": -3}]
@@ -209,6 +222,23 @@ def test_valid_points_against_brute_force(g):
     got = [(p.d1, p.d2) for p in valid_points(g)]
     assert got == want
     assert all(p.g == g and p.valid and p.tau >= 0 for p in valid_points(g))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_kind_ranges_hold_the_ends_of_the_index_bounds(g):
+    from math import floor
+
+    for p in valid_points(g):
+        d1, d2 = p.d1, p.d2
+        c1 = kind_range(p, "C1")
+        assert (floor(kind_range(p, "B1").lower), floor(kind_range(p, "C2").lower),
+                floor(c1.lower), c1.upper) == (
+            floor(Fraction(d2, 2)), floor(Fraction(2 * d2 - d1, 3)),
+            floor(Fraction(d1 + d2, 3)), d2 - d1 + 2 * g - 2)
+        assert kind_range(p, "C3") == (p.d1, p.d1 + 2 * g - 2, True)
+        assert kind_range(p, "B3") == (p.d1, None, False)
+    with pytest.raises(ParameterError, match="no index range"):
+        kind_range(p, "A")
 
 
 def _in_kind(p, kind, l):
