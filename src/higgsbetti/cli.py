@@ -173,9 +173,9 @@ def cmd_ingredients(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-# largest genus of a verify grid: every suite together took 9 s at g = 12
-# and 30 s at g = 16 on a 2-CPU AMD EPYC, growing about as g^4, so a grid
-# up to MAX_GENUS would run for days
+# largest genus of a verify grid: every suite together took 27 s at
+# g = 16 alone and 88 s on g = 2..16 (2-CPU Intel Xeon), growing about as
+# g^4 per genus, so a grid up to MAX_GENUS would run for days
 MAX_GRID_GENUS = 16
 
 

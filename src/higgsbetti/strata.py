@@ -81,19 +81,20 @@ def enumerate_critical(p: ModuliParams, l_max: HalfInt) -> list[StratumDescripto
     return sorted(found, key=lambda s: (s.ell, _KIND_ORDER[s.kind]))
 
 
-def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
-    """Equivariant series of one critical set, per the classification table.
+def critical_set_key(s: StratumDescriptor) -> tuple[str, int, int | None]:
+    """What the critical set's series depends on besides the order: the
+    row (A, B or C), the genus, and the parity of d2 for A or the
+    symmetric-product exponent m for C (None for B).
 
-    The C1 row uses the symmetric-product exponent d2 - l - d1 + 2g - 2
-    (the value fixed by the section degree in the C1 construction and by
-    every downstream display); see table_note("C1").
+    The C1 row uses the exponent d2 - l - d1 + 2g - 2 (the value fixed by
+    the section degree in the C1 construction and by every downstream
+    display); see table_note("C1").
     """
     p, g = s.params, s.params.g
     if s.kind is StratumKind.A:
-        jac = jacobian_poincare(g, order)
-        return (jac * ab_semistable_rank2(p.d2, g, order)).over_one_minus(2, 2)
+        return "A", g, p.d2 % 2
     if s.kind in (StratumKind.B1, StratumKind.B2, StratumKind.B3):
-        return jacobian_block(g, 3, 2, 2, 2).expand(order)
+        return "B", g, None
     l = s.ell.as_int()
     if s.kind is StratumKind.C1:
         m = p.d2 - l - p.d1 + 2 * g - 2
@@ -105,7 +106,19 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
         raise RangeViolationError(
             f"negative symmetric-product exponent {m} for {s}"
         )
-    return jacobian_block(g, 2, 2, 2).expand(order, ((1, 0, (sym_factor(m, g, order),)),))
+    return "C", g, m
+
+
+def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
+    """Equivariant series of one critical set, per the classification
+    table; a function of ``critical_set_key(s)`` and the order alone."""
+    row, g, x = critical_set_key(s)
+    if row == "A":
+        jac = jacobian_poincare(g, order)
+        return (jac * ab_semistable_rank2(x, g, order)).over_one_minus(2, 2)
+    if row == "B":
+        return jacobian_block(g, 3, 2, 2, 2).expand(order)
+    return jacobian_block(g, 2, 2, 2).expand(order, ((1, 0, (sym_factor(x, g, order),)),))
 
 
 def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:

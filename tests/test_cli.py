@@ -344,6 +344,128 @@ def test_counterexample_reports_a_degree_0_difference(monkeypatch, suite, module
     assert not result.passed and result.counterexample == counterexample
 
 
+def _count_calls(monkeypatch, counts, name, owner, key):
+    """Replace owner[key] (a dict entry) or owner.key (an attribute) by a
+    wrapper that adds 1 to counts[name] on each call."""
+    is_dict = isinstance(owner, dict)
+    fn = owner[key] if is_dict else getattr(owner, key)
+
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    if is_dict:
+        monkeypatch.setitem(owner, key, counted)
+    else:
+        monkeypatch.setattr(owner, key, counted)
+
+
+def _count_shift_invariance_calls(monkeypatch) -> dict[str, int]:
+    from higgsbetti import assemble, bradlow
+
+    counts = {"builds": 0, "ww": 0}
+    for key in list(assemble.BUILDERS):
+        _count_calls(monkeypatch, counts, "builds", assemble.BUILDERS, key)
+    _count_calls(monkeypatch, counts, "ww", bradlow, "ww_difference")
+    return counts
+
+
+def test_shift_invariance_builds_each_point_once(monkeypatch):
+    # valid_points(2..3) lists 69 points in 36 + 77 orbit slots (d1 running
+    # two past each end of 0..2g); five builds a slot, where building at
+    # every point and its four shifts made 1725 builds and 345 differences
+    from higgsbetti import verify
+
+    counts = _count_shift_invariance_calls(monkeypatch)
+    result = verify.SUITES["shift-invariance"]({"g": (2, 3)})
+    assert result.passed
+    assert counts == {"builds": 565, "ww": 113}
+
+
+def test_shift_invariance_catches_a_cover_exponent_that_moves_with_d1(monkeypatch):
+    # the second cover exponent plus d1 mod 2 for d1 > 2: a point is still
+    # compared with each of its shifts, so the first point to differ from
+    # a shift, and the first object, are what building every shift found
+    from higgsbetti import assemble, verify
+
+    exponents = assemble._cover_exponents
+
+    def mutated(p, l):
+        m1, m2 = exponents(p, l)
+        return m1, m2 + (p.d1 % 2 if p.d1 > 2 else 0)
+
+    monkeypatch.setattr(assemble, "_cover_exponents", mutated)
+    result = verify.SUITES["shift-invariance"]({"g": (2, 3)})
+    assert not result.passed
+    assert result.counterexample == {"g": 2, "d1": 1, "d2": 0, "k": 2,
+                                     "object": "u21-closed"}
+
+
+def test_series_laws_expands_each_critical_set_row_once(monkeypatch):
+    # S^3 X negated: the first stratum of exponent 3 is C2@-1 at g = 3,
+    # the 161st descriptor in the suite's order, and the 10th distinct key
+    from higgsbetti import strata, verify
+
+    sym_factor = strata.sym_factor
+
+    def negated_at_3(m, g, order):
+        factor = sym_factor(m, g, order)
+        return tuple(-c for c in factor) if m == 3 else factor
+
+    counts = {"expanded": 0}
+    _count_calls(monkeypatch, counts, "expanded", strata, "critical_set_poincare")
+    assert verify.SUITES["series-laws"]({"g": (2, 3)}).passed
+    keys = {strata.critical_set_key(s)
+            for g in (2, 3) for p in valid_points(g)
+            for s in strata.enumerate_critical(p, HalfInt.from_int(p.d1 + 2 * g - 2))}
+    assert counts["expanded"] == len(keys) == 12
+
+    monkeypatch.setattr(strata, "sym_factor", negated_at_3)
+    counts["expanded"] = 0
+    result = verify.SUITES["series-laws"]({"g": (2, 3)})
+    assert not result.passed
+    assert result.counterexample == {"stratum": "C2@-1", "law": "nonnegativity"}
+    assert counts["expanded"] == 10
+
+
+def test_a_negative_symmetric_product_exponent_is_a_range_violation():
+    # tau = 4 > 2g - 2 at (g, d1, d2) = (2, 3, 0): C2@0 has m = l - d1 + 2g - 2 = -1
+    from higgsbetti import strata
+    from higgsbetti.errors import RangeViolationError
+    from higgsbetti.params import make_params
+
+    s = strata.StratumDescriptor(strata.StratumKind.C2, HalfInt.from_int(0),
+                                 make_params(2, 3, 0))
+    with pytest.raises(RangeViolationError, match="exponent -1 for C2@0"):
+        strata.critical_set_key(s)
+    with pytest.raises(RangeViolationError, match="exponent -1 for C2@0"):
+        strata.critical_set_poincare(s, 8)
+
+
+def test_suite_memos_live_inside_one_call(monkeypatch):
+    # a second run rebuilds what the first did: nothing is kept between
+    # calls, so a worker's memory does not grow with the grids it has run
+    from higgsbetti import strata, verify
+
+    counts = _count_shift_invariance_calls(monkeypatch)
+    counts["expanded"] = 0
+    _count_calls(monkeypatch, counts, "expanded", strata, "critical_set_poincare")
+    for name in ("shift-invariance", "series-laws"):
+        runs = []
+        for _ in range(2):
+            before = dict(counts)
+            result = verify.SUITES[name]({"g": (2, 3)})
+            runs.append((result, {k: counts[k] - before[k] for k in counts}))
+        assert runs[0] == runs[1]
+        assert runs[0][0].passed and any(runs[0][1].values())
+    for module, dicts in ((verify, {"SUITES"}), (strata, {"_KIND_ORDER"})):
+        names = vars(module)
+        assert {k for k, v in names.items()
+                if isinstance(v, dict) and not k.startswith("__")} == dicts
+        assert not [k for k, v in names.items() if hasattr(v, "cache_info")
+                    and v.__module__ == module.__name__]
+
+
 def test_ingredients_ops(capsys):
     code, out, _ = run(
         capsys, "ingredients", "--op", "sym", "--m", "2", "--genus", "2",
