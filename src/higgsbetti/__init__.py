@@ -15,17 +15,14 @@ __version__ = "0.1.0"
 # one of its names is first looked up, so ``import higgsbetti`` loads none
 _NAMES_BY_MODULE = {
     "assemble": (
-        "AssemblyResult", "ModuliReport", "RouteEquivalenceReport",
-        "ab_cancellation_residual", "moduli_poincare", "pu21_poincare",
-        "su21_closed_form", "su21_stratum_route", "su_ab_cancellation_residual",
-        "torelli_anomalous_part", "u21_closed_form", "u21_stratum_route",
-        "verify_route_equivalence",
+        "AssemblyResult", "pu21_poincare", "su21_closed_form", "su21_stratum_route",
+        "u21_closed_form", "u21_stratum_route",
     ),
     "bradlow": (
         "BradlowProvider", "FileBackedProvider", "MaximalCaseProvider",
-        "SymbolicProvider", "maximal_first_term", "maximal_moduli_min",
-        "maximal_pairs_equivariant", "provider_from_file", "sigma_min_of",
-        "sigma_of", "ww_difference", "ww_from_invariants",
+        "SymbolicProvider", "maximal_moduli_min", "maximal_pairs_equivariant",
+        "provider_from_file", "sigma_min_of", "sigma_of", "ww_difference",
+        "ww_from_invariants",
     ),
     "errors": (
         "ParameterError", "ProviderFileError", "RangeViolationError",
@@ -42,12 +39,18 @@ _NAMES_BY_MODULE = {
         "torelli_trivial",
     ),
     "series": (
-        "PolynomialWindow", "RationalExpr", "TruncatedSeries", "binomial_power",
-        "default_order", "geometric_inverse", "is_polynomial_window",
+        "RationalExpr", "TruncatedSeries", "binomial_power", "default_order",
+        "geometric_inverse",
     ),
     "strata": (
         "StratumDescriptor", "StratumKind", "critical_set_poincare", "critical_table",
         "enumerate_critical", "negative_dim", "table_note",
+    ),
+    "verify": (
+        "ModuliReport", "PolynomialWindow", "RouteEquivalenceReport",
+        "ab_cancellation_residual", "is_polynomial_window", "moduli_poincare",
+        "su_ab_cancellation_residual", "torelli_anomalous_part",
+        "verify_route_equivalence",
     ),
 }
 _MODULE_OF = {name: module for module, names in _NAMES_BY_MODULE.items()

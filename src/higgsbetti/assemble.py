@@ -1,4 +1,4 @@
-"""Headline assemblies: closed forms, stratum-sum routes, verification.
+"""Headline assemblies: closed forms and stratum-sum routes.
 
 Each group admits two independent computations of the equivariant series
 of the semistable locus:
@@ -51,25 +51,17 @@ from .bradlow import BradlowProvider, SymbolicProvider, ww_difference
 from .errors import ParameterError
 from .ingredients import (
     CoverParams,
-    ab_semistable_rank2,
     atiyah_bott_numerators,
     bg_rank1,
-    bg_su21,
-    bg_u21,
     gothen_cover,
     jacobian_block,
-    jacobian_poincare,
-    line_splitting_sum,
     sym_factor,
-    v_dim,
 )
-from .params import ModuliParams, _require_valid, canonicalize, kind_indices, s_tau
+from .params import ModuliParams, _require_valid, canonicalize, kind_indices
 from .records import Frozen, dataclass_compatible
 from .series import (
-    PolynomialWindow,
     RationalExpr,
     TruncatedSeries,
-    is_polynomial_window,
     resolve_order,
     shifted_product_sum,
 )
@@ -492,139 +484,3 @@ BUILDERS = {
     ("su21", "stratum"): su21_stratum_route,
     ("pu21", "closed"): pu21_poincare,
 }
-
-
-def ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
-    """Classifying total minus semistable-bundle block minus tail.
-
-    Zero identically; this is the identity that pins the classifying
-    space normalizations.
-    """
-    jac = jacobian_poincare(g, order)
-    return (
-        bg_u21(g, order)
-        - (jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2)
-        - line_splitting_sum(g, d2, order, 3)
-    )
-
-
-def su_ab_cancellation_residual(g: int, d2: int, order: int) -> TruncatedSeries:
-    """Fixed-determinant analog of the cancellation; also identically zero."""
-    return (
-        bg_su21(g, order)
-        - ab_semistable_rank2(d2, g, order)
-        - line_splitting_sum(g, d2, order, 2)
-    )
-
-
-def torelli_anomalous_part(p: ModuliParams) -> dict[int, int]:
-    """Degrees where the Torelli action is nontrivial, with dimensions.
-
-    For each anomalous degree 6g-6+tau/2+2l the dimension is the
-    coefficient (3^{2g}-1) C(2g-2, m1) C(2g-2, m2) of its cover summand.
-    """
-    p, _ = canonicalize(p)  # a point with tau < 0 has the part of its dual
-    if p.tau.denominator != 1 or p.tau % 2 != 0:
-        raise ParameterError("the Toledo invariant must be an even integer here")
-    if p.tau > 2 * p.g - 2:
-        raise ParameterError("tau outside [-(2g-2), 2g-2]")
-    return {degree: v_dim(CoverParams(m1, m2, p.g))
-            for degree, (m1, m2) in s_tau(p.g, int(p.tau)).items()}
-
-
-@dataclass_compatible
-class RouteEquivalenceReport(NamedTuple):
-    """Concrete residual of closed form minus stratum route (relative mode,
-    pairs eliminated through the wall-crossing difference)."""
-
-    group: str
-    params: ModuliParams
-    order: int
-    residual: TruncatedSeries
-    residual_unknowns: dict[str, TruncatedSeries]
-    closed_terms: tuple[TermValue, ...]
-    route_terms: tuple[TermValue, ...]
-
-    @property
-    def zero(self) -> bool:
-        return self.residual.is_zero() and all(
-            s.is_zero() for s in self.residual_unknowns.values()
-        )
-
-    def first_nonzero_degree(self) -> int | None:
-        for k in range(self.order + 1):
-            if self.residual.coeffs[k] != 0:
-                return k
-            for s in self.residual_unknowns.values():
-                if s.coeffs[k] != 0:
-                    return k
-        return None
-
-    def term_provenance(self, degree: int) -> dict[str, int]:
-        """Coefficient at one degree of every contributing labeled term
-        (each term expanded only up to that degree)."""
-        out: dict[str, int] = {}
-        for side, terms in (("closed", self.closed_terms), ("route", self.route_terms)):
-            for t in terms:
-                c = t.coefficient(degree)
-                if c:
-                    out[f"{side}:{t.label}"] = c
-        return out
-
-
-def verify_route_equivalence(
-    group: str, p: ModuliParams, order: int | None = None
-) -> RouteEquivalenceReport:
-    """Closed form minus stratum route with provider unknowns eliminated.
-
-    A zero residual (series and remaining unknown coefficients) means the
-    two transcriptions are mutually consistent.  Nonzero residuals are
-    findings, reported with per-term provenance, never exceptions.
-    """
-    if (group, "stratum") not in BUILDERS:
-        raise ParameterError(f"no route pair for group {group!r}")
-    closed = BUILDERS[(group, "closed")](p, None, order)
-    route = BUILDERS[(group, "stratum")](p, None, order)
-    diff = (closed - route).eliminate_pairs()
-    return RouteEquivalenceReport(
-        group=group,
-        params=closed.params,
-        order=closed.order,
-        residual=diff.series,
-        residual_unknowns=dict(diff.unknown),
-        closed_terms=closed.terms,
-        route_terms=route.terms,
-    )
-
-
-@dataclass_compatible
-class ModuliReport(NamedTuple):
-    result: AssemblyResult
-    polynomial: PolynomialWindow | None
-    nonnegative: bool | None
-
-
-def moduli_poincare(
-    p: ModuliParams,
-    provider: BradlowProvider | None = None,
-    order: int | None = None,
-) -> ModuliReport:
-    """Moduli-space series (1-t^2) times the equivariant series, defined
-    in the coprime classes only, with a truncation-window polynomiality
-    probe over the top max(2, order // 4) coefficients (heuristic:
-    truncation can only falsify polynomiality)."""
-    if not p.is_coprime:
-        raise ParameterError(
-            "moduli series defined only in the coprime case (d1+d2 not "
-            "divisible by 3)"
-        )
-    equivariant = u21_closed_form(p, provider, order)
-    one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
-    result = equivariant.scaled_by(one_minus_t2)._replace(group="moduli")
-    if result.mode == "absolute":
-        return ModuliReport(
-            result=result,
-            polynomial=is_polynomial_window(result.series, max(2, result.order // 4)),
-            nonnegative=result.series.is_nonnegative(),
-        )
-    return ModuliReport(result=result, polynomial=None, nonnegative=None)

@@ -39,8 +39,6 @@ from .errors import ParameterError, ProviderFileError
 from .ingredients import (
     bg_rank1,
     jacobian_block,
-    jacobian_poincare,
-    projective_poincare,
     sym_factor,
 )
 from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid
@@ -99,18 +97,6 @@ def maximal_pairs_equivariant(g: int, order: int) -> TruncatedSeries:
     where e = sigma = g-1:  P(J) (P(CP^{2g-3}) + t^{4g-4}/(1-t^2)), which
     is P(J)/(1-t^2), since P(CP^n) + t^{2n+2}/(1-t^2) = 1/(1-t^2)."""
     return bg_rank1(g, order)
-
-
-def maximal_first_term(g: int, order: int) -> TruncatedSeries:
-    """The maximal-case telescoping sum
-
-        P(J)^2 P(CP^{2g-3})/(1-t^2) + t^{4g-4} P(J)^2/(1-t^2)^2
-
-    which collapses to P(J)^2/(1-t^2)^2 exactly."""
-    jac = jacobian_poincare(g, order)
-    first = (jac * jac * projective_poincare(2 * g - 3, order)).over_one_minus(2)
-    second = (jac * jac).over_one_minus(2, 2).shifted(4 * g - 4)
-    return first + second
 
 
 def maximal_moduli_min(g: int, order: int) -> TruncatedSeries:

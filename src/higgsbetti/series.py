@@ -8,7 +8,7 @@ floats, no rationals, no symbolic simplification.
 
 Validation happens at the boundary only.  The constructor,
 ``from_coeffs``, ``monomial``, the scalar of ``scale``, ``RationalExpr``
-and the JSON and provider parsers (``parse_integer``) reject anything but
+and the provider-file parser (``parse_integer``) reject anything but
 exact integers; a float or bool never becomes a coefficient.  Results of
 internal arithmetic (``+``, ``-``, unary ``-``, ``*``, ``shifted``,
 ``truncated``, ``over_one_minus``) are built from already-checked
@@ -60,7 +60,6 @@ import struct
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import NamedTuple
 
 from .errors import ParameterError
 from .records import Frozen, dataclass_compatible
@@ -410,25 +409,6 @@ class TruncatedSeries(Frozen):
         """
         return _over_one_minus(list(self.coeffs), exponents)
 
-    # -- serialization (exact: decimal strings, no floats) --------------
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coefficients": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncatedSeries":
-        try:
-            order = parse_integer(data["order"], "order")
-            raw = data["coefficients"]
-            if not isinstance(raw, list):
-                raise TypeError("coefficients must be a list")
-            coeffs = [parse_integer(c) for c in raw]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed series payload: {exc}") from exc
-        if len(coeffs) != order + 1:
-            raise ParameterError("series payload length does not match order")
-        return cls(tuple(coeffs))
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -505,26 +485,3 @@ class RationalExpr(Frozen):
             factor[0], factor[a] = 1, -1
             poly = polynomial_product(poly, factor)
         return TruncatedSeries.from_coeffs(poly, order)
-
-
-@dataclass_compatible
-class PolynomialWindow(NamedTuple):
-    """Result of the heuristic polynomiality probe.
-
-    Truncation can only falsify polynomiality, never prove it, so the
-    positive answer means "no coefficient in the top window".
-    """
-
-    is_polynomial: bool
-    degree: int | None
-    window: int
-
-
-def is_polynomial_window(f: TruncatedSeries, window: int) -> PolynomialWindow:
-    """True iff the top `window` coefficients vanish; reports the top degree."""
-    if window < 1:
-        raise ParameterError("window must be positive")
-    if window > f.order:
-        raise ParameterError("window exceeds the truncation order")
-    clean = all(c == 0 for c in f.coeffs[f.order - window + 1 :])
-    return PolynomialWindow(is_polynomial=clean, degree=f.degree(), window=window)

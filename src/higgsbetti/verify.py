@@ -1,4 +1,8 @@
-"""Identity verification suites behind ``higgsbetti verify``.
+"""Identity verification suites behind ``higgsbetti verify``, and the
+identities they check: the Atiyah-Bott cancellation residuals, route
+equivalence, the Torelli anomalous part and the coprime moduli probe.
+These reach the assemblies through ``assemble.BUILDERS``; no builder
+depends on this module, so a ``compute`` process never loads it.
 
 Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
 genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
@@ -14,8 +18,167 @@ from itertools import islice
 from math import comb
 from typing import NamedTuple
 
-from . import assemble, bradlow, ingredients, params, series
+from . import assemble, bradlow, errors, ingredients, params, series
 from .records import dataclass_compatible
+
+
+def ab_cancellation_residual(g: int, d2: int, order: int) -> series.TruncatedSeries:
+    """Classifying total minus semistable-bundle block minus tail.
+
+    Zero identically; this is the identity that pins the classifying
+    space normalizations.
+    """
+    jac = ingredients.jacobian_poincare(g, order)
+    return (
+        ingredients.bg_u21(g, order)
+        - (jac * ingredients.ab_semistable_rank2(d2, g, order)).over_one_minus(2)
+        - ingredients.line_splitting_sum(g, d2, order, 3)
+    )
+
+
+def su_ab_cancellation_residual(g: int, d2: int, order: int) -> series.TruncatedSeries:
+    """Fixed-determinant analog of the cancellation; also identically zero."""
+    return (
+        ingredients.bg_su21(g, order)
+        - ingredients.ab_semistable_rank2(d2, g, order)
+        - ingredients.line_splitting_sum(g, d2, order, 2)
+    )
+
+
+def torelli_anomalous_part(p: params.ModuliParams) -> dict[int, int]:
+    """Degrees where the Torelli action is nontrivial, with dimensions.
+
+    For each anomalous degree 6g-6+tau/2+2l the dimension is the
+    coefficient (3^{2g}-1) C(2g-2, m1) C(2g-2, m2) of its cover summand.
+    """
+    p, _ = params.canonicalize(p)  # a point with tau < 0 has the part of its dual
+    if p.tau.denominator != 1 or p.tau % 2 != 0:
+        raise errors.ParameterError("the Toledo invariant must be an even integer here")
+    if p.tau > 2 * p.g - 2:
+        raise errors.ParameterError("tau outside [-(2g-2), 2g-2]")
+    return {degree: ingredients.v_dim(ingredients.CoverParams(m1, m2, p.g))
+            for degree, (m1, m2) in params.s_tau(p.g, int(p.tau)).items()}
+
+
+@dataclass_compatible
+class RouteEquivalenceReport(NamedTuple):
+    """Concrete residual of closed form minus stratum route (relative mode,
+    pairs eliminated through the wall-crossing difference)."""
+
+    group: str
+    params: params.ModuliParams
+    order: int
+    residual: series.TruncatedSeries
+    residual_unknowns: dict[str, series.TruncatedSeries]
+    closed_terms: tuple[assemble.TermValue, ...]
+    route_terms: tuple[assemble.TermValue, ...]
+
+    @property
+    def zero(self) -> bool:
+        return self.residual.is_zero() and all(
+            s.is_zero() for s in self.residual_unknowns.values()
+        )
+
+    def first_nonzero_degree(self) -> int | None:
+        for k in range(self.order + 1):
+            if self.residual.coeffs[k] != 0:
+                return k
+            for s in self.residual_unknowns.values():
+                if s.coeffs[k] != 0:
+                    return k
+        return None
+
+    def term_provenance(self, degree: int) -> dict[str, int]:
+        """Coefficient at one degree of every contributing labeled term
+        (each term expanded only up to that degree)."""
+        out: dict[str, int] = {}
+        for side, terms in (("closed", self.closed_terms), ("route", self.route_terms)):
+            for t in terms:
+                c = t.coefficient(degree)
+                if c:
+                    out[f"{side}:{t.label}"] = c
+        return out
+
+
+def verify_route_equivalence(
+    group: str, p: params.ModuliParams, order: int | None = None
+) -> RouteEquivalenceReport:
+    """Closed form minus stratum route with provider unknowns eliminated.
+
+    A zero residual (series and remaining unknown coefficients) means the
+    two transcriptions are mutually consistent.  Nonzero residuals are
+    findings, reported with per-term provenance, never exceptions.
+    """
+    if (group, "stratum") not in assemble.BUILDERS:
+        raise errors.ParameterError(f"no route pair for group {group!r}")
+    closed = assemble.BUILDERS[(group, "closed")](p, None, order)
+    route = assemble.BUILDERS[(group, "stratum")](p, None, order)
+    diff = (closed - route).eliminate_pairs()
+    return RouteEquivalenceReport(
+        group=group,
+        params=closed.params,
+        order=closed.order,
+        residual=diff.series,
+        residual_unknowns=dict(diff.unknown),
+        closed_terms=closed.terms,
+        route_terms=route.terms,
+    )
+
+
+@dataclass_compatible
+class PolynomialWindow(NamedTuple):
+    """Result of the heuristic polynomiality probe.
+
+    Truncation can only falsify polynomiality, never prove it, so the
+    positive answer means "no coefficient in the top window".
+    """
+
+    is_polynomial: bool
+    degree: int | None
+    window: int
+
+
+def is_polynomial_window(f: series.TruncatedSeries, window: int) -> PolynomialWindow:
+    """True iff the top `window` coefficients vanish; reports the top degree."""
+    if window < 1:
+        raise errors.ParameterError("window must be positive")
+    if window > f.order:
+        raise errors.ParameterError("window exceeds the truncation order")
+    clean = all(c == 0 for c in f.coeffs[f.order - window + 1 :])
+    return PolynomialWindow(is_polynomial=clean, degree=f.degree(), window=window)
+
+
+@dataclass_compatible
+class ModuliReport(NamedTuple):
+    result: assemble.AssemblyResult
+    polynomial: PolynomialWindow | None
+    nonnegative: bool | None
+
+
+def moduli_poincare(
+    p: params.ModuliParams,
+    provider: bradlow.BradlowProvider | None = None,
+    order: int | None = None,
+) -> ModuliReport:
+    """Moduli-space series (1-t^2) times the equivariant series, defined
+    in the coprime classes only, with a truncation-window polynomiality
+    probe over the top max(2, order // 4) coefficients (heuristic:
+    truncation can only falsify polynomiality)."""
+    if not p.is_coprime:
+        raise errors.ParameterError(
+            "moduli series defined only in the coprime case (d1+d2 not "
+            "divisible by 3)"
+        )
+    equivariant = assemble.BUILDERS["u21", "closed"](p, provider, order)
+    one_minus_t2 = series.TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
+    result = equivariant.scaled_by(one_minus_t2)._replace(group="moduli")
+    if result.mode == "absolute":
+        return ModuliReport(
+            result=result,
+            polynomial=is_polynomial_window(result.series, max(2, result.order // 4)),
+            nonnegative=result.series.is_nonnegative(),
+        )
+    return ModuliReport(result=result, polynomial=None, nonnegative=None)
 
 
 @dataclass_compatible
@@ -140,8 +303,8 @@ def _suite_ab_cancellation(grid) -> list[str]:
             for law, expected, got in (
                 ("closed form", _ab_closed_form(g, d2, order),
                  ingredients.ab_semistable_rank2(d2, g, order)),
-                ("u21 residual", zero, assemble.ab_cancellation_residual(g, d2, order)),
-                ("su21 residual", zero, assemble.su_ab_cancellation_residual(g, d2, order)),
+                ("u21 residual", zero, ab_cancellation_residual(g, d2, order)),
+                ("su21 residual", zero, su_ab_cancellation_residual(g, d2, order)),
             ):
                 if got != expected:
                     raise _Failed({"g": g, "d2": d2, "law": law,
@@ -150,39 +313,41 @@ def _suite_ab_cancellation(grid) -> list[str]:
             "grid, both groups"]
 
 
+def _route_reports(group: str, grid):
+    """(p, the route-equivalence report at p) at every valid point of the
+    grid's genera, at the default order."""
+    for g in _grid_genera(grid):
+        for p in params.valid_points(g):
+            yield p, verify_route_equivalence(group, p)
+
+
 @_suite("route-u21")
 def _suite_route_u21(grid) -> list[str]:
     checked = 0
-    for g in _grid_genera(grid):
-        order = series.default_order(g)
-        for p in params.valid_points(g):
-            rep = assemble.verify_route_equivalence("u21", p, order)
-            checked += 1
-            if not rep.zero:
-                k = rep.first_nonzero_degree()
-                raise _Failed({"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
-                               "expected": 0, "got": rep.residual.coeffs[k],
-                               "terms": rep.term_provenance(k)})
+    for p, rep in _route_reports("u21", grid):
+        checked += 1
+        if not rep.zero:
+            k = rep.first_nonzero_degree()
+            raise _Failed({"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
+                           "expected": 0, "got": rep.residual.coeffs[k],
+                           "terms": rep.term_provenance(k)})
     return [f"zero residual on {checked} parameter tuples"]
 
 
 @_suite("route-su21", hard=False)
 def _suite_route_su21(grid) -> list[str]:
     details = []
-    for g in _grid_genera(grid):
-        order = series.default_order(g)
-        for p in params.valid_points(g):
-            rep = assemble.verify_route_equivalence("su21", p, order)
-            if rep.zero:
-                details.append(f"(g={p.g}, d1={p.d1}, d2={p.d2}): zero")
-                continue
-            k = rep.first_nonzero_degree()
-            prov = rep.term_provenance(k)
-            head = ", ".join(f"{lbl}: {c}" for lbl, c in sorted(prov.items())[:4])
-            unknown = {n: s.coeffs[k] for n, s in rep.residual_unknowns.items()}
-            details.append(
-                f"(g={p.g}, d1={p.d1}, d2={p.d2}): first residual at degree {k}, "
-                f"series {rep.residual.coeffs[k]}, unknown {unknown}, terms [{head}]")
+    for p, rep in _route_reports("su21", grid):
+        if rep.zero:
+            details.append(f"(g={p.g}, d1={p.d1}, d2={p.d2}): zero")
+            continue
+        k = rep.first_nonzero_degree()
+        prov = rep.term_provenance(k)
+        head = ", ".join(f"{lbl}: {c}" for lbl, c in sorted(prov.items())[:4])
+        unknown = {n: s.coeffs[k] for n, s in rep.residual_unknowns.items()}
+        details.append(
+            f"(g={p.g}, d1={p.d1}, d2={p.d2}): first residual at degree {k}, "
+            f"series {rep.residual.coeffs[k]}, unknown {unknown}, terms [{head}]")
     return details
 
 
@@ -260,13 +425,11 @@ def _suite_torelli(grid) -> list[str]:
             if diff.unknown:
                 raise _Failed({"g": g, "tau": tau, "law": "difference not concrete"})
             support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
-            labels = params.s_tau(g, tau)
-            expected = {deg: ingredients.v_dim(ingredients.CoverParams(m1, m2, g))
-                        for deg, (m1, m2) in labels.items()}
-            anomalous = assemble.torelli_anomalous_part(p)
-            if support != expected or anomalous != expected:
+            expected = torelli_anomalous_part(p)
+            if support != expected:
                 raise _Failed({"g": g, "tau": tau, "expected": expected,
                                "got": support})
+            labels = params.s_tau(g, tau)
             # Kirwan surjectivity holds where no summand is anomalous; Torelli
             # can act only through a Lambda^m of a Prym part with 0 < m < 2g-2
             for name, derived in (

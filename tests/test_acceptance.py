@@ -10,18 +10,14 @@ import random
 import pytest
 
 from higgsbetti.assemble import (
-    ab_cancellation_residual,
     pu21_poincare,
     su21_closed_form,
     su21_stratum_route,
-    torelli_anomalous_part,
     u21_closed_form,
     u21_stratum_route,
-    verify_route_equivalence,
 )
 from higgsbetti.bradlow import (
     MaximalCaseProvider,
-    maximal_first_term,
     maximal_pairs_equivariant,
     ww_difference,
 )
@@ -43,6 +39,11 @@ from higgsbetti.params import (
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 from higgsbetti.strata import critical_set_poincare, enumerate_critical
 from higgsbetti.params import HalfInt
+from higgsbetti.verify import (
+    ab_cancellation_residual,
+    torelli_anomalous_part,
+    verify_route_equivalence,
+)
 
 
 def test_criterion_01_maximal_closed_form():
@@ -72,7 +73,7 @@ def test_criterion_03_u21_route_equivalence():
             assert rep.zero, (p.g, p.d1, p.d2, rep.first_nonzero_degree())
 
 
-def test_criterion_04_maximal_bradlow_telescoping():
+def test_criterion_04_maximal_bradlow_telescoping(maximal_first_term):
     for g in (2, 3, 4, 5):
         order = 4 * g + 20
         jac = jacobian_poincare(g, order)

@@ -12,26 +12,42 @@ import pytest
 
 import higgsbetti
 from higgsbetti import cli, verify
-from higgsbetti.assemble import (
-    PLAIN,
-    TermValue,
-    moduli_poincare,
-    u21_closed_form,
-    verify_route_equivalence,
-)
+from higgsbetti.assemble import PLAIN, TermValue, u21_closed_form
 from higgsbetti.bradlow import _ProviderRecord
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import CoverParams
 from higgsbetti.params import HalfInt, make_params
-from higgsbetti.series import PolynomialWindow, RationalExpr, TruncatedSeries
+from higgsbetti.series import RationalExpr, TruncatedSeries
 from higgsbetti.strata import StratumDescriptor, StratumKind
-from higgsbetti.verify import SuiteResult
+from higgsbetti.verify import (
+    PolynomialWindow,
+    SuiteResult,
+    moduli_poincare,
+    verify_route_equivalence,
+)
 
 
 def test_every_exported_name_resolves():
     for name in higgsbetti.__all__:
         assert getattr(higgsbetti, name, None) is not None, name
     assert len(set(higgsbetti.__all__)) == len(higgsbetti.__all__)
+
+
+# the identities the verify suites check, and their records
+IDENTITY_API = (
+    "ModuliReport", "PolynomialWindow", "RouteEquivalenceReport",
+    "ab_cancellation_residual", "is_polynomial_window", "moduli_poincare",
+    "su_ab_cancellation_residual", "torelli_anomalous_part",
+    "verify_route_equivalence",
+)
+
+
+@pytest.mark.parametrize("name", IDENTITY_API)
+def test_the_identity_api_lives_in_verify_alone(name):
+    from higgsbetti import assemble, series
+
+    assert getattr(higgsbetti, name) is getattr(verify, name)
+    assert not hasattr(assemble, name) and not hasattr(series, name)
 
 
 def test_cli_runs_the_verify_suites_in_place():

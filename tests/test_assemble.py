@@ -6,16 +6,11 @@ from higgsbetti.assemble import (
     BUILDERS,
     PLAIN,
     TermValue,
-    ab_cancellation_residual,
-    moduli_poincare,
     pu21_poincare,
     su21_closed_form,
     su21_stratum_route,
-    su_ab_cancellation_residual,
-    torelli_anomalous_part,
     u21_closed_form,
     u21_stratum_route,
-    verify_route_equivalence,
 )
 from higgsbetti.bradlow import (
     FileBackedProvider,
@@ -34,6 +29,13 @@ from higgsbetti.ingredients import (
 )
 from higgsbetti.params import make_params, valid_points
 from higgsbetti.series import TruncatedSeries, geometric_inverse
+from higgsbetti.verify import (
+    ab_cancellation_residual,
+    moduli_poincare,
+    su_ab_cancellation_residual,
+    torelli_anomalous_part,
+    verify_route_equivalence,
+)
 
 
 def _support(series):
@@ -111,7 +113,6 @@ def test_stratum_route_matches_consolidated_transcription_for_positive_tau():
     # strict C2 range; for tau > 0 that equals the raw per-stratum sum
     from fractions import Fraction
 
-    from higgsbetti.assemble import ab_cancellation_residual as _  # noqa: F401
     from higgsbetti.ingredients import ab_semistable_rank2, bg_u21
 
     order = 30

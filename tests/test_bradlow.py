@@ -10,7 +10,6 @@ from higgsbetti.bradlow import (
     MaximalCaseProvider,
     SymbolicProvider,
     _parse_record,
-    maximal_first_term,
     maximal_moduli_min,
     maximal_pairs_equivariant,
     maximal_provider_record,
@@ -111,7 +110,7 @@ def test_ww_shift_invariance():
         assert ww_difference(p.tensor_shift(k), order) == base
 
 
-def test_maximal_telescoping():
+def test_maximal_telescoping(maximal_first_term):
     for g in (2, 3, 4, 5):
         order = 4 * g + 20
         jac = jacobian_poincare(g, order)

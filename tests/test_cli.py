@@ -289,6 +289,21 @@ def test_torelli_suite_catches_a_strict_torelli_bound(monkeypatch):
                                      "expected": True, "got": False}
 
 
+def test_torelli_suite_compares_the_builders_with_the_anomalous_part(monkeypatch):
+    # every anomalous degree moved up by 2: the su21 - pu21 support of the
+    # builders still reads {8: 320, 10: 80} at (g, tau) = (2, 0), and the
+    # counterexample shows the two sides apart
+    from higgsbetti import verify
+
+    part = verify.torelli_anomalous_part
+    monkeypatch.setattr(verify, "torelli_anomalous_part",
+                        lambda p: {k + 2: v for k, v in part(p).items()})
+    result = verify.SUITES["torelli"]({"g": (2, 2)})
+    assert not result.passed
+    assert result.counterexample == {"g": 2, "tau": 0, "expected": {10: 320, 12: 80},
+                                     "got": {8: 320, 10: 80}}
+
+
 def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):
     # the top wall t^{2(g-1+2 sigma-e)} P(J) P(S^{e-sigma} X)/(1-t^2) moved
     # up by t^2: closed form and route share the wall-crossing sum, so only
@@ -330,7 +345,7 @@ def _one_more_at_degree_0(fn):
      {"g": 2, "mode": "absolute", "degree": 0, "expected": 1, "got": 2}),
     ("ab-cancellation", "ingredients", "ab_semistable_rank2",
      {"g": 2, "d2": 0, "law": "closed form", "degree": 0, "expected": 1, "got": 2}),
-    ("ab-cancellation", "assemble", "ab_cancellation_residual",
+    ("ab-cancellation", "verify", "ab_cancellation_residual",
      {"g": 2, "d2": 0, "law": "u21 residual", "degree": 0, "expected": 0, "got": 1}),
 ])
 def test_counterexample_reports_a_degree_0_difference(monkeypatch, suite, module, name,

@@ -15,16 +15,27 @@ from higgsbetti.series import (
     TruncatedSeries,
     binomial_power,
     geometric_inverse,
-    is_polynomial_window,
     polynomial_product,
     _pack,
     _unpack,
     shifted_product_sum,
 )
+from higgsbetti.verify import is_polynomial_window
 
 
 def S(coeffs, order=None):
     return TruncatedSeries.from_coeffs(coeffs, order)
+
+
+def _json_series(tmp_path, order, coefficients) -> TruncatedSeries:
+    """A series read back from JSON: the moduli_min of a g = 2 provider
+    record (e = sigma = 1) with these fields, through provider_from_file,
+    the package's one reader of series from JSON."""
+    record = {"g": 2, "e": 1, "sigma": {"num": 1, "den": 1}, "order": order,
+              "moduli_min": coefficients}
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(record))
+    return provider_from_file(path).moduli_min(1, 2, order)
 
 
 def test_add_examples():
@@ -87,9 +98,9 @@ def test_polynomial_window():
         is_polynomial_window(S([1], 3), 4)
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     f = S([10**40, -3, 0, 7], 8)
-    assert TruncatedSeries.from_json_dict(f.to_json_dict()) == f
+    assert _json_series(tmp_path, f.order, [str(c) for c in f.coeffs]) == f
 
 
 def test_shift_and_scale():
@@ -362,7 +373,7 @@ def _exact(f):
     return type(f.coeffs) is tuple and all(type(c) is int for c in f.coeffs)
 
 
-def test_internal_results_hold_exact_ints():
+def test_internal_results_hold_exact_ints(tmp_path):
     f = S([3, -1, 0, 2] + [5] * 30)
     g = S([1, 1] + [-7] * 32)
     results = [
@@ -371,7 +382,7 @@ def test_internal_results_hold_exact_ints():
         TruncatedSeries.zero(5), TruncatedSeries.one(5),
         TruncatedSeries.monomial(3, 5, 7), RationalExpr((1, 2), (2,)).expand(9),
         RationalExpr(("4", 1), (2,)).expand(9),
-        TruncatedSeries.from_json_dict({"order": 2, "coefficients": ["1", 2, "-3"]}),
+        _json_series(tmp_path, 2, ["1", 2, "-3"]),
     ]
     assert all(_exact(r) for r in results)
     assert all(type(c) is int for c in polynomial_product([1, 2], [3, 4]))
@@ -393,20 +404,20 @@ def test_bool_factor_is_rejected():
 
 @pytest.mark.parametrize(
     "bad", [1.7, 1.0, True, False, "1.7", "1e3", " 1", "", None, [1]])
-def test_json_series_rejects_non_integer_coefficients(bad):
-    with pytest.raises(ParameterError):
-        TruncatedSeries.from_json_dict({"order": 1, "coefficients": ["1", bad]})
+def test_json_series_rejects_non_integer_coefficients(tmp_path, bad):
+    with pytest.raises(ProviderFileError):
+        _json_series(tmp_path, 1, ["1", bad])
 
 
 @pytest.mark.parametrize("order", [1.0, True, "1.0"])
-def test_json_series_rejects_non_integer_order(order):
-    with pytest.raises(ParameterError):
-        TruncatedSeries.from_json_dict({"order": order, "coefficients": [1, 2]})
+def test_json_series_rejects_non_integer_order(tmp_path, order):
+    with pytest.raises(ProviderFileError):
+        _json_series(tmp_path, order, [1, 2])
 
 
-def test_json_series_rejects_string_coefficients_payload():
-    with pytest.raises(ParameterError):
-        TruncatedSeries.from_json_dict({"order": 1, "coefficients": "12"})
+def test_json_series_rejects_string_coefficients_payload(tmp_path):
+    with pytest.raises(ProviderFileError):
+        _json_series(tmp_path, 1, "12")
 
 
 @pytest.mark.parametrize("numerator, exponents", [
