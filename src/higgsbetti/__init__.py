@@ -48,8 +48,7 @@ _NAMES_BY_MODULE = {
     ),
     "verify": (
         "ModuliReport", "PolynomialWindow", "RouteEquivalenceReport",
-        "ab_cancellation_residual", "is_polynomial_window", "moduli_poincare",
-        "su_ab_cancellation_residual", "torelli_anomalous_part",
+        "is_polynomial_window", "moduli_poincare", "torelli_anomalous_part",
         "verify_route_equivalence",
     ),
 }

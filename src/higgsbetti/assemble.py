@@ -51,6 +51,7 @@ from .bradlow import BradlowProvider, SymbolicProvider, ww_difference
 from .errors import ParameterError
 from .ingredients import (
     CoverParams,
+    atiyah_bott_block,
     atiyah_bott_numerators,
     bg_rank1,
     gothen_cover,
@@ -387,7 +388,7 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     over (1-t^2)^line_factors (1-t^4); they cancel identically."""
     total, semistable, tail = atiyah_bott_numerators(
         b.p.g, b.p.d2 % 2 == 1, line_factors)
-    block = jacobian_block(b.p.g, 0, *[2] * line_factors, 4)
+    block = atiyah_bott_block(b.p.g, line_factors)
     b.add("classifying-total", block, (1, 0, (total,)))
     b.add("semistable-bundle-block", block, (-1, 0, (semistable,)))
     b.add("line-splitting-tail", block, (-1, 0, (tail,)))

@@ -119,14 +119,16 @@ def atiyah_bott_numerators(
     g: int, odd_d2: bool, line_factors: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Numerators over (1-t^2)^k (1-t^4), k = line_factors, of the
-    Atiyah-Bott block of a stratum route: the classifying total
-    P(J)^{k-1} (1+t^3)^{2g}, the semistable block (total minus tail) and
-    the line-splitting tail t^f P(J)^k, with f = 2g for odd d2 and 2g+2
-    for even d2 (see ``line_splitting_sum``).  k = 2 gives
-    ``bg_rank2``, ``ab_semistable_rank2`` and ``line_splitting_sum(.., 2)``;
-    k = 3 gives ``bg_u21``, P(J) ``ab_semistable_rank2``/(1-t^2) and
-    ``line_splitting_sum(.., 3)``.  The three satisfy total = semistable
-    + tail exactly.  Polynomials, so the cache key holds no order.
+    Atiyah-Bott block: the classifying total P(J)^{k-1} (1+t^3)^{2g}, the
+    semistable block (total minus tail) and the line-splitting tail
+    t^f P(J)^k, with f = 2g for odd d2 and 2g+2 for even d2.
+
+    The tail is the sum over the unstable types l > d2/2 of
+    t^{2(g-1+2l-d2)} (P(J)/(1-t^2))^k: consecutive exponents differ by 4,
+    so it is its first term over (1 - t^4).  Every Atiyah-Bott series is
+    one of these numerators over its block (``atiyah_bott_series``):
+    k = 2 gives the rank-2 gauge group, k = 3 the rank-(2,1) one.
+    Polynomials, so the cache key holds no order.
     """
     one_plus_t3 = [comb(2 * g, k // 3) if k % 3 == 0 else 0 for k in range(6 * g + 1)]
     total = polynomial_product(jacobian_polynomial(g, line_factors - 1), one_plus_t3)
@@ -138,40 +140,45 @@ def atiyah_bott_numerators(
     return total, semistable, tail
 
 
+# the parts of ``atiyah_bott_numerators``, by position
+TOTAL, SEMISTABLE, TAIL = range(3)
+
+
+def atiyah_bott_block(g: int, line_factors: int, *extra: int) -> RationalExpr:
+    """The denominator (1-t^2)^k (1-t^4) of the Atiyah-Bott numerators,
+    k = line_factors, with one more factor (1 - t^a) for each a in extra."""
+    return jacobian_block(g, 0, *[2] * line_factors, 4, *extra)
+
+
+def atiyah_bott_series(g: int, d2: int, line_factors: int, part: int, order: int,
+                       *extra: int) -> TruncatedSeries:
+    """One part (TOTAL, SEMISTABLE or TAIL) of the Atiyah-Bott block of
+    degree d2 and k = line_factors, over ``atiyah_bott_block``, truncated
+    at order."""
+    numerator = atiyah_bott_numerators(g, d2 % 2 == 1, line_factors)[part]
+    return atiyah_bott_block(g, line_factors, *extra).expand(order, ((1, 0, (numerator,)),))
+
+
 def bg_rank2(g: int, order: int) -> TruncatedSeries:
     """Classifying space of the rank-2 gauge group:
     (1+t)^{2g} (1+t^3)^{2g} / ((1-t^2)^2 (1-t^4))."""
-    _require_genus(g)
-    total = atiyah_bott_numerators(g, True, 2)[0]  # the same for either parity
-    return RationalExpr(total, (2, 2, 4)).expand(order)
+    return atiyah_bott_series(g, 1, 2, TOTAL, order)  # the same for either parity
 
 
 def bg_u21(g: int, order: int) -> TruncatedSeries:
-    """Classifying space of the full rank-(2,1) gauge group."""
-    return bg_rank2(g, order) * bg_rank1(g, order)
+    """Classifying space of the full rank-(2,1) gauge group, the rank-2
+    one times the line-bundle one:
+    (1+t)^{4g} (1+t^3)^{2g} / ((1-t^2)^3 (1-t^4))."""
+    return atiyah_bott_series(g, 1, 3, TOTAL, order)
 
 
 def bg_su21(g: int, order: int) -> TruncatedSeries:
     """Classifying space of the fixed-determinant gauge group.
 
-    Pinned to the rank-2 value by requiring the fixed-determinant analog
-    of the Atiyah-Bott cancellation to vanish identically.
+    Pinned to the rank-2 value, so that the fixed-determinant route's
+    Atiyah-Bott block is the k = 2 block of ``atiyah_bott_numerators``.
     """
     return bg_rank2(g, order)
-
-
-def line_splitting_sum(g: int, d2: int, order: int, line_factors: int) -> TruncatedSeries:
-    """Sum over integers l > d2/2 of t^{2(g-1+2l-d2)} (P(J)/(1-t^2))^line_factors.
-
-    Consecutive exponents differ by 4, so the sum is its first term over
-    (1 - t^4); the first exponent is 2g when d2 is odd, 2g+2 when even.
-    """
-    jac = jacobian_poincare(g, order)
-    block = jac
-    for _ in range(line_factors - 1):
-        block = block * jac
-    first = 2 * (g - 1 + 2 * (d2 // 2 + 1) - d2)
-    return block.over_one_minus(*[2] * line_factors, 4).shifted(first)
 
 
 def ab_semistable_rank2(d2: int, g: int, order: int) -> TruncatedSeries:
@@ -182,7 +189,7 @@ def ab_semistable_rank2(d2: int, g: int, order: int) -> TruncatedSeries:
     where BU(1)-gauge has series P(J)/(1-t^2).  The result depends on d2
     only through the exponent arithmetic, hence only on its parity.
     """
-    return bg_rank2(g, order) - line_splitting_sum(g, d2, order, 2)
+    return atiyah_bott_series(g, d2, 2, SEMISTABLE, order)
 
 
 def v_dim(c: CoverParams) -> int:

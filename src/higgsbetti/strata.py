@@ -24,7 +24,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
-from .ingredients import ab_semistable_rank2, jacobian_block, jacobian_poincare, sym_factor
+from .ingredients import SEMISTABLE, atiyah_bott_series, jacobian_block, sym_factor
 from .params import (MAX_ORDER, HalfInt, ModuliParams, _require_valid, canonicalize,
                      kind_indices, kind_range, region_of)
 from .records import Frozen, dataclass_compatible
@@ -113,9 +113,8 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
     """Equivariant series of one critical set, per the classification
     table; a function of ``critical_set_key(s)`` and the order alone."""
     row, g, x = critical_set_key(s)
-    if row == "A":
-        jac = jacobian_poincare(g, order)
-        return (jac * ab_semistable_rank2(x, g, order)).over_one_minus(2, 2)
+    if row == "A":  # P(J) times the rank-2 semistable stratum, over (1-t^2)^2
+        return atiyah_bott_series(g, x, 3, SEMISTABLE, order, 2)
     if row == "B":
         return jacobian_block(g, 3, 2, 2, 2).expand(order)
     return jacobian_block(g, 2, 2, 2).expand(order, ((1, 0, (sym_factor(x, g, order),)),))

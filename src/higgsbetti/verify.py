@@ -1,8 +1,10 @@
 """Identity verification suites behind ``higgsbetti verify``, and the
-identities they check: the Atiyah-Bott cancellation residuals, route
-equivalence, the Torelli anomalous part and the coprime moduli probe.
-These reach the assemblies through ``assemble.BUILDERS``; no builder
-depends on this module, so a ``compute`` process never loads it.
+identities they check: route equivalence, the Torelli anomalous part and
+the coprime moduli probe.  These reach the assemblies through
+``assemble.BUILDERS``; no builder depends on this module, so a
+``compute`` process never loads it.  The Atiyah-Bott block has no
+identity here: ``ab-cancellation`` checks each of its parts against
+binomials.
 
 Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
 genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
@@ -20,29 +22,6 @@ from typing import NamedTuple
 
 from . import assemble, bradlow, errors, ingredients, params, series
 from .records import dataclass_compatible
-
-
-def ab_cancellation_residual(g: int, d2: int, order: int) -> series.TruncatedSeries:
-    """Classifying total minus semistable-bundle block minus tail.
-
-    Zero identically; this is the identity that pins the classifying
-    space normalizations.
-    """
-    jac = ingredients.jacobian_poincare(g, order)
-    return (
-        ingredients.bg_u21(g, order)
-        - (jac * ingredients.ab_semistable_rank2(d2, g, order)).over_one_minus(2)
-        - ingredients.line_splitting_sum(g, d2, order, 3)
-    )
-
-
-def su_ab_cancellation_residual(g: int, d2: int, order: int) -> series.TruncatedSeries:
-    """Fixed-determinant analog of the cancellation; also identically zero."""
-    return (
-        ingredients.bg_su21(g, order)
-        - ingredients.ab_semistable_rank2(d2, g, order)
-        - ingredients.line_splitting_sum(g, d2, order, 2)
-    )
 
 
 def torelli_anomalous_part(p: params.ModuliParams) -> dict[int, int]:
@@ -283,34 +262,37 @@ def _suite_series_laws(grid) -> list[str]:
             "expansion recovery and critical-set nonnegativity"]
 
 
-def _ab_closed_form(g: int, d2: int, order: int) -> series.TruncatedSeries:
-    """Atiyah-Bott's semistable rank-2 stratum from binomials alone:
-    (1+t)^{2g} [(1+t^3)^{2g} - t^f (1+t)^{2g}] / ((1-t^2)^2 (1-t^4)),
-    with f = 2g for odd d2 and 2g+2 for even d2."""
+def _ab_closed_form(g: int, d2: int, line_factors: int, order: int) -> tuple:
+    """Atiyah-Bott's block from binomials alone: the classifying total
+    (1+t)^{2g(k-1)} (1+t^3)^{2g}, the semistable block (total minus tail)
+    and the line-splitting tail t^f (1+t)^{2gk}, each over
+    (1-t^2)^k (1-t^4), k = line_factors, with f = 2g for odd d2 and
+    2g+2 for even d2."""
     jac = series.binomial_power(2 * g, order)
-    cube = series.TruncatedSeries.from_coeffs(
+    total = series.TruncatedSeries.from_coeffs(
         [comb(2 * g, k // 3) if k % 3 == 0 else 0 for k in range(order + 1)])
-    f = 2 * g if d2 % 2 else 2 * g + 2
-    return (jac * (cube - jac.shifted(f))).over_one_minus(2, 2, 4)
+    tail = jac.shifted(2 * g if d2 % 2 else 2 * g + 2)
+    for _ in range(line_factors - 1):
+        total, tail = total * jac, tail * jac
+    denominator = (2,) * line_factors + (4,)
+    return tuple(s.over_one_minus(*denominator) for s in (total, total - tail, tail))
 
 
 @_suite("ab-cancellation")
 def _suite_ab_cancellation(grid) -> list[str]:
+    laws = ("classifying total", "semistable block", "line-splitting tail")
     for g in _grid_genera(grid):
         order = series.default_order(g)
-        zero = series.TruncatedSeries.zero(order)
         for d2 in range(0, 4):
-            for law, expected, got in (
-                ("closed form", _ab_closed_form(g, d2, order),
-                 ingredients.ab_semistable_rank2(d2, g, order)),
-                ("u21 residual", zero, ab_cancellation_residual(g, d2, order)),
-                ("su21 residual", zero, su_ab_cancellation_residual(g, d2, order)),
-            ):
-                if got != expected:
-                    raise _Failed({"g": g, "d2": d2, "law": law,
-                                   **_first_difference(expected, got)})
-    return ["closed form of both parities and zero residual on the (g, d2) "
-            "grid, both groups"]
+            for k in (2, 3):
+                for part, expected in enumerate(_ab_closed_form(g, d2, k, order)):
+                    got = ingredients.atiyah_bott_series(g, d2, k, part, order)
+                    if got != expected:
+                        raise _Failed({"g": g, "d2": d2, "k": k, "law": laws[part],
+                                       **_first_difference(expected, got)})
+    return ["classifying total, semistable block and line-splitting tail of "
+            "both parities against binomials on the (g, d2) grid, rank 2 and "
+            "rank (2,1)"]
 
 
 def _route_reports(group: str, grid):

@@ -6,6 +6,7 @@ terminal summary prints a pass/fail line for each).
 """
 
 import random
+from math import comb
 
 import pytest
 
@@ -25,6 +26,7 @@ from higgsbetti.ingredients import (
     CoverParams,
     gothen_cover_poincare,
     jacobian_poincare,
+    projective_poincare,
     sym_poincare,
     v_dim,
 )
@@ -39,11 +41,7 @@ from higgsbetti.params import (
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 from higgsbetti.strata import critical_set_poincare, enumerate_critical
 from higgsbetti.params import HalfInt
-from higgsbetti.verify import (
-    ab_cancellation_residual,
-    torelli_anomalous_part,
-    verify_route_equivalence,
-)
+from higgsbetti.verify import torelli_anomalous_part, verify_route_equivalence
 
 
 def test_criterion_01_maximal_closed_form():
@@ -58,11 +56,46 @@ def test_criterion_01_maximal_closed_form():
     assert spot.series.coeffs[:5] == (1, 8, 30, 72, 129)
 
 
+def _times(p, q, order):
+    """The product of two coefficient lists, cut at order."""
+    out = [0] * (order + 1)
+    for i, a in enumerate(p[:order + 1]):
+        for j, b in enumerate(q[:order + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
 def test_criterion_02_atiyah_bott_cancellation():
-    for g in (2, 3):
+    # Each route's Atiyah-Bott terms against hand binomials: over
+    # (1-t^2)^k (1-t^4), k = 3 for u21 and 2 for su21, the classifying
+    # total P(J)^{k-1} (1+t^3)^{2g}, the line-splitting tail t^f P(J)^k
+    # (f = 2g for odd d2, 2g+2 for even d2) and the semistable-bundle
+    # block, their difference.  The route subtracts the last two, so the
+    # three terms sum to zero.
+    for g in (2, 3, 4):
         order = 8 * g + 24
+        jac = [comb(2 * g, i) for i in range(2 * g + 1)]
+        cube = [comb(2 * g, i // 3) if i % 3 == 0 else 0 for i in range(6 * g + 1)]
         for d2 in range(0, 4):
-            assert ab_cancellation_residual(g, d2, order).is_zero(), (g, d2)
+            p = make_params(g, d2, d2)  # tau = 2 d2 / 3 >= 0
+            for route, k in ((u21_stratum_route, 3), (su21_stratum_route, 2)):
+                total, tail = cube, [0] * (2 * g if d2 % 2 else 2 * g + 2) + jac
+                for _ in range(k - 1):
+                    total, tail = _times(total, jac, order), _times(tail, jac, order)
+                terms = {t.label: t.series for t in route(p, None, order).terms}
+                for label, numerator in (
+                    ("classifying-total", total),
+                    ("semistable-bundle-block", [c - d for d, c in zip(total, tail)]),
+                    ("line-splitting-tail", [-c for c in tail]),
+                ):
+                    expected = list(numerator)
+                    for a in [2] * k + [4]:  # divide by 1 - t^a
+                        for i in range(a, order + 1):
+                            expected[i] += expected[i - a]
+                    assert terms[label] == TruncatedSeries.from_coeffs(expected), \
+                        (g, d2, k, label)
+                assert (terms["classifying-total"] + terms["semistable-bundle-block"]
+                        + terms["line-splitting-tail"]).is_zero(), (g, d2, k)
 
 
 def test_criterion_03_u21_route_equivalence():
@@ -73,12 +106,24 @@ def test_criterion_03_u21_route_equivalence():
             assert rep.zero, (p.g, p.d1, p.d2, rep.first_nonzero_degree())
 
 
-def test_criterion_04_maximal_bradlow_telescoping(maximal_first_term):
+def _maximal_first_term(g, order):
+    """The maximal-case telescoping sum
+
+        P(J)^2 P(CP^{2g-3})/(1-t^2) + t^{4g-4} P(J)^2/(1-t^2)^2,
+
+    which collapses to P(J)^2/(1-t^2)^2 exactly."""
+    jac = jacobian_poincare(g, order)
+    first = (jac * jac * projective_poincare(2 * g - 3, order)).over_one_minus(2)
+    second = (jac * jac).over_one_minus(2, 2).shifted(4 * g - 4)
+    return first + second
+
+
+def test_criterion_04_maximal_bradlow_telescoping():
     for g in (2, 3, 4, 5):
         order = 4 * g + 20
         jac = jacobian_poincare(g, order)
         geo2 = geometric_inverse(2, order)
-        assert maximal_first_term(g, order) == jac * jac * geo2 * geo2, g
+        assert _maximal_first_term(g, order) == jac * jac * geo2 * geo2, g
 
 
 def test_criterion_05_gothen_cover_consistency():

@@ -30,9 +30,7 @@ from higgsbetti.ingredients import (
 from higgsbetti.params import make_params, valid_points
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 from higgsbetti.verify import (
-    ab_cancellation_residual,
     moduli_poincare,
-    su_ab_cancellation_residual,
     torelli_anomalous_part,
     verify_route_equivalence,
 )
@@ -78,14 +76,6 @@ def test_tensor_shift_pair_gives_identical_series():
     a = u21_closed_form(make_params(2, 2, 1), None, order)
     b = u21_closed_form(make_params(2, 3, 3), None, order)
     assert a.series == b.series and a.unknown == b.unknown
-
-
-def test_ab_block_vanishes():
-    for g in (2, 3):
-        order = 8 * g + 24
-        for d2 in range(0, 4):
-            assert ab_cancellation_residual(g, d2, order).is_zero()
-            assert su_ab_cancellation_residual(g, d2, order).is_zero()
 
 
 def test_stratum_route_equals_closed_at_maximal():
@@ -382,27 +372,6 @@ def test_terms_sum_to_the_series(case):
     for t in res.terms:
         assert t.expanded(k) == t.series.truncated(k)
         assert t.coefficient(k) == t.series.coeffs[k]
-
-
-@pytest.mark.parametrize("g", [2, 3, 4])
-def test_atiyah_bott_terms_match_the_ingredients(g):
-    # the route's block numerators against the ingredient series
-    from higgsbetti.ingredients import (
-        ab_semistable_rank2, bg_su21, bg_u21, line_splitting_sum)
-
-    order = 8 * g + 24
-    jac = jacobian_poincare(g, order)
-    for d2 in (0, 1):
-        p = make_params(g, d2, d2)  # tau = 2 d2 / 3 >= 0
-        u21 = {t.label: t.series for t in u21_stratum_route(p, None, order).terms}
-        assert u21["classifying-total"] == bg_u21(g, order)
-        assert u21["semistable-bundle-block"] == \
-            -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2)
-        assert u21["line-splitting-tail"] == -line_splitting_sum(g, d2, order, 3)
-        su21 = {t.label: t.series for t in su21_stratum_route(p, None, order).terms}
-        assert su21["classifying-total"] == bg_su21(g, order)
-        assert su21["semistable-bundle-block"] == -ab_semistable_rank2(d2, g, order)
-        assert su21["line-splitting-tail"] == -line_splitting_sum(g, d2, order, 2)
 
 
 def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():

@@ -110,14 +110,6 @@ def test_ww_shift_invariance():
         assert ww_difference(p.tensor_shift(k), order) == base
 
 
-def test_maximal_telescoping(maximal_first_term):
-    for g in (2, 3, 4, 5):
-        order = 4 * g + 20
-        jac = jacobian_poincare(g, order)
-        geo2 = geometric_inverse(2, order)
-        assert maximal_first_term(g, order) == jac * jac * geo2 * geo2
-
-
 def test_maximal_provider_consistency():
     for g in (2, 3):
         order = 6 * g + 12

@@ -330,31 +330,40 @@ def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):
 
 
 def _one_more_at_degree_0(fn):
-    """fn with 1 added at degree 0 of the series it returns, or of its
-    result's ``series``."""
+    """fn with 1 added at degree 0 of its result's ``series``."""
     def wrapped(*args):
         res = fn(*args)
-        series = getattr(res, "series", res)
-        bumped = series + TruncatedSeries.one(series.order)
-        return res._replace(series=bumped) if series is not res else bumped
+        return res._replace(series=res.series + TruncatedSeries.one(res.order))
     return wrapped
+
+
+def _parity_swapped(fn):
+    """fn(g, odd_d2, line_factors) with the parity of d2 swapped: every
+    Atiyah-Bott tail starts 2 degrees off, and a route's three
+    Atiyah-Bott terms still cancel."""
+    return lambda g, odd_d2, line_factors: fn(g, not odd_d2, line_factors)
+
+
+# how each function named below is broken
+_MUTANTS = {"u21_closed_form": _one_more_at_degree_0,
+            "atiyah_bott_numerators": _parity_swapped}
 
 
 @pytest.mark.parametrize("suite, module, name, counterexample", [
     ("maximal", "assemble", "u21_closed_form",
      {"g": 2, "mode": "absolute", "degree": 0, "expected": 1, "got": 2}),
-    ("ab-cancellation", "ingredients", "ab_semistable_rank2",
-     {"g": 2, "d2": 0, "law": "closed form", "degree": 0, "expected": 1, "got": 2}),
-    ("ab-cancellation", "verify", "ab_cancellation_residual",
-     {"g": 2, "d2": 0, "law": "u21 residual", "degree": 0, "expected": 0, "got": 1}),
+    ("ab-cancellation", "ingredients", "atiyah_bott_numerators",
+     {"g": 2, "d2": 0, "k": 2, "law": "semistable block", "degree": 4,
+      "expected": 33, "got": 32}),
 ])
 def test_counterexample_reports_a_degree_0_difference(monkeypatch, suite, module, name,
                                                       counterexample):
+    # each suite reports the lowest degree at which a mutant differs
     import higgsbetti
     from higgsbetti import verify
 
     owner = getattr(higgsbetti, module)
-    monkeypatch.setattr(owner, name, _one_more_at_degree_0(getattr(owner, name)))
+    monkeypatch.setattr(owner, name, _MUTANTS[name](getattr(owner, name)))
     result = verify.SUITES[suite]({"g": (2, 2)})
     assert not result.passed and result.counterexample == counterexample
 

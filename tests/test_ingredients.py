@@ -193,15 +193,16 @@ def _poly_pow(p, n):
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("d2", [1, 3])
+@pytest.mark.parametrize("d2", [0, 1, 2, 3])
 def test_ab_semistable_odd_degree_closed_form(d2, g):
-    # Harder-Narasimhan closed form of the odd-degree rank-2 semistable
-    # stratum, independent of the Atiyah-Bott recursion:
-    # (1+t)^{2g} [(1+t^3)^{2g} - t^{2g} (1+t)^{2g}] / ((1-t^2)^2 (1-t^4))
+    # Harder-Narasimhan closed form of the rank-2 semistable stratum of
+    # either parity, independent of the Atiyah-Bott recursion:
+    # (1+t)^{2g} [(1+t^3)^{2g} - t^f (1+t)^{2g}] / ((1-t^2)^2 (1-t^4)),
+    # with f = 2g for odd d2 and 2g+2 for even d2
     order = 60
     jac = _poly_pow([1, 1], 2 * g)
     first = _poly_pow([1, 0, 0, 1], 2 * g)
-    second = [0] * (2 * g) + jac
+    second = [0] * (2 * g if d2 % 2 else 2 * g + 2) + jac
     bracket = [a - b for a, b in zip(first, second + [0] * (len(first) - len(second)))]
     numer = TruncatedSeries.from_coeffs(_poly_mul(jac, bracket)[:order + 1], order)
     geo2, geo4 = geometric_inverse(2, order), geometric_inverse(4, order)
