@@ -21,6 +21,9 @@ from higgsbetti.bradlow import (
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import (
     CoverParams,
+    ab_semistable_rank2,
+    bg_su21,
+    bg_u21,
     gothen_cover,
     gothen_cover_poincare,
     jacobian_block,
@@ -38,6 +41,22 @@ from higgsbetti.verify import (
 
 def _support(series):
     return {k: c for k, c in enumerate(series.coeffs) if c}
+
+
+def _line_splitting_sum(g, d2, line_factors, order):
+    """The Atiyah-Bott tail written term by term: one
+    t^{2(g-1+2l-d2)} (P(J)/(1-t^2))^k for each unstable type l > d2/2,
+    k = line_factors, with no closed form over (1 - t^4)."""
+    block = jacobian_poincare(g, order) * geometric_inverse(2, order)
+    power = TruncatedSeries.monomial(0, order)
+    for _ in range(line_factors):
+        power = power * block
+    total = TruncatedSeries.zero(order)
+    l = d2 // 2 + 1
+    while 2 * (g - 1 + 2 * l - d2) <= order:
+        total = total + power.shifted(2 * (g - 1 + 2 * l - d2))
+        l += 1
+    return total
 
 
 def test_u21_closed_maximal():
@@ -76,6 +95,20 @@ def test_tensor_shift_pair_gives_identical_series():
     a = u21_closed_form(make_params(2, 2, 1), None, order)
     b = u21_closed_form(make_params(2, 3, 3), None, order)
     assert a.series == b.series and a.unknown == b.unknown
+
+
+def test_ab_block_vanishes():
+    # the classifying total is the semistable block plus the line-splitting
+    # tail summed type by type, for both routes' k
+    for g in (2, 3):
+        order = 8 * g + 24
+        jac_over = jacobian_poincare(g, order) * geometric_inverse(2, order)
+        for d2 in range(0, 4):
+            semistable = ab_semistable_rank2(d2, g, order)
+            assert (bg_u21(g, order) - jac_over * semistable
+                    - _line_splitting_sum(g, d2, 3, order)).is_zero(), (g, d2)
+            assert (bg_su21(g, order) - semistable
+                    - _line_splitting_sum(g, d2, 2, order)).is_zero(), (g, d2)
 
 
 def test_stratum_route_equals_closed_at_maximal():
@@ -372,6 +405,25 @@ def test_terms_sum_to_the_series(case):
     for t in res.terms:
         assert t.expanded(k) == t.series.truncated(k)
         assert t.coefficient(k) == t.series.coeffs[k]
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_atiyah_bott_terms_match_the_ingredients(g):
+    # the route's block numerators against the ingredient series, with
+    # the tail summed type by type
+    order = 8 * g + 24
+    jac = jacobian_poincare(g, order)
+    for d2 in (0, 1):
+        p = make_params(g, d2, d2)  # tau = 2 d2 / 3 >= 0
+        u21 = {t.label: t.series for t in u21_stratum_route(p, None, order).terms}
+        assert u21["classifying-total"] == bg_u21(g, order)
+        assert u21["semistable-bundle-block"] == \
+            -(jac * ab_semistable_rank2(d2, g, order)).over_one_minus(2)
+        assert u21["line-splitting-tail"] == -_line_splitting_sum(g, d2, 3, order)
+        su21 = {t.label: t.series for t in su21_stratum_route(p, None, order).terms}
+        assert su21["classifying-total"] == bg_su21(g, order)
+        assert su21["semistable-bundle-block"] == -ab_semistable_rank2(d2, g, order)
+        assert su21["line-splitting-tail"] == -_line_splitting_sum(g, d2, 2, order)
 
 
 def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():

@@ -21,7 +21,7 @@ from higgsbetti.bradlow import (
 )
 from higgsbetti.cli import main
 from higgsbetti.errors import ProviderFileError
-from higgsbetti.ingredients import jacobian_poincare, sym_poincare
+from higgsbetti.ingredients import jacobian_poincare, projective_poincare, sym_poincare
 from higgsbetti.params import MAX_ORDER, make_params
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 
@@ -108,6 +108,17 @@ def test_ww_shift_invariance():
     assert not base.is_zero()
     for k in (-2, -1, 1, 2):
         assert ww_difference(p.tensor_shift(k), order) == base
+
+
+def test_maximal_telescoping():
+    # maximal_pairs_equivariant returns P(J)/(1-t^2); its docstring's sum
+    # P(J) (P(CP^{2g-3}) + t^{4g-4}/(1-t^2)) must telescope to it
+    for g in (2, 3, 4, 5):
+        order = 4 * g + 20
+        jac = jacobian_poincare(g, order)
+        wall = geometric_inverse(2, order).shifted(4 * g - 4)
+        assert jac * (projective_poincare(2 * g - 3, order) + wall) == \
+            maximal_pairs_equivariant(g, order), g
 
 
 def test_maximal_provider_consistency():
