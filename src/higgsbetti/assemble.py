@@ -30,7 +30,12 @@ and the invariant covers, t^s P(S^m) for C2, B1-diff and the boundary
 term, one Atiyah-Bott numerator, or a Gothen cover's two entries.
 Nothing is multiplied when a term is added.  ``finish`` expands each
 block once over the entries of all its terms (``RationalExpr.expand``:
-one big-integer expression, unpacked once, and one division).  A term's
+one big-integer expression, unpacked once, and one division).  The
+Atiyah-Bott block is the exception: its three terms are shown but not
+summed.  ``atiyah_bott_numerators`` builds the semistable block as the
+total minus the tail, so the three numerators sum to the zero polynomial
+and their expansion would only add zero; what checks the cancellation
+is the ``ab-cancellation`` suite, against an oracle of its own.  A term's
 own numerator, the sum of its entries, is formed once, when the term is
 first read (JSON ``terms``, residual provenance, ``scaled_by``), and
 every expansion of the term reuses it; provenance expands only up to the
@@ -244,7 +249,7 @@ class _Builder:
     """Collects the terms of one assembly at a point with tau >= 0.
 
     ``add`` only records a term; ``finish`` expands every block once,
-    over the entries of all its terms.
+    over the entries of all its summed terms.
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -254,15 +259,20 @@ class _Builder:
         self.order = order
         self.transforms = tuple(transforms)
         self.terms: list[TermValue] = []
+        self.summed: list[TermValue] = []
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
 
-    def add(self, label: str, block: RationalExpr, *entries) -> None:
+    def add(self, label: str, block: RationalExpr, *entries, cancels: bool = False) -> None:
         """Add (sum of the entries (sign, shift, factors)) * block.  A term
         none of whose entries reaches the order is dropped (every block is
-        a unit series)."""
+        a unit series).  A term that ``cancels`` belongs to a group whose
+        terms sum to zero by construction: it is listed, not summed."""
         if any(_reaches(e, self.order) for e in entries):
-            self.terms.append(TermValue(label, entries, block, self.order))
+            term = TermValue(label, entries, block, self.order)
+            self.terms.append(term)
+            if not cancels:
+                self.summed.append(term)
 
     def add_unknown(self, name: str, coeff: TruncatedSeries, label: str) -> None:
         zero = TruncatedSeries.zero(self.order)
@@ -287,7 +297,7 @@ class _Builder:
         # whole numerator, and two equal blocks apart only cost one more
         # exact expansion
         by_block: dict[int, tuple[RationalExpr, list]] = {}
-        for t in self.terms:
+        for t in self.summed:
             by_block.setdefault(id(t.block), (t.block, []))[1].extend(t.entries)
         known = TruncatedSeries.zero(order)
         for block, entries in by_block.values():
@@ -385,13 +395,14 @@ def _add_closed_form(b: _Builder) -> None:
 
 def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     """Classifying total, semistable-bundle block and line-splitting tail,
-    over (1-t^2)^line_factors (1-t^4); they cancel identically."""
+    over (1-t^2)^line_factors (1-t^4); they cancel identically, as the
+    semistable block is built as the total minus the tail."""
     total, semistable, tail = atiyah_bott_numerators(
         b.p.g, b.p.d2 % 2 == 1, line_factors)
     block = atiyah_bott_block(b.p.g, line_factors)
-    b.add("classifying-total", block, (1, 0, (total,)))
-    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)))
-    b.add("line-splitting-tail", block, (-1, 0, (tail,)))
+    b.add("classifying-total", block, (1, 0, (total,)), cancels=True)
+    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)), cancels=True)
+    b.add("line-splitting-tail", block, (-1, 0, (tail,)), cancels=True)
 
 
 def _c2_entry(b: _Builder, l: int) -> tuple:

@@ -244,13 +244,21 @@ def cmd_export(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The parser of every command.  With ``commands`` (an argv), only the
+    commands named there get their arguments; the others keep their name
+    and help, so the usage and error messages are the same."""
     parser = argparse.ArgumentParser(
         prog="higgsbetti",
         description="Exact equivariant Poincare polynomials of rank-(2,1) "
                     "Higgs bundle moduli, with identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, **kwargs):
+        """The subparser of ``name`` if it gets its arguments, else None."""
+        sp = sub.add_parser(name, **kwargs)
+        return sp if commands is None or name in commands else None
 
     # each command's --format choices are the formats its _render call builds
     def add_common(sp, formats=("text", "json", "csv")):
@@ -262,48 +270,48 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write output to a file")
 
-    sp = sub.add_parser("compute", help="assemble a Poincare series")
-    add_common(sp)
-    sp.add_argument("--group", choices=("u21", "su21", "pu21"), required=True)
-    sp.add_argument("--route", choices=("closed", "stratum"), default="closed")
-    sp.add_argument("--provider", default="relative",
-                    help="relative | maximal | file:PATH")
-    sp.set_defaults(fn=cmd_compute)
+    if sp := command("compute", help="assemble a Poincare series"):
+        add_common(sp)
+        sp.add_argument("--group", choices=("u21", "su21", "pu21"), required=True)
+        sp.add_argument("--route", choices=("closed", "stratum"), default="closed")
+        sp.add_argument("--provider", default="relative",
+                        help="relative | maximal | file:PATH")
+        sp.set_defaults(fn=cmd_compute)
 
-    sp = sub.add_parser("strata", help="enumerate critical sets")
-    add_common(sp, ("text", "json"))
-    sp.add_argument("--lmax", type=_parse_lmax, default=None,
-                    metavar="L", help="largest index l (integer or n/2; "
-                    "write a negative one as --lmax=-3/2)")
-    sp.set_defaults(fn=cmd_strata)
+    if sp := command("strata", help="enumerate critical sets"):
+        add_common(sp, ("text", "json"))
+        sp.add_argument("--lmax", type=_parse_lmax, default=None,
+                        metavar="L", help="largest index l (integer or n/2; "
+                        "write a negative one as --lmax=-3/2)")
+        sp.set_defaults(fn=cmd_strata)
 
-    sp = sub.add_parser("verify", help="run identity verification suites",
-                        formatter_class=_SuiteListFormatter)
-    sp.add_argument("--suite", default="all", help="suite name or 'all': ")
-    sp.add_argument("--grid", default=None, help="e.g. g=2..3")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_verify)
+    if sp := command("verify", help="run identity verification suites",
+                     formatter_class=_SuiteListFormatter):
+        sp.add_argument("--suite", default="all", help="suite name or 'all': ")
+        sp.add_argument("--grid", default=None, help="e.g. g=2..3")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("ingredients", help="evaluate one ingredient series")
-    sp.add_argument("--op", required=True, choices=tuple(ingredients.OPS))
-    sp.add_argument("--genus", "-g", type=int, default=2)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--m1", type=int, default=0)
-    sp.add_argument("--m2", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0)
-    sp.add_argument("--d2", type=int, default=0)
-    sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=cmd_ingredients)
+    if sp := command("ingredients", help="evaluate one ingredient series"):
+        sp.add_argument("--op", required=True, choices=tuple(ingredients.OPS))
+        sp.add_argument("--genus", "-g", type=int, default=2)
+        sp.add_argument("--m", type=int, default=0)
+        sp.add_argument("--m1", type=int, default=0)
+        sp.add_argument("--m2", type=int, default=0)
+        sp.add_argument("--n", type=int, default=0)
+        sp.add_argument("--d2", type=int, default=0)
+        sp.add_argument("--order", type=int, default=None)
+        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(fn=cmd_ingredients)
 
-    sp = sub.add_parser("export", help="write a maximal-case provider file")
-    sp.add_argument("--genus", "-g", type=int, required=True)
-    sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--what", choices=("provider",), default="provider")
-    sp.set_defaults(fn=cmd_export, format="json")
+    if sp := command("export", help="write a maximal-case provider file"):
+        sp.add_argument("--genus", "-g", type=int, required=True)
+        sp.add_argument("--order", type=int, default=None)
+        sp.add_argument("--out", default=None)
+        sp.add_argument("--what", choices=("provider",), default="provider")
+        sp.set_defaults(fn=cmd_export, format="json")
 
     return parser
 
@@ -332,8 +340,8 @@ def _parse_lmax(text: str) -> params.HalfInt:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         genus = getattr(args, "genus", 2)
         if not 2 <= genus <= params.MAX_GENUS:

@@ -31,15 +31,19 @@ offset and the mask of n slots, is built once and kept in a bounded
 cache (``_layout``).  Wider slots are converted one slot at a time.
 Packed values may be reduced modulo 2^(8wn), which is truncation at t^n.
 
-``shifted_product_sum`` is the one product kernel.  It forms a whole sum
+``shifted_product_sum`` is the one sum kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
 numerator) as one big-integer expression and unpacks it once, and its w
 comes from the l1 norms of the factors, the one slot-width rule.  Most
 of its sums are short (tens of coefficients), so its cost per call
 counts as much as the big-integer products: each factor is cut once,
-and that cut gives both its norm and its pack.  A
-``TruncatedSeries`` product and ``polynomial_product`` are that sum with
-one term of two factors.
+and that cut gives both its norm and its pack.  A sum that is one
+unshifted product is one Kronecker step, ``_product``: the factors
+packed at the width of their norms, one product, one unpack.  A
+``TruncatedSeries`` product is that step called directly, without the
+entry list (a 25-coefficient product is a few microseconds, and the
+entries were about a third of it); ``polynomial_product`` is the sum
+with one term of two factors.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -174,6 +178,20 @@ def _unpack(x: int, w: int, n: int) -> list:
             for k in range(0, size, w)]
 
 
+def _product(factors, norm: int, size: int) -> list:
+    """Coefficients 0..size-1 of the product of ``factors``, each at most
+    size long, whose l1 norms multiply to ``norm``: one Kronecker step,
+    every factor packed at the width of the norm and a sign bit, one
+    big-integer product and one unpack."""
+    if not norm:  # a zero factor, whose slots would not hold the others
+        return [0] * size
+    w = _slot_width(norm.bit_length() + 1)
+    prod = 1
+    for f in factors:
+        prod *= _pack(f, w)
+    return _unpack(prod, w, size)
+
+
 def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     """Coefficients 0..size-1 of factor * sum_j sign_j t^shift_j prod_i f_ji.
 
@@ -198,8 +216,9 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     a sum of monomials alone (the expansion of an expression itself) is
     summed as shifted multiples of the factor, one slice each, with no
     packing.  A factor that needs wider slots than the products is applied
-    after the sum is unpacked and packed again at the wider width.  A sum
-    of one term with one factor, under the factor 1, is copied unpacked.
+    after the sum is unpacked and packed again at the wider width.  Under
+    the factor 1, a sum of one term with one factor is copied unpacked,
+    and a sum of one unshifted product is ``_product``.
     """
     factor = factor[:size]
     if size <= 0 or not any(factor):
@@ -232,11 +251,14 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
             cs[shift:end] = map(operator.add, cs[shift:end], map(c.__mul__, factor))
         return cs
     plain = tuple(factor) == (1,)
-    if plain and not monomials and len(products) == 1 and len(products[0][2]) == 1:
-        sign, shift, (cut,) = products[0]  # one factor alone: nothing to multiply
-        cs = [0] * size
-        cs[shift : shift + len(cut)] = cut if sign > 0 else [-c for c in cut]
-        return cs
+    if plain and not monomials and len(products) == 1:
+        sign, shift, cuts = products[0]
+        if len(cuts) == 1:  # one factor alone: nothing to multiply
+            cs = [0] * size
+            cs[shift : shift + len(cuts[0])] = cuts[0] if sign > 0 else [-c for c in cuts[0]]
+            return cs
+        if sign > 0 and not shift:  # one product: one Kronecker step
+            return _product(cuts, bound, size)
     w = _slot_width(bound.bit_length() + 1)  # the bits of the bound and a sign bit
     total = 0
     for sign, shift, factors in products:
@@ -292,6 +314,15 @@ class TruncatedSeries(Frozen):
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", _as_coeff_tuple(coeffs))
+
+    # the coefficient tuple is the whole value
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -356,7 +387,7 @@ class TruncatedSeries(Frozen):
     # -- arithmetic ----------------------------------------------------
 
     def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
+        if len(self.coeffs) != len(other.coeffs):
             raise ParameterError(
                 f"order mismatch: {self.order} vs {other.order}"
             )
@@ -378,8 +409,8 @@ class TruncatedSeries(Frozen):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return _trusted(tuple(shifted_product_sum(((1, 0, (self.coeffs, other.coeffs)),),
-                                                  len(self.coeffs))))
+        a, b = self.coeffs, other.coeffs
+        return _trusted(tuple(_product((a, b), sum(map(abs, a)) * sum(map(abs, b)), len(a))))
 
     __rmul__ = __mul__
 

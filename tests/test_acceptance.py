@@ -8,8 +8,6 @@ terminal summary prints a pass/fail line for each).
 import random
 from math import comb
 
-import pytest
-
 from higgsbetti.assemble import (
     pu21_poincare,
     su21_closed_form,
@@ -31,6 +29,7 @@ from higgsbetti.ingredients import (
     v_dim,
 )
 from higgsbetti.params import (
+    HalfInt,
     gamma3_trivial,
     kirwan_su_surjective,
     make_params,
@@ -40,7 +39,6 @@ from higgsbetti.params import (
 )
 from higgsbetti.series import TruncatedSeries, geometric_inverse
 from higgsbetti.strata import critical_set_poincare, enumerate_critical
-from higgsbetti.params import HalfInt
 from higgsbetti.verify import torelli_anomalous_part, verify_route_equivalence
 
 

@@ -13,15 +13,14 @@ from higgsbetti.assemble import (
     u21_stratum_route,
 )
 from higgsbetti.bradlow import (
-    FileBackedProvider,
     MaximalCaseProvider,
-    maximal_provider_record,
     provider_from_file,
 )
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import (
     CoverParams,
     ab_semistable_rank2,
+    atiyah_bott_block,
     bg_su21,
     bg_u21,
     gothen_cover,
@@ -31,7 +30,7 @@ from higgsbetti.ingredients import (
     sym_poincare,
 )
 from higgsbetti.params import make_params, valid_points
-from higgsbetti.series import TruncatedSeries, geometric_inverse
+from higgsbetti.series import RationalExpr, TruncatedSeries, geometric_inverse
 from higgsbetti.verify import (
     moduli_poincare,
     torelli_anomalous_part,
@@ -424,6 +423,33 @@ def test_atiyah_bott_terms_match_the_ingredients(g):
         assert su21["classifying-total"] == bg_su21(g, order)
         assert su21["semistable-bundle-block"] == -ab_semistable_rank2(d2, g, order)
         assert su21["line-splitting-tail"] == -_line_splitting_sum(g, d2, 2, order)
+
+
+@pytest.mark.parametrize("route, line_factors", [
+    (u21_stratum_route, 3), (su21_stratum_route, 2)])
+def test_the_atiyah_bott_block_is_listed_but_not_expanded(monkeypatch, route, line_factors):
+    # its three numerators sum to zero by construction, so a build lists
+    # its terms first and expands nothing over its block
+    g, order = 3, 30
+    block = atiyah_bott_block(g, line_factors)
+    expanded = []
+    expand = RationalExpr.expand
+
+    def recording(self, *args, **kwargs):
+        expanded.append(self)
+        return expand(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalExpr, "expand", recording)
+    for d2 in (0, 1):
+        res = route(make_params(g, d2, d2), None, order)
+        assert expanded and not any(b is block for b in expanded)
+        assert [t.label for t in res.terms[:3]] == [
+            "classifying-total", "semistable-bundle-block", "line-splitting-tail"]
+        assert all(t.block is block for t in res.terms[:3])
+        zero = TruncatedSeries.zero(order)
+        assert sum((t.series for t in res.terms[:3]), zero) == zero
+        assert not any(t.block is block for t in res.terms[3:])
+        expanded.clear()
 
 
 def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():

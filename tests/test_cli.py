@@ -207,6 +207,47 @@ def test_help_text_is_pinned(capsys, monkeypatch, argv, expected):
     assert capsys.readouterr() == (expected, "")
 
 
+# argument errors at 80 columns, byte for byte (CPython 3.11's argparse)
+TOP_USAGE = "usage: higgsbetti [-h] {compute,strata,verify,ingredients,export} ...\n"
+ARGUMENT_ERRORS = [
+    ([], TOP_USAGE + "higgsbetti: error: the following arguments are required: command\n"),
+    (["bogus"], TOP_USAGE + "higgsbetti: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'compute', 'strata', 'verify', 'ingredients', 'export')\n"),
+    (["compute"], """\
+usage: higgsbetti compute [-h] --genus GENUS --d1 D1 --d2 D2 [--order ORDER]
+                          [--format {text,json,csv}] [--out OUT] --group
+                          {u21,su21,pu21} [--route {closed,stratum}]
+                          [--provider PROVIDER]
+higgsbetti compute: error: the following arguments are required: --genus/-g, --d1, --d2, --group
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ARGUMENT_ERRORS)
+def test_argument_errors_are_pinned(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", expected)
+
+
+def test_a_call_adds_the_arguments_of_its_own_command_alone(capsys, monkeypatch):
+    import higgsbetti.cli as cli
+
+    parsers = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda argv: parsers.append(build_parser(argv)) or parsers[-1])
+    assert main(["compute", "--group", "u21", "-g", "2", "--d1", "0", "--d2", "0",
+                 "--order", "4"]) == 0
+    [subparsers] = [a for a in parsers[0]._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    added = {name: [a.dest for a in sp._actions if a.dest != "help"]
+             for name, sp in subparsers.choices.items()}
+    assert list(added) == ["compute", "strata", "verify", "ingredients", "export"]
+    assert "group" in added.pop("compute") and not any(added.values())
+
+
 def test_verify_help_lists_the_suites_in_definition_order(capsys):
     import higgsbetti.verify as verify
     source = Path(verify.__file__).read_text()

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import struct
 
@@ -48,6 +49,26 @@ def test_add_examples():
 def test_add_order_mismatch():
     with pytest.raises(ParameterError):
         S([1, 1]) + S([1, 1, 1])
+
+
+def test_series_value_semantics():
+    import dataclasses
+
+    from higgsbetti.params import HalfInt
+
+    f, same = S([3, -1, 2]), TruncatedSeries((3, -1, 2))
+    assert f == same and hash(f) == hash(same) and len({f, same}) == 1
+    assert f != S([3, -1, 2], 3) and f != S([3, -1, 3])
+    # another class, even one holding the same tuple, is never equal
+    assert f != (3, -1, 2) and f != HalfInt(3) and not f == (3, -1, 2)
+    assert dataclasses.replace(f) == f
+    assert dataclasses.replace(f, coeffs=(1,)) == S([1])
+    assert dataclasses.asdict(f) == {"coeffs": (3, -1, 2)}
+    for op in (operator.add, operator.mul):
+        with pytest.raises(ParameterError, match=r"^order mismatch: 2 vs 3$"):
+            op(f, S([3, -1, 2], 3))
+    # a zero factor beside coefficients too wide for the zero's own slots
+    assert TruncatedSeries.zero(2) * S([2**70, -(2**70), 1]) == TruncatedSeries.zero(2)
 
 
 def test_mul_examples():
