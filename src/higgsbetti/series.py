@@ -40,10 +40,8 @@ counts as much as the big-integer products: each factor is cut once,
 and that cut gives both its norm and its pack.  A sum that is one
 unshifted product is one Kronecker step, ``_product``: the factors
 packed at the width of their norms, one product, one unpack.  A
-``TruncatedSeries`` product is that step called directly, without the
-entry list (a 25-coefficient product is a few microseconds, and the
-entries were about a third of it); ``polynomial_product`` is the sum
-with one term of two factors.
+``TruncatedSeries`` product takes that step directly, with no entries
+to classify; ``polynomial_product`` is the sum with one such term.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -180,9 +178,7 @@ def _unpack(x: int, w: int, n: int) -> list:
 
 def _product(factors, norm: int, size: int) -> list:
     """Coefficients 0..size-1 of the product of ``factors``, each at most
-    size long, whose l1 norms multiply to ``norm``: one Kronecker step,
-    every factor packed at the width of the norm and a sign bit, one
-    big-integer product and one unpack."""
+    size long, whose l1 norms multiply to ``norm``: one Kronecker step."""
     if not norm:  # a zero factor, whose slots would not hold the others
         return [0] * size
     w = _slot_width(norm.bit_length() + 1)
