@@ -236,8 +236,12 @@ def test_a_call_adds_the_arguments_of_its_own_command_alone(capsys, monkeypatch)
     import higgsbetti.cli as cli
 
     parsers = []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda argv: parsers.append(build_parser(argv)) or parsers[-1])
+
+    def recording(argv):
+        parsers.append(build_parser(argv))
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
     assert main(["compute", "--group", "u21", "-g", "2", "--d1", "0", "--d2", "0",
                  "--order", "4"]) == 0
     [subparsers] = [a for a in parsers[0]._actions

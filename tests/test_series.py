@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import operator
 import random
@@ -11,6 +12,7 @@ from higgsbetti.bradlow import maximal_provider_record, provider_from_file
 from higgsbetti.cli import main
 from higgsbetti.errors import ParameterError, ProviderFileError
 from higgsbetti import series
+from higgsbetti.params import HalfInt
 from higgsbetti.series import (
     RationalExpr,
     TruncatedSeries,
@@ -52,10 +54,6 @@ def test_add_order_mismatch():
 
 
 def test_series_value_semantics():
-    import dataclasses
-
-    from higgsbetti.params import HalfInt
-
     f, same = S([3, -1, 2]), TruncatedSeries((3, -1, 2))
     assert f == same and hash(f) == hash(same) and len({f, same}) == 1
     assert f != S([3, -1, 2], 3) and f != S([3, -1, 3])
