@@ -244,9 +244,9 @@ def cmd_export(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The parser of every command.  With ``commands`` (an argv), only the
-    commands named there get their arguments; the others keep their name
+def build_parser(commands) -> argparse.ArgumentParser:
+    """The parser of every command, where only the commands named in
+    ``commands`` (an argv) get their arguments; the others keep their name
     and help, so the usage and error messages are the same."""
     parser = argparse.ArgumentParser(
         prog="higgsbetti",
@@ -258,7 +258,7 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
     def command(name, **kwargs):
         """The subparser of ``name`` if it gets its arguments, else None."""
         sp = sub.add_parser(name, **kwargs)
-        return sp if commands is None or name in commands else None
+        return sp if name in commands else None
 
     # each command's --format choices are the formats its _render call builds
     def add_common(sp, formats=("text", "json", "csv")):

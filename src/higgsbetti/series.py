@@ -34,14 +34,14 @@ Packed values may be reduced modulo 2^(8wn), which is truncation at t^n.
 ``shifted_product_sum`` is the one sum kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
 numerator) as one big-integer expression and unpacks it once, and its w
-comes from the l1 norms of the factors, the one slot-width rule.  Most
+comes from the l1 norms of the factors.  ``_slot_width`` is the one
+slot-width rule and ``_packed_product`` the one packed product.  Most
 of its sums are short (tens of coefficients), so its cost per call
 counts as much as the big-integer products: each factor is cut once,
-and that cut gives both its norm and its pack.  A sum that is one
-unshifted product is one Kronecker step, ``_product``: the factors
-packed at the width of their norms, one product, one unpack.  A
-``TruncatedSeries`` product takes that step directly, with no entries
-to classify; ``polynomial_product`` is the sum with one such term.
+and that cut gives both its norm and its pack.  A ``TruncatedSeries``
+product is one Kronecker step, ``_product``: both factors packed at the
+width of their norms, one product, one unpack, with no entries to
+classify.  ``polynomial_product`` is the sum with one term.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -121,11 +121,12 @@ def _padded(coeffs, order: int) -> list:
     return cs
 
 
-def _slot_width(bits: int) -> int:
-    """Bytes per slot for coefficients of ``bits`` bits, sign bit included:
-    1, 2, 4 or 8, which ``struct`` converts in one call, else the bytes
-    the bits need."""
-    w = (bits + 7) // 8
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients at most ``bound`` in absolute
+    value: the bits of the bound and a sign bit, rounded up to 1, 2, 4 or
+    8 bytes, which ``struct`` converts in one call, else the bytes the
+    bits need."""
+    w = (bound.bit_length() + 8) // 8
     return 1 << (w - 1).bit_length() if w <= 8 else w
 
 
@@ -176,16 +177,21 @@ def _unpack(x: int, w: int, n: int) -> list:
             for k in range(0, size, w)]
 
 
+def _packed_product(factors, w: int) -> int:
+    """The product of ``factors``, each packed at w bytes per slot."""
+    prod = 1
+    for f in factors:
+        prod *= _pack(f, w)
+    return prod
+
+
 def _product(factors, norm: int, size: int) -> list:
     """Coefficients 0..size-1 of the product of ``factors``, each at most
     size long, whose l1 norms multiply to ``norm``: one Kronecker step."""
     if not norm:  # a zero factor, whose slots would not hold the others
         return [0] * size
-    w = _slot_width(norm.bit_length() + 1)
-    prod = 1
-    for f in factors:
-        prod *= _pack(f, w)
-    return _unpack(prod, w, size)
+    w = _slot_width(norm)
+    return _unpack(_packed_product(factors, w), w, size)
 
 
 def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
@@ -212,9 +218,8 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     a sum of monomials alone (the expansion of an expression itself) is
     summed as shifted multiples of the factor, one slice each, with no
     packing.  A factor that needs wider slots than the products is applied
-    after the sum is unpacked and packed again at the wider width.  Under
-    the factor 1, a sum of one term with one factor is copied unpacked,
-    and a sum of one unshifted product is ``_product``.
+    after the sum is unpacked and packed again at the wider width.  A sum
+    of one term with one factor, under the factor 1, is copied unpacked.
     """
     factor = factor[:size]
     if size <= 0 or not any(factor):
@@ -247,27 +252,22 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
             cs[shift:end] = map(operator.add, cs[shift:end], map(c.__mul__, factor))
         return cs
     plain = tuple(factor) == (1,)
-    if plain and not monomials and len(products) == 1:
-        sign, shift, cuts = products[0]
-        if len(cuts) == 1:  # one factor alone: nothing to multiply
-            cs = [0] * size
-            cs[shift : shift + len(cuts[0])] = cuts[0] if sign > 0 else [-c for c in cuts[0]]
-            return cs
-        if sign > 0 and not shift:  # one product: one Kronecker step
-            return _product(cuts, bound, size)
-    w = _slot_width(bound.bit_length() + 1)  # the bits of the bound and a sign bit
+    if plain and not monomials and len(products) == 1 and len(products[0][2]) == 1:
+        sign, shift, (cut,) = products[0]  # one factor alone: nothing to multiply
+        cs = [0] * size
+        cs[shift : shift + len(cut)] = cut if sign > 0 else [-c for c in cut]
+        return cs
+    w = _slot_width(bound)
     total = 0
     for sign, shift, factors in products:
-        prod = 1
-        for f in factors:
-            prod *= _pack(f, w)
+        prod = _packed_product(factors, w)
         if shift:
             prod <<= 8 * w * shift
         total = total + prod if sign > 0 else total - prod
     if plain and not monomials:
         return _unpack(total, w, size)
     wide = (bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor))
-    w_wide = _slot_width(wide.bit_length() + 1)
+    w_wide = _slot_width(wide)
     if monomials or w_wide != w:
         cs = _unpack(total, w, size)
         for shift, c in monomials:

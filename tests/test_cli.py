@@ -657,8 +657,8 @@ def test_strata_lmax_that_is_no_half_integer_is_an_argument_error(capsys, lmax, 
 
 def test_a_negative_lmax_is_written_with_an_equals_sign():
     # argparse reads the -3/2 of "--lmax -3/2" as an option; "--lmax=-3/2" parses
-    args = build_parser().parse_args(
-        ["strata", "-g", "2", "--d1", "0", "--d2", "0", "--lmax=-3/2"])
+    argv = ["strata", "-g", "2", "--d1", "0", "--d2", "0", "--lmax=-3/2"]
+    args = build_parser(argv).parse_args(argv)
     assert args.lmax == HalfInt(-3)
 
 
@@ -873,7 +873,8 @@ def test_the_cli_only_parses_arguments_and_formats_output():
         tests += [node for node in ast.walk(fn) if isinstance(node, ast.Compare)]
         assert [line for t in tests for line in _reads(t, "op")] == [], name
     # each command's --format choices are exactly the formats its _render builds
-    subparsers = next(a for a in higgsbetti.cli.build_parser()._actions
+    parser = higgsbetti.cli.build_parser([name.removeprefix("cmd_") for name in commands])
+    subparsers = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
     for command, sp in subparsers.choices.items():
         fmt = next((a for a in sp._actions if a.dest == "format"), None)
