@@ -40,11 +40,10 @@ own numerator, the sum of its entries, is formed once, when the term is
 first read (JSON ``terms``, residual provenance, ``scaled_by``), and
 every expansion of the term reuses it; provenance expands only up to the
 degree it asks for.
-Every block is a unit power series and a product of nonzero polynomials
-has the sum of their lowest degrees as its lowest degree, so a term is
-dropped exactly when none of its entries reaches the order: each entry
-has a zero factor, or its shift plus its factors' lowest degrees exceeds
-the order.
+Every block is a unit series and a product of nonzero polynomials starts
+at the sum of their lowest degrees, so a term is dropped exactly when none
+of its entries reaches the order (``_reaches``); that is also what ends
+the C1 sum where its shift passes the order.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ from .ingredients import (
     jacobian_block,
     sym_factor,
 )
-from .params import ModuliParams, _require_valid, canonicalize, kind_indices
+from .params import (ModuliParams, _require_valid, canonicalize, h01_s_star_q,
+                     kind_indices, sym_exponent)
 from .records import Frozen, dataclass_compatible
 from .series import (
     RationalExpr,
@@ -354,29 +354,16 @@ def _assembly(group: str):
     return decorate
 
 
-def _mu(p: ModuliParams, l: int) -> int:
-    return 2 * (p.g - 1 + 2 * l - p.d2)
-
-
-def _cover_exponents(p: ModuliParams, l: int) -> tuple[int, int]:
-    return (p.d2 - p.d1 + 2 * p.g - 2 - l, p.d1 - l + 2 * p.g - 2)
-
-
 def _sym(b: _Builder, m: int) -> tuple[int, ...]:
     return sym_factor(m, b.p.g, b.order)
-
-
-def _c1_indices(b: _Builder) -> range:
-    """The C1 indices l whose shift mu(l) is at most the order."""
-    return kind_indices(b.p, "C1", (b.order + 2 * (b.p.d2 - b.p.g + 1)) // 4)
 
 
 def _add_c1_sum(b: _Builder) -> None:
     p, order = b.p, b.order
     block = jacobian_block(p.g, 1, 2) if b.group == "u21" else PLAIN
-    for l in _c1_indices(b):
-        m1, m2 = _cover_exponents(p, l)
-        shift = _mu(p, l)
+    for l in kind_indices(p, "C1"):
+        m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
+        shift = 2 * h01_s_star_q(p, l)
         if b.group == "su21":
             b.add(f"cover-sum[l={l}]", block,
                   *[(sign, shift + k, factors) for sign, k, factors
@@ -406,8 +393,8 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
 
 
 def _c2_entry(b: _Builder, l: int) -> tuple:
-    """The C2 route entry -t^{2m} P(S^m), m = l-d1+2g-2."""
-    m = l - b.p.d1 + 2 * b.p.g - 2
+    """The C2 route entry -t^{2m} P(S^m) at index l."""
+    m = sym_exponent(b.p, "C2", l)
     return (-1, 2 * m, (_sym(b, m),))
 
 
@@ -423,9 +410,9 @@ def _add_route_sums(b: _Builder, boundary: RationalExpr, c2: RationalExpr,
         b.add("even-degree-boundary", boundary, (1, shift, factors))
     for l in kind_indices(p, "C2", p.d2 // 2):
         b.add(f"C2[l={l}]", c2, _c2_entry(b, l))
-    for l in kind_indices(p, "B1", _c1_indices(b).start - 1):
-        b.add(f"B1-diff[l={l}]", b1_diff,
-              (1, _mu(p, l), (_sym(b, _cover_exponents(p, l)[0]),)))
+    for l in kind_indices(p, "B1", kind_indices(p, "C1").start - 1):
+        m = sym_exponent(p, "C1", l)  # the C1 exponent and shift, at a B1 index
+        b.add(f"B1-diff[l={l}]", b1_diff, (1, 2 * h01_s_star_q(p, l), (_sym(b, m),)))
 
 
 @_assembly("u21")
@@ -433,7 +420,8 @@ def u21_closed_form(b: _Builder) -> None:
     """Equivariant series of the semistable locus, closed form.
 
     Bradlow block (P(J)/(1-t^2)) * pairs_equivariant plus the C1 sum of
-    t^{2(g-1+2l-d2)} P(J) P(S^{d2-d1+2g-2-l}) P(S^{d1-l+2g-2})/(1-t^2).
+    t^mu P(J) P(S^m1) P(S^m2)/(1-t^2): at each C1 index l, mu is twice
+    ``h01_s_star_q`` and m1, m2 are the C1 and C3 ``sym_exponent``s.
     """
     _add_closed_form(b)
 

@@ -212,13 +212,11 @@ def gothen_cover(c: CoverParams, order: int) -> tuple[tuple, tuple]:
 
     as its two entries (sign, shift, factors) of ``shifted_product_sum``:
     the product of ``sym_factor`` of m1 and m2 (exact up to order) and the
-    monomial v t^{m1+m2}.  The monomial v = v_dim(m1, m2) is present iff
-    both mi <= 2g-2 (it vanishes automatically otherwise, but the branch
-    is kept explicit to mirror the two printed cases).
+    monomial v t^{m1+m2}, v = v_dim(m1, m2), which is 0 unless both mi
+    lie in 0..2g-2.
     """
     factors = (sym_factor(c.m1, c.g, order), sym_factor(c.m2, c.g, order))
-    present = c.m1 <= 2 * c.g - 2 and c.m2 <= 2 * c.g - 2
-    return (1, 0, factors), (1, c.m1 + c.m2, ((v_dim(c) if present else 0,),))
+    return (1, 0, factors), (1, c.m1 + c.m2, ((v_dim(c),),))
 
 
 def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:

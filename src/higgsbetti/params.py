@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, RangeViolationError
 from .records import dataclass_compatible
 
 # largest genus accepted from outside input (CLI arguments, provider files)
@@ -150,17 +150,38 @@ def kind_range(p: ModuliParams, kind: str) -> KindRange:
     return KindRange(Fraction(num, den), upper, closed)
 
 
-def kind_indices(p: ModuliParams, kind: str, top: int) -> range:
+def kind_indices(p: ModuliParams, kind: str, top: int | None = None) -> range:
     """The integer indices l <= top of the stratum kind named ``kind``: the
     integers of ``kind_range``, and for B2 the point l = d1 when d1 exceeds
-    d2/2 (the middle line-splitting)."""
+    d2/2 (the middle line-splitting).  Only B3 needs a top."""
     if kind == "B2":
         lo, hi = p.d1, p.d1 + (2 * p.d1 > p.d2)
     else:
         num, den, upper, closed = _kind_ends(p, kind)
         lo = num // den + 1  # the first integer above the open lower end
         hi = top + 1 if upper is None else upper + closed
-    return range(lo, min(hi, top + 1))
+    return range(lo, hi if top is None else min(hi, top + 1))
+
+
+C1_EXPONENT_NOTE = (
+    "symmetric-product exponent taken as d2-l-d1+2g-2, the degree of the section "
+    "bundle in the C1 construction; the printed table row carries l-d1+2g-2, "
+    "inconsistent with every other display")
+
+
+def sym_exponent(p: ModuliParams, kind: str, l: int) -> int:
+    """The exponent m of S^m X in the critical set of kind C1 (see
+    C1_EXPONENT_NOTE), C2 or C3 at index l; an m < 0 is a range violation."""
+    m = {"C1": p.d2 - l - p.d1, "C2": l - p.d1, "C3": p.d1 - l}[kind] + 2 * p.g - 2
+    if m < 0:
+        raise RangeViolationError(f"negative symmetric-product exponent {m} for {kind}@{l}")
+    return m
+
+
+def h01_s_star_q(p: ModuliParams, l: int) -> int:
+    """h^{0,1}(S*Q) = g-1+2l-d2, as deg(S*Q) = d2-2l < 0 makes h^0 vanish;
+    twice it is the Morse shift of the C1 critical set at index l."""
+    return p.g - 1 + 2 * l - p.d2
 
 
 def canonicalize(p: ModuliParams) -> tuple[ModuliParams, list[dict]]:

@@ -14,8 +14,10 @@ the destabilizing line subbundle; the A kind sits at l = d2/2):
 
 This module renders the classification table (equivariant series of each
 critical set) and the constant dimension formulas of the negative normal
-directions.  Each kind's index range is ``params.kind_range``; the route
-term of each stratum is written in ``assemble``.
+directions.  The index ranges (``params.kind_range``), the exponent m of
+each C kind's S^m X (``params.sym_exponent``) and the shift
+h^{0,1}(S*Q) (``params.h01_s_star_q``) live in ``params``, where the
+stratum route of ``assemble`` reads them too.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ParameterError, RangeViolationError, UnspecifiedDimensionError
+from .errors import ParameterError, UnspecifiedDimensionError
 from .ingredients import SEMISTABLE, atiyah_bott_series, jacobian_block, sym_factor
-from .params import (MAX_ORDER, HalfInt, ModuliParams, _require_valid, canonicalize,
-                     kind_indices, kind_range, region_of)
+from .params import (C1_EXPONENT_NOTE, MAX_ORDER, HalfInt, ModuliParams,
+                     _require_valid, canonicalize, h01_s_star_q, kind_indices,
+                     kind_range, region_of, sym_exponent)
 from .records import Frozen, dataclass_compatible
 from .series import TruncatedSeries, resolve_order
 
@@ -84,29 +87,14 @@ def enumerate_critical(p: ModuliParams, l_max: HalfInt) -> list[StratumDescripto
 def critical_set_key(s: StratumDescriptor) -> tuple[str, int, int | None]:
     """What the critical set's series depends on besides the order: the
     row (A, B or C), the genus, and the parity of d2 for A or the
-    symmetric-product exponent m for C (None for B).
-
-    The C1 row uses the exponent d2 - l - d1 + 2g - 2 (the value fixed by
-    the section degree in the C1 construction and by every downstream
-    display); see table_note("C1").
+    symmetric-product exponent m for C (``params.sym_exponent``; None for B).
     """
     p, g = s.params, s.params.g
     if s.kind is StratumKind.A:
         return "A", g, p.d2 % 2
     if s.kind in (StratumKind.B1, StratumKind.B2, StratumKind.B3):
         return "B", g, None
-    l = s.ell.as_int()
-    if s.kind is StratumKind.C1:
-        m = p.d2 - l - p.d1 + 2 * g - 2
-    elif s.kind is StratumKind.C2:
-        m = l - p.d1 + 2 * g - 2
-    else:  # C3
-        m = p.d1 - l + 2 * g - 2
-    if m < 0:
-        raise RangeViolationError(
-            f"negative symmetric-product exponent {m} for {s}"
-        )
-    return "C", g, m
+    return "C", g, sym_exponent(p, s.kind.value, s.ell.as_int())
 
 
 def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
@@ -181,13 +169,7 @@ def critical_table(p: ModuliParams, l_max: HalfInt | None = None,
 
 def table_note(kind: StratumKind) -> str | None:
     """Transcription caveats attached to table rows."""
-    if kind is StratumKind.C1:
-        return (
-            "symmetric-product exponent taken as d2-l-d1+2g-2, the degree of "
-            "the section bundle in the C1 construction; the printed table row "
-            "carries l-d1+2g-2, inconsistent with every other display"
-        )
-    return None
+    return C1_EXPONENT_NOTE if kind is StratumKind.C1 else None
 
 
 def negative_dim(s: StratumDescriptor, component: str | None = None):
@@ -206,9 +188,8 @@ def negative_dim(s: StratumDescriptor, component: str | None = None):
     elif s.kind is StratumKind.C2:
         dims["dim"] = 2 * g - 2 + s.ell.as_int() - p.d2
     elif s.kind in (StratumKind.B2, StratumKind.B3, StratumKind.C1, StratumKind.C3):
-        # deg(S*Q) = d2 - 2l < 0 on these ranges, so h^0 = 0 and the
-        # Riemann-Roch value is constant
-        dims["h01_s_star_q"] = g - 1 + 2 * s.ell.as_int() - p.d2
+        # deg(S*Q) = d2 - 2l < 0 on these ranges
+        dims["h01_s_star_q"] = h01_s_star_q(p, s.ell.as_int())
     if component is None:
         if not dims:
             raise UnspecifiedDimensionError(

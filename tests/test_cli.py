@@ -452,18 +452,18 @@ def test_shift_invariance_builds_each_point_once(monkeypatch):
 
 
 def test_shift_invariance_catches_a_cover_exponent_that_moves_with_d1(monkeypatch):
-    # the second cover exponent plus d1 mod 2 for d1 > 2: a point is still
-    # compared with each of its shifts, so the first point to differ from
-    # a shift, and the first object, are what building every shift found
+    # the C3 exponent (the second cover exponent) plus d1 mod 2 for d1 > 2:
+    # a point is still compared with each of its shifts, so the first point
+    # to differ from a shift, and the first object, are what building every
+    # shift found
     from higgsbetti import assemble, verify
 
-    exponents = assemble._cover_exponents
+    exponent = assemble.sym_exponent
 
-    def mutated(p, l):
-        m1, m2 = exponents(p, l)
-        return m1, m2 + (p.d1 % 2 if p.d1 > 2 else 0)
+    def mutated(p, kind, l):
+        return exponent(p, kind, l) + (p.d1 % 2 if kind == "C3" and p.d1 > 2 else 0)
 
-    monkeypatch.setattr(assemble, "_cover_exponents", mutated)
+    monkeypatch.setattr(assemble, "sym_exponent", mutated)
     result = verify.SUITES["shift-invariance"]({"g": (2, 3)})
     assert not result.passed
     assert result.counterexample == {"g": 2, "d1": 1, "d2": 0, "k": 2,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from higgsbetti.errors import ParameterError
+from higgsbetti.errors import ParameterError, RangeViolationError
 from higgsbetti.params import (
     HalfInt,
     canonicalize,
@@ -16,6 +16,7 @@ from higgsbetti.params import (
     make_params,
     region_of,
     s_tau,
+    sym_exponent,
     torelli_trivial,
     valid_points,
 )
@@ -260,3 +261,19 @@ def test_kind_indices_are_the_integers_of_kind_range(g, d1, d2, kind, reach):
         l for l in range(first - 3, top + 1) if _in_kind(p, kind, l)]
     with pytest.raises(ParameterError, match="no index range"):
         kind_indices(p, "A", top)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_exponents_reach_zero_at_the_closed_range_ends(g):
+    # the ranges (_kind_ends) and the exponents are written apart: the C1
+    # and C3 ranges end where S^m X does, at m = 0, and C2's S^m X ends at
+    # l = d1 - 2g + 2
+    for p in valid_points(g):
+        for kind in ("C1", "C3"):
+            upper = kind_range(p, kind).upper
+            assert sym_exponent(p, kind, upper) == 0, (p, kind)
+            with pytest.raises(RangeViolationError, match=f"exponent -1 for {kind}@"):
+                sym_exponent(p, kind, upper + 1)
+        assert sym_exponent(p, "C2", p.d1 - 2 * g + 2) == 0
+        with pytest.raises(RangeViolationError, match="exponent -1 for C2@"):
+            sym_exponent(p, "C2", p.d1 - 2 * g + 1)

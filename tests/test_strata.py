@@ -16,6 +16,7 @@ from higgsbetti.strata import (
     StratumDescriptor,
     StratumKind,
     admits,
+    critical_set_key,
     critical_set_poincare,
     enumerate_critical,
     kind_range_description,
@@ -181,6 +182,12 @@ def test_negative_dim_examples():
     c2b = StratumDescriptor(StratumKind.C2, H(2), q)
     assert negative_dim(c2b, "dim") == 6
 
+    # h^{0,1}(S*Q) = g - 1 + 2l - d2
+    c3 = StratumDescriptor(StratumKind.C3, H(3), p)
+    assert negative_dim(c3) == {"h01_s_star_q": 6}
+    c1 = StratumDescriptor(StratumKind.C1, H(1), make_params(2, 0, 0))
+    assert negative_dim(c1, "h01_s_star_q") == 3
+
     a = StratumDescriptor(StratumKind.A, HalfInt(1), p)
     with pytest.raises(UnspecifiedDimensionError):
         negative_dim(a)
@@ -234,3 +241,22 @@ def test_negative_pair_shift_invariance():
                    for label, t in _route_terms(p.tensor_shift(1), order).items()}
         assert shifted == base, point
         assert any(label.startswith(("C1", "C2", "B1")) for label in base)
+
+
+def test_each_c2_route_term_is_its_table_row_shifted():
+    # what the critical-set table shows for C2@l is what the route sums:
+    # C2[l] = -t^{2m} critical_set_poincare(C2@l), m the row's exponent
+    terms = 0
+    for g in (2, 3, 4, 5):
+        for p in valid_points(g):
+            route = u21_stratum_route(p)
+            for t in route.terms:
+                match = re.fullmatch(r"C2\[l=(-?\d+)\]", t.label)
+                if match is None:
+                    continue
+                s = StratumDescriptor(StratumKind.C2, H(int(match[1])), p)
+                _, _, m = critical_set_key(s)
+                assert t.series == -critical_set_poincare(s, route.order).shifted(2 * m), \
+                    (p, t.label)
+                terms += 1
+    assert terms == 259
