@@ -35,11 +35,12 @@ Atiyah-Bott block is the exception: its three terms are shown but not
 summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
 and their expansion would only add zero; what checks the cancellation
-is the ``ab-cancellation`` suite, against an oracle of its own.  A term's
-own numerator, the sum of its entries, is formed once, when the term is
-first read (JSON ``terms``, residual provenance, ``scaled_by``), and
-every expansion of the term reuses it; provenance expands only up to the
-degree it asks for.
+is the ``ab-cancellation`` suite, against an oracle of its own.  A term
+is expanded on its own only when it is read (JSON ``terms``, residual
+provenance), in one expansion of its entries at the degree read, so
+provenance, which reads one low coefficient of each term, cuts every
+factor there; its numerator, the sum of its entries, is formed only by
+``scaled_by``.
 Every block is a unit series and a product of nonzero polynomials starts
 at the sum of their lowest degrees, so a term is dropped exactly when none
 of its entries reaches the order (``_reaches``); that is also what ends
@@ -85,18 +86,20 @@ class TermValue(Frozen):
     """One labeled summand of an assembly: the sum of its ``entries``
     (sign, shift, factors), as in ``shifted_product_sum``, times its
     block, truncated at order.  The entries are never multiplied out when
-    the term is made: ``numerator`` forms the first order + 1 coefficients
-    of their sum the first time the term is read, and every expansion
-    (``series``, ``expanded``, ``coefficient``) and ``scaled_by`` reuse
-    it.  Terms compare by label and expansion."""
+    the term is made.  An expansion (``series``, ``expanded``,
+    ``coefficient``) is one ``RationalExpr.expand`` of the entries at the
+    degree it is read, which cuts every factor there; ``numerator``, the
+    sum of the entries up to the order, is formed only for ``scaled_by``.
+    Terms compare by label and expansion."""
 
     _fields = ("label", "entries", "block", "order")
 
     def __init__(self, label: str, entries: tuple, block: RationalExpr, order: int):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "order", order)
+        # no slots, as the cached properties live in the instance dict, so
+        # the fields go straight into it, past Frozen's __setattr__
+        fields = self.__dict__
+        fields["label"], fields["entries"] = label, entries
+        fields["block"], fields["order"] = block, order
 
     @classmethod
     def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
@@ -104,7 +107,8 @@ class TermValue(Frozen):
 
     @cached_property
     def numerator(self) -> tuple[int, ...]:
-        """The first order + 1 coefficients of the sum of the entries."""
+        """The first order + 1 coefficients of the sum of the entries, the
+        one factor of ``scaled_by``."""
         return tuple(shifted_product_sum(self.entries, self.order + 1))
 
     @cached_property
@@ -115,7 +119,7 @@ class TermValue(Frozen):
         """The term truncated at order (at most its own order)."""
         if order > self.order:
             raise ParameterError(f"term holds order {self.order}, asked for {order}")
-        return self.block.expand(order, ((1, 0, (self.numerator,)),))
+        return self.block.expand(order, self.entries)
 
     def coefficient(self, degree: int) -> int:
         return self.expanded(degree).coeffs[degree]
@@ -248,8 +252,9 @@ def _reaches(entry, order: int) -> bool:
 class _Builder:
     """Collects the terms of one assembly at a point with tau >= 0.
 
-    ``add`` only records a term; ``finish`` expands every block once,
-    over the entries of all its summed terms.
+    ``add`` only records a term and gathers its entries under its block;
+    ``finish`` expands every block once, over the entries of all its
+    summed terms.
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -259,7 +264,8 @@ class _Builder:
         self.order = order
         self.transforms = tuple(transforms)
         self.terms: list[TermValue] = []
-        self.summed: list[TermValue] = []
+        # the summed entries of each block, keyed by the block's id
+        self.sums: dict[int, tuple[RationalExpr, list]] = {}
         self.unknown: dict[str, TruncatedSeries] = {}
         self.unknown_labels: dict[str, str] = {}
 
@@ -268,15 +274,27 @@ class _Builder:
         none of whose entries reaches the order is dropped (every block is
         a unit series).  A term that ``cancels`` belongs to a group whose
         terms sum to zero by construction: it is listed, not summed."""
-        if any(_reaches(e, self.order) for e in entries):
-            term = TermValue(label, entries, block, self.order)
-            self.terms.append(term)
-            if not cancels:
-                self.summed.append(term)
+        order = self.order
+        for e in entries:
+            if _reaches(e, order):
+                break
+        else:
+            return
+        self.terms.append(TermValue(label, entries, block, order))
+        if cancels:
+            return
+        # grouped by the (cached) block object: hashing a block hashes its
+        # whole numerator, and two equal blocks apart only cost one more
+        # exact expansion
+        group = self.sums.get(id(block))
+        if group is None:
+            self.sums[id(block)] = (block, list(entries))
+        else:
+            group[1].extend(entries)
 
     def add_unknown(self, name: str, coeff: TruncatedSeries, label: str) -> None:
-        zero = TruncatedSeries.zero(self.order)
-        self.unknown[name] = self.unknown.get(name, zero) + coeff
+        prior = self.unknown.get(name)
+        self.unknown[name] = coeff if prior is None else prior + coeff
         self.unknown_labels[name] = label
 
     def finish(self, provider: BradlowProvider | None) -> AssemblyResult:
@@ -293,15 +311,7 @@ class _Builder:
                 mm = pairs - ww_difference(p, order)
             values = {PAIRS: pairs, MODULI_MIN: mm}
         unknown: dict[str, TruncatedSeries] = {}
-        # grouped by the (cached) block object: hashing a block hashes its
-        # whole numerator, and two equal blocks apart only cost one more
-        # exact expansion
-        by_block: dict[int, tuple[RationalExpr, list]] = {}
-        for t in self.summed:
-            by_block.setdefault(id(t.block), (t.block, []))[1].extend(t.entries)
-        known = TruncatedSeries.zero(order)
-        for block, entries in by_block.values():
-            known = known + block.expand(order, entries)
+        parts = [block.expand(order, entries) for block, entries in self.sums.values()]
         terms = list(self.terms)
         for name, coeff in self.unknown.items():
             value = values.get(name)
@@ -309,8 +319,11 @@ class _Builder:
                 unknown[name] = coeff
             else:
                 concrete = TermValue.of_series(self.unknown_labels[name], coeff * value)
-                known = known + concrete.series
+                parts.append(concrete.series)
                 terms.append(concrete)
+        known = parts[0] if parts else TruncatedSeries.zero(order)
+        for part in parts[1:]:
+            known = known + part
         return AssemblyResult(
             group=self.group,
             params=p,
@@ -359,20 +372,19 @@ def _sym(b: _Builder, m: int) -> tuple[int, ...]:
 
 
 def _add_c1_sum(b: _Builder) -> None:
-    p, order = b.p, b.order
-    block = jacobian_block(p.g, 1, 2) if b.group == "u21" else PLAIN
+    p, g, order, group = b.p, b.p.g, b.order, b.group
+    block = jacobian_block(g, 1, 2) if group == "u21" else PLAIN
+    # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); su21: the cover; pu21: its
+    # 3-torsion invariant part, P(S^m1) P(S^m2)
+    name = {"u21": "C1", "su21": "cover-sum", "pu21": "invariant-cover-sum"}[group]
     for l in kind_indices(p, "C1"):
         m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
         shift = 2 * h01_s_star_q(p, l)
-        if b.group == "su21":
-            b.add(f"cover-sum[l={l}]", block,
-                  *[(sign, shift + k, factors) for sign, k, factors
-                    in gothen_cover(CoverParams(m1, m2, p.g), order)])
+        if group == "su21":
+            entries = gothen_cover(CoverParams(m1, m2, g), order, shift)
         else:
-            # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); pu21: the 3-torsion
-            # invariant part of the cover, P(S^m1) P(S^m2)
-            label = f"C1[l={l}]" if b.group == "u21" else f"invariant-cover-sum[l={l}]"
-            b.add(label, block, (1, shift, (_sym(b, m1), _sym(b, m2))))
+            entries = ((1, shift, (sym_factor(m1, g, order), sym_factor(m2, g, order))),)
+        b.add(f"{name}[l={l}]", block, *entries)
 
 
 def _add_closed_form(b: _Builder) -> None:

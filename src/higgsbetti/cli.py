@@ -173,8 +173,8 @@ def cmd_ingredients(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-# largest genus of a verify grid: every suite together took 27 s at
-# g = 16 alone and 88 s on g = 2..16 (2-CPU Intel Xeon), growing about as
+# largest genus of a verify grid: every suite together takes 19 s at
+# g = 16 alone and 60 s on g = 2..16 (2-CPU Intel Xeon), growing about as
 # g^4 per genus, so a grid up to MAX_GENUS would run for days
 MAX_GRID_GENUS = 16
 

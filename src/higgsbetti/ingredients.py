@@ -195,28 +195,27 @@ def ab_semistable_rank2(d2: int, g: int, order: int) -> TruncatedSeries:
 def v_dim(c: CoverParams) -> int:
     """Dimension (3^{2g}-1) C(2g-2, m1) C(2g-2, m2) of the anomalous summand.
 
-    Out-of-range binomials vanish, so this is 0 unless 0 <= mi <= 2g-2.
+    Out-of-range binomials vanish, so this is 0 unless mi <= 2g-2 (both
+    are nonnegative).
     """
     n = 2 * c.g - 2
-
-    def _safe_comb(k: int) -> int:
-        return comb(n, k) if 0 <= k <= n else 0
-
-    return (3 ** (2 * c.g) - 1) * _safe_comb(c.m1) * _safe_comb(c.m2)
+    if c.m1 > n or c.m2 > n:
+        return 0
+    return (3 ** (2 * c.g) - 1) * comb(n, c.m1) * comb(n, c.m2)
 
 
-def gothen_cover(c: CoverParams, order: int) -> tuple[tuple, tuple]:
+def gothen_cover(c: CoverParams, order: int, shift: int = 0) -> tuple[tuple, tuple]:
     """Gothen's formula for the 3^{2g}-fold cover of S^{m1}X x S^{m2}X,
 
         P_t = P_t(S^{m1}X) P_t(S^{m2}X) + v t^{m1+m2},
 
-    as its two entries (sign, shift, factors) of ``shifted_product_sum``:
-    the product of ``sym_factor`` of m1 and m2 (exact up to order) and the
-    monomial v t^{m1+m2}, v = v_dim(m1, m2), which is 0 unless both mi
-    lie in 0..2g-2.
+    times t^shift, as its two entries (sign, shift, factors) of
+    ``shifted_product_sum``: the product of ``sym_factor`` of m1 and m2
+    (exact up to order) and the monomial v t^{m1+m2}, v = v_dim(m1, m2),
+    which is 0 unless both mi lie in 0..2g-2.
     """
     factors = (sym_factor(c.m1, c.g, order), sym_factor(c.m2, c.g, order))
-    return (1, 0, factors), (1, c.m1 + c.m2, ((v_dim(c),),))
+    return (1, shift, factors), (1, shift + c.m1 + c.m2, ((v_dim(c),),))
 
 
 def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:

@@ -172,7 +172,15 @@ C1_EXPONENT_NOTE = (
 def sym_exponent(p: ModuliParams, kind: str, l: int) -> int:
     """The exponent m of S^m X in the critical set of kind C1 (see
     C1_EXPONENT_NOTE), C2 or C3 at index l; an m < 0 is a range violation."""
-    m = {"C1": p.d2 - l - p.d1, "C2": l - p.d1, "C3": p.d1 - l}[kind] + 2 * p.g - 2
+    if kind == "C1":
+        m = p.d2 - l - p.d1
+    elif kind == "C2":
+        m = l - p.d1
+    elif kind == "C3":
+        m = p.d1 - l
+    else:
+        raise ParameterError(f"stratum kind {kind!r} has no symmetric-product exponent")
+    m += 2 * p.g - 2
     if m < 0:
         raise RangeViolationError(f"negative symmetric-product exponent {m} for {kind}@{l}")
     return m

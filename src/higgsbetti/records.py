@@ -56,7 +56,8 @@ def dataclass_compatible(cls):
 class Frozen:
     """Base of the value classes that validate their input or hold a cache.
     ``__init__`` sets each field named in ``_fields`` once, through
-    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    ``object.__setattr__`` (or, in a class without slots, straight into
+    the instance dict); assigning or deleting an attribute afterwards
     raises AttributeError.  Two values are equal when they are of the same
     class and their fields are equal, and hash by their fields."""
 

@@ -406,6 +406,22 @@ def test_terms_sum_to_the_series(case):
         assert t.coefficient(k) == t.series.coeffs[k]
 
 
+@pytest.mark.parametrize("key", sorted(BUILDERS))
+def test_reading_a_term_leaves_its_numerator_unformed(key):
+    # a read expands the entries at the degree read; only scaled_by forms
+    # the sum of the entries up to the order
+    order = 40
+    res = BUILDERS[key](make_params(3, 1, 0), None, order)
+    one = TruncatedSeries.one(order)
+    for t in res.terms:
+        for k in (0, 7, order):
+            c = t.coefficient(k)
+            assert "numerator" not in t.__dict__, t.label
+            assert c == t.series.coeffs[k]
+        assert "numerator" not in t.__dict__, t.label
+        assert t.scaled_by(one) == t and "numerator" in t.__dict__
+
+
 @pytest.mark.parametrize("g", [2, 3, 4])
 def test_atiyah_bott_terms_match_the_ingredients(g):
     # the route's block numerators against the ingredient series, with
@@ -468,8 +484,7 @@ def test_negated_and_scaled_gothen_term(g, m1, m2):
     # a cover term has two entries, the product and the monomial; negating
     # or scaling the term must carry both, over a plain and a Jacobian block
     order, shift = 16, 3
-    entries = tuple((sign, shift + k, factors)
-                    for sign, k, factors in gothen_cover(CoverParams(m1, m2, g), order))
+    entries = gothen_cover(CoverParams(m1, m2, g), order, shift)
     cover = gothen_cover_poincare(CoverParams(m1, m2, g), order).shifted(shift)
     scale = TruncatedSeries.from_coeffs([1, 0, -1, 5], order)
     jac_over = jacobian_poincare(g, order) * geometric_inverse(2, order)

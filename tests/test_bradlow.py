@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -347,3 +349,71 @@ def test_parse_record_loads_or_raises_provider_file_error(data):
     assert rec.g >= 2 and rec.g - 1 <= rec.e <= 7 * rec.g - 7
     assert rec.sigma == Fraction(rec.e + 2 * rec.g - 2, 3)
     assert rec.pairs is not None or rec.min_moduli is not None
+
+
+# faults of a provider file, each of which the CLI refuses with exit 2
+_FILE_FAULTS = ["flip", "float", "bool", "sigma", "e", "short", "duplicate", "non-json"]
+
+
+@st.composite
+def _provider_files(draw):
+    """(text, g, stored order, fault): an exported maximal record at g = 2..3
+    with at most one fault of ``_FILE_FAULTS``."""
+    g, order = draw(st.integers(2, 3)), draw(st.integers(1, 16))
+    record = maximal_provider_record(g, order)
+    fault = draw(st.sampled_from([None, None, *_FILE_FAULTS]))
+    series = draw(st.sampled_from(["pairs_equivariant", "moduli_min"]))
+    if fault == "flip":
+        k = draw(st.integers(0, order))
+        record[series][k] = str(int(record[series][k]) + draw(st.sampled_from([-1, 1])))
+    elif fault in ("float", "bool"):
+        value = draw(st.sampled_from([1.0, 2.5])) if fault == "float" else \
+            draw(st.booleans())
+        field = draw(st.sampled_from(["g", "e", "order", "sigma", series]))
+        if field == "sigma":
+            record["sigma"][draw(st.sampled_from(["num", "den"]))] = value
+        elif field == series:
+            record[series][draw(st.integers(0, order))] = value
+        else:
+            record[field] = value
+    elif fault == "sigma":
+        record["sigma"] = {"num": g - 1 + draw(st.sampled_from([-1, 1, 3])), "den": 1}
+    elif fault == "e":
+        e = draw(st.sampled_from([g - 2, 7 * g - 6, -1]))
+        sigma = Fraction(e + 2 * g - 2, 3)
+        record.update(e=e, sigma={"num": sigma.numerator, "den": sigma.denominator})
+    elif fault == "short":
+        del record[series][draw(st.integers(0, order)):]
+    text = json.dumps([record, record] if fault == "duplicate" else record)
+    if fault == "non-json":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, g, order, fault
+
+
+@settings(max_examples=150, deadline=None)
+@given(_provider_files(), st.sampled_from(["u21", "su21", "pu21"]),
+       st.sampled_from(["closed", "stratum"]), st.integers(1, 20), st.booleans())
+def test_compute_with_a_drawn_provider_file_exits_0_or_2(tmp_path_factory, drawn, group,
+                                                         route, order, dual):
+    # the rules of the CLI grammar fuzzer, end to end through a file: a
+    # clean record answers at the maximal point up to its stored order,
+    # and every fault (or an order past the stored one) is an exit 2
+    text, g, stored, fault = drawn
+    if group == "pu21" and route == "stratum":
+        route = "closed"
+    path = tmp_path_factory.mktemp("provider") / "provider.json"
+    path.write_text(text)
+    d1, d2 = (2 * g - 2, g - 1) if not dual else (2 - 2 * g, 1 - g)
+    argv = ["compute", "--group", group, "--route", route, "--genus", str(g),
+            "--d1", str(d1), "--d2", str(d2), "--order", str(order),
+            "--provider", f"file:{path}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    assert code == (0 if fault is None and order <= stored else 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue().splitlines()[-1]
+    else:
+        assert out.getvalue() and err.getvalue() == ""

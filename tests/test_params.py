@@ -277,3 +277,12 @@ def test_exponents_reach_zero_at_the_closed_range_ends(g):
         assert sym_exponent(p, "C2", p.d1 - 2 * g + 2) == 0
         with pytest.raises(RangeViolationError, match="exponent -1 for C2@"):
             sym_exponent(p, "C2", p.d1 - 2 * g + 1)
+
+
+@pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3", "c1", "C4", ""])
+def test_a_kind_without_an_exponent_is_refused(kind):
+    # only C1, C2 and C3 have a symmetric-product exponent; any other kind
+    # is refused by name, never read as one of them
+    p = make_params(3, 1, 0)
+    with pytest.raises(ParameterError, match="no symmetric-product exponent"):
+        sym_exponent(p, kind, 1)
