@@ -20,9 +20,8 @@ _NAMES_BY_MODULE = {
     ),
     "bradlow": (
         "BradlowProvider", "FileBackedProvider", "MaximalCaseProvider",
-        "SymbolicProvider", "maximal_moduli_min", "maximal_pairs_equivariant",
-        "provider_from_file", "sigma_min_of", "sigma_of", "ww_difference",
-        "ww_from_invariants",
+        "maximal_moduli_min", "maximal_pairs_equivariant", "provider_from_file",
+        "ww_difference", "ww_from_invariants",
     ),
     "errors": (
         "ParameterError", "ProviderFileError", "RangeViolationError",

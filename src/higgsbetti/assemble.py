@@ -16,7 +16,10 @@ of the semistable locus:
 Results default to relative mode: the two absolute pairs series enter as
 explicit unknowns with series coefficients, linked by the exact
 wall-crossing difference, so route equivalence is decidable without any
-imported values.  A provider can substitute absolute values.
+imported values.  Each assembly holds one of them (the pairs series in a
+closed form, moduli_min in a route).  A provider can substitute absolute
+values: ``_provided`` takes the series the provider holds and derives
+the other side through the difference when that is the one needed.
 
 Every assembly is a sum of blocks.  A block is a ``RationalExpr``, the
 factor over the denominator that all strata of one kind share:
@@ -39,8 +42,7 @@ is the ``ab-cancellation`` suite, against an oracle of its own.  A term
 is expanded on its own only when it is read (JSON ``terms``, residual
 provenance), in one expansion of its entries at the degree read, so
 provenance, which reads one low coefficient of each term, cuts every
-factor there; its numerator, the sum of its entries, is formed only by
-``scaled_by``.
+factor there; ``scaled_by`` appends its factor to each entry.
 Every block is a unit series and a product of nonzero polynomials starts
 at the sum of their lowest degrees, so a term is dropped exactly when none
 of its entries reaches the order (``_reaches``); that is also what ends
@@ -52,7 +54,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .bradlow import BradlowProvider, SymbolicProvider, ww_difference
+from .bradlow import BradlowProvider, ww_difference
 from .errors import ParameterError
 from .ingredients import (
     CoverParams,
@@ -66,12 +68,7 @@ from .ingredients import (
 from .params import (ModuliParams, _require_valid, canonicalize, h01_s_star_q,
                      kind_indices, sym_exponent)
 from .records import Frozen, dataclass_compatible
-from .series import (
-    RationalExpr,
-    TruncatedSeries,
-    resolve_order,
-    shifted_product_sum,
-)
+from .series import RationalExpr, TruncatedSeries, resolve_order
 
 PAIRS = "pairs_equivariant"
 MODULI_MIN = "moduli_min"
@@ -88,14 +85,13 @@ class TermValue(Frozen):
     block, truncated at order.  The entries are never multiplied out when
     the term is made.  An expansion (``series``, ``expanded``,
     ``coefficient``) is one ``RationalExpr.expand`` of the entries at the
-    degree it is read, which cuts every factor there; ``numerator``, the
-    sum of the entries up to the order, is formed only for ``scaled_by``.
-    Terms compare by label and expansion."""
+    degree it is read, which cuts every factor there.  Terms compare by
+    label and expansion."""
 
     _fields = ("label", "entries", "block", "order")
 
     def __init__(self, label: str, entries: tuple, block: RationalExpr, order: int):
-        # no slots, as the cached properties live in the instance dict, so
+        # no slots, as the cached ``series`` lives in the instance dict, so
         # the fields go straight into it, past Frozen's __setattr__
         fields = self.__dict__
         fields["label"], fields["entries"] = label, entries
@@ -104,12 +100,6 @@ class TermValue(Frozen):
     @classmethod
     def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
         return cls(label, ((1, 0, (series.coeffs,)),), PLAIN, series.order)
-
-    @cached_property
-    def numerator(self) -> tuple[int, ...]:
-        """The first order + 1 coefficients of the sum of the entries, the
-        one factor of ``scaled_by``."""
-        return tuple(shifted_product_sum(self.entries, self.order + 1))
 
     @cached_property
     def series(self) -> TruncatedSeries:
@@ -131,7 +121,9 @@ class TermValue(Frozen):
                          self.block, self.order)
 
     def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
-        return TermValue(self.label, ((1, 0, (self.numerator, factor.coeffs)),),
+        return TermValue(self.label,
+                         tuple((sign, shift, (*factors, factor.coeffs))
+                               for sign, shift, factors in self.entries),
                          self.block, self.order)
 
     def __eq__(self, other):
@@ -249,6 +241,22 @@ def _reaches(entry, order: int) -> bool:
     return low <= order
 
 
+def _provided(provider: BradlowProvider | None, p: ModuliParams, name: str,
+              order: int) -> TruncatedSeries | None:
+    """The value of the unknown ``name`` (PAIRS or MODULI_MIN) at p: the
+    series the provider holds, or else the other side it holds through
+    pairs_equivariant - moduli_min = ``ww_difference``; None when it holds
+    neither (and when there is no provider)."""
+    if provider is None:
+        return None
+    pairs, mm = provider.lookup(p.g, p.e, order)
+    if name == PAIRS and pairs is None and mm is not None:
+        return mm + ww_difference(p, order)
+    if name == MODULI_MIN and mm is None and pairs is not None:
+        return pairs - ww_difference(p, order)
+    return pairs if name == PAIRS else mm
+
+
 class _Builder:
     """Collects the terms of one assembly at a point with tau >= 0.
 
@@ -266,8 +274,8 @@ class _Builder:
         self.terms: list[TermValue] = []
         # the summed entries of each block, keyed by the block's id
         self.sums: dict[int, tuple[RationalExpr, list]] = {}
-        self.unknown: dict[str, TruncatedSeries] = {}
-        self.unknown_labels: dict[str, str] = {}
+        # the one unknown (name, coefficient, label), set by the body
+        self.unknown: tuple[str, TruncatedSeries, str] | None = None
 
     def add(self, label: str, block: RationalExpr, *entries, cancels: bool = False) -> None:
         """Add (sum of the entries (sign, shift, factors)) * block.  A term
@@ -292,35 +300,16 @@ class _Builder:
         else:
             group[1].extend(entries)
 
-    def add_unknown(self, name: str, coeff: TruncatedSeries, label: str) -> None:
-        prior = self.unknown.get(name)
-        self.unknown[name] = coeff if prior is None else prior + coeff
-        self.unknown_labels[name] = label
-
     def finish(self, provider: BradlowProvider | None) -> AssemblyResult:
-        provider = provider or SymbolicProvider()
         p, order = self.p, self.order
-        values: dict[str, TruncatedSeries | None] = {}
-        if self.unknown:
-            pairs = provider.pairs_equivariant(p.e, p.sigma, p.g, order)
-            mm = provider.moduli_min(p.e, p.g, order)
-            # one known side determines the other through the difference
-            if pairs is None and mm is not None:
-                pairs = mm + ww_difference(p, order)
-            elif mm is None and pairs is not None:
-                mm = pairs - ww_difference(p, order)
-            values = {PAIRS: pairs, MODULI_MIN: mm}
-        unknown: dict[str, TruncatedSeries] = {}
+        name, coeff, label = self.unknown
+        value = _provided(provider, p, name, order)
         parts = [block.expand(order, entries) for block, entries in self.sums.values()]
         terms = list(self.terms)
-        for name, coeff in self.unknown.items():
-            value = values.get(name)
-            if value is None:
-                unknown[name] = coeff
-            else:
-                concrete = TermValue.of_series(self.unknown_labels[name], coeff * value)
-                parts.append(concrete.series)
-                terms.append(concrete)
+        if value is not None:
+            concrete = TermValue.of_series(label, coeff * value)
+            parts.append(concrete.series)
+            terms.append(concrete)
         known = parts[0] if parts else TruncatedSeries.zero(order)
         for part in parts[1:]:
             known = known + part
@@ -328,9 +317,9 @@ class _Builder:
             group=self.group,
             params=p,
             order=order,
-            mode="absolute" if not unknown else "relative",
+            mode="relative" if value is None else "absolute",
             series=known,
-            unknown=unknown,
+            unknown={name: coeff} if value is None else {},
             terms=tuple(terms),
             transforms=self.transforms,
         )
@@ -388,7 +377,7 @@ def _add_c1_sum(b: _Builder) -> None:
 
 
 def _add_closed_form(b: _Builder) -> None:
-    b.add_unknown(PAIRS, bg_rank1(b.p.g, b.order), "pairs-block")
+    b.unknown = (PAIRS, bg_rank1(b.p.g, b.order), "pairs-block")
     _add_c1_sum(b)
 
 
@@ -451,7 +440,7 @@ def u21_stratum_route(b: _Builder) -> None:
     does not exist and the term survives.
     """
     _add_atiyah_bott_block(b, 3)
-    b.add_unknown(MODULI_MIN, bg_rank1(b.p.g, b.order), "bradlow-moduli-block")
+    b.unknown = (MODULI_MIN, bg_rank1(b.p.g, b.order), "bradlow-moduli-block")
     c2 = jacobian_block(b.p.g, 2, 2, 2)  # P(J)^2/(1-t^2)^2
     _add_route_sums(b, c2, c2, c2)
     _add_c1_sum(b)
@@ -473,7 +462,7 @@ def su21_stratum_route(b: _Builder) -> None:
     term provenance, never asserted to vanish.
     """
     _add_atiyah_bott_block(b, 2)
-    b.add_unknown(MODULI_MIN, TruncatedSeries.one(b.order), "bradlow-moduli-block")
+    b.unknown = (MODULI_MIN, TruncatedSeries.one(b.order), "bradlow-moduli-block")
     g = b.p.g
     _add_route_sums(b, jacobian_block(g, 1), jacobian_block(g, 1, 2, 2),
                     jacobian_block(g, 1, 2))

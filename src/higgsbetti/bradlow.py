@@ -3,16 +3,17 @@
 Two series about rank-2 Bradlow pairs on the twisted bundle of degree
 e = d2 - 2 d1 + 4g - 4 enter every assembly:
 
-    pairs_equivariant(e, sigma, g)  gauge-equivariant series of the
-                                    sigma-semistable pairs space
-    moduli_min(e, g)                series of the pairs moduli space at
-                                    the parameter just above the bottom wall
+    pairs_equivariant   gauge-equivariant series of the sigma-semistable
+                        pairs space, at sigma = (e+2g-2)/3
+    moduli_min          series of the pairs moduli space at the parameter
+                        just above the bottom wall
 
-Their absolute values live in the stable-pairs literature and are
-supplied through a provider; their exact difference is the wall-crossing
-sum implemented here, which lets relative-mode computations eliminate one
-unknown.  The difference is a sum over the integer walls j strictly
-between e/2 and sigma of
+Their absolute values live in the stable-pairs literature.  A provider
+returns those it holds (``BradlowProvider.lookup``); their exact
+difference is the wall-crossing sum implemented here, through which the
+assembly derives a side the provider does not hold, and which lets
+relative-mode computations eliminate one unknown.  The difference is a
+sum over the integer walls j strictly between e/2 and sigma of
 
     (t^{2(g-1+2j-e)} - t^{2(e-j)}) P(J) P(S^{e-j} X) / (1-t^2)
 
@@ -47,24 +48,6 @@ from .series import (
     TruncatedSeries,
     parse_integer,
 )
-
-
-def sigma_of(p: ModuliParams) -> Fraction:
-    """The pairs stability parameter attached to (d1, d2)."""
-    _require_valid(p)
-    return p.sigma
-
-
-def sigma_min_of(p: ModuliParams) -> Fraction:
-    """Parameter in the lowest chamber; checks e/2 < sigma_min < floor(e/2)+1."""
-    _require_valid(p)
-    half = Fraction(p.e, 2)
-    if not (half < p.sigma_min < half.__floor__() + 1):
-        raise ParameterError(
-            f"internal inconsistency: sigma_min = {p.sigma_min} is not "
-            f"bracketed by ({half}, {half.__floor__() + 1})"
-        )
-    return p.sigma_min
 
 
 def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> TruncatedSeries:
@@ -108,72 +91,40 @@ def maximal_moduli_min(g: int, order: int) -> TruncatedSeries:
 
 
 class BradlowProvider(ABC):
-    """Contract supplying the two absolute pairs series.
+    """Contract supplying the absolute pairs series a provider holds.
 
-    Either query may answer None ("not known"), in which case assemblies
-    fall back to relative mode or derive the missing side through the
-    wall-crossing difference.
+    ``lookup(g, e, order)`` returns (pairs_equivariant, moduli_min) at
+    sigma = (e+2g-2)/3, which (g, e) fix, truncated at order; each is None
+    when the provider does not hold it.  The assembly derives a missing
+    side from the other through the wall-crossing difference, and keeps
+    its unknown in relative mode when neither is held.
     """
 
-    name = "abstract"
-
     @abstractmethod
-    def pairs_equivariant(
-        self, e: int, sigma: Fraction, g: int, order: int
-    ) -> TruncatedSeries | None: ...
-
-    @abstractmethod
-    def moduli_min(self, e: int, g: int, order: int) -> TruncatedSeries | None: ...
-
-
-class SymbolicProvider(BradlowProvider):
-    """Answers nothing; keeps both series as explicit unknowns."""
-
-    name = "relative"
-
-    def pairs_equivariant(self, e, sigma, g, order):
-        return None
-
-    def moduli_min(self, e, g, order):
-        return None
+    def lookup(self, g: int, e: int, order: int) -> tuple[
+            TruncatedSeries | None, TruncatedSeries | None]: ...
 
 
 class MaximalCaseProvider(BradlowProvider):
-    """Closed forms valid only at the maximal Toledo invariant
-    (e = g-1, sigma = g-1)."""
+    """The pairs series at the maximal Toledo invariant, e = sigma = g-1."""
 
-    name = "maximal"
-
-    def pairs_equivariant(self, e, sigma, g, order):
-        if e == g - 1 and sigma == g - 1:
-            return maximal_pairs_equivariant(g, order)
-        return None
-
-    def moduli_min(self, e, g, order):
-        if e == g - 1:
-            return maximal_moduli_min(g, order)
-        return None
+    def lookup(self, g, e, order):
+        return (maximal_pairs_equivariant(g, order) if e == g - 1 else None), None
 
 
 @dataclass_compatible
 class _ProviderRecord(NamedTuple):
     g: int
     e: int
-    sigma: Fraction
     pairs: TruncatedSeries | None
     min_moduli: TruncatedSeries | None
 
 
 class FileBackedProvider(BradlowProvider):
-    """Answers exactly the (g, e, sigma) tuples present in a file.
-
-    A record is keyed by (g, e); its sigma is fixed by them.  When a
-    record carries only one of the two series, the other is derived
-    through the wall-crossing difference.  Records carrying both are
-    validated against the difference at load time.
+    """Answers exactly the (g, e) records present in a file, each with the
+    series it carries.  Records carrying both are validated against the
+    wall-crossing difference at load time.
     """
-
-    name = "file"
 
     def __init__(self, records: list[_ProviderRecord]):
         self._records: dict[tuple[int, int], _ProviderRecord] = {}
@@ -183,23 +134,13 @@ class FileBackedProvider(BradlowProvider):
                     f"two records for (g, e) = ({r.g}, {r.e})")
             self._records[(r.g, r.e)] = r
 
-    def pairs_equivariant(self, e, sigma, g, order):
-        rec = self._records.get((g, e))
-        if rec is None or rec.sigma != sigma:
-            return None
-        _require_order(rec, order)
-        if rec.pairs is not None:
-            return rec.pairs.truncated(order)
-        return rec.min_moduli.truncated(order) + ww_from_invariants(g, e, rec.sigma, order)
-
-    def moduli_min(self, e, g, order):
+    def lookup(self, g, e, order):
         rec = self._records.get((g, e))
         if rec is None:
-            return None
+            return None, None
         _require_order(rec, order)
-        if rec.min_moduli is not None:
-            return rec.min_moduli.truncated(order)
-        return rec.pairs.truncated(order) - ww_from_invariants(g, e, rec.sigma, order)
+        return tuple(None if s is None else s.truncated(order)
+                     for s in (rec.pairs, rec.min_moduli))
 
 
 def _require_order(rec: _ProviderRecord, order: int) -> None:
@@ -256,7 +197,7 @@ def _parse_record(data: dict) -> _ProviderRecord:
         for k in range(order + 1):
             if delta.coeffs[k] != 0:
                 raise ProviderFileError(f"difference mismatch at degree {k}")
-    return _ProviderRecord(g=g, e=e, sigma=sigma, pairs=pairs, min_moduli=min_moduli)
+    return _ProviderRecord(g=g, e=e, pairs=pairs, min_moduli=min_moduli)
 
 
 def provider_from_file(path) -> FileBackedProvider:
@@ -285,11 +226,12 @@ def maximal_provider_record(g: int, order: int) -> dict:
     }
 
 
-def provider_for_spec(spec: str, p: ModuliParams) -> BradlowProvider:
+def provider_for_spec(spec: str, p: ModuliParams) -> BradlowProvider | None:
     """Resolve a provider description, relative | maximal | file:PATH, for
-    the point p: ``maximal`` holds only at |tau| = 2g-2."""
+    the point p: ``relative`` is None, and ``maximal`` holds only at
+    |tau| = 2g-2."""
     if spec == "relative":
-        return SymbolicProvider()
+        return None
     if spec == "maximal":
         if abs(p.tau) != 2 * p.g - 2:
             raise ParameterError(

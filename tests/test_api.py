@@ -5,7 +5,6 @@ import pickle
 import pprint
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -129,8 +128,7 @@ VALUES = {
     "HalfInt": lambda: HalfInt(3),
     "ModuliParams": lambda: make_params(2, 1, 0),
     "PolynomialWindow": lambda: PolynomialWindow(True, 4, 2),
-    "_ProviderRecord": lambda: _ProviderRecord(2, 1, Fraction(1),
-                                               TruncatedSeries((1, 4)), None),
+    "_ProviderRecord": lambda: _ProviderRecord(2, 1, TruncatedSeries((1, 4)), None),
     "AssemblyResult": lambda: u21_closed_form(P, None, 12),
     "RouteEquivalenceReport": lambda: verify_route_equivalence("u21", P, 12),
     "ModuliReport": lambda: moduli_poincare(P, None, 12),

@@ -242,18 +242,76 @@ def test_assembly_substitutes_through_one_sided_provider():
     from higgsbetti.bradlow import BradlowProvider, maximal_moduli_min
 
     class MinOnly(BradlowProvider):
-        name = "min-only"
-
-        def pairs_equivariant(self, e, sigma, g, order):
-            return None
-
-        def moduli_min(self, e, g, order):
-            return maximal_moduli_min(g, order) if e == g - 1 else None
+        def lookup(self, g, e, order):
+            return None, (maximal_moduli_min(g, order) if e == g - 1 else None)
 
     p = make_params(2, 2, 1)
     res = u21_closed_form(p, MinOnly(), 24)
     ref = u21_closed_form(p, MaximalCaseProvider(), 24)
     assert res.mode == "absolute" and res.series == ref.series
+
+
+def _file_provider(tmp_path, record, keep):
+    """A file provider holding ``record`` with only the series in keep."""
+    import json
+
+    record = dict(record)
+    for key in ("pairs_equivariant", "moduli_min"):
+        if key not in keep:
+            record[key] = None
+    path = tmp_path / f"{'-'.join(keep)}.json"
+    path.write_text(json.dumps(record))
+    return provider_from_file(path)
+
+
+def test_one_sided_records_give_the_same_assembly(tmp_path):
+    # a record carrying both series, the pairs series alone or moduli_min
+    # alone: every builder derives what it needs and writes the same JSON,
+    # which at the maximal point is the maximal provider's too
+    from higgsbetti.bradlow import maximal_provider_record, ww_from_invariants
+
+    order = 20
+    mm = jacobian_poincare(2, order) * sym_poincare(2, 2, order)
+    pairs = mm + ww_from_invariants(2, 4, 2, order)  # (2, 0, 0): e = 4, sigma = 2
+    assert pairs != mm
+    nonmaximal = {"g": 2, "e": 4, "sigma": {"num": 2, "den": 1}, "order": order,
+                  "pairs_equivariant": [str(c) for c in pairs.coeffs],
+                  "moduli_min": [str(c) for c in mm.coeffs]}
+    cases = [(make_params(g, 2 * g - 2, g - 1), maximal_provider_record(g, order))
+             for g in (2, 3, 4)]
+    cases.append((make_params(2, 0, 0), nonmaximal))
+    for p, record in cases:
+        providers = [_file_provider(tmp_path, record, keep) for keep in
+                     (("pairs_equivariant", "moduli_min"), ("pairs_equivariant",),
+                      ("moduli_min",))]
+        if p.e == p.g - 1:
+            providers.append(MaximalCaseProvider())
+        for key, fn in BUILDERS.items():
+            docs = [fn(p, provider, order).to_json_dict() for provider in providers]
+            assert docs[0]["mode"] == "absolute", (key, p)
+            assert all(doc == docs[0] for doc in docs), (key, p)
+
+
+def test_a_held_series_is_used_without_the_wall_crossing_sum(tmp_path, monkeypatch):
+    # the builder derives the other side only for the unknown it holds:
+    # the closed form takes the maximal provider's pairs series and the
+    # route a record's moduli_min as they are
+    from higgsbetti import bradlow
+
+    record = bradlow.maximal_provider_record(2, 20)
+    min_only = _file_provider(tmp_path, record, ("moduli_min",))
+    p = make_params(2, 2, 1)
+    want_closed = u21_closed_form(p, MaximalCaseProvider(), 20).to_json_dict()
+    want_route = u21_stratum_route(p, MaximalCaseProvider(), 20).to_json_dict()
+
+    def refuse(*args):
+        raise AssertionError("wall-crossing sum computed")
+
+    monkeypatch.setattr(bradlow, "ww_from_invariants", refuse)
+    assert u21_closed_form(p, MaximalCaseProvider(), 20).to_json_dict() == want_closed
+    assert u21_stratum_route(p, min_only, 20).to_json_dict() == want_route
+    with pytest.raises(AssertionError, match="wall-crossing sum computed"):
+        u21_stratum_route(p, MaximalCaseProvider(), 20)
 
 
 def test_term_sum_integrity_everywhere():
@@ -408,18 +466,17 @@ def test_terms_sum_to_the_series(case):
 
 @pytest.mark.parametrize("key", sorted(BUILDERS))
 def test_reading_a_term_leaves_its_numerator_unformed(key):
-    # a read expands the entries at the degree read; only scaled_by forms
-    # the sum of the entries up to the order
+    # a read expands the entries at the degree read, and scaled_by appends
+    # its factor to each entry
     order = 40
     res = BUILDERS[key](make_params(3, 1, 0), None, order)
     one = TruncatedSeries.one(order)
+    one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], order)
     for t in res.terms:
         for k in (0, 7, order):
-            c = t.coefficient(k)
-            assert "numerator" not in t.__dict__, t.label
-            assert c == t.series.coeffs[k]
-        assert "numerator" not in t.__dict__, t.label
-        assert t.scaled_by(one) == t and "numerator" in t.__dict__
+            assert t.coefficient(k) == t.series.coeffs[k]
+        assert t.scaled_by(one) == t
+        assert t.scaled_by(one_minus_t2).series == t.series * one_minus_t2
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

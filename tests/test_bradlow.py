@@ -10,17 +10,16 @@ import pytest
 
 from higgsbetti.bradlow import (
     MaximalCaseProvider,
-    SymbolicProvider,
     _parse_record,
     maximal_moduli_min,
     maximal_pairs_equivariant,
     maximal_provider_record,
+    provider_for_spec,
     provider_from_file,
-    sigma_min_of,
-    sigma_of,
     ww_difference,
     ww_from_invariants,
 )
+from higgsbetti.assemble import u21_closed_form
 from higgsbetti.cli import main
 from higgsbetti.errors import ProviderFileError
 from higgsbetti.ingredients import jacobian_poincare, projective_poincare, sym_poincare
@@ -51,11 +50,11 @@ def _ww_oracle(g, e, sigma, order):
 
 def test_sigma_examples():
     p = make_params(2, 2, 1)
-    assert sigma_of(p) == 1 and sigma_min_of(p) == Fraction(3, 4)
+    assert p.sigma == 1 and p.sigma_min == Fraction(3, 4)
     p = make_params(2, 0, 0)
-    assert sigma_of(p) == 2 and sigma_min_of(p) == Fraction(9, 4) and p.e == 4
+    assert p.sigma == 2 and p.sigma_min == Fraction(9, 4) and p.e == 4
     p = make_params(3, 1, 2)
-    assert p.e == 8 and sigma_of(p) == Fraction(8 + 4, 3)
+    assert p.e == 8 and p.sigma == Fraction(8 + 4, 3)
 
 
 def test_ww_at_maximal_point():
@@ -137,14 +136,17 @@ def test_maximal_provider_consistency():
 
 
 def test_provider_queries():
+    # the maximal provider holds the pairs series at e = g-1 alone
     provider = MaximalCaseProvider()
-    assert provider.pairs_equivariant(1, Fraction(1), 2, 10) is not None
-    assert provider.pairs_equivariant(2, Fraction(1), 2, 10) is None
-    assert provider.moduli_min(1, 2, 10) is not None
-    assert provider.moduli_min(3, 2, 10) is None
-    sym = SymbolicProvider()
-    assert sym.pairs_equivariant(1, Fraction(1), 2, 10) is None
-    assert sym.moduli_min(1, 2, 10) is None
+    assert provider.lookup(2, 1, 10) == (maximal_pairs_equivariant(2, 10), None)
+    assert provider.lookup(3, 2, 10) == (maximal_pairs_equivariant(3, 10), None)
+    assert provider.lookup(2, 2, 10) == (None, None)
+    assert provider.lookup(2, 3, 10) == (None, None)
+
+
+def test_relative_provider_is_none():
+    # no provider is relative mode: the builders keep their unknown
+    assert provider_for_spec("relative", make_params(2, 2, 1)) is None
 
 
 def test_provider_file_round_trip(tmp_path):
@@ -152,11 +154,11 @@ def test_provider_file_round_trip(tmp_path):
     path = tmp_path / "provider.json"
     path.write_text(json.dumps(record))
     provider = provider_from_file(path)
-    assert provider.pairs_equivariant(1, Fraction(1), 2, 12) == \
-        maximal_pairs_equivariant(2, 12)
-    assert provider.moduli_min(1, 2, 12) == maximal_moduli_min(2, 12)
+    assert provider.lookup(2, 1, 12) == (maximal_pairs_equivariant(2, 12),
+                                         maximal_moduli_min(2, 12))
+    assert provider.lookup(2, 2, 12) == (None, None)
     with pytest.raises(ProviderFileError):
-        provider.moduli_min(1, 2, 40)  # beyond the stored order
+        provider.lookup(2, 1, 40)  # beyond the stored order
 
 
 def test_provider_file_mismatch_names_degree(tmp_path):
@@ -186,18 +188,22 @@ def test_provider_file_nonmaximal_record_with_nonzero_difference(tmp_path):
     path = tmp_path / "rec.json"
     path.write_text(json.dumps(record))
     provider = provider_from_file(path)
-    assert provider.pairs_equivariant(e, sigma, g, order) == pairs
-    assert provider.moduli_min(e, g, order) == mm
+    assert provider.lookup(g, e, order) == (pairs, mm)
 
 
 def test_provider_file_single_series_derives_other(tmp_path):
+    # the record returns the one series it carries; the closed form,
+    # which needs the other, derives it and matches the maximal provider
     record = maximal_provider_record(2, 16)
     record["pairs_equivariant"] = None
     path = tmp_path / "partial.json"
     path.write_text(json.dumps(record))
     provider = provider_from_file(path)
-    assert provider.pairs_equivariant(1, Fraction(1), 2, 14) == \
-        maximal_pairs_equivariant(2, 14)
+    assert provider.lookup(2, 1, 14) == (None, maximal_moduli_min(2, 14))
+    p = make_params(2, 2, 1)
+    res = u21_closed_form(p, provider, 14)
+    assert res.mode == "absolute"
+    assert res.to_json_dict() == u21_closed_form(p, MaximalCaseProvider(), 14).to_json_dict()
 
 
 def _write(tmp_path, payload, name="rec.json"):
@@ -279,7 +285,7 @@ def test_provider_file_path_as_str_path_or_relative(tmp_path, monkeypatch, capsy
     path = _write(tmp_path, maximal_provider_record(2, 20))
     monkeypatch.chdir(tmp_path)
     provider = provider_from_file(spell(path))
-    assert provider.moduli_min(1, 2, 20) == maximal_moduli_min(2, 20)
+    assert provider.lookup(2, 1, 20)[1] == maximal_moduli_min(2, 20)
     code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2", "--d2", "1",
                  "--provider", f"file:{spell(path)}", "--order", "20", "--format", "csv"])
     assert code == 0 and capsys.readouterr().out.startswith("degree,betti\n0,1\n1,8\n")
@@ -295,13 +301,13 @@ def test_provider_file_answers_each_record_by_genus_and_degree(tmp_path):
     records = [maximal_provider_record(2, order), nonmaximal,
                maximal_provider_record(3, order)]
     provider = provider_from_file(_write(tmp_path, records))
-    assert provider.moduli_min(1, 2, order) == maximal_moduli_min(2, order)
-    assert provider.moduli_min(2, 3, order) == maximal_moduli_min(3, order)
-    assert provider.moduli_min(4, 2, order) == mm
-    assert provider.pairs_equivariant(4, Fraction(2), 2, order) == \
-        mm + ww_from_invariants(2, 4, Fraction(2), order)
-    assert provider.pairs_equivariant(4, Fraction(7, 3), 2, order) is None
-    assert provider.moduli_min(3, 2, order) is None
+    assert provider.lookup(2, 1, order) == (maximal_pairs_equivariant(2, order),
+                                            maximal_moduli_min(2, order))
+    assert provider.lookup(3, 2, order) == (maximal_pairs_equivariant(3, order),
+                                            maximal_moduli_min(3, order))
+    assert provider.lookup(2, 4, order) == (None, mm)
+    assert provider.lookup(2, 4, 12) == (None, mm.truncated(12))
+    assert provider.lookup(2, 3, order) == (None, None)
 
 
 _junk = st.one_of(
@@ -347,7 +353,8 @@ def test_parse_record_loads_or_raises_provider_file_error(data):
     except ProviderFileError:
         return
     assert rec.g >= 2 and rec.g - 1 <= rec.e <= 7 * rec.g - 7
-    assert rec.sigma == Fraction(rec.e + 2 * rec.g - 2, 3)
+    sigma = Fraction(int(data["sigma"]["num"]), int(data["sigma"]["den"]))
+    assert sigma == Fraction(rec.e + 2 * rec.g - 2, 3)
     assert rec.pairs is not None or rec.min_moduli is not None
 
 

@@ -38,7 +38,7 @@ def _json_series(tmp_path, order, coefficients) -> TruncatedSeries:
               "moduli_min": coefficients}
     path = tmp_path / "series.json"
     path.write_text(json.dumps(record))
-    return provider_from_file(path).moduli_min(1, 2, order)
+    return provider_from_file(path).lookup(2, 1, order)[1]
 
 
 def test_add_examples():
