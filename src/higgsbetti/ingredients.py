@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .errors import ParameterError
@@ -55,20 +56,22 @@ def sym_polynomial(m: int, g: int) -> tuple[int, ...]:
 
         P_t(S^m X) = sum_{i=0}^{min(2g,m)} C(2g, i) t^i (1 + t^2 + ... + t^{2(m-i)})
 
-    a palindromic polynomial of degree 2m with constant term 1.  Negative
-    m yields the zero polynomial (0,) (the empty symmetric product)
-    without complaint, so a summation range that runs below m = 0 is not
-    detected here.  A polynomial, so the cache key holds no order.
+    a palindromic polynomial of degree 2m with constant term 1.  For
+    d <= m the terms with i <= d and i = d mod 2 reach t^d, so the
+    coefficient is a parity prefix sum of C(2g, i); the degrees above m
+    mirror those below.  Negative m yields the zero polynomial (0,) (the
+    empty symmetric product) without complaint, so a summation range that
+    runs below m = 0 is not detected here.  A polynomial, so the cache key
+    holds no order.
     """
     _require_genus(g)
     if m < 0:
         return (0,)
-    out = [0] * (2 * m + 1)
-    for i in range(0, min(2 * g, m) + 1):
-        c = comb(2 * g, i)
-        for d in range(i, 2 * m - i + 1, 2):
-            out[d] += c
-    return tuple(out)
+    low = [comb(2 * g, i) for i in range(min(2 * g, m) + 1)]
+    low += [0] * (m + 1 - len(low))
+    low[0::2] = accumulate(low[0::2])
+    low[1::2] = accumulate(low[1::2])
+    return tuple(low + low[-2::-1])
 
 
 def sym_factor(m: int, g: int, order: int) -> tuple[int, ...]:

@@ -28,8 +28,12 @@ with its signed codes: a pack writes each slot in two's complement and
 one XOR with the offset flips every slot's top bit, which turns it into
 the digit.  Each such (w, n) layout, the compiled ``struct.Struct``, the
 offset and the mask of n slots, is built once and kept in a bounded
-cache (``_layout``).  Wider slots are converted one slot at a time.
-Packed values may be reduced modulo 2^(8wn), which is truncation at t^n.
+cache (``_layout``).  Wider slots (hundred-bit products at high genus)
+are packed by one unsigned ``struct`` call of 8-byte chunks, spread to
+the slots, when every coefficient lies in [0, 2^64), as a symmetric
+product's do up to g = 32.  Any other sequence is packed, and wide slots
+are read back, one slot at a time.  Packed values may be reduced modulo
+2^(8wn), which is truncation at t^n.
 
 ``shifted_product_sum`` is the one sum kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
@@ -38,10 +42,13 @@ comes from the l1 norms of the factors.  ``_slot_width`` is the one
 slot-width rule and ``_packed_product`` the one packed product.  Most
 of its sums are short (tens of coefficients), so its cost per call
 counts as much as the big-integer products: each factor is cut once,
-and that cut gives both its norm and its pack.  A ``TruncatedSeries``
-product is one Kronecker step, ``_product``: both factors packed at the
-width of their norms, one product, one unpack, with no entries to
-classify.  ``polynomial_product`` is the sum with one term.
+and that cut gives both its norm and its pack.  A factor given twice in
+a row (P(S^m) P(S^m), every C1 term at tau = 0) is cut and packed once
+and squared, which CPython does faster than a general product.  A
+``TruncatedSeries`` product is one Kronecker step, ``_product``: both
+factors packed at the width of their norms, one product, one unpack,
+with no entries to classify.  ``polynomial_product`` is the sum with
+one term.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -139,9 +146,22 @@ def _slot_offset(w: int, n: int) -> int:
 def _layout(w: int, n: int) -> tuple:
     """For n slots of w bytes, w in ``_STRUCT_CODES``: the compiled signed
     ``struct.Struct``, the offset of ``_slot_offset`` and the mask
-    2^(8wn) - 1, shared by ``_pack`` and ``_unpack``."""
-    return (struct.Struct(f"<{n}{_STRUCT_CODES[w]}"), _slot_offset(w, n),
-            (1 << (8 * w * n)) - 1)
+    2^(8wn) - 1, shared by ``_pack`` and ``_unpack``.  For wider slots
+    only the unsigned ``struct.Struct`` of n 8-byte chunks, so that no
+    layout holds w*n-byte integers."""
+    if w in _STRUCT_CODES:
+        return (struct.Struct(f"<{n}{_STRUCT_CODES[w]}"), _slot_offset(w, n),
+                (1 << (8 * w * n)) - 1)
+    return struct.Struct(f"<{n}Q")
+
+
+def _spread(raw: bytes, w: int) -> bytearray:
+    """The 8-byte chunks of ``raw`` as the low bytes of w-byte slots, with
+    zeros above them: one strided copy per byte of a chunk."""
+    buf = bytearray(len(raw) // 8 * w)
+    for j in range(8):
+        buf[j::w] = raw[j::8]
+    return buf
 
 
 def _pack(c, w: int) -> int:
@@ -150,11 +170,18 @@ def _pack(c, w: int) -> int:
     are written in two's complement by one signed ``struct`` call;
     flipping each slot's top bit (one XOR with the offset) makes each
     slot the digit c_k + 2^(8w-1), and the offsets are subtracted as one
-    integer.  Wider slots are written as offset digits one slot at a
-    time.  Either way a value out of range raises, it never wraps."""
+    integer.  Wider slots take one unsigned ``struct`` call of 8-byte
+    chunks, spread to the slots, if every c_k fits [0, 2^64): ``struct``
+    checks every value against its code and raises rather than wrap.  Any
+    other sequence is written as offset digits one slot at a time.  Either
+    way a value out of range raises, it never wraps."""
     if w in _STRUCT_CODES:
         layout, offset, _ = _layout(w, len(c))
         return (int.from_bytes(layout.pack(*c), "little") ^ offset) - offset
+    try:
+        return int.from_bytes(_spread(_layout(w, len(c)).pack(*c), w), "little")
+    except struct.error:
+        pass
     digits = map((1 << (8 * w - 1)).__add__, c)
     raw = b"".join([d.to_bytes(w, "little") for d in digits])
     return int.from_bytes(raw, "little") - _slot_offset(w, len(c))
@@ -178,11 +205,15 @@ def _unpack(x: int, w: int, n: int) -> list:
 
 
 def _packed_product(factors, w: int) -> int:
-    """The product of ``factors``, each packed at w bytes per slot."""
-    prod = 1
+    """The product of ``factors``, each packed at w bytes per slot.  A
+    factor that is the same object as the one before it is packed once,
+    so f times f is x * x, which CPython squares about a third faster."""
+    prod = last = None
     for f in factors:
-        prod *= _pack(f, w)
-    return prod
+        if f is not last:
+            last, x = f, _pack(f, w)
+        prod = x if prod is None else prod * x
+    return 1 if prod is None else prod
 
 
 def _product(factors, norm: int, size: int) -> list:
@@ -229,12 +260,14 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
         n = size - shift
         if n <= 0:
             continue
-        cuts, norm, constant = [], 1, True
+        cuts, norm, constant, last = [], 1, True, None
         for f in factors:
-            f = f[:n]
-            cuts.append(f)
-            norm *= sum(map(abs, f))
-            constant = constant and len(f) == 1
+            if f is not last:  # a repeated factor is cut once
+                last, cut = f, f[:n]
+                cut_norm = sum(map(abs, cut))
+                constant = constant and len(cut) == 1
+            cuts.append(cut)
+            norm *= cut_norm
         if not norm:
             continue
         if constant:

@@ -1,4 +1,5 @@
 import inspect
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from higgsbetti.ingredients import (
     jacobian_poincare,
     projective_poincare,
     sym_poincare,
+    sym_polynomial,
     v_dim,
 )
 from higgsbetti.series import TruncatedSeries, geometric_inverse
@@ -81,6 +83,24 @@ def test_sym_examples():
 def test_sym_against_oracle(m, g):
     order = 2 * m + 2
     assert sym_poincare(m, g, order) == _sym_oracle(m, g, order)
+
+
+def _sym_double_sum(m, g):
+    """P_t(S^m X) by the docstring's double sum over i and the even
+    powers of t, as in ``sym_polynomial``'s first form."""
+    if m < 0:
+        return (0,)
+    out = [0] * (2 * m + 1)
+    for i in range(min(2 * g, m) + 1):
+        for d in range(i, 2 * m - i + 1, 2):
+            out[d] += comb(2 * g, i)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("g", range(2, 12))
+def test_sym_polynomial_matches_the_double_sum(g):
+    for m in range(-1, 8 * g + 1):
+        assert sym_polynomial(m, g) == _sym_double_sum(m, g), m
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

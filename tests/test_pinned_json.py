@@ -5,8 +5,16 @@ of ``json.dumps(result.to_json_dict(), sort_keys=True, indent=2)`` (the
 ``compute --format json`` text) at the default order.  It covers every
 valid point of g = 2..3 with tau >= 0 and its dual, so both signs of tau,
 with the relative and the maximal provider.  Unlike the benchmark's
-digests it hashes the per-term expansions too.  Re-record it with
-``python tests/test_pinned_json.py`` only after an intended output change.
+digests it hashes the per-term expansions too.
+
+``data/pinned_deep.json`` pins the hundred-bit scale, where the packed
+products need slots wider than 8 bytes: the sha256 of each result's
+series and unknown coefficients for the five builders at g = 32, (d1, d2)
+= (0, 0), and ``u21_closed_form`` at the maximal point with the maximal
+provider, at orders 280 and 1120.
+
+Re-record both with ``python tests/test_pinned_json.py`` only after an
+intended output change.
 """
 
 import hashlib
@@ -16,10 +24,17 @@ from pathlib import Path
 
 from higgsbetti.assemble import BUILDERS
 from higgsbetti.bradlow import MaximalCaseProvider
-from higgsbetti.params import valid_points
+from higgsbetti.params import make_params, valid_points
 
-PINNED = Path(__file__).parent / "data" / "pinned_json.json"
+DATA = Path(__file__).parent / "data"
+PINNED = DATA / "pinned_json.json"
+PINNED_DEEP = DATA / "pinned_deep.json"
 PROVIDERS = {"relative": None, "maximal": MaximalCaseProvider()}
+DEEP_GENUS, DEEP_ORDERS = 32, (280, 1120)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _digests() -> dict[str, str]:
@@ -32,19 +47,47 @@ def _digests() -> dict[str, str]:
                         doc = fn(p, provider).to_json_dict()
                         text = json.dumps(doc, sort_keys=True, indent=2)
                         key = f"{group}-{route}|{g}|{p.d1}|{p.d2}|{name}"
-                        out[key] = hashlib.sha256(text.encode()).hexdigest()
+                        out[key] = _sha256(text)
     return out
 
 
-def test_json_output_matches_the_pinned_digests():
-    pinned = json.loads(PINNED.read_text())
-    got = _digests()
+def _series_digest(result) -> str:
+    """sha256 of a result's series and unknown coefficients."""
+    parts = ["series=" + ",".join(map(str, result.series.coeffs))]
+    for name, s in sorted(result.unknown.items()):
+        parts.append(f"{name}=" + ",".join(map(str, s.coeffs)))
+    return _sha256(";".join(parts))
+
+
+def _deep_digests() -> dict[str, str]:
+    g = DEEP_GENUS
+    cases = [(group, route, 0, 0, "relative") for group, route in sorted(BUILDERS)]
+    cases.append(("u21", "closed", 2 * g - 2, g - 1, "maximal"))
+    out = {}
+    for order in DEEP_ORDERS:
+        for group, route, d1, d2, name in cases:
+            result = BUILDERS[group, route](make_params(g, d1, d2), PROVIDERS[name], order)
+            out[f"{group}-{route}|{g}|{d1}|{d2}|{name}|{order}"] = _series_digest(result)
+    return out
+
+
+def _assert_matches(pinned_path: Path, got: dict[str, str]) -> None:
+    pinned = json.loads(pinned_path.read_text())
     assert sorted(got) == sorted(pinned)
     changed = [k for k in sorted(got) if got[k] != pinned[k]]
     assert not changed, f"{len(changed)} outputs changed, first {changed[:5]}"
 
 
+def test_json_output_matches_the_pinned_digests():
+    _assert_matches(PINNED, _digests())
+
+
+def test_deep_scale_series_match_the_pinned_digests():
+    _assert_matches(PINNED_DEEP, _deep_digests())
+
+
 if __name__ == "__main__":
-    PINNED.parent.mkdir(exist_ok=True)
-    PINNED.write_text(json.dumps(_digests(), sort_keys=True, indent=1) + "\n")
+    DATA.mkdir(exist_ok=True)
+    for path, digests in ((PINNED, _digests()), (PINNED_DEEP, _deep_digests())):
+        path.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
     sys.exit(0)

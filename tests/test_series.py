@@ -20,6 +20,7 @@ from higgsbetti.series import (
     geometric_inverse,
     polynomial_product,
     _pack,
+    _spread,
     _unpack,
     shifted_product_sum,
 )
@@ -274,10 +275,13 @@ def polynomials(draw):
     zero polynomial, or a bound-tight one: +-(2^b - 1) followed by zeros,
     whose one coefficient is its l1 norm and fills b bits."""
     bits = draw(st.sampled_from([1, 7, 8, 16, 63, 64, 400]))
-    kind = draw(st.sampled_from(["signed", "constant", "zero", "tight"]))
+    kind = draw(st.sampled_from(["signed", "constant", "zero", "tight", "unsigned64"]))
     length = 1 if kind == "constant" else draw(st.integers(1, 9))
     if kind == "zero":
         return (0,) * length
+    if kind == "unsigned64":  # nonnegative, as a symmetric product at g = 32
+        u64 = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([2**63, 2**64 - 1]))
+        return tuple(draw(st.lists(u64, min_size=length, max_size=length)))
     if kind == "tight":
         m = draw(st.sampled_from([-1, 1])) * (2**bits - 1)
         return (m,) + (0,) * (length - 1)
@@ -286,10 +290,21 @@ def polynomials(draw):
 
 
 @st.composite
+def term_factors(draw):
+    """Up to three polynomials, sometimes with one drawn object given
+    twice in a row, as a C1 term with m1 = m2 holds it."""
+    factors = draw(st.lists(polynomials(), max_size=3))
+    if factors and draw(st.booleans()):
+        k = draw(st.integers(0, len(factors) - 1))
+        factors.insert(k, factors[k])
+    return factors
+
+
+@st.composite
 def product_sums(draw):
     size = draw(st.integers(0, 24))
     terms = draw(st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(0, size + 4),
-                                    st.lists(polynomials(), max_size=3)),
+                                    term_factors()),
                           max_size=5))
     factor = draw(st.one_of(st.just((1,)), polynomials()))
     return terms, size, factor
@@ -321,26 +336,80 @@ def test_shifted_product_sum_at_the_norm_bound(bits):
                 naive_product_sum(terms, 3, factor)
 
 
-@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
-def test_pack_round_trips_the_ends_of_a_slot(w):
-    # a slot of w bytes holds -2^(8w-1) .. 2^(8w-1) - 1
-    top = 2 ** (8 * w - 1)
-    c = [top - 1, -(top - 1), -top, 0, -top, top - 1]
+def _round_trip(c, w):
     packed = _pack(c, w)
     assert packed == sum(x << (8 * w * k) for k, x in enumerate(c))
     assert _unpack(packed, w, len(c)) == c
 
 
-@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 17, 18, 25])
+def test_pack_round_trips_the_ends_of_a_slot(w):
+    # a slot of w bytes holds -2^(8w-1) .. 2^(8w-1) - 1
+    top = 2 ** (8 * w - 1)
+    _round_trip([top - 1, -(top - 1), -top, 0, -top, top - 1], w)
+
+
+@pytest.mark.parametrize("w", [9, 17, 18, 25])
+def test_wide_slots_take_one_struct_call_only_for_coefficients_that_fit_it(w, monkeypatch):
+    # wider slots spread the chunks of one unsigned 8-byte struct call;
+    # anything negative or from 2^64 on goes slot by slot
+    spread = []
+    monkeypatch.setattr(series, "_spread", lambda raw, w: spread.append(w) or _spread(raw, w))
+    for c, struct_path in [([0, 2**63, 2**64 - 1, 1, 0], True),
+                           ([2**64 - 1] * 3, True),
+                           ([-(2**63), 2**63 - 1, -1, 0], False),
+                           ([-1], False),
+                           ([0, 2**64, 1], False),
+                           ([-1, 2**63], False),
+                           ([-(2**63) - 1, 5], False),
+                           ([-(2**70), 2**70, 3], False)]:
+        spread.clear()
+        _round_trip(c, w)
+        assert spread == ([w] if struct_path else []), c
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9, 17, 18, 25])
 def test_pack_refuses_a_coefficient_beyond_its_slot(w):
     top = 2 ** (8 * w - 1)
-    for c in ([top], [0, top, 1], [-top - 1]):
+    for c in ([top], [0, top, 1], [-top - 1], [2**64 - 1, top], [-1, -top - 1]):
         with pytest.raises((struct.error, OverflowError)):
             _pack(c, w)
 
 
 def test_the_slot_layout_cache_is_bounded():
-    assert 0 < series._layout.cache_info().maxsize < float("inf")
+    info = series._layout.cache_info()
+    assert 0 < info.maxsize < float("inf")
+    for n in range(1, info.maxsize + 40):  # more (width, length) layouts than it keeps
+        _pack([n] * n, 18)
+        _pack([n] * n, 2)
+    assert series._layout.cache_info().currsize == info.maxsize
+    # a wide layout keeps one compiled struct, no offsets of w*n bytes
+    assert isinstance(series._layout(18, 4000), struct.Struct)
+
+
+def _square_cases():
+    rng = random.Random(24)
+    for bits in (8, 63, 64, 400):
+        f = tuple(rng.randint(0, 2**bits - 1) for _ in range(30))
+        yield f
+        yield tuple(c if k % 3 else -c for k, c in enumerate(f))
+
+
+@pytest.mark.parametrize("f", list(_square_cases()))
+def test_a_term_holding_one_factor_twice_is_its_square(f):
+    # the same object twice is packed once and squared; the cut (size -
+    # shift coefficients) is sometimes shorter than the factor
+    copy = tuple(list(f))
+    assert copy is not f
+    for size, shift in [(59, 0), (40, 0), (45, 7), (12, 2), (1, 0)]:
+        want = naive_product_sum([(1, shift, (f, copy))], size, (1,))
+        assert shifted_product_sum([(1, shift, (f, f))], size) == want
+        assert shifted_product_sum([(1, shift, (f, copy))], size) == want
+        mixed = [(1, shift, (f, f)), (-1, 0, (f, f, copy)), (1, 1, ((3, 1), f, f))]
+        assert shifted_product_sum(mixed, size, (2, -1)) == \
+            naive_product_sum(mixed, size, (2, -1))
+    a = TruncatedSeries(f)
+    assert list((a * a).coeffs) == naive_product(f, copy, len(f))
 
 
 def naive_expansion(numerator, exponents, terms, order):
