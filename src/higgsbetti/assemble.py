@@ -139,20 +139,28 @@ class TermValue(Frozen):
 class AssemblyResult(NamedTuple):
     """Known series plus explicit unknown blocks a*pairs + b*moduli_min.
 
-    The expanded terms always sum to the known series exactly.  In
-    absolute mode the unknown map is empty.  ``params`` is the point
-    assembled; ``transforms`` records how it was reached from the point
-    asked for (a dualization when that point has tau < 0).
+    The expanded terms always sum to the known series exactly.  The
+    result is in relative mode while an unknown block remains, and in
+    absolute mode when the unknown map is empty; its order is that of its
+    series.  ``params`` is the point assembled; ``transforms`` records how
+    it was reached from the point asked for (a dualization when that point
+    has tau < 0).
     """
 
     group: str
     params: ModuliParams
-    order: int
-    mode: str
     series: TruncatedSeries
     unknown: dict[str, TruncatedSeries]
     terms: tuple[TermValue, ...]
     transforms: tuple[dict, ...] = ()
+
+    @property
+    def order(self) -> int:
+        return self.series.order
+
+    @property
+    def mode(self) -> str:
+        return "relative" if self.unknown else "absolute"
 
     def __sub__(self, other: "AssemblyResult") -> "AssemblyResult":
         if self.order != other.order:
@@ -166,7 +174,6 @@ class AssemblyResult(NamedTuple):
         return self._replace(
             group=f"{self.group}-minus-{other.group}" if self.group != other.group
             else self.group,
-            mode="absolute" if not unknown else "relative",
             series=self.series - other.series,
             unknown=unknown,
             terms=self.terms + tuple(t.negated() for t in other.terms),
@@ -196,7 +203,6 @@ class AssemblyResult(NamedTuple):
             unknown[MODULI_MIN] = merged
         extra = TermValue.of_series("wall-crossing-elimination", coeff * ww)
         return self._replace(
-            mode="absolute" if not unknown else "relative",
             series=self.series + extra.series,
             unknown=unknown,
             terms=self.terms + (extra,),
@@ -316,8 +322,6 @@ class _Builder:
         return AssemblyResult(
             group=self.group,
             params=p,
-            order=order,
-            mode="relative" if value is None else "absolute",
             series=known,
             unknown={name: coeff} if value is None else {},
             terms=tuple(terms),

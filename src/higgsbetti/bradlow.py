@@ -42,7 +42,7 @@ from .ingredients import (
     jacobian_block,
     sym_factor,
 )
-from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid
+from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid, pairs_sigma
 from .records import dataclass_compatible
 from .series import (
     TruncatedSeries,
@@ -50,9 +50,10 @@ from .series import (
 )
 
 
-def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> TruncatedSeries:
+def ww_from_invariants(g: int, e: int, order: int) -> TruncatedSeries:
     """pairs_equivariant - moduli_min, the wall-crossing sum over the walls
-    of the module docstring; it depends on (g, e, sigma) alone."""
+    of the module docstring; it depends on (g, e) alone, which fix sigma."""
+    sigma = pairs_sigma(g, e)
     terms = []
     half = Fraction(e, 2)
     j = e // 2 + 1
@@ -72,7 +73,7 @@ def ww_from_invariants(g: int, e: int, sigma: Fraction, order: int) -> Truncated
 def ww_difference(p: ModuliParams, order: int) -> TruncatedSeries:
     """pairs_equivariant - moduli_min at a valid degree pair."""
     _require_valid(p)
-    return ww_from_invariants(p.g, p.e, p.sigma, order)
+    return ww_from_invariants(p.g, p.e, order)
 
 
 def maximal_pairs_equivariant(g: int, order: int) -> TruncatedSeries:
@@ -86,8 +87,7 @@ def maximal_moduli_min(g: int, order: int) -> TruncatedSeries:
     """Bottom-chamber moduli series pinned by the maximal case:
     pairs_equivariant minus the wall-crossing difference."""
     # the maximal point has e = sigma = g-1
-    return maximal_pairs_equivariant(g, order) - ww_from_invariants(
-        g, g - 1, Fraction(g - 1), order)
+    return maximal_pairs_equivariant(g, order) - ww_from_invariants(g, g - 1, order)
 
 
 class BradlowProvider(ABC):
@@ -179,10 +179,10 @@ def _parse_record(data: dict) -> _ProviderRecord:
         raise ProviderFileError(
             f"provider record has e = {e} outside {g - 1}..{7 * g - 7}, "
             f"the range |tau| <= 2g-2 allows at g = {g}")
-    if sigma != Fraction(e + 2 * g - 2, 3):
+    if sigma != pairs_sigma(g, e):
         raise ProviderFileError(
             f"provider record has sigma = {sigma}; (e + 2g - 2)/3 = "
-            f"{Fraction(e + 2 * g - 2, 3)} at (g, e) = ({g}, {e})")
+            f"{pairs_sigma(g, e)} at (g, e) = ({g}, {e})")
     if order < 0:
         raise ProviderFileError(f"provider record has negative order {order}")
     if order > MAX_ORDER:
@@ -192,7 +192,7 @@ def _parse_record(data: dict) -> _ProviderRecord:
     if pairs is None and min_moduli is None:
         raise ProviderFileError("record carries neither series")
     if pairs is not None and min_moduli is not None:
-        expected = ww_from_invariants(g, e, sigma, order)
+        expected = ww_from_invariants(g, e, order)
         delta = (pairs - min_moduli) - expected
         for k in range(order + 1):
             if delta.coeffs[k] != 0:

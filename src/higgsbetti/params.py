@@ -8,10 +8,12 @@ the rank-1 and rank-2 summands.  Derived invariants:
     sigma     = 2g - 2 + (d2 - 2 d1)/3    (pairs stability parameter)
     sigma_min = 2g - 2 - d1 + d2/2 + 1/4  (parameter just above the bottom wall)
 
-tau, sigma, sigma_min are exact rationals; the stratum index l lives in
-half-integers and is stored as a doubled integer so parity never needs a
-special case.  The boundary comparisons (e.g. |tau| = 4(g-1)/3 for Kirwan
-surjectivity) are decided exactly.
+A point stores (g, d1, d2) alone and derives each invariant when it is
+read, so a copy made by ``_replace`` or ``dataclasses.replace`` is always
+consistent; tau, sigma, sigma_min are exact rationals.  The stratum index
+l lives in half-integers and is stored as a doubled integer so parity
+never needs a special case.  The boundary comparisons (e.g.
+|tau| = 4(g-1)/3 for Kirwan surjectivity) are decided exactly.
 """
 
 from __future__ import annotations
@@ -69,19 +71,44 @@ class HalfInt(NamedTuple):
         return f"{self.doubled}/2"
 
 
+def pairs_sigma(g: int, e: int) -> Fraction:
+    """The pairs stability parameter sigma = (e+2g-2)/3 of (g, e)."""
+    return Fraction(e + 2 * g - 2, 3)
+
+
 @dataclass_compatible
 class ModuliParams(NamedTuple):
-    """(g, d1, d2) with derived invariants; immutable and exact."""
+    """(g, d1, d2), immutable; the invariants are derived when read."""
 
     g: int
     d1: int
     d2: int
-    tau: Fraction
-    e: int
-    sigma: Fraction
-    sigma_min: Fraction
-    mod3_class: int
-    valid: bool
+
+    @property
+    def tau(self) -> Fraction:
+        return Fraction(2 * (2 * self.d1 - self.d2), 3)
+
+    @property
+    def e(self) -> int:
+        return self.d2 - 2 * self.d1 + 4 * self.g - 4
+
+    @property
+    def sigma(self) -> Fraction:
+        return pairs_sigma(self.g, self.e)
+
+    @property
+    def sigma_min(self) -> Fraction:
+        """2g-2 - d1 + d2/2 + 1/4, which is e/2 + 1/4."""
+        return Fraction(2 * self.e + 1, 4)
+
+    @property
+    def mod3_class(self) -> int:
+        return (self.d1 + self.d2) % 3
+
+    @property
+    def valid(self) -> bool:
+        """|tau| <= 2g-2, decided on integers."""
+        return abs(4 * self.d1 - 2 * self.d2) <= 3 * (2 * self.g - 2)
 
     @property
     def is_coprime(self) -> bool:
@@ -97,24 +124,18 @@ class ModuliParams(NamedTuple):
         return make_params(self.g, -self.d1, -self.d2)
 
     def describe(self) -> dict:
-        """The fields, with the rationals as strings."""
-        return {**self._asdict(), "tau": str(self.tau), "sigma": str(self.sigma),
-                "sigma_min": str(self.sigma_min)}
+        """The point and its invariants, with the rationals as strings."""
+        return {**self._asdict(), "tau": str(self.tau), "e": self.e,
+                "sigma": str(self.sigma), "sigma_min": str(self.sigma_min),
+                "mod3_class": self.mod3_class, "valid": self.valid}
 
 
 def make_params(g: int, d1: int, d2: int) -> ModuliParams:
-    """Compute all derived invariants; out-of-bound tau flags, not rejects."""
+    """The point (g, d1, d2) of a genus g >= 2; out-of-bound tau flags
+    (``valid``), not rejects."""
     if g < 2:
         raise ParameterError("genus must be at least 2")
-    c = 2 * d1 - d2
-    e = 4 * g - 4 - c
-    # sigma = 2g-2 + (d2 - 2 d1)/3 and sigma_min = 2g-2 - d1 + d2/2 + 1/4,
-    # written through e (tests/test_params.py checks both forms)
-    return ModuliParams(
-        g=g, d1=d1, d2=d2, tau=Fraction(2 * c, 3), e=e,
-        sigma=Fraction(e + 2 * g - 2, 3), sigma_min=Fraction(2 * e + 1, 4),
-        mod3_class=(d1 + d2) % 3, valid=abs(2 * c) <= 3 * (2 * g - 2),
-    )
+    return ModuliParams(g, d1, d2)
 
 
 class KindRange(NamedTuple):
@@ -199,7 +220,7 @@ def canonicalize(p: ModuliParams) -> tuple[ModuliParams, list[dict]]:
     (d1 + d2) mod 3 by 0, so a class-2 point with tau > 0 stays class 2;
     class-2 points with tau < 0 land on class 1 via the duality.
     """
-    if p.tau >= 0:
+    if 2 * p.d1 >= p.d2:  # tau >= 0
         return p, []
     p = p.dual()
     return p, [{"op": "dualize", "d1": p.d1, "d2": p.d2}]
@@ -271,20 +292,18 @@ def s_tau(g: int, tau: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _as_fraction(tau) -> Fraction:
-    return tau if isinstance(tau, Fraction) else Fraction(tau)
+def kirwan_su_surjective(g: int, tau: int | Fraction) -> bool:
+    """Fixed-determinant Kirwan surjectivity: |tau| > 4(g-1)/3, exactly
+    for an int or ``Fraction`` tau."""
+    return 3 * abs(tau) > 4 * (g - 1)
 
 
-def kirwan_su_surjective(g: int, tau) -> bool:
-    """Fixed-determinant Kirwan surjectivity: |tau| > 4(g-1)/3, exactly."""
-    return abs(_as_fraction(tau)) > Fraction(4 * (g - 1), 3)
+def torelli_trivial(g: int, tau: int | Fraction) -> bool:
+    """Torelli group acts trivially iff |tau| >= 4(g-1)/3 (int or
+    ``Fraction`` tau, exactly)."""
+    return 3 * abs(tau) >= 4 * (g - 1)
 
 
-def torelli_trivial(g: int, tau) -> bool:
-    """Torelli group acts trivially iff |tau| >= 4(g-1)/3."""
-    return abs(_as_fraction(tau)) >= Fraction(4 * (g - 1), 3)
-
-
-def gamma3_trivial(g: int, tau) -> bool:
+def gamma3_trivial(g: int, tau: int | Fraction) -> bool:
     """3-torsion group acts trivially iff |tau| > 4(g-1)/3."""
     return kirwan_su_surjective(g, tau)

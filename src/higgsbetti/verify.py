@@ -46,7 +46,6 @@ class RouteEquivalenceReport(NamedTuple):
 
     group: str
     params: params.ModuliParams
-    order: int
     residual: series.TruncatedSeries
     residual_unknowns: dict[str, series.TruncatedSeries]
     closed_terms: tuple[assemble.TermValue, ...]
@@ -59,7 +58,7 @@ class RouteEquivalenceReport(NamedTuple):
         )
 
     def first_nonzero_degree(self) -> int | None:
-        for k in range(self.order + 1):
+        for k in range(self.residual.order + 1):
             if self.residual.coeffs[k] != 0:
                 return k
             for s in self.residual_unknowns.values():
@@ -96,7 +95,6 @@ def verify_route_equivalence(
     return RouteEquivalenceReport(
         group=group,
         params=closed.params,
-        order=closed.order,
         residual=diff.series,
         residual_unknowns=dict(diff.unknown),
         closed_terms=closed.terms,

@@ -179,6 +179,16 @@ def test_dataclasses_replace_changes_one_field():
         dataclasses.replace(TruncatedSeries((1, 2)), coeffs=(1.5,))
 
 
+def test_a_replaced_result_reads_its_mode_and_order_from_its_series():
+    result = VALUES["AssemblyResult"]()
+    assert (result.mode, result.order) == ("relative", 12)
+    assert result._replace(unknown={}).mode == "absolute"
+    cut = dataclasses.replace(result, series=result.series.truncated(5))
+    assert cut.order == 5 and cut.to_json_dict()["order"] == 5
+    assert not {"order", "mode"} & set(type(result)._fields)
+    assert "order" not in VALUES["RouteEquivalenceReport"]()._fields
+
+
 def test_values_with_different_fields_differ():
     assert TruncatedSeries((1, 2, 3)) != TruncatedSeries((1, 2, 4))
     assert RationalExpr((1, 1), (2,)) != RationalExpr((1, 1), (4,))

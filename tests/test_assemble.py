@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,7 +274,7 @@ def test_one_sided_records_give_the_same_assembly(tmp_path):
 
     order = 20
     mm = jacobian_poincare(2, order) * sym_poincare(2, 2, order)
-    pairs = mm + ww_from_invariants(2, 4, 2, order)  # (2, 0, 0): e = 4, sigma = 2
+    pairs = mm + ww_from_invariants(2, 4, order)  # (2, 0, 0): e = 4, sigma = 2
     assert pairs != mm
     nonmaximal = {"g": 2, "e": 4, "sigma": {"num": 2, "den": 1}, "order": order,
                   "pairs_equivariant": [str(c) for c in pairs.coeffs],
@@ -336,12 +338,13 @@ def test_term_sum_integrity_everywhere():
 
 def test_invalid_params_are_refused():
     # the moduli space is empty beyond |tau| = 2g-2 (Milnor-Wood)
-    for point in [
-        (2, 3, 0),  # tau = 4 > 2g-2 = 2
-        (2, -3, 0),  # tau = -4
-        (2, 129, 10**20),  # a sum over every index up to d2 would never end
+    for p in [
+        make_params(2, 3, 0),  # tau = 4 > 2g-2 = 2
+        make_params(2, -3, 0),  # tau = -4
+        make_params(2, 129, 10**20),  # a sum over every index up to d2 would never end
+        # a copy of (2, 0, 0) moved to tau = 4 derives its bound from (d1, d2)
+        dataclasses.replace(make_params(2, 0, 0), d1=3, d2=0),
     ]:
-        p = make_params(*point)
         for fn in BUILDERS.values():
             with pytest.raises(ParameterError, match="2g-2"):
                 fn(p, None, 10)

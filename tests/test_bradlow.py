@@ -90,7 +90,7 @@ def test_ww_matches_invariant_coordinates():
                 assert p.valid
                 w = ww_difference(p, order)
                 assert w == _ww_oracle(g, p.e, p.sigma, order), (g, p.d1, p.d2)
-                assert w == ww_from_invariants(g, p.e, p.sigma, order)
+                assert w == ww_from_invariants(g, p.e, order)
                 if p.tau < 0:
                     assert w.is_zero(), (g, p.d1, p.d2)
 
@@ -175,8 +175,8 @@ def test_provider_file_mismatch_names_degree(tmp_path):
 def test_provider_file_nonmaximal_record_with_nonzero_difference(tmp_path):
     # invariants of (g, d1, d2) = (2, 0, 0): e = 4, sigma = 2, and the
     # wall-crossing difference is the nonzero bottom-wall term
-    g, e, sigma, order = 2, 4, Fraction(2), 20
-    ww = ww_from_invariants(g, e, sigma, order)
+    g, e, order = 2, 4, 20
+    ww = ww_from_invariants(g, e, order)
     assert not ww.is_zero()
     mm = jacobian_poincare(g, order) * sym_poincare(2, g, order)
     pairs = mm + ww
@@ -330,7 +330,7 @@ def _provider_records(draw):
     sigma = Fraction(e + 2 * g - 2, 3)
     order = draw(st.integers(0, 12))
     mm = [draw(st.integers(-5, 5)) for _ in range(order + 1)]
-    pairs = TruncatedSeries(tuple(mm)) + ww_from_invariants(g, e, sigma, order)
+    pairs = TruncatedSeries(tuple(mm)) + ww_from_invariants(g, e, order)
     record = {
         "g": g, "e": e, "sigma": {"num": sigma.numerator, "den": sigma.denominator},
         "order": order,

@@ -357,10 +357,10 @@ def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):
 
     ww = bradlow.ww_from_invariants
 
-    def shifted_top_wall(g, e, sigma, order):
-        out = ww(g, e, sigma, order)
-        if sigma.denominator == 1 and 2 * sigma > e:
-            s = int(sigma)
+    def shifted_top_wall(g, e, order):
+        out = ww(g, e, order)
+        s, rem = divmod(e + 2 * g - 2, 3)  # sigma = (e+2g-2)/3
+        if rem == 0 and 2 * s > e:
             a = 2 * (g - 1 + 2 * s - e)
             sym = ingredients.sym_factor(e - s, g, order)
             out = out + ingredients.jacobian_block(g, 1, 2).expand(

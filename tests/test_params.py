@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from higgsbetti.errors import ParameterError, RangeViolationError
 from higgsbetti.params import (
     HalfInt,
+    ModuliParams,
     canonicalize,
     delta_set,
     gamma3_trivial,
@@ -37,6 +39,13 @@ def test_make_params_examples():
 
     p = make_params(2, 3, 0)
     assert p.tau == 4 and not p.valid
+    # a copy with other degrees reads its invariants from them
+    p = dataclasses.replace(make_params(2, 0, 0), d1=3, d2=0)
+    assert p == make_params(2, 3, 0) and p.tau == 4 and not p.valid
+    p = make_params(3, 2, 1)._replace(d1=4, d2=5)
+    assert p == make_params(3, 2, 1).tensor_shift(2)
+    assert p.describe() == make_params(3, 4, 5).describe()
+    assert ModuliParams._fields == ("g", "d1", "d2")
 
     with pytest.raises(ParameterError):
         make_params(1, 0, 0)
@@ -155,6 +164,9 @@ def test_predicates():
     assert torelli_trivial(4, 4) and not gamma3_trivial(4, 4)
     assert not torelli_trivial(2, 0) and not gamma3_trivial(2, 0)
     assert torelli_trivial(2, 2) and gamma3_trivial(2, 2)
+    # a Fraction tau on the boundary |tau| = 4(g-1)/3 is decided exactly
+    assert torelli_trivial(2, Fraction(-4, 3)) and not kirwan_su_surjective(2, Fraction(4, 3))
+    assert not torelli_trivial(2, Fraction(4, 3) - Fraction(1, 10**30))
 
 
 def test_gamma3_matches_empty_index_set():

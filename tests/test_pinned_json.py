@@ -7,21 +7,29 @@ valid point of g = 2..3 with tau >= 0 and its dual, so both signs of tau,
 with the relative and the maximal provider.  Unlike the benchmark's
 digests it hashes the per-term expansions too.
 
+``data/pinned_cli.json`` pins, under ``strata|g|d1|d2``, the sha256 of
+the ``strata --format json`` text of each of those points (its ``params``
+block is ``ModuliParams.describe()``), and under ``verify|all|g=2..3`` the
+sha256 of the bytes ``verify --suite all --grid g=2..3 --format json``
+writes.
+
 ``data/pinned_deep.json`` pins the hundred-bit scale, where the packed
 products need slots wider than 8 bytes: the sha256 of each result's
 series and unknown coefficients for the five builders at g = 32, (d1, d2)
 = (0, 0), and ``u21_closed_form`` at the maximal point with the maximal
 provider, at orders 280 and 1120.
 
-Re-record both with ``python tests/test_pinned_json.py`` only after an
+Re-record all three with ``python tests/test_pinned_json.py`` only after an
 intended output change.
 """
 
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
+from higgsbetti import cli, strata
 from higgsbetti.assemble import BUILDERS
 from higgsbetti.bradlow import MaximalCaseProvider
 from higgsbetti.params import make_params, valid_points
@@ -29,6 +37,7 @@ from higgsbetti.params import make_params, valid_points
 DATA = Path(__file__).parent / "data"
 PINNED = DATA / "pinned_json.json"
 PINNED_DEEP = DATA / "pinned_deep.json"
+PINNED_CLI = DATA / "pinned_cli.json"
 PROVIDERS = {"relative": None, "maximal": MaximalCaseProvider()}
 DEEP_GENUS, DEEP_ORDERS = 32, (280, 1120)
 
@@ -49,6 +58,26 @@ def _digests() -> dict[str, str]:
                         key = f"{group}-{route}|{g}|{p.d1}|{p.d2}|{name}"
                         out[key] = _sha256(text)
     return out
+
+
+def _strata_digests() -> dict[str, str]:
+    out = {}
+    for g in (2, 3):
+        for base in valid_points(g):
+            for p in (base, base.dual()):
+                doc = strata.critical_table(p, None, None)
+                text = json.dumps(doc, sort_keys=True, indent=2)
+                out[f"strata|{g}|{p.d1}|{p.d2}"] = _sha256(text)
+    return out
+
+
+def _verify_digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "verify.json"
+        cli.main(["verify", "--suite", "all", "--grid", "g=2..3",
+                  "--format", "json", "--out", str(out)])
+        data = out.read_bytes()
+    return {"verify|all|g=2..3": hashlib.sha256(data).hexdigest()}
 
 
 def _series_digest(result) -> str:
@@ -82,12 +111,17 @@ def test_json_output_matches_the_pinned_digests():
     _assert_matches(PINNED, _digests())
 
 
+def test_strata_and_verify_json_match_the_pinned_digests():
+    _assert_matches(PINNED_CLI, _strata_digests() | _verify_digests())
+
+
 def test_deep_scale_series_match_the_pinned_digests():
     _assert_matches(PINNED_DEEP, _deep_digests())
 
 
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for path, digests in ((PINNED, _digests()), (PINNED_DEEP, _deep_digests())):
+    for path, digests in ((PINNED, _digests()), (PINNED_DEEP, _deep_digests()),
+                          (PINNED_CLI, _strata_digests() | _verify_digests())):
         path.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
     sys.exit(0)
