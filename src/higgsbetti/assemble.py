@@ -32,26 +32,34 @@ of ``series.shifted_product_sum``: one entry t^mu P(S^m1) P(S^m2) for C1
 and the invariant covers, t^s P(S^m) for C2, B1-diff and the boundary
 term, one Atiyah-Bott numerator, or a Gothen cover's two entries.
 Nothing is multiplied when a term is added.  ``finish`` expands each
-block once over the entries of all its terms (``RationalExpr.expand``:
-one big-integer expression, unpacked once, and one division).  The
-Atiyah-Bott block is the exception: its three terms are shown but not
+block once over the entries gathered under it (``RationalExpr.expand``:
+one big-integer expression, unpacked once, and one division):
+- the C2, B1-diff and boundary terms' entries, each as listed;
+- for the C1 terms, one entry: their sum of products
+  t^mu P(S^m1) P(S^m2), formed once per exponent set
+  (``_c1_numerator``, cached) and shared by all five builders and every
+  tensor shift of the point, plus, for su21, the covers' monomials;
+- a provider's value, one entry over its unknown's block (P(J)/(1-t^2),
+  or 1 for the su21 route), whose expansion is also the coefficient the
+  unknown carries in relative mode.
+The Atiyah-Bott block gathers nothing: its three terms are shown but not
 summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
 and their expansion would only add zero; what checks the cancellation
 is the ``ab-cancellation`` suite, against an oracle of its own.  A term
 is expanded on its own only when it is read (JSON ``terms``, residual
-provenance), in one expansion of its entries at the degree read, so
+provenance), in one expansion of its own entries at the degree read, so
 provenance, which reads one low coefficient of each term, cuts every
 factor there; ``scaled_by`` appends its factor to each entry.
 Every block is a unit series and a product of nonzero polynomials starts
 at the sum of their lowest degrees, so a term is dropped exactly when none
-of its entries reaches the order (``_reaches``); that is also what ends
-the C1 sum where its shift passes the order.
+of its entries reaches the order (``_reaches``); the C1 sum ends where its
+shift passes the order.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .bradlow import BradlowProvider, ww_difference
@@ -60,15 +68,15 @@ from .ingredients import (
     CoverParams,
     atiyah_bott_block,
     atiyah_bott_numerators,
-    bg_rank1,
     gothen_cover,
     jacobian_block,
     sym_factor,
+    sym_polynomial,
 )
 from .params import (ModuliParams, _require_valid, canonicalize, h01_s_star_q,
                      kind_indices, sym_exponent)
 from .records import Frozen, dataclass_compatible
-from .series import RationalExpr, TruncatedSeries, resolve_order
+from .series import RationalExpr, TruncatedSeries, resolve_order, shifted_product_sum
 
 PAIRS = "pairs_equivariant"
 MODULI_MIN = "moduli_min"
@@ -266,9 +274,9 @@ def _provided(provider: BradlowProvider | None, p: ModuliParams, name: str,
 class _Builder:
     """Collects the terms of one assembly at a point with tau >= 0.
 
-    ``add`` only records a term and gathers its entries under its block;
-    ``finish`` expands every block once, over the entries of all its
-    summed terms.
+    ``add`` only records a term and gathers its entries under its block
+    (``sum``); ``finish`` expands every block once, over all the entries
+    gathered under it.
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -280,14 +288,17 @@ class _Builder:
         self.terms: list[TermValue] = []
         # the summed entries of each block, keyed by the block's id
         self.sums: dict[int, tuple[RationalExpr, list]] = {}
-        # the one unknown (name, coefficient, label), set by the body
-        self.unknown: tuple[str, TruncatedSeries, str] | None = None
+        # the one unknown (name, block, label), set by the body: its
+        # coefficient is the block's expansion
+        self.unknown: tuple[str, RationalExpr, str] | None = None
 
-    def add(self, label: str, block: RationalExpr, *entries, cancels: bool = False) -> None:
+    def add(self, label: str, block: RationalExpr, *entries,
+            listed_only: bool = False) -> None:
         """Add (sum of the entries (sign, shift, factors)) * block.  A term
         none of whose entries reaches the order is dropped (every block is
-        a unit series).  A term that ``cancels`` belongs to a group whose
-        terms sum to zero by construction: it is listed, not summed."""
+        a unit series).  A term that is ``listed_only`` is listed, not
+        summed: its group of terms sums to zero by construction, or the
+        caller sums the group as a whole."""
         order = self.order
         for e in entries:
             if _reaches(e, order):
@@ -295,8 +306,11 @@ class _Builder:
         else:
             return
         self.terms.append(TermValue(label, entries, block, order))
-        if cancels:
-            return
+        if not listed_only:
+            self.sum(block, entries)
+
+    def sum(self, block: RationalExpr, entries) -> None:
+        """Gather entries under their block, to be expanded by ``finish``."""
         # grouped by the (cached) block object: hashing a block hashes its
         # whole numerator, and two equal blocks apart only cost one more
         # exact expansion
@@ -308,14 +322,15 @@ class _Builder:
 
     def finish(self, provider: BradlowProvider | None) -> AssemblyResult:
         p, order = self.p, self.order
-        name, coeff, label = self.unknown
+        name, block, label = self.unknown
         value = _provided(provider, p, name, order)
-        parts = [block.expand(order, entries) for block, entries in self.sums.values()]
         terms = list(self.terms)
         if value is not None:
-            concrete = TermValue.of_series(label, coeff * value)
-            parts.append(concrete.series)
-            terms.append(concrete)
+            # the value over the unknown's block, summed with that block
+            concrete = (1, 0, (value.coeffs,))
+            terms.append(TermValue(label, (concrete,), block, order))
+            self.sum(block, (concrete,))
+        parts = [expr.expand(order, entries) for expr, entries in self.sums.values()]
         known = parts[0] if parts else TruncatedSeries.zero(order)
         for part in parts[1:]:
             known = known + part
@@ -323,7 +338,7 @@ class _Builder:
             group=self.group,
             params=p,
             series=known,
-            unknown={name: coeff} if value is None else {},
+            unknown={name: block.expand(order)} if value is None else {},
             terms=tuple(terms),
             transforms=self.transforms,
         )
@@ -364,24 +379,51 @@ def _sym(b: _Builder, m: int) -> tuple[int, ...]:
     return sym_factor(m, b.p.g, b.order)
 
 
+@lru_cache(maxsize=256)
+def _c1_numerator(g: int, exponents: tuple, size: int) -> tuple[int, ...]:
+    """Coefficients 0..size-1 of sum t^s P(S^m1) P(S^m2) over the
+    (s, m1, m2) in exponents: the C1 sum that every builder carries.
+    Keyed by the exponents themselves, so tensor shifts of a point, which
+    keep them, share it."""
+    return tuple(shifted_product_sum(
+        [(1, s, (sym_polynomial(m1, g), sym_polynomial(m2, g)))
+         for s, m1, m2 in exponents], size))
+
+
 def _add_c1_sum(b: _Builder) -> None:
+    """One term t^s P(S^m1) P(S^m2) (a Gothen cover for su21) per C1
+    index, listed with its own entries; the block sums them all as one
+    entry, the ``_c1_numerator``, plus the covers' monomials.  The shift
+    s grows with the index, and a term reaches the order exactly when s
+    does (every factor has constant term 1), so the sum ends at the first
+    s past the order."""
     p, g, order, group = b.p, b.p.g, b.order, b.group
     block = jacobian_block(g, 1, 2) if group == "u21" else PLAIN
     # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); su21: the cover; pu21: its
     # 3-torsion invariant part, P(S^m1) P(S^m2)
     name = {"u21": "C1", "su21": "cover-sum", "pu21": "invariant-cover-sum"}[group]
+    exponents, monomials = [], []
     for l in kind_indices(p, "C1"):
-        m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
         shift = 2 * h01_s_star_q(p, l)
+        if shift > order:
+            break
+        m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
         if group == "su21":
             entries = gothen_cover(CoverParams(m1, m2, g), order, shift)
+            monomials.append(entries[1])
         else:
             entries = ((1, shift, (sym_factor(m1, g, order), sym_factor(m2, g, order))),)
-        b.add(f"{name}[l={l}]", block, *entries)
+        b.add(f"{name}[l={l}]", block, *entries, listed_only=True)
+        # as sym_factor cuts S^m X to S^order X
+        exponents.append((shift, min(m1, order), min(m2, order)))
+    if exponents:
+        top = max(s + 2 * (m1 + m2) for s, m1, m2 in exponents)  # the degree
+        numerator = _c1_numerator(g, tuple(exponents), min(order, top) + 1)
+        b.sum(block, ((1, 0, (numerator,)), *monomials))
 
 
 def _add_closed_form(b: _Builder) -> None:
-    b.unknown = (PAIRS, bg_rank1(b.p.g, b.order), "pairs-block")
+    b.unknown = (PAIRS, jacobian_block(b.p.g, 1, 2), "pairs-block")
     _add_c1_sum(b)
 
 
@@ -392,9 +434,9 @@ def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
     total, semistable, tail = atiyah_bott_numerators(
         b.p.g, b.p.d2 % 2 == 1, line_factors)
     block = atiyah_bott_block(b.p.g, line_factors)
-    b.add("classifying-total", block, (1, 0, (total,)), cancels=True)
-    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)), cancels=True)
-    b.add("line-splitting-tail", block, (-1, 0, (tail,)), cancels=True)
+    b.add("classifying-total", block, (1, 0, (total,)), listed_only=True)
+    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)), listed_only=True)
+    b.add("line-splitting-tail", block, (-1, 0, (tail,)), listed_only=True)
 
 
 def _c2_entry(b: _Builder, l: int) -> tuple:
@@ -444,7 +486,7 @@ def u21_stratum_route(b: _Builder) -> None:
     does not exist and the term survives.
     """
     _add_atiyah_bott_block(b, 3)
-    b.unknown = (MODULI_MIN, bg_rank1(b.p.g, b.order), "bradlow-moduli-block")
+    b.unknown = (MODULI_MIN, jacobian_block(b.p.g, 1, 2), "bradlow-moduli-block")
     c2 = jacobian_block(b.p.g, 2, 2, 2)  # P(J)^2/(1-t^2)^2
     _add_route_sums(b, c2, c2, c2)
     _add_c1_sum(b)
@@ -466,7 +508,7 @@ def su21_stratum_route(b: _Builder) -> None:
     term provenance, never asserted to vanish.
     """
     _add_atiyah_bott_block(b, 2)
-    b.unknown = (MODULI_MIN, TruncatedSeries.one(b.order), "bradlow-moduli-block")
+    b.unknown = (MODULI_MIN, PLAIN, "bradlow-moduli-block")
     g = b.p.g
     _add_route_sums(b, jacobian_block(g, 1), jacobian_block(g, 1, 2, 2),
                     jacobian_block(g, 1, 2))

@@ -245,12 +245,15 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     Slots as wide as the largest coefficient make every product slower,
     so two kinds of term do not set the width of the products.  A term
     whose cut factors are all constants (a monomial, such as a Gothen
-    cover's correction) is added to its coefficient after the unpack, and
-    a sum of monomials alone (the expansion of an expression itself) is
-    summed as shifted multiples of the factor, one slice each, with no
-    packing.  A factor that needs wider slots than the products is applied
-    after the sum is unpacked and packed again at the wider width.  A sum
-    of one term with one factor, under the factor 1, is copied unpacked.
+    cover's correction) is added to its coefficient after the unpack, or
+    as a shifted integer when the slots hold it, and a sum of monomials
+    alone (the expansion of an expression itself) is summed as shifted
+    multiples of the factor, one slice each, with no packing.  A factor
+    that needs wider slots than the products is applied after the sum is
+    unpacked and packed again at the wider width.  Terms of one factor
+    each multiply nothing before the factor: under the factor 1 they are
+    added slice by slice, unpacked, and under another they are packed
+    once, at the width of the whole sum.
     """
     factor = factor[:size]
     if size <= 0 or not any(factor):
@@ -285,29 +288,38 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
             cs[shift:end] = map(operator.add, cs[shift:end], map(c.__mul__, factor))
         return cs
     plain = tuple(factor) == (1,)
-    if plain and not monomials and len(products) == 1 and len(products[0][2]) == 1:
-        sign, shift, (cut,) = products[0]  # one factor alone: nothing to multiply
+    single = all(len(factors) == 1 for _, _, factors in products)
+    if plain and single:  # single factors under 1: nothing to multiply
         cs = [0] * size
-        cs[shift : shift + len(cut)] = cut if sign > 0 else [-c for c in cut]
+        for sign, shift, (cut,) in products:
+            end = shift + len(cut)
+            op = operator.add if sign > 0 else operator.sub
+            cs[shift:end] = map(op, cs[shift:end], cut)
+        for shift, c in monomials:
+            cs[shift] += c
         return cs
-    w = _slot_width(bound)
+    wide = (bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor))
+    w_wide = _slot_width(wide)
+    # single factors multiply nothing before the factor: pack them as wide
+    w = w_wide if single else _slot_width(bound)
     total = 0
     for sign, shift, factors in products:
         prod = _packed_product(factors, w)
         if shift:
             prod <<= 8 * w * shift
         total = total + prod if sign > 0 else total - prod
-    if plain and not monomials:
-        return _unpack(total, w, size)
-    wide = (bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor))
-    w_wide = _slot_width(wide)
-    if monomials or w_wide != w:
+    if w == w_wide:
+        for shift, c in monomials:
+            total += c << (8 * w * shift)
+    else:
         cs = _unpack(total, w, size)
         for shift, c in monomials:
             cs[shift] += c
         if plain:
             return cs
         total, w = _pack(cs, w_wide), w_wide
+    if plain:
+        return _unpack(total, w, size)
     total = (total & ((1 << (8 * w * size)) - 1)) * _pack(factor, w)
     return _unpack(total, w, size)
 

@@ -311,6 +311,11 @@ def _suite_route_u21(grid) -> list[str]:
             raise _Failed({"g": p.g, "d1": p.d1, "d2": p.d2, "degree": k,
                            "expected": 0, "got": rep.residual.coeffs[k],
                            "terms": rep.term_provenance(k)})
+    # 2g+1 values of d1, each with the 3g-2 values of d2 - 2 d1 in
+    # -(3g-3)..0: a grid that checked fewer points proved less
+    expected = sum((2 * g + 1) * (3 * g - 2) for g in _grid_genera(grid))
+    if checked != expected:
+        raise _Failed({"law": "point count", "expected": expected, "got": checked})
     return [f"zero residual on {checked} parameter tuples"]
 
 

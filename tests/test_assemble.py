@@ -555,3 +555,56 @@ def test_negated_and_scaled_gothen_term(g, m1, m2):
         assert term.negated().label == "-(cover)"
         assert term.scaled_by(scale).series == want * scale
         assert term.negated().scaled_by(scale).series == -(want * scale)
+
+
+def test_the_five_builders_and_a_tensor_shift_share_one_c1_numerator():
+    # every builder carries the same C1 sum of products, and a tensor
+    # shift keeps its exponents and shifts
+    from higgsbetti import assemble
+
+    assemble._c1_numerator.cache_clear()
+    p, order = make_params(3, 1, 0), 40
+    for fn in BUILDERS.values():
+        fn(p, None, order)
+    assert assemble._c1_numerator.cache_info().misses == 1
+    for fn in BUILDERS.values():
+        fn(p.tensor_shift(2), None, order)
+    assert assemble._c1_numerator.cache_info().misses == 1
+
+
+def test_the_c1_numerator_stops_at_the_order(monkeypatch):
+    # every C1 term has degree 10g-10: below it the numerator holds the
+    # order's coefficients, above it the whole polynomial, which orders
+    # past the degree share
+    from higgsbetti import assemble
+
+    numerator, sizes = assemble._c1_numerator, []
+
+    def recording(*args):
+        out = numerator(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(assemble, "_c1_numerator", recording)
+    for order in (150, 400):
+        u21_closed_form(make_params(64, 0, 0), None, order)
+        assert sizes.pop() == order + 1
+    numerator.cache_clear()
+    for order in (100, 200):
+        pu21_poincare(make_params(3, 0, 0), None, order)
+        assert sizes.pop() == 21
+    assert numerator.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("key", sorted(BUILDERS))
+def test_terms_sum_to_the_series_at_genus_32(key):
+    # hundred-bit coefficients on 18-byte slots: the shared numerator
+    # against each term's own expansion
+    res = BUILDERS[key](make_params(32, 0, 0), None, 280)
+    assert _term_sum(res) == res.series
+
+
+def test_terms_sum_to_the_series_at_the_maximal_point_at_genus_32():
+    res = u21_closed_form(make_params(32, 62, 31), MaximalCaseProvider(), 1120)
+    assert res.mode == "absolute"
+    assert _term_sum(res) == res.series

@@ -374,6 +374,23 @@ def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):
                                      "expected": 7, "got": 1}
 
 
+def test_route_u21_fails_when_valid_points_stops_early(monkeypatch):
+    # d1 stopping two values early: every point left still has a zero
+    # residual, so only the count of points checked, (2g+1)(3g-2) per
+    # genus, 20 + 49 at g = 2..3, sees it
+    from higgsbetti import params, verify
+
+    points = params.valid_points
+    monkeypatch.setattr(params, "valid_points",
+                        lambda g: (p for p in points(g) if p.d1 < 2 * g - 1))
+    result = verify.SUITES["route-u21"]({"g": (2, 3)})
+    assert not result.passed
+    assert result.counterexample == {"law": "point count", "expected": 69, "got": 47}
+    monkeypatch.undo()
+    assert verify.SUITES["route-u21"]({"g": (2, 3)}).details == [
+        "zero residual on 69 parameter tuples"]
+
+
 def _one_more_at_degree_0(fn):
     """fn with 1 added at degree 0 of its result's ``series``."""
     def wrapped(*args):
