@@ -33,7 +33,7 @@ _NAMES_BY_MODULE = {
         "projective_poincare", "sym_poincare", "v_dim",
     ),
     "params": (
-        "HalfInt", "ModuliParams", "canonicalize", "delta_set", "gamma3_trivial",
+        "ModuliParams", "canonicalize", "delta_set", "gamma3_trivial",
         "kirwan_su_surjective", "make_params", "region_of", "s_tau",
         "torelli_trivial",
     ),
@@ -42,7 +42,7 @@ _NAMES_BY_MODULE = {
         "geometric_inverse",
     ),
     "strata": (
-        "StratumDescriptor", "StratumKind", "critical_set_poincare", "critical_table",
+        "KINDS", "StratumDescriptor", "critical_set_poincare", "critical_table",
         "enumerate_critical", "negative_dim", "table_note",
     ),
     "verify": (

@@ -328,7 +328,7 @@ class _SuiteListFormatter(argparse.HelpFormatter):
         return action.help + ", ".join(SUITES)
 
 
-def _parse_lmax(text: str) -> params.HalfInt:
+def _parse_lmax(text: str) -> Fraction:
     """Parse an integer or an n/2 half-integer."""
     try:
         frac = Fraction(text)
@@ -336,7 +336,7 @@ def _parse_lmax(text: str) -> params.HalfInt:
         raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
     if (2 * frac).denominator != 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
-    return params.HalfInt(int(2 * frac))
+    return frac
 
 
 def main(argv: list[str] | None = None) -> int:

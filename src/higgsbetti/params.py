@@ -10,10 +10,11 @@ the rank-1 and rank-2 summands.  Derived invariants:
 
 A point stores (g, d1, d2) alone and derives each invariant when it is
 read, so a copy made by ``_replace`` or ``dataclasses.replace`` is always
-consistent; tau, sigma, sigma_min are exact rationals.  The stratum index
-l lives in half-integers and is stored as a doubled integer so parity
-never needs a special case.  The boundary comparisons (e.g.
-|tau| = 4(g-1)/3 for Kirwan surjectivity) are decided exactly.
+consistent; tau, sigma, sigma_min are exact rationals.  A stratum index l
+is an ``int``, except the A kind's l = d2/2, which is a ``Fraction``; a
+bound l_max may be either, and ``floor`` gives the integer indices up to
+it.  The boundary comparisons (e.g. |tau| = 4(g-1)/3 for Kirwan
+surjectivity) are decided exactly.
 """
 
 from __future__ import annotations
@@ -30,45 +31,6 @@ MAX_GENUS = 128
 # largest truncation order accepted from the CLI, about twice the default
 # order 8g+24 at MAX_GENUS (1048)
 MAX_ORDER = 2048
-
-
-@dataclass_compatible
-class HalfInt(NamedTuple):
-    """A half-integer l represented exactly as doubled = 2l."""
-
-    doubled: int
-
-    @classmethod
-    def from_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "HalfInt":
-        doubled = 2 * q
-        if doubled.denominator != 1:
-            raise ParameterError(f"{q} is not a half-integer")
-        return cls(int(doubled))
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ParameterError(f"{self} is not an integer")
-        return self.doubled // 2
-
-    def shifted(self, k: int) -> "HalfInt":
-        return HalfInt(self.doubled + 2 * k)
-
-    def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
 
 
 def pairs_sigma(g: int, e: int) -> Fraction:
@@ -246,30 +208,29 @@ def _require_valid(p: ModuliParams) -> None:
         )
 
 
-def delta_set(p: ModuliParams, l_max: HalfInt) -> list[HalfInt]:
+def delta_set(p: ModuliParams, l_max: int | Fraction) -> list[int | Fraction]:
     """The ordered index set {d2/2} union {integers l > (2 d2 - d1)/3}, up to l_max."""
     _require_valid(p)
     # the integers above the lower end of the C2 range, up to l_max
-    members = {HalfInt.from_int(l) for l in range(
-        floor(kind_range(p, "C2").lower) + 1, l_max.doubled // 2 + 1)}
-    if HalfInt(p.d2) <= l_max:
-        members.add(HalfInt(p.d2))
+    members = set(range(floor(kind_range(p, "C2").lower) + 1, floor(l_max) + 1))
+    if p.d2 <= 2 * l_max:
+        members.add(Fraction(p.d2, 2))
     return sorted(members)
 
 
-def region_of(p: ModuliParams, k: HalfInt) -> str:
+def region_of(p: ModuliParams, k: int | Fraction) -> str:
     """Classify k into region I, II, III, or "none" below all regions."""
     _require_valid(p)
-    kv, d1 = k.value, p.d1
+    d1 = p.d1
     c1, c2 = kind_range(p, "C1"), kind_range(p, "C2")
     # membership in delta_set(p, k), decided without building it
-    if k != HalfInt(p.d2) and not (k.is_integer and kv > c2.lower):
+    if 2 * k != p.d2 and not (k == floor(k) and k > c2.lower):
         raise ParameterError(f"l = {k} is not in the index set")
-    if c1.lower < kv <= c1.upper:
+    if c1.lower < k <= c1.upper:
         return "I"
-    if (c2.lower < kv <= c1.lower) or (c1.upper < kv <= d1):
+    if (c2.lower < k <= c1.lower) or (c1.upper < k <= d1):
         return "II"
-    if kv > max(d1, c1.upper):
+    if k > max(d1, c1.upper):
         return "III"
     return "none"
 

@@ -399,11 +399,6 @@ class TruncatedSeries(Frozen):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> int:
-        if not 0 <= k <= self.order:
-            raise ParameterError(f"degree {k} outside 0..{self.order}")
-        return self.coeffs[k]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

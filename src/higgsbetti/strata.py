@@ -1,8 +1,9 @@
 """Critical-set enumeration and per-stratum topological data.
 
 The nonminimal critical sets of the Yang-Mills-Higgs flow come in seven
-kinds.  A descriptor is a kind plus a half-integer index l (the degree of
-the destabilizing line subbundle; the A kind sits at l = d2/2):
+kinds, named by the strings of ``KINDS``.  A descriptor is a kind name
+plus an index l, the degree of the destabilizing line subbundle: an
+``int``, except for A, whose l = d2/2 is a ``Fraction``:
 
     A   l = d2/2                      rank-2 summand semistable, zero field
     B1  d2/2 < l < d1                 three line bundles, zero field
@@ -22,66 +23,59 @@ stratum route of ``assemble`` reads them too.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
+from math import floor
 
 from .errors import ParameterError, UnspecifiedDimensionError
 from .ingredients import SEMISTABLE, atiyah_bott_series, jacobian_block, sym_factor
-from .params import (C1_EXPONENT_NOTE, MAX_ORDER, HalfInt, ModuliParams,
+from .params import (C1_EXPONENT_NOTE, MAX_ORDER, ModuliParams,
                      _require_valid, canonicalize, h01_s_star_q, kind_indices,
                      kind_range, region_of, sym_exponent)
 from .records import Frozen, dataclass_compatible
 from .series import TruncatedSeries, resolve_order
 
 
-class StratumKind(str, Enum):
-    A = "A"
-    B1 = "B1"
-    B2 = "B2"
-    B3 = "B3"
-    C1 = "C1"
-    C2 = "C2"
-    C3 = "C3"
+# the stratum kinds in table order
+KINDS = ("A", "B1", "B2", "B3", "C1", "C2", "C3")
 
 
-_KIND_ORDER = {k: i for i, k in enumerate(StratumKind)}
-
-
-def admits(kind: StratumKind, p: ModuliParams, ell: HalfInt) -> bool:
+def admits(kind: str, p: ModuliParams, ell: int | Fraction) -> bool:
     """Whether the kind's validity range contains the index l."""
-    if kind is StratumKind.A:
-        return ell.doubled == p.d2
-    return ell.is_integer and ell.as_int() in kind_indices(p, kind.value, ell.as_int())
+    if kind == "A":
+        return 2 * ell == p.d2
+    l = floor(ell)
+    return l == ell and l in kind_indices(p, kind, l)
 
 
 @dataclass_compatible
 class StratumDescriptor(Frozen):
     __slots__ = _fields = ("kind", "ell", "params")
 
-    def __init__(self, kind: StratumKind, ell: HalfInt, params: ModuliParams):
+    def __init__(self, kind: str, ell: int | Fraction, params: ModuliParams):
         if not admits(kind, params, ell):
             raise ParameterError(
-                f"l = {ell} is outside the {kind.value} range for "
+                f"l = {ell} is outside the {kind} range for "
                 f"(g, d1, d2) = ({params.g}, {params.d1}, {params.d2})"
             )
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ell", ell)
+        # l is stored as d2/2 for A and as an int for every other kind
+        object.__setattr__(self, "ell", Fraction(params.d2, 2) if kind == "A" else floor(ell))
         object.__setattr__(self, "params", params)
 
     def __str__(self) -> str:
-        return f"{self.kind.value}@{self.ell}"
+        return f"{self.kind}@{self.ell}"
 
 
-def enumerate_critical(p: ModuliParams, l_max: HalfInt) -> list[StratumDescriptor]:
+def enumerate_critical(p: ModuliParams, l_max: int | Fraction) -> list[StratumDescriptor]:
     """All descriptors with index at most l_max, sorted by (l, kind)."""
     _require_valid(p)
-    half = HalfInt(p.d2)
-    found = [StratumDescriptor(StratumKind.A, half, p)] if half <= l_max else []
-    top = l_max.doubled // 2  # the largest integer index at most l_max
-    for kind in list(StratumKind)[1:]:
-        found += [StratumDescriptor(kind, HalfInt.from_int(l), p)
-                  for l in kind_indices(p, kind.value, top)]
-    return sorted(found, key=lambda s: (s.ell, _KIND_ORDER[s.kind]))
+    half = Fraction(p.d2, 2)
+    found = [StratumDescriptor("A", half, p)] if half <= l_max else []
+    for kind in KINDS[1:]:
+        found += [StratumDescriptor(kind, l, p)
+                  for l in kind_indices(p, kind, floor(l_max))]
+    # a stable sort: descriptors of equal l keep the KINDS order
+    return sorted(found, key=lambda s: s.ell)
 
 
 def critical_set_key(s: StratumDescriptor) -> tuple[str, int, int | None]:
@@ -90,11 +84,12 @@ def critical_set_key(s: StratumDescriptor) -> tuple[str, int, int | None]:
     symmetric-product exponent m for C (``params.sym_exponent``; None for B).
     """
     p, g = s.params, s.params.g
-    if s.kind is StratumKind.A:
-        return "A", g, p.d2 % 2
-    if s.kind in (StratumKind.B1, StratumKind.B2, StratumKind.B3):
-        return "B", g, None
-    return "C", g, sym_exponent(p, s.kind.value, s.ell.as_int())
+    row = s.kind[0]
+    if row == "A":
+        return row, g, p.d2 % 2
+    if row == "B":
+        return row, g, None
+    return row, g, sym_exponent(p, s.kind, s.ell)
 
 
 def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
@@ -108,16 +103,16 @@ def critical_set_poincare(s: StratumDescriptor, order: int) -> TruncatedSeries:
     return jacobian_block(g, 2, 2, 2).expand(order, ((1, 0, (sym_factor(x, g, order),)),))
 
 
-def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:
+def kind_range_description(kind: str, p: ModuliParams) -> str:
     """Human-readable validity range of the index l for one kind."""
-    if kind is StratumKind.A:
+    if kind == "A":
         return f"l = d2/2 = {Fraction(p.d2, 2)}"
-    if kind is StratumKind.B2:
+    if kind == "B2":
         # l = d1 > d2/2 holds exactly when tau > 0
         if p.tau > 0:
             return f"l = d1 = {p.d1}"
         return f"l = d1 = {p.d1} (empty: tau {'=' if p.tau == 0 else '<'} 0)"
-    lower, upper, closed = kind_range(p, kind.value)
+    lower, upper, closed = kind_range(p, kind)
     if upper is None:
         return f"l > {lower}"
     return f"{lower} < l {'<=' if closed else '<'} {upper}"
@@ -127,7 +122,7 @@ def kind_range_description(kind: StratumKind, p: ModuliParams) -> str:
 HEAD_DEGREE = 5
 
 
-def critical_table(p: ModuliParams, l_max: HalfInt | None = None,
+def critical_table(p: ModuliParams, l_max: int | Fraction | None = None,
                    order: int | None = None) -> dict:
     """The JSON document of ``higgsbetti strata``: a row per descriptor with
     index at most l_max, and the kinds with none.  A point with tau < 0 is
@@ -137,8 +132,8 @@ def critical_table(p: ModuliParams, l_max: HalfInt | None = None,
     order = resolve_order(p.g, order)
     default = p.d1 + 2 * p.g - 2
     if l_max is None:
-        l_max = HalfInt.from_int(default)
-    if l_max.value > default + MAX_ORDER:
+        l_max = default
+    if l_max > default + MAX_ORDER:
         raise ParameterError(
             f"lmax {l_max} is more than {MAX_ORDER} above the default "
             f"d1 + 2g - 2 = {default}")
@@ -150,7 +145,7 @@ def critical_table(p: ModuliParams, l_max: HalfInt | None = None,
         except ParameterError:
             dims = {}
         rows.append({
-            "kind": s.kind.value,
+            "kind": s.kind,
             "l": str(s.ell),
             "range": kind_range_description(s.kind, p),
             "region": region_of(p, s.ell),
@@ -161,15 +156,15 @@ def critical_table(p: ModuliParams, l_max: HalfInt | None = None,
         })
     present = {s.kind for s in descriptors}
     doc = {"params": p.describe(), "l_max": str(l_max), "order": order, "rows": rows,
-           "empty_kinds": [k.value for k in StratumKind if k not in present]}
+           "empty_kinds": [k for k in KINDS if k not in present]}
     if transforms:
         doc["transforms"] = transforms
     return doc
 
 
-def table_note(kind: StratumKind) -> str | None:
+def table_note(kind: str) -> str | None:
     """Transcription caveats attached to table rows."""
-    return C1_EXPONENT_NOTE if kind is StratumKind.C1 else None
+    return C1_EXPONENT_NOTE if kind == "C1" else None
 
 
 def negative_dim(s: StratumDescriptor, component: str | None = None):
@@ -183,21 +178,21 @@ def negative_dim(s: StratumDescriptor, component: str | None = None):
     """
     p, g = s.params, s.params.g
     dims: dict[str, int] = {}
-    if s.kind is StratumKind.B1:
-        dims["nonzero_fiber_dim"] = 2 * g - 2 + s.ell.as_int() - p.d1
-    elif s.kind is StratumKind.C2:
-        dims["dim"] = 2 * g - 2 + s.ell.as_int() - p.d2
-    elif s.kind in (StratumKind.B2, StratumKind.B3, StratumKind.C1, StratumKind.C3):
+    if s.kind == "B1":
+        dims["nonzero_fiber_dim"] = 2 * g - 2 + s.ell - p.d1
+    elif s.kind == "C2":
+        dims["dim"] = 2 * g - 2 + s.ell - p.d2
+    elif s.kind != "A":
         # deg(S*Q) = d2 - 2l < 0 on these ranges
-        dims["h01_s_star_q"] = h01_s_star_q(p, s.ell.as_int())
+        dims["h01_s_star_q"] = h01_s_star_q(p, s.ell)
     if component is None:
         if not dims:
             raise UnspecifiedDimensionError(
-                f"no constant dimension formula is stated for {s.kind.value}"
+                f"no constant dimension formula is stated for {s.kind}"
             )
         return dims
     if component not in dims:
         raise UnspecifiedDimensionError(
-            f"dimension {component!r} is not specified for {s.kind.value}"
+            f"dimension {component!r} is not specified for {s.kind}"
         )
     return dims[component]

@@ -247,8 +247,7 @@ def _suite_series_laws(grid) -> list[str]:
         if back != series.TruncatedSeries.from_coeffs(expr.numerator, order):
             raise _Failed({"g": g, "law": "expand recovery"})
         for p in params.valid_points(g):
-            for s in strata.enumerate_critical(
-                    p, params.HalfInt.from_int(p.d1 + 2 * g - 2)):
+            for s in strata.enumerate_critical(p, p.d1 + 2 * g - 2):
                 # the series is a function of its key: check each key once
                 key = strata.critical_set_key(s)
                 if key in checked:

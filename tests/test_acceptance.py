@@ -29,7 +29,6 @@ from higgsbetti.ingredients import (
     v_dim,
 )
 from higgsbetti.params import (
-    HalfInt,
     gamma3_trivial,
     kirwan_su_surjective,
     make_params,
@@ -256,8 +255,7 @@ def test_criterion_08d_nonnegativity():
             assert res.mode == "absolute"
             assert res.series.is_nonnegative(), fn.__name__
         for q in valid_points(g):
-            top = HalfInt.from_int(q.d1 + 2 * g - 2)
-            for s in enumerate_critical(q, top):
+            for s in enumerate_critical(q, q.d1 + 2 * g - 2):
                 assert critical_set_poincare(s, order).is_nonnegative(), str(s)
 
 

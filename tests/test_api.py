@@ -15,9 +15,9 @@ from higgsbetti.assemble import PLAIN, TermValue, u21_closed_form
 from higgsbetti.bradlow import _ProviderRecord
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import CoverParams
-from higgsbetti.params import HalfInt, make_params
+from higgsbetti.params import make_params
 from higgsbetti.series import RationalExpr, TruncatedSeries
-from higgsbetti.strata import StratumDescriptor, StratumKind
+from higgsbetti.strata import StratumDescriptor
 from higgsbetti.verify import (
     PolynomialWindow,
     SuiteResult,
@@ -125,7 +125,6 @@ P = make_params(2, 1, 0)
 
 # each factory builds a new value; two calls give equal values
 VALUES = {
-    "HalfInt": lambda: HalfInt(3),
     "ModuliParams": lambda: make_params(2, 1, 0),
     "PolynomialWindow": lambda: PolynomialWindow(True, 4, 2),
     "_ProviderRecord": lambda: _ProviderRecord(2, 1, TruncatedSeries((1, 4)), None),
@@ -136,7 +135,7 @@ VALUES = {
     "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
     "RationalExpr": lambda: RationalExpr((1, 1), (4, 2)),
     "CoverParams": lambda: CoverParams(1, 2, 3),
-    "StratumDescriptor": lambda: StratumDescriptor(StratumKind.A, HalfInt(0), P),
+    "StratumDescriptor": lambda: StratumDescriptor("A", 0, P),
     "TermValue": lambda: TermValue("x", ((1, 0, ((1, 1),)),), PLAIN, 5),
 }
 # a dict or list field makes these unhashable, as they always were
@@ -174,7 +173,7 @@ def test_dataclasses_replace_changes_one_field():
     other = dataclasses.replace(result, series=-result.series)
     assert type(other) is type(result) and other != result
     assert other.series == -result.series and other.terms == result.terms
-    assert dataclasses.replace(HalfInt(3), doubled=5) == HalfInt(5)
+    assert dataclasses.replace(P, d1=3) == make_params(2, 3, 0)
     with pytest.raises(ParameterError):
         dataclasses.replace(TruncatedSeries((1, 2)), coeffs=(1.5,))
 
@@ -193,8 +192,7 @@ def test_values_with_different_fields_differ():
     assert TruncatedSeries((1, 2, 3)) != TruncatedSeries((1, 2, 4))
     assert RationalExpr((1, 1), (2,)) != RationalExpr((1, 1), (4,))
     assert CoverParams(1, 2, 3) != CoverParams(2, 1, 3)
-    assert StratumDescriptor(StratumKind.A, HalfInt(0), P) != \
-        StratumDescriptor(StratumKind.A, HalfInt(0), make_params(2, 0, 0))
+    assert StratumDescriptor("A", 0, P) != StratumDescriptor("A", 0, make_params(2, 0, 0))
 
 
 def test_term_values_compare_by_label_and_expansion():
@@ -203,13 +201,6 @@ def test_term_values_compare_by_label_and_expansion():
     two = TermValue("x", ((1, 1, ((1,),)), (1, 2, ((1,),))), PLAIN, 5)
     assert one == two and hash(one) == hash(two)
     assert one != TermValue("y", one.entries, PLAIN, 5)
-
-
-def test_half_integers_sort_by_value():
-    values = [HalfInt(3), HalfInt(-1), HalfInt.from_int(1), HalfInt(1)]
-    assert sorted(values) == [HalfInt(-1), HalfInt(1), HalfInt(2), HalfInt(3)]
-    assert HalfInt(1) < HalfInt.from_int(1) <= HalfInt(2) < HalfInt(3)
-    assert max(values) == HalfInt(3)
 
 
 def test_series_and_rational_expressions_never_equal_a_tuple():

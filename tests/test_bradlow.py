@@ -243,6 +243,11 @@ def test_provider_file_order_is_held_to_the_budget(tmp_path, capsys):
     assert code == 2
     assert message in capsys.readouterr().err
     provider_from_file(_write(tmp_path, maximal_provider_record(2, MAX_ORDER)))
+    # a negative order is refused before the record's series are looked at
+    record = maximal_provider_record(2, 20)
+    record.update(order=-1, pairs_equivariant=None, moduli_min=None)
+    with pytest.raises(ProviderFileError, match="negative order -1"):
+        provider_from_file(_write(tmp_path, record))
 
 
 def test_provider_file_rejects_duplicate_records(tmp_path):

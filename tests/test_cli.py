@@ -3,13 +3,14 @@ import ast
 import json
 import os
 import threading
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from higgsbetti.cli import MAX_GRID_GENUS, build_parser, main
-from higgsbetti.params import MAX_GENUS, MAX_ORDER, HalfInt, valid_points
+from higgsbetti.params import MAX_GENUS, MAX_ORDER, valid_points
 from higgsbetti.series import TruncatedSeries
 
 
@@ -503,7 +504,7 @@ def test_series_laws_expands_each_critical_set_row_once(monkeypatch):
     assert verify.SUITES["series-laws"]({"g": (2, 3)}).passed
     keys = {strata.critical_set_key(s)
             for g in (2, 3) for p in valid_points(g)
-            for s in strata.enumerate_critical(p, HalfInt.from_int(p.d1 + 2 * g - 2))}
+            for s in strata.enumerate_critical(p, p.d1 + 2 * g - 2)}
     assert counts["expanded"] == len(keys) == 12
 
     monkeypatch.setattr(strata, "sym_factor", negated_at_3)
@@ -520,8 +521,7 @@ def test_a_negative_symmetric_product_exponent_is_a_range_violation():
     from higgsbetti.errors import RangeViolationError
     from higgsbetti.params import make_params
 
-    s = strata.StratumDescriptor(strata.StratumKind.C2, HalfInt.from_int(0),
-                                 make_params(2, 3, 0))
+    s = strata.StratumDescriptor("C2", 0, make_params(2, 3, 0))
     with pytest.raises(RangeViolationError, match="exponent -1 for C2@0"):
         strata.critical_set_key(s)
     with pytest.raises(RangeViolationError, match="exponent -1 for C2@0"):
@@ -544,7 +544,7 @@ def test_suite_memos_live_inside_one_call(monkeypatch):
             runs.append((result, {k: counts[k] - before[k] for k in counts}))
         assert runs[0] == runs[1]
         assert runs[0][0].passed and any(runs[0][1].values())
-    for module, dicts in ((verify, {"SUITES"}), (strata, {"_KIND_ORDER"})):
+    for module, dicts in ((verify, {"SUITES"}), (strata, set())):
         names = vars(module)
         assert {k for k, v in names.items()
                 if isinstance(v, dict) and not k.startswith("__")} == dicts
@@ -563,6 +563,20 @@ def test_ingredients_ops(capsys):
         capsys, "ingredients", "--op", "vdim", "--m1", "1", "--m2", "1",
         "--genus", "2")
     assert code == 0 and out.strip() == "320"
+
+
+def test_ingredients_json_document_of_a_series(capsys):
+    from higgsbetti.ingredients import CoverParams, gothen_cover_poincare, sym_poincare
+
+    for argv, want in (
+            (["--op", "sym", "--m", "3", "--genus", "3"], sym_poincare(3, 3, 12)),
+            (["--op", "gothen", "--m1", "1", "--m2", "2", "--genus", "2"],
+             gothen_cover_poincare(CoverParams(1, 2, 2), 12))):
+        code, out, _ = run(capsys, "ingredients", *argv, "--order", "12",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"op": argv[1], "order": 12,
+                                   "coefficients": [str(c) for c in want.coeffs]}
 
 
 def test_export_provider_and_file_round_trip(capsys, tmp_path):
@@ -676,7 +690,7 @@ def test_a_negative_lmax_is_written_with_an_equals_sign():
     # argparse reads the -3/2 of "--lmax -3/2" as an option; "--lmax=-3/2" parses
     argv = ["strata", "-g", "2", "--d1", "0", "--d2", "0", "--lmax=-3/2"]
     args = build_parser(argv).parse_args(argv)
-    assert args.lmax == HalfInt(-3)
+    assert args.lmax == Fraction(-3, 2)
 
 
 @pytest.mark.parametrize("argv", [

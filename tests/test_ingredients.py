@@ -179,8 +179,9 @@ def test_v_dim_examples():
     assert v_dim(CoverParams(1, 1, 2)) == 320
     assert v_dim(CoverParams(0, 2 * 4 - 2, 4)) == 3 ** 8 - 1
     assert v_dim(CoverParams(2 * 2 - 1, 0, 2)) == 0
-    with pytest.raises(ParameterError):
-        CoverParams(-1, 0, 2)
+    for m1, m2, g in ((-1, 0, 2), (0, 0, 1)):  # negative exponent, genus 1
+        with pytest.raises(ParameterError):
+            CoverParams(m1, m2, g)
 
 
 @pytest.mark.parametrize("g", [2, 3])

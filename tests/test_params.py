@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from higgsbetti.errors import ParameterError, RangeViolationError
 from higgsbetti.params import (
-    HalfInt,
     ModuliParams,
     canonicalize,
     delta_set,
@@ -22,10 +21,6 @@ from higgsbetti.params import (
     torelli_trivial,
     valid_points,
 )
-
-
-def H(n):
-    return HalfInt.from_int(n)
 
 
 def test_make_params_examples():
@@ -101,29 +96,36 @@ def test_canonicalize():
 
 def test_delta_set_examples():
     p = make_params(2, 2, 1)
-    assert delta_set(p, H(3)) == [HalfInt(1), H(1), H(2), H(3)]
+    assert delta_set(p, 3) == [Fraction(1, 2), 1, 2, 3]
     p = make_params(2, 2, 2)
-    assert delta_set(p, H(3)) == [H(1), H(2), H(3)]
+    assert delta_set(p, 3) == [1, 2, 3]
     p = make_params(2, 0, 0)
-    assert delta_set(p, H(2)) == [H(0), H(1), H(2)]
+    assert delta_set(p, 2) == [0, 1, 2]
+    # a half-integer or rational bound keeps the indices at most it
+    assert delta_set(p, Fraction(5, 2)) == delta_set(p, Fraction(7, 3)) == [0, 1, 2]
 
 
 def test_region_examples():
     p = make_params(2, 2, 1)
-    assert region_of(p, H(1)) == "II"
-    assert region_of(p, H(3)) == "III"
-    assert region_of(make_params(2, 0, 0), H(1)) == "I"
+    assert region_of(p, 1) == "II"
+    assert region_of(p, 3) == "III"
+    assert region_of(make_params(2, 0, 0), 1) == "I"
     # the half-integer member sits in region II when tau > 0
-    assert region_of(p, HalfInt(1)) == "II"
+    assert region_of(p, Fraction(1, 2)) == "II"
     with pytest.raises(ParameterError):
-        region_of(p, H(-5))
+        region_of(p, -5)
+
+
+def test_region_of_refuses_an_index_that_is_no_half_integer():
+    with pytest.raises(ParameterError, match="l = 1/3 is not in the index set"):
+        region_of(make_params(2, 2, 1), Fraction(1, 3))
 
 
 def test_region_partition():
     # each index set member lands in exactly one region (or none)
     for g in (2, 3):
         for p in valid_points(g):
-            for k in delta_set(p, H(p.d1 + 2 * g + 2)):
+            for k in delta_set(p, p.d1 + 2 * g + 2):
                 assert region_of(p, k) in {"I", "II", "III", "none"}
 
 
@@ -133,7 +135,7 @@ def test_region_of_refuses_exactly_the_non_members():
     for g in (2, 3):
         for p in valid_points(g):
             for doubled in range(2 * p.d2 - 8, 2 * (p.d1 + 2 * g + 2)):
-                k = HalfInt(doubled)
+                k = Fraction(doubled, 2)
                 if k in delta_set(p, k):
                     assert region_of(p, k) in {"I", "II", "III", "none"}
                 else:
@@ -145,8 +147,9 @@ def test_s_tau_examples():
     assert s_tau(2, 2) == {}
     assert s_tau(2, 0) == {8: (1, 1), 10: (0, 0)}
     assert s_tau(4, 4) == {24: (0, 6)}
-    with pytest.raises(ParameterError):
-        s_tau(3, 1)
+    for g, tau in ((3, 1), (3, -2)):  # odd, negative
+        with pytest.raises(ParameterError):
+            s_tau(g, tau)
 
 
 def test_s_tau_member_congruences():
@@ -178,25 +181,25 @@ def test_gamma3_matches_empty_index_set():
 def test_shift_covariance_of_delta_and_regions():
     p = make_params(2, 2, 1)
     q = p.tensor_shift(3)
-    lm = H(6)
-    shifted = [ell.shifted(3) for ell in delta_set(p, lm)]
-    assert shifted == delta_set(q, lm.shifted(3))
+    lm = 6
+    shifted = [ell + 3 for ell in delta_set(p, lm)]
+    assert shifted == delta_set(q, lm + 3)
     for ell in delta_set(p, lm):
-        assert region_of(p, ell) == region_of(q, ell.shifted(3))
+        assert region_of(p, ell) == region_of(q, ell + 3)
 
 
 def test_delta_set_properties():
     for g in (2, 3):
         for p in valid_points(g):
             d1, d2 = p.d1, p.d2
-            lm = H(d1 + 2 * g)
+            lm = d1 + 2 * g
             members = delta_set(p, lm)
             assert members == sorted(set(members))
             assert all(ell <= lm for ell in members)
-            assert HalfInt(d2) in members
+            assert Fraction(d2, 2) in members
             for ell in members:
-                if not ell.is_integer:
-                    assert ell == HalfInt(d2)
+                if ell != int(ell):
+                    assert ell == Fraction(d2, 2)
 
 
 def test_region_matches_kind_ranges():
@@ -206,24 +209,12 @@ def test_region_matches_kind_ranges():
         for p in valid_points(g):
             d1, d2 = p.d1, p.d2
             c1_top = d2 - d1 + 2 * g - 2
-            for ell in delta_set(p, H(d1 + 2 * g + 2)):
+            for ell in delta_set(p, d1 + 2 * g + 2):
                 region = region_of(p, ell)
-                v = ell.value
-                if F(d1 + d2, 3) < v <= c1_top:
+                if F(d1 + d2, 3) < ell <= c1_top:
                     assert region == "I"
-                if v > max(d1, c1_top):
+                if ell > max(d1, c1_top):
                     assert region == "III"
-
-
-def test_halfint_behaviour():
-    assert str(HalfInt(3)) == "3/2"
-    assert str(HalfInt(4)) == "2"
-    assert HalfInt(4).as_int() == 2
-    with pytest.raises(ParameterError):
-        HalfInt(3).as_int()
-    assert HalfInt.from_fraction(Fraction(5, 2)) == HalfInt(5)
-    with pytest.raises(ParameterError):
-        HalfInt.from_fraction(Fraction(1, 3))
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])

@@ -12,7 +12,7 @@ from higgsbetti.bradlow import maximal_provider_record, provider_from_file
 from higgsbetti.cli import main
 from higgsbetti.errors import ParameterError, ProviderFileError
 from higgsbetti import series
-from higgsbetti.params import HalfInt
+from higgsbetti.params import make_params
 from higgsbetti.series import (
     RationalExpr,
     TruncatedSeries,
@@ -59,7 +59,7 @@ def test_series_value_semantics():
     assert f == same and hash(f) == hash(same) and len({f, same}) == 1
     assert f != S([3, -1, 2], 3) and f != S([3, -1, 3])
     # another class, even one holding the same tuple, is never equal
-    assert f != (3, -1, 2) and f != HalfInt(3) and not f == (3, -1, 2)
+    assert f != (3, -1, 2) and f != make_params(3, -1, 2) and not f == (3, -1, 2)
     assert dataclasses.replace(f) == f
     assert dataclasses.replace(f, coeffs=(1,)) == S([1])
     assert dataclasses.asdict(f) == {"coeffs": (3, -1, 2)}

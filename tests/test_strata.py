@@ -10,11 +10,11 @@ from higgsbetti.ingredients import (
     jacobian_poincare,
     sym_poincare,
 )
-from higgsbetti.params import HalfInt, make_params, valid_points
+from higgsbetti.params import make_params, valid_points
 from higgsbetti.series import geometric_inverse
 from higgsbetti.strata import (
+    KINDS,
     StratumDescriptor,
-    StratumKind,
     admits,
     critical_set_key,
     critical_set_poincare,
@@ -25,31 +25,27 @@ from higgsbetti.strata import (
 )
 
 
-def H(n):
-    return HalfInt.from_int(n)
-
-
 def _names(descriptors):
     return [str(s) for s in descriptors]
 
 
 def test_enumerate_example_1():
     p = make_params(2, 2, 1)
-    got = _names(enumerate_critical(p, H(4)))
+    got = _names(enumerate_critical(p, 4))
     assert got == ["A@1/2", "B1@1", "C2@1", "B2@2",
                    "B3@3", "C3@3", "B3@4", "C3@4"]
 
 
 def test_enumerate_example_2():
     p = make_params(2, 0, 0)
-    got = _names(enumerate_critical(p, H(2)))
+    got = _names(enumerate_critical(p, 2))
     assert got == ["A@0", "B3@1", "C1@1", "C3@1", "B3@2", "C1@2", "C3@2"]
 
 
 def test_enumerate_below_all_ranges():
     p = make_params(2, 2, 1)
-    assert enumerate_critical(p, HalfInt(0)) == []
-    assert _names(enumerate_critical(p, HalfInt(1))) == ["A@1/2"]
+    assert enumerate_critical(p, 0) == []
+    assert _names(enumerate_critical(p, Fraction(1, 2))) == ["A@1/2"]
 
 
 def test_b_kinds_partition_integers_above_half_d2():
@@ -57,9 +53,7 @@ def test_b_kinds_partition_integers_above_half_d2():
         for p in valid_points(g):
             d1, d2 = p.d1, p.d2
             for l in range(d2 // 2 - 2, d1 + 2 * g + 3):
-                ell = H(l)
-                hits = [k for k in (StratumKind.B1, StratumKind.B2, StratumKind.B3)
-                        if admits(k, p, ell)]
+                hits = [k for k in ("B1", "B2", "B3") if admits(k, p, l)]
                 expected = 1 if 2 * l > d2 else 0
                 assert len(hits) == expected, (g, d1, d2, l, hits)
 
@@ -71,12 +65,12 @@ def test_enumeration_is_complete():
             p = make_params(g, d1, d2)
             if not p.valid:
                 continue
-            lm = H(d1 + 2 * g)
+            lm = d1 + 2 * g
             listed = {(s.kind, s.ell) for s in enumerate_critical(p, lm)}
             assert len(listed) == len(enumerate_critical(p, lm))
-            for kind in StratumKind:
+            for kind in KINDS:
                 for doubled in range(-6, 2 * (d1 + 2 * g) + 1):
-                    ell = HalfInt(doubled)
+                    ell = Fraction(doubled, 2)
                     if ell <= lm and admits(kind, p, ell):
                         assert (kind, ell) in listed, (g, d1, d2, kind, str(ell))
 
@@ -84,17 +78,17 @@ def test_enumeration_is_complete():
 def _table_admits(kind, p, l):
     """The module docstring's table, in Fractions; l is a Fraction."""
     g, d1, d2 = p.g, p.d1, p.d2
-    if kind is StratumKind.A:
+    if kind == "A":
         return l == Fraction(d2, 2)
     if l.denominator != 1:
         return False
     return {
-        StratumKind.B1: Fraction(d2, 2) < l < d1,
-        StratumKind.B2: l == d1 > Fraction(d2, 2),
-        StratumKind.B3: d1 < l,
-        StratumKind.C1: Fraction(d1 + d2, 3) < l <= d2 - d1 + 2 * g - 2,
-        StratumKind.C2: Fraction(2 * d2 - d1, 3) < l < d1,
-        StratumKind.C3: d1 < l <= d1 + 2 * g - 2,
+        "B1": Fraction(d2, 2) < l < d1,
+        "B2": l == d1 > Fraction(d2, 2),
+        "B3": d1 < l,
+        "C1": Fraction(d1 + d2, 3) < l <= d2 - d1 + 2 * g - 2,
+        "C2": Fraction(2 * d2 - d1, 3) < l < d1,
+        "C3": d1 < l <= d1 + 2 * g - 2,
     }[kind]
 
 
@@ -105,25 +99,54 @@ def test_admits_and_enumeration_follow_the_table(g):
             low, high = 2 * min(p.d1, p.d2 // 2) - 6, 2 * (p.d1 + 2 * g) + 2
             for doubled in range(low, high + 1):
                 l = Fraction(doubled, 2)
-                table = [k for k in StratumKind if _table_admits(k, p, l)]
-                assert [k for k in StratumKind if admits(k, p, HalfInt(doubled))] \
-                    == table, (p, doubled)
+                table = [k for k in KINDS if _table_admits(k, p, l)]
+                assert [k for k in KINDS if admits(k, p, l)] == table, (p, doubled)
             for top in range(low, high + 1, 3):  # integer and half-integer l_max
                 expected = sorted((Fraction(doubled, 2), i)
                                   for doubled in range(low, top + 1)
-                                  for i, k in enumerate(StratumKind)
+                                  for i, k in enumerate(KINDS)
                                   if _table_admits(k, p, Fraction(doubled, 2)))
-                got = [(s.ell.value, list(StratumKind).index(s.kind))
-                       for s in enumerate_critical(p, HalfInt(top))]
+                got = [(s.ell, KINDS.index(s.kind))
+                       for s in enumerate_critical(p, Fraction(top, 2))]
                 assert got == expected, (p, top)
 
 
 def test_descriptor_range_validation():
     p = make_params(2, 2, 1)
     with pytest.raises(ParameterError):
-        StratumDescriptor(StratumKind.C1, H(1), p)  # C1 range empty here
+        StratumDescriptor("C1", 1, p)  # C1 range empty here
     with pytest.raises(ParameterError):
-        StratumDescriptor(StratumKind.B1, HalfInt(1), p)  # not an integer
+        StratumDescriptor("B1", Fraction(1, 2), p)  # not an integer
+
+
+# B1 and C2 hold the rational 3/2 in their ranges at this point
+HALF_INTEGER_POINT = make_params(2, 2, 1)
+
+
+def test_an_a_index_other_than_half_d2_is_refused():
+    with pytest.raises(ParameterError, match="outside the A range"):
+        StratumDescriptor("A", Fraction(1, 3), HALF_INTEGER_POINT)
+
+
+@pytest.mark.parametrize("kind", KINDS[1:])
+def test_a_half_integer_index_is_refused_for_an_integer_kind(kind):
+    with pytest.raises(ParameterError, match=f"l = 3/2 is outside the {kind} range"):
+        StratumDescriptor(kind, Fraction(3, 2), HALF_INTEGER_POINT)
+
+
+def test_a_descriptor_stores_an_int_index_and_d2_over_2_for_a():
+    p = HALF_INTEGER_POINT
+    assert type(StratumDescriptor("B2", Fraction(2), p).ell) is int
+    assert StratumDescriptor("A", Fraction(1, 2), p).ell == Fraction(1, 2)
+    assert type(StratumDescriptor("A", 0, make_params(2, 0, 0)).ell) is Fraction
+    for s in enumerate_critical(p, 4):
+        assert type(s.ell) is (Fraction if s.kind == "A" else int)
+
+
+def test_a_rational_lmax_enumerates_the_indices_at_most_it():
+    p = HALF_INTEGER_POINT
+    assert enumerate_critical(p, Fraction(7, 3)) == enumerate_critical(p, 2)
+    assert enumerate_critical(p, Fraction(1, 3)) == enumerate_critical(p, 0) == []
 
 
 @pytest.mark.parametrize("point, description", [
@@ -133,7 +156,7 @@ def test_descriptor_range_validation():
     ((2, 2, 1), "l = d1 = 2"),  # tau = 2
 ])
 def test_b2_range_names_why_it_is_empty(point, description):
-    assert kind_range_description(StratumKind.B2, make_params(*point)) == description
+    assert kind_range_description("B2", make_params(*point)) == description
 
 
 def test_critical_set_series_examples():
@@ -142,53 +165,53 @@ def test_critical_set_series_examples():
     jac = jacobian_poincare(2, order)
     geo2 = geometric_inverse(2, order)
 
-    b1 = critical_set_poincare(StratumDescriptor(StratumKind.B1, H(1), p), order)
+    b1 = critical_set_poincare(StratumDescriptor("B1", 1, p), order)
     assert b1 == jac * jac * jac * geo2 * geo2 * geo2
 
-    c3 = critical_set_poincare(StratumDescriptor(StratumKind.C3, H(3), p), order)
+    c3 = critical_set_poincare(StratumDescriptor("C3", 3, p), order)
     assert c3 == jac * jac * sym_poincare(1, 2, order) * geo2 * geo2
 
-    a = critical_set_poincare(StratumDescriptor(StratumKind.A, HalfInt(1), p), order)
+    a = critical_set_poincare(StratumDescriptor("A", Fraction(1, 2), p), order)
     assert a == jac * ab_semistable_rank2(1, 2, order) * geo2 * geo2
 
     q = make_params(2, 0, 0)
-    c1 = critical_set_poincare(StratumDescriptor(StratumKind.C1, H(1), q), order)
+    c1 = critical_set_poincare(StratumDescriptor("C1", 1, q), order)
     # corrected exponent d2 - l - d1 + 2g - 2 = 1
     assert c1 == jac * jac * sym_poincare(1, 2, order) * geo2 * geo2
-    assert table_note(StratumKind.C1)
+    assert table_note("C1")
 
 
 def test_critical_set_series_nonnegative_and_shift_invariant():
     order = 16
     for (g, d1, d2) in [(2, 2, 1), (2, 0, 0), (3, 4, 2), (3, 1, 2)]:
         p = make_params(g, d1, d2)
-        for s in enumerate_critical(p, H(d1 + 2 * g - 2)):
+        for s in enumerate_critical(p, d1 + 2 * g - 2):
             val = critical_set_poincare(s, order)
             assert val.is_nonnegative()
             q = p.tensor_shift(2)
-            moved = StratumDescriptor(s.kind, s.ell.shifted(2), q)
+            moved = StratumDescriptor(s.kind, s.ell + 2, q)
             assert critical_set_poincare(moved, order) == val
 
 
 def test_negative_dim_examples():
     p = make_params(2, 2, 1)
-    b1 = StratumDescriptor(StratumKind.B1, H(1), p)
+    b1 = StratumDescriptor("B1", 1, p)
     assert negative_dim(b1, "nonzero_fiber_dim") == 1
 
-    c2 = StratumDescriptor(StratumKind.C2, H(1), p)
+    c2 = StratumDescriptor("C2", 1, p)
     assert negative_dim(c2, "dim") == 2
 
     q = make_params(3, 3, 0)
-    c2b = StratumDescriptor(StratumKind.C2, H(2), q)
+    c2b = StratumDescriptor("C2", 2, q)
     assert negative_dim(c2b, "dim") == 6
 
     # h^{0,1}(S*Q) = g - 1 + 2l - d2
-    c3 = StratumDescriptor(StratumKind.C3, H(3), p)
+    c3 = StratumDescriptor("C3", 3, p)
     assert negative_dim(c3) == {"h01_s_star_q": 6}
-    c1 = StratumDescriptor(StratumKind.C1, H(1), make_params(2, 0, 0))
+    c1 = StratumDescriptor("C1", 1, make_params(2, 0, 0))
     assert negative_dim(c1, "h01_s_star_q") == 3
 
-    a = StratumDescriptor(StratumKind.A, HalfInt(1), p)
+    a = StratumDescriptor("A", Fraction(1, 2), p)
     with pytest.raises(UnspecifiedDimensionError):
         negative_dim(a)
     with pytest.raises(UnspecifiedDimensionError):
@@ -254,7 +277,7 @@ def test_each_c2_route_term_is_its_table_row_shifted():
                 match = re.fullmatch(r"C2\[l=(-?\d+)\]", t.label)
                 if match is None:
                     continue
-                s = StratumDescriptor(StratumKind.C2, H(int(match[1])), p)
+                s = StratumDescriptor("C2", int(match[1]), p)
                 _, _, m = critical_set_key(s)
                 assert t.series == -critical_set_poincare(s, route.order).shifted(2 * m), \
                     (p, t.label)
