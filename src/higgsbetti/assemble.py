@@ -21,12 +21,16 @@ closed form, moduli_min in a route).  A provider can substitute absolute
 values: ``_provided`` takes the series the provider holds and derives
 the other side through the difference when that is the one needed.
 
-Every assembly is a sum of blocks.  A block is a ``RationalExpr``, the
-factor over the denominator that all strata of one kind share:
-P(J)/(1-t^2) for C1, P(J)^2/(1-t^2)^2 for C2, B1-diff and the boundary
-term of the u21 route, 1/((1-t^2)^k (1-t^4)) for the Atiyah-Bott block
-of a route, and 1 (``PLAIN``) for the cover sums; blocks are cached per
-genus and shape (``ingredients.jacobian_block``).  A term is (label,
+A group is data, its row of ``_GROUPS``, read by one closed-form body
+and one route body.  Every assembly is a sum of blocks.  A block is a
+``RationalExpr``, the factor over the denominator that all strata of one
+kind share, cached per genus and shape (``ingredients.jacobian_block``).
+Fixing the determinant removes the line-gauge factor lambda =
+P(J)/(1-t^2), the series of Jac x BU(1): the C1 terms and a route's
+moduli_min lie over lambda^power (power 1 for u21, 0 for su21 and pu21),
+a route's Atiyah-Bott block is 1/((1-t^2)^k (1-t^4)) with k = 2 + power,
+and the row holds a route's boundary, C2 and B1-diff blocks.  The pairs
+unknown lies over P(J)/(1-t^2) in every closed form.  A term is (label,
 entries, block, order), and its entries (sign, shift, factors) are those
 of ``series.shifted_product_sum``: one entry t^mu P(S^m1) P(S^m2) for C1
 and the invariant covers, t^s P(S^m) for C2, B1-diff and the boundary
@@ -39,9 +43,9 @@ one big-integer expression, unpacked once, and one division):
   t^mu P(S^m1) P(S^m2), formed once per exponent set
   (``_c1_numerator``, cached) and shared by all five builders and every
   tensor shift of the point, plus, for su21, the covers' monomials;
-- a provider's value, one entry over its unknown's block (P(J)/(1-t^2),
-  or 1 for the su21 route), whose expansion is also the coefficient the
-  unknown carries in relative mode.
+- a provider's value, one entry over its unknown's block, whose
+  expansion is also the coefficient the unknown carries in relative
+  mode.
 The Atiyah-Bott block gathers nothing: its three terms are shown but not
 summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
@@ -344,39 +348,38 @@ class _Builder:
         )
 
 
-def _assembly(group: str):
-    """Turn a term-adding body into the public builder
-    ``(p, provider=None, order=None) -> AssemblyResult``.
-
-    This is the one way into every assembly.  It refuses |tau| > 2g-2,
-    where the moduli space is empty (Milnor-Wood), dualizes a point with
-    tau < 0 to (-d1, -d2) through ``canonicalize`` (duality of Higgs
-    bundles identifies the two moduli spaces, so every series depends on
-    tau only up to sign), resolves the order, runs the body on a fresh
-    builder and substitutes the provider.
-    """
-
-    def decorate(body):
-        def build(
-            p: ModuliParams,
-            provider: BradlowProvider | None = None,
-            order: int | None = None,
-        ) -> AssemblyResult:
-            _require_valid(p)
-            point, transforms = canonicalize(p)
-            b = _Builder(group, point, resolve_order(p.g, order), transforms)
-            body(b)
-            return b.finish(provider)
-
-        build.__name__ = build.__qualname__ = body.__name__
-        build.__doc__ = body.__doc__
-        return build
-
-    return decorate
+# each group's row: its C1 label, whether a C1 term is a Gothen cover, the
+# power of lambda, and the shapes (power, *denominators) of its route's
+# boundary, C2 and B1-diff blocks for ``jacobian_block``
+_GROUPS = {
+    "u21": ("C1", False, 1, ((2, 2, 2),) * 3),  # each lambda^2
+    # boundary P(J) and C2 P(J)/(1-t^2)^2, not lambda: ROADMAP item 2
+    "su21": ("cover-sum", True, 0, ((1,), (1, 2, 2), (1, 2))),
+    # the cover's 3-torsion invariant part P(S^m1) P(S^m2); no route
+    "pu21": ("invariant-cover-sum", False, 0, None),
+}
 
 
-def _sym(b: _Builder, m: int) -> tuple[int, ...]:
-    return sym_factor(m, b.p.g, b.order)
+def _assembly(group: str, body, name: str, doc: str):
+    """The public builder ``name(p, provider=None, order=None)``, the one
+    way into every assembly.  It refuses |tau| > 2g-2, where the moduli
+    space is empty (Milnor-Wood), dualizes a point with tau < 0 to
+    (-d1, -d2) through ``canonicalize`` (duality of Higgs bundles
+    identifies the two moduli spaces, so every series depends on tau only
+    up to sign), resolves the order, runs ``body`` on a fresh builder and
+    ``group``'s row, and substitutes the provider."""
+
+    def build(p: ModuliParams, provider: BradlowProvider | None = None,
+              order: int | None = None) -> AssemblyResult:
+        _require_valid(p)
+        point, transforms = canonicalize(p)
+        b = _Builder(group, point, resolve_order(p.g, order), transforms)
+        body(b, _GROUPS[group])
+        return b.finish(provider)
+
+    build.__name__ = build.__qualname__ = name
+    build.__doc__ = doc
+    return build
 
 
 @lru_cache(maxsize=256)
@@ -390,25 +393,23 @@ def _c1_numerator(g: int, exponents: tuple, size: int) -> tuple[int, ...]:
          for s, m1, m2 in exponents], size))
 
 
-def _add_c1_sum(b: _Builder) -> None:
-    """One term t^s P(S^m1) P(S^m2) (a Gothen cover for su21) per C1
-    index, listed with its own entries; the block sums them all as one
-    entry, the ``_c1_numerator``, plus the covers' monomials.  The shift
-    s grows with the index, and a term reaches the order exactly when s
-    does (every factor has constant term 1), so the sum ends at the first
-    s past the order."""
-    p, g, order, group = b.p, b.p.g, b.order, b.group
-    block = jacobian_block(g, 1, 2) if group == "u21" else PLAIN
-    # u21: P(J) P(S^m1) P(S^m2)/(1-t^2); su21: the cover; pu21: its
-    # 3-torsion invariant part, P(S^m1) P(S^m2)
-    name = {"u21": "C1", "su21": "cover-sum", "pu21": "invariant-cover-sum"}[group]
+def _add_c1_sum(b: _Builder, row) -> None:
+    """One term t^s P(S^m1) P(S^m2), or a Gothen cover, over
+    lambda^power per C1 index, listed with its own entries; the block sums
+    them all as one entry, the ``_c1_numerator``, plus the covers'
+    monomials.  The shift s grows with the index, and a term reaches the
+    order exactly when s does (every factor has constant term 1), so the
+    sum ends at the first s past the order."""
+    name, cover, power, _ = row
+    p, g, order = b.p, b.p.g, b.order
+    block = jacobian_block(g, power, *[2] * power)
     exponents, monomials = [], []
     for l in kind_indices(p, "C1"):
         shift = 2 * h01_s_star_q(p, l)
         if shift > order:
             break
         m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
-        if group == "su21":
+        if cover:
             entries = gothen_cover(CoverParams(m1, m2, g), order, shift)
             monomials.append(entries[1])
         else:
@@ -422,36 +423,34 @@ def _add_c1_sum(b: _Builder) -> None:
         b.sum(block, ((1, 0, (numerator,)), *monomials))
 
 
-def _add_closed_form(b: _Builder) -> None:
+def _closed_form(b: _Builder, row) -> None:
+    # P(J)/(1-t^2) for every group, not lambda^power: ROADMAP item 2
     b.unknown = (PAIRS, jacobian_block(b.p.g, 1, 2), "pairs-block")
-    _add_c1_sum(b)
-
-
-def _add_atiyah_bott_block(b: _Builder, line_factors: int) -> None:
-    """Classifying total, semistable-bundle block and line-splitting tail,
-    over (1-t^2)^line_factors (1-t^4); they cancel identically, as the
-    semistable block is built as the total minus the tail."""
-    total, semistable, tail = atiyah_bott_numerators(
-        b.p.g, b.p.d2 % 2 == 1, line_factors)
-    block = atiyah_bott_block(b.p.g, line_factors)
-    b.add("classifying-total", block, (1, 0, (total,)), listed_only=True)
-    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)), listed_only=True)
-    b.add("line-splitting-tail", block, (-1, 0, (tail,)), listed_only=True)
+    _add_c1_sum(b, row)
 
 
 def _c2_entry(b: _Builder, l: int) -> tuple:
     """The C2 route entry -t^{2m} P(S^m) at index l."""
     m = sym_exponent(b.p, "C2", l)
-    return (-1, 2 * m, (_sym(b, m),))
+    return (-1, 2 * m, (sym_factor(m, b.p.g, b.order),))
 
 
-def _add_route_sums(b: _Builder, boundary: RationalExpr, c2: RationalExpr,
-                    b1_diff: RationalExpr) -> None:
-    """The even-degree boundary term, the C2 sum over the C2 indices up to
-    d2/2 and the B1-diff sum over the B1 indices below the first C1 index,
-    each a symmetric product over its block.  The boundary term is the
-    negated C2 entry at l = d2/2."""
-    p = b.p
+def _stratum_route(b: _Builder, row) -> None:
+    """The Atiyah-Bott block's three terms, which cancel identically, with
+    2 + power line factors; moduli_min over lambda^power; the even-degree
+    boundary term (the negated C2 entry at l = d2/2), the C2 sum over the
+    C2 indices up to d2/2 and the B1-diff sum over the B1 indices below
+    the first C1 index, each over its block of the row; the C1 sum."""
+    power, shapes = row[2:]
+    p, g, order = b.p, b.p.g, b.order
+    total, semistable, tail = atiyah_bott_numerators(g, p.d2 % 2 == 1, 2 + power)
+    block = atiyah_bott_block(g, 2 + power)
+    b.add("classifying-total", block, (1, 0, (total,)), listed_only=True)
+    b.add("semistable-bundle-block", block, (-1, 0, (semistable,)), listed_only=True)
+    b.add("line-splitting-tail", block, (-1, 0, (tail,)), listed_only=True)
+    b.unknown = (MODULI_MIN, jacobian_block(g, power, *[2] * power),
+                 "bradlow-moduli-block")
+    boundary, c2, b1_diff = (jacobian_block(g, *shape) for shape in shapes)
     if p.d2 % 2 == 0:
         _, shift, factors = _c2_entry(b, p.d2 // 2)
         b.add("even-degree-boundary", boundary, (1, shift, factors))
@@ -459,23 +458,21 @@ def _add_route_sums(b: _Builder, boundary: RationalExpr, c2: RationalExpr,
         b.add(f"C2[l={l}]", c2, _c2_entry(b, l))
     for l in kind_indices(p, "B1", kind_indices(p, "C1").start - 1):
         m = sym_exponent(p, "C1", l)  # the C1 exponent and shift, at a B1 index
-        b.add(f"B1-diff[l={l}]", b1_diff, (1, 2 * h01_s_star_q(p, l), (_sym(b, m),)))
+        b.add(f"B1-diff[l={l}]", b1_diff,
+              (1, 2 * h01_s_star_q(p, l), (sym_factor(m, g, order),)))
+    _add_c1_sum(b, row)
 
 
-@_assembly("u21")
-def u21_closed_form(b: _Builder) -> None:
-    """Equivariant series of the semistable locus, closed form.
+u21_closed_form = _assembly("u21", _closed_form, "u21_closed_form", """\
+Equivariant series of the semistable locus, closed form.
 
     Bradlow block (P(J)/(1-t^2)) * pairs_equivariant plus the C1 sum of
     t^mu P(J) P(S^m1) P(S^m2)/(1-t^2): at each C1 index l, mu is twice
     ``h01_s_star_q`` and m1, m2 are the C1 and C3 ``sym_exponent``s.
-    """
-    _add_closed_form(b)
+    """)
 
-
-@_assembly("u21")
-def u21_stratum_route(b: _Builder) -> None:
-    """Equivariant series via the per-stratum Morse-theoretic sum.
+u21_stratum_route = _assembly("u21", _stratum_route, "u21_stratum_route", """\
+Equivariant series via the per-stratum Morse-theoretic sum.
 
     Classifying-space total minus one labeled block per critical stratum.
     The semistable-bundle block and the line-splitting tail cancel the
@@ -484,43 +481,24 @@ def u21_stratum_route(b: _Builder) -> None:
     kept explicitly: for tau > 0 it cancels the top member of the C2 sum
     (the consolidation asserted by tests), while at tau = 0 that member
     does not exist and the term survives.
-    """
-    _add_atiyah_bott_block(b, 3)
-    b.unknown = (MODULI_MIN, jacobian_block(b.p.g, 1, 2), "bradlow-moduli-block")
-    c2 = jacobian_block(b.p.g, 2, 2, 2)  # P(J)^2/(1-t^2)^2
-    _add_route_sums(b, c2, c2, c2)
-    _add_c1_sum(b)
+    """)
 
+su21_closed_form = _assembly("su21", _closed_form, "su21_closed_form", """\
+Fixed-determinant closed form: Bradlow block plus the cover sum.""")
 
-@_assembly("su21")
-def su21_closed_form(b: _Builder) -> None:
-    """Fixed-determinant closed form: Bradlow block plus the cover sum."""
-    _add_closed_form(b)
-
-
-@_assembly("su21")
-def su21_stratum_route(b: _Builder) -> None:
-    """Fixed-determinant stratum sum, item for item as displayed.
+su21_stratum_route = _assembly("su21", _stratum_route, "su21_stratum_route", """\
+Fixed-determinant stratum sum, item for item as displayed.
 
     The bookkeeping of the A-item against the closed form's Bradlow block
     is not fully displayed in the source material, so this route is
     diagnostic: its residual against the closed form is reported with
     term provenance, never asserted to vanish.
-    """
-    _add_atiyah_bott_block(b, 2)
-    b.unknown = (MODULI_MIN, PLAIN, "bradlow-moduli-block")
-    g = b.p.g
-    _add_route_sums(b, jacobian_block(g, 1), jacobian_block(g, 1, 2, 2),
-                    jacobian_block(g, 1, 2))
-    _add_c1_sum(b)
+    """)
 
-
-@_assembly("pu21")
-def pu21_poincare(b: _Builder) -> None:
-    """3-torsion invariant part: the fixed-determinant closed form with
+pu21_poincare = _assembly("pu21", _closed_form, "pu21_poincare", """\
+3-torsion invariant part: the fixed-determinant closed form with
     each cover polynomial replaced by the bare product of symmetric
-    products (the Bradlow block carries a trivial action and is kept)."""
-    _add_closed_form(b)
+    products (the Bradlow block carries a trivial action and is kept).""")
 
 
 # every assembly, keyed by (group, route)

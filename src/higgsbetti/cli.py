@@ -272,8 +272,9 @@ def build_parser(commands) -> argparse.ArgumentParser:
 
     if sp := command("compute", help="assemble a Poincare series"):
         add_common(sp)
-        sp.add_argument("--group", choices=("u21", "su21", "pu21"), required=True)
-        sp.add_argument("--route", choices=("closed", "stratum"), default="closed")
+        groups, routes = zip(*assemble.BUILDERS)
+        sp.add_argument("--group", choices=tuple(dict.fromkeys(groups)), required=True)
+        sp.add_argument("--route", choices=tuple(dict.fromkeys(routes)), default="closed")
         sp.add_argument("--provider", default="relative",
                         help="relative | maximal | file:PATH")
         sp.set_defaults(fn=cmd_compute)

@@ -167,7 +167,7 @@ def table_note(kind: str) -> str | None:
     return C1_EXPONENT_NOTE if kind == "C1" else None
 
 
-def negative_dim(s: StratumDescriptor, component: str | None = None):
+def negative_dim(s: StratumDescriptor) -> dict[str, int]:
     """Exact constant dimensions of negative normal directions.
 
     Only the closed constants are returned: the B1 nonzero-section fiber
@@ -185,14 +185,7 @@ def negative_dim(s: StratumDescriptor, component: str | None = None):
     elif s.kind != "A":
         # deg(S*Q) = d2 - 2l < 0 on these ranges
         dims["h01_s_star_q"] = h01_s_star_q(p, s.ell)
-    if component is None:
-        if not dims:
-            raise UnspecifiedDimensionError(
-                f"no constant dimension formula is stated for {s.kind}"
-            )
-        return dims
-    if component not in dims:
+    if not dims:
         raise UnspecifiedDimensionError(
-            f"dimension {component!r} is not specified for {s.kind}"
-        )
-    return dims[component]
+            f"no constant dimension formula is stated for {s.kind}")
+    return dims

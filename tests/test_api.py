@@ -32,6 +32,16 @@ def test_every_exported_name_resolves():
     assert len(set(higgsbetti.__all__)) == len(higgsbetti.__all__)
 
 
+def test_every_builder_is_reachable_by_its_name():
+    # the benchmark's tracer and the README look the builders up by name
+    from higgsbetti import assemble
+
+    for fn in assemble.BUILDERS.values():
+        assert getattr(assemble, fn.__name__) is fn
+        assert getattr(higgsbetti, fn.__name__) is fn
+        assert fn.__doc__
+
+
 # the identities the verify suites check, and their records
 IDENTITY_API = (
     "ModuliReport", "PolynomialWindow", "RouteEquivalenceReport",

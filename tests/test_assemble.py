@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from higgsbetti.assemble import (
     BUILDERS,
+    MODULI_MIN,
     PLAIN,
     TermValue,
     pu21_poincare,
@@ -223,6 +224,11 @@ def test_route_equivalence_u21_zero():
     for (g, d1, d2) in [(2, 2, 1), (2, 0, 0), (2, 1, 1), (3, 4, 2), (3, 2, 2)]:
         rep = verify_route_equivalence("u21", make_params(g, d1, d2))
         assert rep.zero, (g, d1, d2, rep.first_nonzero_degree())
+        assert rep.first_nonzero_degree() is None
+    # a residual held by an unknown alone starts where the unknown does
+    unknown = rep._replace(residual_unknowns={
+        MODULI_MIN: TruncatedSeries.monomial(2, rep.residual.order)})
+    assert not unknown.zero and unknown.first_nonzero_degree() == 2
 
 
 def test_route_equivalence_su21_reports():
@@ -465,6 +471,8 @@ def test_terms_sum_to_the_series(case):
     for t in res.terms:
         assert t.expanded(k) == t.series.truncated(k)
         assert t.coefficient(k) == t.series.coeffs[k]
+        with pytest.raises(ParameterError, match="holds order"):
+            t.expanded(t.order + 1)
 
 
 @pytest.mark.parametrize("key", sorted(BUILDERS))

@@ -52,6 +52,10 @@ def test_compute_rejects_invalid_tau(capsys):
         "--d2", "0")
     assert code == 2
     assert "2g-2" in err
+    code, out, err = run(capsys, "compute", "--group", "pu21", "--route", "stratum",
+                         "--genus", "2", "--d1", "2", "--d2", "1")
+    assert (code, out) == (2, "")
+    assert "group 'pu21' has no 'stratum' route" in err
 
 
 def test_compute_has_no_force_option(capsys):
@@ -392,6 +396,23 @@ def test_route_u21_fails_when_valid_points_stops_early(monkeypatch):
         "zero residual on 69 parameter tuples"]
 
 
+def test_route_u21_fails_when_a_route_block_is_corrupted(monkeypatch):
+    # the u21 row's C2 block one 1/(1-t^2) short: only the route reads
+    # it, and the first point with a C2 term shows it in the residual
+    from higgsbetti import assemble, verify
+
+    label, cover, power, (boundary, _, b1_diff) = assemble._GROUPS["u21"]
+    monkeypatch.setitem(assemble._GROUPS, "u21",
+                        (label, cover, power, (boundary, (2, 2), b1_diff)))
+    result = verify.SUITES["route-u21"]({"g": (2, 3)})
+    assert not result.passed
+    assert result.counterexample == {
+        "g": 2, "d1": 0, "d2": -2, "degree": 4, "expected": 0, "got": -1,
+        "terms": {"route:classifying-total": 193,
+                  "route:semistable-bundle-block": -193,
+                  "route:even-degree-boundary": 63, "route:C2[l=-1]": -62}}
+
+
 def _one_more_at_degree_0(fn):
     """fn with 1 added at degree 0 of its result's ``series``."""
     def wrapped(*args):
@@ -717,6 +738,7 @@ def test_order_at_the_budget_is_accepted(capsys):
     ("g=1..2", "2.."),
     (f"g=2..{MAX_GENUS + 1}", "2.."),
     ("g=2..3,g=5..5", "one g=lo..hi"),  # used to run g = 5 alone
+    ("g3", "bad grid"),
     (f"g=2..{MAX_GENUS}", f"2..{MAX_GRID_GENUS}"),  # used to run for days
 ])
 def test_verify_refuses_a_bad_grid(capsys, grid, message):
