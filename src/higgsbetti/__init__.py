@@ -28,9 +28,9 @@ _NAMES_BY_MODULE = {
         "UnspecifiedDimensionError",
     ),
     "ingredients": (
-        "CoverParams", "ab_semistable_rank2", "bg_rank1", "bg_rank2", "bg_su21",
-        "bg_u21", "gothen_cover_poincare", "jacobian_poincare",
-        "projective_poincare", "sym_poincare", "v_dim",
+        "ab_semistable_rank2", "bg_rank1", "bg_rank2", "bg_su21", "bg_u21",
+        "gothen_cover_poincare", "jacobian_poincare", "projective_poincare",
+        "sym_poincare", "v_dim",
     ),
     "params": (
         "ModuliParams", "canonicalize", "delta_set", "gamma3_trivial",

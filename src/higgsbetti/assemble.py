@@ -69,7 +69,6 @@ from typing import NamedTuple
 from .bradlow import BradlowProvider, ww_difference
 from .errors import ParameterError
 from .ingredients import (
-    CoverParams,
     atiyah_bott_block,
     atiyah_bott_numerators,
     gothen_cover,
@@ -410,7 +409,7 @@ def _add_c1_sum(b: _Builder, row) -> None:
             break
         m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
         if cover:
-            entries = gothen_cover(CoverParams(m1, m2, g), order, shift)
+            entries = gothen_cover(m1, m2, g, order, shift)
             monomials.append(entries[1])
         else:
             entries = ((1, shift, (sym_factor(m1, g, order), sym_factor(m2, g, order))),)

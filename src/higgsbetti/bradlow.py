@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ParameterError, ProviderFileError
 from .ingredients import (
@@ -43,7 +42,6 @@ from .ingredients import (
     sym_factor,
 )
 from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid, pairs_sigma
-from .records import dataclass_compatible
 from .series import (
     TruncatedSeries,
     parse_integer,
@@ -112,44 +110,32 @@ class MaximalCaseProvider(BradlowProvider):
         return (maximal_pairs_equivariant(g, order) if e == g - 1 else None), None
 
 
-@dataclass_compatible
-class _ProviderRecord(NamedTuple):
-    g: int
-    e: int
-    pairs: TruncatedSeries | None
-    min_moduli: TruncatedSeries | None
-
-
 class FileBackedProvider(BradlowProvider):
     """Answers exactly the (g, e) records present in a file, each with the
-    series it carries.  Records carrying both are validated against the
-    wall-crossing difference at load time.
+    series it carries: ``records`` are (g, e, pairs_equivariant,
+    moduli_min), as ``_parse_record`` returns them.  Records carrying both
+    are validated against the wall-crossing difference at load time.
     """
 
-    def __init__(self, records: list[_ProviderRecord]):
-        self._records: dict[tuple[int, int], _ProviderRecord] = {}
-        for r in records:
-            if (r.g, r.e) in self._records:
-                raise ProviderFileError(
-                    f"two records for (g, e) = ({r.g}, {r.e})")
-            self._records[(r.g, r.e)] = r
+    def __init__(self, records):
+        self._records: dict[tuple[int, int], tuple] = {}
+        for g, e, pairs, min_moduli in records:
+            if (g, e) in self._records:
+                raise ProviderFileError(f"two records for (g, e) = ({g}, {e})")
+            self._records[g, e] = pairs, min_moduli
 
     def lookup(self, g, e, order):
-        rec = self._records.get((g, e))
-        if rec is None:
-            return None, None
-        _require_order(rec, order)
-        return tuple(None if s is None else s.truncated(order)
-                     for s in (rec.pairs, rec.min_moduli))
+        held = self._records.get((g, e), (None, None))
+        # the series of a record share its order
+        top = min((s.order for s in held if s is not None), default=order)
+        if order > top:
+            raise ProviderFileError(f"provider record holds order {top}, need {order}")
+        return tuple(None if s is None else s.truncated(order) for s in held)
 
 
-def _require_order(rec: _ProviderRecord, order: int) -> None:
-    held = (rec.pairs if rec.pairs is not None else rec.min_moduli).order
-    if order > held:
-        raise ProviderFileError(f"provider record holds order {held}, need {order}")
-
-
-def _parse_record(data: dict) -> _ProviderRecord:
+def _parse_record(data: dict) -> tuple:
+    """One record of a provider file, checked, as (g, e, pairs_equivariant,
+    moduli_min); a series the record does not carry is None."""
     def _series(key: str) -> TruncatedSeries | None:
         raw = data.get(key)
         if raw is None:
@@ -197,7 +183,7 @@ def _parse_record(data: dict) -> _ProviderRecord:
         for k in range(order + 1):
             if delta.coeffs[k] != 0:
                 raise ProviderFileError(f"difference mismatch at degree {k}")
-    return _ProviderRecord(g=g, e=e, pairs=pairs, min_moduli=min_moduli)
+    return g, e, pairs, min_moduli
 
 
 def provider_from_file(path) -> FileBackedProvider:

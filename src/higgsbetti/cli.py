@@ -68,19 +68,12 @@ def _render(args, **build) -> None:
     """Emit the format ``args.format``, built by its callable alone: a
     format can be costly (JSON expands every term of a result).  ``json``
     returns a document, written with sorted keys and an indent of 2;
-    ``csv`` returns the text, and ``text`` gets the one-line JSON encoder
-    for the values it shows and returns the text."""
+    ``text`` and ``csv`` return the text."""
     if args.format == "json":
         import json
         out = json.dumps(build["json"](), sort_keys=True, indent=2)
-    elif args.format == "text":
-        def json_line(value) -> str:
-            import json
-            return json.dumps(value, sort_keys=True)
-
-        out = build["text"](json_line)
     else:
-        out = build["csv"]()
+        out = build[args.format]()
     _emit(out, args.out)
 
 
@@ -107,7 +100,7 @@ def cmd_compute(args) -> int:
             )
         return _series_csv(result.series)
 
-    def text(_json_line) -> str:
+    def text() -> str:
         return "\n".join([
             f"group {result.group}  (g, d1, d2) = ({p.g}, {p.d1}, {p.d2})  "
             f"order {result.order}  mode {result.mode}",
@@ -128,7 +121,7 @@ def cmd_strata(args) -> int:
     doc = strata.critical_table(params.make_params(args.genus, args.d1, args.d2),
                                 args.lmax, args.order)
 
-    def text(_json_line) -> str:
+    def text() -> str:
         p = doc["params"]
         dualized = f", dual of ({-p['d1']}, {-p['d2']})" if "transforms" in doc else ""
         lines = [f"critical sets for (g, d1, d2) = ({p['g']}, {p['d1']}, {p['d2']}), "
@@ -165,7 +158,7 @@ def cmd_ingredients(args) -> int:
         return {"op": args.op, "order": order,
                 "coefficients": [str(c) for c in value.coeffs]}
 
-    _render(args, json=doc, text=lambda _json_line: str(value),
+    _render(args, json=doc, text=lambda: str(value),
             csv=lambda: f"value\n{value}" if scalar else _series_csv(value))
     return EXIT_OK
 
@@ -173,9 +166,9 @@ def cmd_ingredients(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-# largest genus of a verify grid: every suite together takes 19 s at
-# g = 16 alone and 60 s on g = 2..16 (2-CPU Intel Xeon), growing about as
-# g^4 per genus, so a grid up to MAX_GENUS would run for days
+# largest genus of a verify grid: every suite together takes 4.4 s at
+# g = 16 alone and 17.5 s on g = 2..16 (2-CPU Intel Xeon), growing about
+# as g^4 per genus, so a grid up to MAX_GENUS would run for days
 MAX_GRID_GENUS = 16
 
 
@@ -212,7 +205,7 @@ def cmd_verify(args) -> int:
     results = [SUITES[name](grid) for name in names]
     hard_failed = any(r.hard and not r.passed for r in results)
 
-    def text(json_line) -> str:
+    def text() -> str:
         lines = []
         for r in results:
             status = "pass" if r.passed else "FAIL"
@@ -221,7 +214,9 @@ def cmd_verify(args) -> int:
             for d in r.details:
                 lines.append(f"    {d}")
             if r.counterexample:
-                lines.append(f"    counterexample: {json_line(r.counterexample)}")
+                import json  # a passing run writes no JSON
+                lines.append(
+                    f"    counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
         return "\n".join(lines)
 
     _render(args, text=text, json=lambda: {

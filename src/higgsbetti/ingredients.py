@@ -17,24 +17,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import ParameterError
-from .records import Frozen, dataclass_compatible
 from .series import RationalExpr, TruncatedSeries, polynomial_product
-
-
-@dataclass_compatible
-class CoverParams(Frozen):
-    """Exponents (m1, m2) and genus for the covers of S^{m1}X x S^{m2}X."""
-
-    __slots__ = _fields = ("m1", "m2", "g")
-
-    def __init__(self, m1: int, m2: int, g: int):
-        if m1 < 0 or m2 < 0:
-            raise ParameterError("cover exponents must be nonnegative")
-        if g < 2:
-            raise ParameterError("genus must be at least 2")
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "g", g)
 
 
 def _require_genus(g: int) -> None:
@@ -195,35 +178,41 @@ def ab_semistable_rank2(d2: int, g: int, order: int) -> TruncatedSeries:
     return atiyah_bott_series(g, d2, 2, SEMISTABLE, order)
 
 
-def v_dim(c: CoverParams) -> int:
-    """Dimension (3^{2g}-1) C(2g-2, m1) C(2g-2, m2) of the anomalous summand.
+def v_dim(m1: int, m2: int, g: int) -> int:
+    """Dimension (3^{2g}-1) C(2g-2, m1) C(2g-2, m2) of the anomalous summand
+    of the cover of S^{m1}X x S^{m2}X.
 
-    Out-of-range binomials vanish, so this is 0 unless mi <= 2g-2 (both
-    are nonnegative).
+    Out-of-range binomials vanish, so this is 0 unless mi <= 2g-2; a
+    negative exponent raises, as every cover goes through here.
     """
-    n = 2 * c.g - 2
-    if c.m1 > n or c.m2 > n:
+    if m1 < 0 or m2 < 0:
+        raise ParameterError("cover exponents must be nonnegative")
+    _require_genus(g)
+    n = 2 * g - 2
+    if m1 > n or m2 > n:
         return 0
-    return (3 ** (2 * c.g) - 1) * comb(n, c.m1) * comb(n, c.m2)
+    return (3 ** (2 * g) - 1) * comb(n, m1) * comb(n, m2)
 
 
-def gothen_cover(c: CoverParams, order: int, shift: int = 0) -> tuple[tuple, tuple]:
+def gothen_cover(m1: int, m2: int, g: int, order: int,
+                 shift: int = 0) -> tuple[tuple, tuple]:
     """Gothen's formula for the 3^{2g}-fold cover of S^{m1}X x S^{m2}X,
 
         P_t = P_t(S^{m1}X) P_t(S^{m2}X) + v t^{m1+m2},
 
     times t^shift, as its two entries (sign, shift, factors) of
     ``shifted_product_sum``: the product of ``sym_factor`` of m1 and m2
-    (exact up to order) and the monomial v t^{m1+m2}, v = v_dim(m1, m2),
+    (exact up to order) and the monomial v t^{m1+m2}, v = v_dim(m1, m2, g),
     which is 0 unless both mi lie in 0..2g-2.
     """
-    factors = (sym_factor(c.m1, c.g, order), sym_factor(c.m2, c.g, order))
-    return (1, shift, factors), (1, shift + c.m1 + c.m2, ((v_dim(c),),))
+    v = v_dim(m1, m2, g)
+    factors = (sym_factor(m1, g, order), sym_factor(m2, g, order))
+    return (1, shift, factors), (1, shift + m1 + m2, ((v,),))
 
 
-def gothen_cover_poincare(c: CoverParams, order: int) -> TruncatedSeries:
+def gothen_cover_poincare(m1: int, m2: int, g: int, order: int) -> TruncatedSeries:
     """The cover polynomial of ``gothen_cover`` truncated at order."""
-    return RationalExpr((1,)).expand(order, gothen_cover(c, order))
+    return RationalExpr((1,)).expand(order, gothen_cover(m1, m2, g, order))
 
 
 # the ops of ``higgsbetti ingredients`` by name: each takes the genus, the
@@ -238,7 +227,6 @@ OPS = {
     "bg-u21": lambda g, order, **_: bg_u21(g, order),
     "bg-su21": lambda g, order, **_: bg_su21(g, order),
     "ab-semistable": lambda g, order, d2, **_: ab_semistable_rank2(d2, g, order),
-    "gothen": lambda g, order, m1, m2, **_:
-        gothen_cover_poincare(CoverParams(m1, m2, g), order),
-    "vdim": lambda g, order, m1, m2, **_: v_dim(CoverParams(m1, m2, g)),
+    "gothen": lambda g, order, m1, m2, **_: gothen_cover_poincare(m1, m2, g, order),
+    "vdim": lambda g, order, m1, m2, **_: v_dim(m1, m2, g),
 }

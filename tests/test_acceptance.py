@@ -21,7 +21,6 @@ from higgsbetti.bradlow import (
     ww_difference,
 )
 from higgsbetti.ingredients import (
-    CoverParams,
     gothen_cover_poincare,
     jacobian_poincare,
     projective_poincare,
@@ -128,14 +127,13 @@ def test_criterion_05_gothen_cover_consistency():
         order = 8 * g + 4
         for m1 in range(0, 2 * g + 1):
             for m2 in range(0, 2 * g + 1):
-                c = CoverParams(m1, m2, g)
-                got = gothen_cover_poincare(c, order)
+                got = gothen_cover_poincare(m1, m2, g, order)
                 expected = sym_poincare(m1, g, order) * sym_poincare(m2, g, order)
                 if m1 <= 2 * g - 2 and m2 <= 2 * g - 2:
                     expected = expected + TruncatedSeries.monomial(
-                        m1 + m2, order, v_dim(c))
+                        m1 + m2, order, v_dim(m1, m2, g))
                 assert got == expected, (g, m1, m2)
-    spot = gothen_cover_poincare(CoverParams(1, 1, 2), 8)
+    spot = gothen_cover_poincare(1, 1, 2, 8)
     assert spot.coeffs[:5] == (1, 8, 338, 8, 1)
 
 
@@ -148,7 +146,7 @@ def test_criterion_06_torelli_kirwan_coherence():
             diff = su21_closed_form(p, None, order) - pu21_poincare(p, None, order)
             assert not diff.unknown, (g, tau)
             support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
-            expected = {deg: v_dim(CoverParams(m1, m2, g))
+            expected = {deg: v_dim(m1, m2, g)
                         for deg, (m1, m2) in s_tau(g, tau).items()}
             assert support == expected, (g, tau)
             assert torelli_anomalous_part(p) == expected

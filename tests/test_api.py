@@ -12,9 +12,7 @@ import pytest
 import higgsbetti
 from higgsbetti import cli, verify
 from higgsbetti.assemble import PLAIN, TermValue, u21_closed_form
-from higgsbetti.bradlow import _ProviderRecord
 from higgsbetti.errors import ParameterError
-from higgsbetti.ingredients import CoverParams
 from higgsbetti.params import make_params
 from higgsbetti.series import RationalExpr, TruncatedSeries
 from higgsbetti.strata import StratumDescriptor
@@ -137,14 +135,12 @@ P = make_params(2, 1, 0)
 VALUES = {
     "ModuliParams": lambda: make_params(2, 1, 0),
     "PolynomialWindow": lambda: PolynomialWindow(True, 4, 2),
-    "_ProviderRecord": lambda: _ProviderRecord(2, 1, TruncatedSeries((1, 4)), None),
     "AssemblyResult": lambda: u21_closed_form(P, None, 12),
     "RouteEquivalenceReport": lambda: verify_route_equivalence("u21", P, 12),
     "ModuliReport": lambda: moduli_poincare(P, None, 12),
     "SuiteResult": lambda: SuiteResult("laws", True, True, ["checked"]),
     "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
     "RationalExpr": lambda: RationalExpr((1, 1), (4, 2)),
-    "CoverParams": lambda: CoverParams(1, 2, 3),
     "StratumDescriptor": lambda: StratumDescriptor("A", 0, P),
     "TermValue": lambda: TermValue("x", ((1, 0, ((1, 1),)),), PLAIN, 5),
 }
@@ -201,7 +197,6 @@ def test_a_replaced_result_reads_its_mode_and_order_from_its_series():
 def test_values_with_different_fields_differ():
     assert TruncatedSeries((1, 2, 3)) != TruncatedSeries((1, 2, 4))
     assert RationalExpr((1, 1), (2,)) != RationalExpr((1, 1), (4,))
-    assert CoverParams(1, 2, 3) != CoverParams(2, 1, 3)
     assert StratumDescriptor("A", 0, P) != StratumDescriptor("A", 0, make_params(2, 0, 0))
 
 

@@ -21,7 +21,6 @@ from higgsbetti.bradlow import (
 )
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import (
-    CoverParams,
     ab_semistable_rank2,
     atiyah_bott_block,
     bg_su21,
@@ -432,6 +431,9 @@ def test_truncation_coherence_of_every_builder(case):
     full, short = BUILDERS[key](p, None, high), BUILDERS[key](p, None, low)
     assert full.series.truncated(low) == short.series
     assert {k: v.truncated(low) for k, v in full.unknown.items()} == short.unknown
+    if high != low:
+        with pytest.raises(ParameterError, match="order mismatch between assemblies"):
+            full - short
 
 
 def _term_sum(res):
@@ -552,8 +554,8 @@ def test_negated_and_scaled_gothen_term(g, m1, m2):
     # a cover term has two entries, the product and the monomial; negating
     # or scaling the term must carry both, over a plain and a Jacobian block
     order, shift = 16, 3
-    entries = gothen_cover(CoverParams(m1, m2, g), order, shift)
-    cover = gothen_cover_poincare(CoverParams(m1, m2, g), order).shifted(shift)
+    entries = gothen_cover(m1, m2, g, order, shift)
+    cover = gothen_cover_poincare(m1, m2, g, order).shifted(shift)
     scale = TruncatedSeries.from_coeffs([1, 0, -1, 5], order)
     jac_over = jacobian_poincare(g, order) * geometric_inverse(2, order)
     for block, want in ((PLAIN, cover), (jacobian_block(g, 1, 2), cover * jac_over)):

@@ -76,6 +76,10 @@ def test_compute_rejects_misplaced_maximal_provider(capsys):
         capsys, "compute", "--group", "u21", "--genus", "2", "--d1", "0",
         "--d2", "0", "--provider", "maximal")
     assert code == 2 and "maximal" in err
+    code, out, err = run(
+        capsys, "compute", "--group", "u21", "--genus", "2", "--d1", "0",
+        "--d2", "0", "--provider", "bogus")
+    assert (code, out) == (2, "") and "unknown provider 'bogus'" in err
 
 
 def test_compute_csv_needs_concrete_series(capsys):
@@ -315,8 +319,8 @@ def test_gothen_suite_catches_a_wrong_anomalous_dimension(monkeypatch):
     # characteristic 3^{2g} chi(S^m1 X) chi(S^m2 X) sees it
     from higgsbetti import ingredients, verify
 
-    monkeypatch.setattr(ingredients, "v_dim", lambda c: (3 ** (2 * c.g) - 1)
-                        * comb(2 * c.g - 2, c.m1) ** 2)
+    monkeypatch.setattr(ingredients, "v_dim", lambda m1, m2, g: (3 ** (2 * g) - 1)
+                        * comb(2 * g - 2, m1) ** 2)
     result = verify.SUITES["gothen"]({"g": (2, 2)})
     assert not result.passed
     assert result.counterexample == {"g": 2, "m1": 0, "m2": 1,
@@ -381,19 +385,23 @@ def test_maximal_suite_catches_a_shifted_top_wall(monkeypatch):
 
 def test_route_u21_fails_when_valid_points_stops_early(monkeypatch):
     # d1 stopping two values early: every point left still has a zero
-    # residual, so only the count of points checked, (2g+1)(3g-2) per
-    # genus, 20 + 49 at g = 2..3, sees it
+    # residual and is still shift-invariant, so only the counts see it:
+    # route-u21's points, (2g+1)(3g-2) per genus, 20 + 49 at g = 2..3, and
+    # shift-invariance's orbit slots, (2g+5)(3g-2), 36 + 77
     from higgsbetti import params, verify
 
     points = params.valid_points
     monkeypatch.setattr(params, "valid_points",
                         lambda g: (p for p in points(g) if p.d1 < 2 * g - 1))
-    result = verify.SUITES["route-u21"]({"g": (2, 3)})
-    assert not result.passed
-    assert result.counterexample == {"law": "point count", "expected": 69, "got": 47}
+    for suite, counterexample in (
+            ("route-u21", {"law": "point count", "expected": 69, "got": 47}),
+            ("shift-invariance", {"law": "orbit count", "expected": 113, "got": 91})):
+        result = verify.SUITES[suite]({"g": (2, 3)})
+        assert not result.passed and result.counterexample == counterexample
     monkeypatch.undo()
     assert verify.SUITES["route-u21"]({"g": (2, 3)}).details == [
         "zero residual on 69 parameter tuples"]
+    assert verify.SUITES["shift-invariance"]({"g": (2, 3)}).passed
 
 
 def test_route_u21_fails_when_a_route_block_is_corrupted(monkeypatch):
@@ -509,6 +517,22 @@ def test_shift_invariance_catches_a_cover_exponent_that_moves_with_d1(monkeypatc
                                      "object": "u21-closed"}
 
 
+def test_shift_invariance_catches_a_wall_crossing_difference_that_moves_with_d1(
+        monkeypatch):
+    # the difference doubled from d1 = 3 on: (3, 3) is the first slot past
+    # d1 = 2, reached from (1, -1), whose tau = 2 has a top wall, and the
+    # difference is compared before any builder
+    from higgsbetti import bradlow, verify
+
+    ww = bradlow.ww_difference
+    monkeypatch.setattr(bradlow, "ww_difference",
+                        lambda p, order: ww(p, order) * (2 if p.d1 >= 3 else 1))
+    result = verify.SUITES["shift-invariance"]({"g": (2, 3)})
+    assert not result.passed
+    assert result.counterexample == {"g": 2, "d1": 1, "d2": -1, "k": 2,
+                                     "object": "wall-crossing difference"}
+
+
 def test_series_laws_expands_each_critical_set_row_once(monkeypatch):
     # S^3 X negated: the first stratum of exponent 3 is C2@-1 at g = 3,
     # the 161st descriptor in the suite's order, and the 10th distinct key
@@ -587,12 +611,12 @@ def test_ingredients_ops(capsys):
 
 
 def test_ingredients_json_document_of_a_series(capsys):
-    from higgsbetti.ingredients import CoverParams, gothen_cover_poincare, sym_poincare
+    from higgsbetti.ingredients import gothen_cover_poincare, sym_poincare
 
     for argv, want in (
             (["--op", "sym", "--m", "3", "--genus", "3"], sym_poincare(3, 3, 12)),
             (["--op", "gothen", "--m1", "1", "--m2", "2", "--genus", "2"],
-             gothen_cover_poincare(CoverParams(1, 2, 2), 12))):
+             gothen_cover_poincare(1, 2, 2, 12))):
         code, out, _ = run(capsys, "ingredients", *argv, "--order", "12",
                            "--format", "json")
         assert code == 0
@@ -915,8 +939,12 @@ def test_the_cli_only_parses_arguments_and_formats_output():
     import higgsbetti.cli
     tree = ast.parse(Path(higgsbetti.cli.__file__).read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    # JSON is written by the one renderer
-    assert len(_calls(tree, "json", "dumps")) == len(_calls(functions["_render"], "json", "dumps")) > 0
+    # JSON documents are written by the one renderer; besides them, only a
+    # failed verify suite's counterexample is one line of JSON in its text
+    dumps = _calls(tree, "json", "dumps")
+    in_render = _calls(functions["_render"], "json", "dumps")
+    [line] = [call for call in dumps if call not in in_render]
+    assert line in _calls(functions["cmd_verify"], "json", "dumps") and in_render
     commands = {name: fn for name, fn in functions.items() if name.startswith("cmd_")}
     for name, fn in commands.items():
         # a command leaves --format to _render and branches on no --op

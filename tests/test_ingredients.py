@@ -6,7 +6,6 @@ import pytest
 from higgsbetti import ingredients
 from higgsbetti.errors import ParameterError
 from higgsbetti.ingredients import (
-    CoverParams,
     ab_semistable_rank2,
     bg_rank1,
     bg_rank2,
@@ -168,20 +167,25 @@ def test_ab_semistable_parity(d2, g):
 
 def test_gothen_examples():
     g = 2
-    assert gothen_cover_poincare(CoverParams(0, 0, g), 6).coeffs[0] == 81
-    spot = gothen_cover_poincare(CoverParams(1, 1, g), 8)
+    assert gothen_cover_poincare(0, 0, g, 6).coeffs[0] == 81
+    spot = gothen_cover_poincare(1, 1, g, 8)
     assert spot.coeffs[:5] == (1, 8, 338, 8, 1)
-    free = gothen_cover_poincare(CoverParams(2 * g - 1, 0, g), 10)
+    free = gothen_cover_poincare(2 * g - 1, 0, g, 10)
     assert free == sym_poincare(3, g, 10) * sym_poincare(0, g, 10)
 
 
 def test_v_dim_examples():
-    assert v_dim(CoverParams(1, 1, 2)) == 320
-    assert v_dim(CoverParams(0, 2 * 4 - 2, 4)) == 3 ** 8 - 1
-    assert v_dim(CoverParams(2 * 2 - 1, 0, 2)) == 0
-    for m1, m2, g in ((-1, 0, 2), (0, 0, 1)):  # negative exponent, genus 1
-        with pytest.raises(ParameterError):
-            CoverParams(m1, m2, g)
+    assert v_dim(1, 1, 2) == 320
+    assert v_dim(0, 2 * 4 - 2, 4) == 3 ** 8 - 1
+    assert v_dim(2 * 2 - 1, 0, 2) == 0
+    # a negative exponent (of either factor, past the top 2g-2 or not) and
+    # genus 1 are refused by v_dim, and so by every cover
+    for m1, m2, g, message in ((-1, 0, 2, "nonnegative"), (0, -9, 2, "nonnegative"),
+                               (0, 0, 1, "genus")):
+        for refused in (lambda: v_dim(m1, m2, g),
+                        lambda: gothen_cover_poincare(m1, m2, g, 8)):
+            with pytest.raises(ParameterError, match=message):
+                refused()
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -189,12 +193,11 @@ def test_gothen_euler_bookkeeping(g):
     order = 8 * g + 4
     for m1 in range(0, 2 * g + 1):
         for m2 in range(0, 2 * g + 1):
-            c = CoverParams(m1, m2, g)
-            cover = gothen_cover_poincare(c, order)
+            cover = gothen_cover_poincare(m1, m2, g, order)
             base = sym_poincare(m1, g, order) * sym_poincare(m2, g, order)
             expected = base.evaluate(-1)
             if m1 <= 2 * g - 2 and m2 <= 2 * g - 2:
-                expected += (-1) ** (m1 + m2) * v_dim(c)
+                expected += (-1) ** (m1 + m2) * v_dim(m1, m2, g)
             assert cover.evaluate(-1) == expected
 
 

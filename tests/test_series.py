@@ -54,6 +54,26 @@ def test_add_order_mismatch():
         S([1, 1]) + S([1, 1, 1])
 
 
+@pytest.mark.parametrize("refused, message", [
+    pytest.param(lambda: TruncatedSeries(()), "degree-0 coefficient", id="empty"),
+    pytest.param(lambda: S([1, 2], -1), "order must be nonnegative", id="negative-order"),
+    pytest.param(lambda: S([1, 2]).over_one_minus(0), "a >= 1", id="over-one-minus-t0"),
+    pytest.param(lambda: TruncatedSeries.monomial(-1, 3), "degree must be nonnegative",
+                 id="monomial-below-0"),
+    pytest.param(lambda: S([1, 2]).shifted(-1), "shift exponent", id="shift-below-0"),
+    pytest.param(lambda: S([1, 2]).truncated(2), "cannot truncate order 1 to 2",
+                 id="truncated-past-order"),
+    pytest.param(lambda: binomial_power(-1, 3), "k >= 0", id="binomial-power-below-0"),
+    pytest.param(lambda: RationalExpr((1,), (0,)), "exponents must be >= 1",
+                 id="denominator-1-t0"),
+    pytest.param(lambda: series.parse_integer("1" + "0" * 5000), "limit",
+                 id="integer-past-digit-limit"),
+])
+def test_an_argument_outside_the_domain_is_refused(refused, message):
+    with pytest.raises(ParameterError, match=message):
+        refused()
+
+
 def test_series_value_semantics():
     f, same = S([3, -1, 2]), TruncatedSeries((3, -1, 2))
     assert f == same and hash(f) == hash(same) and len({f, same}) == 1
