@@ -40,9 +40,10 @@ block once over the entries gathered under it (``RationalExpr.expand``:
 one big-integer expression, unpacked once, and one division):
 - the C2, B1-diff and boundary terms' entries, each as listed;
 - for the C1 terms, one entry: their sum of products
-  t^mu P(S^m1) P(S^m2), formed once per exponent set
-  (``_c1_numerator``, cached) and shared by all five builders and every
-  tensor shift of the point, plus, for su21, the covers' monomials;
+  t^mu P(S^m1) P(S^m2), plus, for su21, the covers' monomials.  That sum
+  and each C1 term's entries are formed once per exponent set
+  (``_c1_table``, cached) and shared by all five builders, the dual point
+  and every tensor shift of the point; a build only labels them;
 - a provider's value, one entry over its unknown's block, whose
   expansion is also the coefficient the unknown carries in relative
   mode.
@@ -58,7 +59,7 @@ factor there; ``scaled_by`` appends its factor to each entry.
 Every block is a unit series and a product of nonzero polynomials starts
 at the sum of their lowest degrees, so a term is dropped exactly when none
 of its entries reaches the order (``_reaches``); the C1 sum ends where its
-shift passes the order.
+shift passes the order, so each C1 term it lists reaches the order.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from .ingredients import (
     gothen_cover,
     jacobian_block,
     sym_factor,
-    sym_polynomial,
 )
 from .params import (ModuliParams, _require_valid, canonicalize, h01_s_star_q,
                      kind_indices, sym_exponent)
@@ -300,8 +300,7 @@ class _Builder:
         """Add (sum of the entries (sign, shift, factors)) * block.  A term
         none of whose entries reaches the order is dropped (every block is
         a unit series).  A term that is ``listed_only`` is listed, not
-        summed: its group of terms sums to zero by construction, or the
-        caller sums the group as a whole."""
+        summed: its group of terms sums to zero by construction."""
         order = self.order
         for e in entries:
             if _reaches(e, order):
@@ -382,44 +381,54 @@ def _assembly(group: str, body, name: str, doc: str):
 
 
 @lru_cache(maxsize=256)
-def _c1_numerator(g: int, exponents: tuple, size: int) -> tuple[int, ...]:
-    """Coefficients 0..size-1 of sum t^s P(S^m1) P(S^m2) over the
-    (s, m1, m2) in exponents: the C1 sum that every builder carries.
-    Keyed by the exponents themselves, so tensor shifts of a point, which
-    keep them, share it."""
-    return tuple(shifted_product_sum(
-        [(1, s, (sym_polynomial(m1, g), sym_polynomial(m2, g)))
-         for s, m1, m2 in exponents], size))
+def _c1_table(g: int, exponents: tuple, size: int) -> tuple[tuple, tuple]:
+    """The C1 sum that every builder carries, over the (s, m1, m2) in
+    exponents, as a pair: the entry of its numerator (coefficients
+    0..size-1 of sum t^s P(S^m1) P(S^m2)), and each index's
+    ``gothen_cover`` entries, its product and its cover's monomial.
+    Keyed by the exponents themselves, so every builder, the dual point
+    and every tensor shift, which keep them, share one record.
+
+    No cut at the order changes an exponent, so a key cut at the order
+    is this key, the products are a build's ``sym_factor``s, and each
+    cover's monomial v t^{s+m1+m2} is that of the uncut (m1, m2): at tau
+    >= 0 an index with s <= order has m1, m2 < s, as l > (d1+d2)/3 gives
+    s - m1 = 5l - 3d2 + d1 > 2 tau and s - m2 = 5l - 2d2 - d1 > tau/2."""
+    covers = tuple(gothen_cover(m1, m2, g, size - 1, s) for s, m1, m2 in exponents)
+    numerator = tuple(shifted_product_sum([product for product, _ in covers], size))
+    return (1, 0, (numerator,)), covers
 
 
 def _add_c1_sum(b: _Builder, row) -> None:
     """One term t^s P(S^m1) P(S^m2), or a Gothen cover, over
-    lambda^power per C1 index, listed with its own entries; the block sums
-    them all as one entry, the ``_c1_numerator``, plus the covers'
-    monomials.  The shift s grows with the index, and a term reaches the
-    order exactly when s does (every factor has constant term 1), so the
-    sum ends at the first s past the order."""
+    lambda^power per C1 index, listed with its entries from the
+    ``_c1_table``; the block sums them all as one entry, the table's
+    numerator, plus the covers' monomials.  The shift s grows with the
+    index, so the sum ends at the first s past the order.  Every listed
+    term reaches the order, its product's shift s being at most the order
+    and every factor having constant term 1, so no term is checked with
+    ``_reaches``."""
     name, cover, power, _ = row
-    p, g, order = b.p, b.p.g, b.order
-    block = jacobian_block(g, power, *[2] * power)
-    exponents, monomials = [], []
-    for l in kind_indices(p, "C1"):
+    p, order = b.p, b.order
+    indices = kind_indices(p, "C1")
+    exponents = []
+    for l in indices:
         shift = 2 * h01_s_star_q(p, l)
         if shift > order:
             break
-        m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
-        if cover:
-            entries = gothen_cover(m1, m2, g, order, shift)
-            monomials.append(entries[1])
-        else:
-            entries = ((1, shift, (sym_factor(m1, g, order), sym_factor(m2, g, order))),)
-        b.add(f"{name}[l={l}]", block, *entries, listed_only=True)
-        # as sym_factor cuts S^m X to S^order X
-        exponents.append((shift, min(m1, order), min(m2, order)))
-    if exponents:
-        top = max(s + 2 * (m1 + m2) for s, m1, m2 in exponents)  # the degree
-        numerator = _c1_numerator(g, tuple(exponents), min(order, top) + 1)
-        b.sum(block, ((1, 0, (numerator,)), *monomials))
+        exponents.append((shift, sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)))
+    if not exponents:
+        return
+    top = max(s + 2 * (m1 + m2) for s, m1, m2 in exponents)  # the degree
+    numerator, covers = _c1_table(p.g, tuple(exponents), min(order, top) + 1)
+    if cover:
+        listed, summed = covers, (numerator, *(monomial for _, monomial in covers))
+    else:
+        listed, summed = [(product,) for product, _ in covers], (numerator,)
+    block = jacobian_block(p.g, power, *[2] * power)
+    b.terms += [TermValue(f"{name}[l={l}]", entries, block, order)
+                for l, entries in zip(indices, listed)]
+    b.sum(block, summed)
 
 
 def _closed_form(b: _Builder, row) -> None:

@@ -32,7 +32,7 @@ from higgsbetti.ingredients import (
     sym_poincare,
 )
 from higgsbetti.params import make_params, valid_points
-from higgsbetti.series import RationalExpr, TruncatedSeries, geometric_inverse
+from higgsbetti.series import RationalExpr, TruncatedSeries, default_order, geometric_inverse
 from higgsbetti.verify import (
     moduli_poincare,
     torelli_anomalous_part,
@@ -568,18 +568,19 @@ def test_negated_and_scaled_gothen_term(g, m1, m2):
 
 
 def test_the_five_builders_and_a_tensor_shift_share_one_c1_numerator():
-    # every builder carries the same C1 sum of products, and a tensor
-    # shift keeps its exponents and shifts
+    # every builder carries the same C1 sum of products and the same C1
+    # entries, and the dual and a tensor shift keep the exponents and shifts
     from higgsbetti import assemble
 
-    assemble._c1_numerator.cache_clear()
+    assemble._c1_table.cache_clear()
     p, order = make_params(3, 1, 0), 40
     for fn in BUILDERS.values():
         fn(p, None, order)
-    assert assemble._c1_numerator.cache_info().misses == 1
-    for fn in BUILDERS.values():
-        fn(p.tensor_shift(2), None, order)
-    assert assemble._c1_numerator.cache_info().misses == 1
+    assert assemble._c1_table.cache_info().misses == 1
+    for q in (p.dual(), p.tensor_shift(2)):
+        for fn in BUILDERS.values():
+            fn(q, None, order)
+    assert assemble._c1_table.cache_info().misses == 1
 
 
 def test_the_c1_numerator_stops_at_the_order(monkeypatch):
@@ -588,22 +589,57 @@ def test_the_c1_numerator_stops_at_the_order(monkeypatch):
     # past the degree share
     from higgsbetti import assemble
 
-    numerator, sizes = assemble._c1_numerator, []
+    table, sizes = assemble._c1_table, []
 
     def recording(*args):
-        out = numerator(*args)
-        sizes.append(len(out))
+        out = table(*args)
+        numerator_entry, _ = out  # (1, 0, (numerator,))
+        sizes.append(len(numerator_entry[2][0]))
         return out
 
-    monkeypatch.setattr(assemble, "_c1_numerator", recording)
+    monkeypatch.setattr(assemble, "_c1_table", recording)
     for order in (150, 400):
         u21_closed_form(make_params(64, 0, 0), None, order)
         assert sizes.pop() == order + 1
-    numerator.cache_clear()
+    table.cache_clear()
     for order in (100, 200):
         pu21_poincare(make_params(3, 0, 0), None, order)
         assert sizes.pop() == 21
-    assert numerator.cache_info().misses == 1
+    assert table.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_every_builder_lists_the_c1_terms_each_index_derives(g):
+    # the C1 terms come from a cached table and no term of it is checked
+    # with _reaches: at every point and its dual, each builder lists the
+    # C1 terms derived here index by index, each reaching the order
+    from higgsbetti.assemble import _reaches
+    from higgsbetti.ingredients import sym_factor
+    from higgsbetti.params import canonicalize, h01_s_star_q, kind_indices, sym_exponent
+
+    rows = {"u21": ("C1", False, 1), "su21": ("cover-sum", True, 0),
+            "pu21": ("invariant-cover-sum", False, 0)}
+    for q in (q for p in valid_points(g) for q in (p, p.dual())):
+        p = canonicalize(q)[0]  # the point a builder assembles (q at tau = 0)
+        for order in (1, 2, 7, default_order(g)):
+            derived = {}
+            for group, (name, cover, power) in rows.items():
+                block, terms = jacobian_block(g, power, *[2] * power), []
+                for l in kind_indices(p, "C1"):
+                    s = 2 * h01_s_star_q(p, l)
+                    m1, m2 = sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)
+                    entries = gothen_cover(m1, m2, g, order, s) if cover else \
+                        ((1, s, (sym_factor(m1, g, order), sym_factor(m2, g, order))),)
+                    if any(_reaches(e, order) for e in entries):
+                        terms.append((f"{name}[l={l}]", entries, block, order))
+                        assert not TermValue(*terms[-1]).series.is_zero()
+                derived[group] = terms
+            for (group, _), fn in BUILDERS.items():
+                name = rows[group][0]
+                listed = [(t.label, t.entries, t.block, t.order)
+                          for t in fn(q, None, order).terms
+                          if t.label.startswith(f"{name}[")]
+                assert listed == derived[group], (q, group, order)
 
 
 @pytest.mark.parametrize("key", sorted(BUILDERS))

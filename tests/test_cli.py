@@ -343,6 +343,18 @@ def test_torelli_suite_catches_a_strict_torelli_bound(monkeypatch):
                                      "expected": True, "got": False}
 
 
+def test_torelli_suite_refuses_a_point_of_another_class(monkeypatch):
+    # make_params giving (g, tau, tau/2 + 1), of class 1 and another tau:
+    # the suite names the point, with or without python -O
+    from higgsbetti import params, verify
+
+    make = params.make_params
+    monkeypatch.setattr(params, "make_params", lambda g, d1, d2: make(g, d1, d2 + 1))
+    result = verify.SUITES["torelli"]({"g": (2, 2)})
+    assert not result.passed
+    assert result.counterexample == {"g": 2, "tau": 0, "law": "point"}
+
+
 def test_torelli_suite_compares_the_builders_with_the_anomalous_part(monkeypatch):
     # every anomalous degree moved up by 2: the su21 - pu21 support of the
     # builders still reads {8: 320, 10: 80} at (g, tau) = (2, 0), and the

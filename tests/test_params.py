@@ -11,6 +11,7 @@ from higgsbetti.params import (
     canonicalize,
     delta_set,
     gamma3_trivial,
+    h01_s_star_q,
     kind_indices,
     kind_range,
     kirwan_su_surjective,
@@ -280,6 +281,17 @@ def test_exponents_reach_zero_at_the_closed_range_ends(g):
         assert sym_exponent(p, "C2", p.d1 - 2 * g + 2) == 0
         with pytest.raises(RangeViolationError, match="exponent -1 for C2@"):
             sym_exponent(p, "C2", p.d1 - 2 * g + 1)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 8])
+def test_a_c1_index_has_exponents_below_its_shift(g):
+    # at tau >= 0 the C1 exponents m1 (C1) and m2 (C3) at an index l lie
+    # below its Morse shift s = 2 h^{0,1}(S*Q), so no index the C1 sum
+    # reaches at an order holds an exponent past that order
+    for p in valid_points(g):
+        for l in kind_indices(p, "C1"):
+            s = 2 * h01_s_star_q(p, l)
+            assert max(sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)) < s, (p, l)
 
 
 @pytest.mark.parametrize("kind", ["A", "B1", "B2", "B3", "c1", "C4", ""])
