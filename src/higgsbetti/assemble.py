@@ -39,14 +39,19 @@ Nothing is multiplied when a term is added.  ``finish`` expands each
 block once over the entries gathered under it (``RationalExpr.expand``:
 one big-integer expression, unpacked once, and one division):
 - the C2, B1-diff and boundary terms' entries, each as listed;
-- for the C1 terms, one entry: their sum of products
-  t^mu P(S^m1) P(S^m2), plus, for su21, the covers' monomials.  That sum
-  and each C1 term's entries are formed once per exponent set
-  (``_c1_table``, cached) and shared by all five builders, the dual point
-  and every tensor shift of the point; a build only labels them;
-- a provider's value, one entry over its unknown's block, whose
-  expansion is also the coefficient the unknown carries in relative
-  mode.
+- for the su21 and pu21 C1 terms, one entry: their sum of products
+  t^mu P(S^m1) P(S^m2), plus, for su21, the covers' monomials;
+- a provider's value, one entry over its unknown's block.
+A build computes only what belongs to its own point.  The C1 sum and
+each C1 term's entries are formed once per exponent progression
+(``_c1_table``, cached) and shared by all five builders, the dual point
+and every tensor shift of the point; a build only labels them.  The u21
+C1 sum over lambda is expanded once per progression and order
+(``_c1_over_lambda``) and enters the series as a part of its own, and
+the coefficient an unknown carries in relative mode is its block's
+expansion, once per block and order (``_block_expansion``).  Expansion
+is exact and linear, so summing parts expanded apart changes no
+coefficient.
 The Atiyah-Bott block gathers nothing: its three terms are shown but not
 summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
@@ -279,7 +284,7 @@ class _Builder:
 
     ``add`` only records a term and gathers its entries under its block
     (``sum``); ``finish`` expands every block once, over all the entries
-    gathered under it.
+    gathered under it, and adds the ``parts`` expanded before.
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -291,6 +296,8 @@ class _Builder:
         self.terms: list[TermValue] = []
         # the summed entries of each block, keyed by the block's id
         self.sums: dict[int, tuple[RationalExpr, list]] = {}
+        # expansions formed elsewhere (the cached u21 C1 sum), added as they are
+        self.parts: list[TruncatedSeries] = []
         # the one unknown (name, block, label), set by the body: its
         # coefficient is the block's expansion
         self.unknown: tuple[str, RationalExpr, str] | None = None
@@ -332,7 +339,8 @@ class _Builder:
             concrete = (1, 0, (value.coeffs,))
             terms.append(TermValue(label, (concrete,), block, order))
             self.sum(block, (concrete,))
-        parts = [expr.expand(order, entries) for expr, entries in self.sums.values()]
+        parts = self.parts + [expr.expand(order, entries)
+                              for expr, entries in self.sums.values()]
         known = parts[0] if parts else TruncatedSeries.zero(order)
         for part in parts[1:]:
             known = known + part
@@ -340,7 +348,7 @@ class _Builder:
             group=self.group,
             params=p,
             series=known,
-            unknown={name: block.expand(order)} if value is None else {},
+            unknown={name: _block_expansion(block, order)} if value is None else {},
             terms=tuple(terms),
             transforms=self.transforms,
         )
@@ -381,54 +389,84 @@ def _assembly(group: str, body, name: str, doc: str):
 
 
 @lru_cache(maxsize=256)
-def _c1_table(g: int, exponents: tuple, size: int) -> tuple[tuple, tuple]:
-    """The C1 sum that every builder carries, over the (s, m1, m2) in
-    exponents, as a pair: the entry of its numerator (coefficients
-    0..size-1 of sum t^s P(S^m1) P(S^m2)), and each index's
-    ``gothen_cover`` entries, its product and its cover's monomial.
-    Keyed by the exponents themselves, so every builder, the dual point
-    and every tensor shift, which keep them, share one record.
+def _c1_table(g: int, first: tuple, n: int, size: int) -> tuple[tuple, tuple]:
+    """The C1 sum that every builder carries, over its first n indices, as
+    a pair: the entry of its numerator (coefficients 0..size-1 of
+    sum t^s P(S^m1) P(S^m2)), and each index's ``gothen_cover`` entries,
+    its product and its cover's monomial.
+
+    The exponents form a progression: from one C1 index to the next the
+    shift s = 2(g-1+2l-d2) grows by 4 and both m1 = d2-l-d1+2g-2 and
+    m2 = d1-l+2g-2 fall by 1, so the key is the first index's (s, m1, m2)
+    and the count n.  No exponent of the n is negative: at the top of the
+    range, l = d2-d1+2g-2, m1 is 0 and m2 is 2d1-d2, which is at least 0
+    at tau >= 0.  Every builder, the dual point and every tensor shift
+    keep the progression, so they share one record.
 
     No cut at the order changes an exponent, so a key cut at the order
     is this key, the products are a build's ``sym_factor``s, and each
     cover's monomial v t^{s+m1+m2} is that of the uncut (m1, m2): at tau
     >= 0 an index with s <= order has m1, m2 < s, as l > (d1+d2)/3 gives
     s - m1 = 5l - 3d2 + d1 > 2 tau and s - m2 = 5l - 2d2 - d1 > tau/2."""
-    covers = tuple(gothen_cover(m1, m2, g, size - 1, s) for s, m1, m2 in exponents)
+    s, m1, m2 = first
+    covers = tuple(gothen_cover(m1 - i, m2 - i, g, size - 1, s + 4 * i)
+                   for i in range(n))
     numerator = tuple(shifted_product_sum([product for product, _ in covers], size))
     return (1, 0, (numerator,)), covers
+
+
+@lru_cache(maxsize=256)
+def _c1_over_lambda(g: int, first: tuple, n: int, size: int,
+                    order: int) -> TruncatedSeries:
+    """The ``_c1_table`` sum of that key over lambda = P(J)/(1-t^2),
+    truncated at order: the u21 C1 part of every build that shares the
+    key and the order."""
+    numerator, _ = _c1_table(g, first, n, size)
+    return jacobian_block(g, 1, 2).expand(order, (numerator,))
+
+
+@lru_cache(maxsize=64)
+def _block_expansion(block: RationalExpr, order: int) -> TruncatedSeries:
+    """A block expanded by itself at order: the coefficient its unknown
+    carries in relative mode."""
+    return block.expand(order)
 
 
 def _add_c1_sum(b: _Builder, row) -> None:
     """One term t^s P(S^m1) P(S^m2), or a Gothen cover, over
     lambda^power per C1 index, listed with its entries from the
-    ``_c1_table``; the block sums them all as one entry, the table's
-    numerator, plus the covers' monomials.  The shift s grows with the
-    index, so the sum ends at the first s past the order.  Every listed
-    term reaches the order, its product's shift s being at most the order
-    and every factor having constant term 1, so no term is checked with
-    ``_reaches``."""
+    ``_c1_table``.  The shift s grows by 4 from one index to the next, so
+    the sum ends at the first s past the order.  Every listed term reaches
+    the order, its product's shift s being at most the order and every
+    factor having constant term 1, so no term is checked with
+    ``_reaches``.  The u21 sum, over lambda, is one cached part of the
+    series (``_c1_over_lambda``); over the plain block of su21 and pu21
+    the table's numerator, plus the covers' monomials, is summed with the
+    block's other entries."""
     name, cover, power, _ = row
     p, order = b.p, b.order
     indices = kind_indices(p, "C1")
-    exponents = []
-    for l in indices:
-        shift = 2 * h01_s_star_q(p, l)
-        if shift > order:
-            break
-        exponents.append((shift, sym_exponent(p, "C1", l), sym_exponent(p, "C3", l)))
-    if not exponents:
+    if not indices:
         return
-    top = max(s + 2 * (m1 + m2) for s, m1, m2 in exponents)  # the degree
-    numerator, covers = _c1_table(p.g, tuple(exponents), min(order, top) + 1)
-    if cover:
-        listed, summed = covers, (numerator, *(monomial for _, monomial in covers))
-    else:
-        listed, summed = [(product,) for product, _ in covers], (numerator,)
+    l = indices.start
+    first = (2 * h01_s_star_q(p, l), sym_exponent(p, "C1", l), sym_exponent(p, "C3", l))
+    s, m1, m2 = first
+    n = min(len(indices), (order - s) // 4 + 1)
+    if n <= 0:
+        return
+    # every C1 term has the degree s + 2(m1 + m2), which is 10g-10
+    key = (p.g, first, n, min(order, s + 2 * (m1 + m2)) + 1)
+    numerator, covers = _c1_table(*key)
+    listed = covers if cover else [(product,) for product, _ in covers]
     block = jacobian_block(p.g, power, *[2] * power)
     b.terms += [TermValue(f"{name}[l={l}]", entries, block, order)
                 for l, entries in zip(indices, listed)]
-    b.sum(block, summed)
+    if power:  # u21, whose row has no covers
+        b.parts.append(_c1_over_lambda(*key, order))
+    elif cover:
+        b.sum(block, (numerator, *(monomial for _, monomial in covers)))
+    else:
+        b.sum(block, (numerator,))
 
 
 def _closed_form(b: _Builder, row) -> None:

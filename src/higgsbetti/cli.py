@@ -166,9 +166,9 @@ def cmd_ingredients(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-# largest genus of a verify grid: every suite together takes 4.4 s at
-# g = 16 alone and 17.5 s on g = 2..16 (2-CPU Intel Xeon), growing about
-# as g^4 per genus, so a grid up to MAX_GENUS would run for days
+# largest genus of a verify grid: every suite together takes 3.2 s at
+# g = 16 alone and 12.7 s on g = 2..16 (one process, 2-CPU Intel Xeon),
+# growing about as g^4 per genus, so a grid up to MAX_GENUS would run for days
 MAX_GRID_GENUS = 16
 
 

@@ -79,7 +79,14 @@ _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def default_order(g: int) -> int:
-    """Default truncation order, comfortably above desk-scale top degrees."""
+    """Default truncation order 8g+24, a rule of thumb, not a degree bound.
+
+    Equivariant series have no top degree, so every order cuts them.  It
+    holds every C1 product t^s P(S^m1) P(S^m2) whole (degree 10g-10) up
+    to g = 17, but the moduli polynomial (1-t^2) u21 at a coprime point,
+    whose degree reaches 14(g-1), only up to g = 6: from g = 7 on it cuts
+    that polynomial, so pass a larger order where a polynomial is to be
+    read whole."""
     return 8 * g + 24
 
 

@@ -31,13 +31,25 @@ from higgsbetti.ingredients import (
     jacobian_poincare,
     sym_poincare,
 )
-from higgsbetti.params import make_params, valid_points
+from higgsbetti.params import kind_indices, make_params, valid_points
 from higgsbetti.series import RationalExpr, TruncatedSeries, default_order, geometric_inverse
 from higgsbetti.verify import (
     moduli_poincare,
     torelli_anomalous_part,
     verify_route_equivalence,
 )
+
+
+def _assembly_caches():
+    from higgsbetti import assemble
+
+    return {name: fn for name, fn in vars(assemble).items()
+            if hasattr(fn, "cache_info") and fn.__module__ == assemble.__name__}
+
+
+def _clear_assembly_caches():
+    for fn in _assembly_caches().values():
+        fn.cache_clear()
 
 
 def _support(series):
@@ -527,6 +539,7 @@ def test_the_atiyah_bott_block_is_listed_but_not_expanded(monkeypatch, route, li
 
     monkeypatch.setattr(RationalExpr, "expand", recording)
     for d2 in (0, 1):
+        _clear_assembly_caches()  # so that the build expands its other blocks
         res = route(make_params(g, d2, d2), None, order)
         assert expanded and not any(b is block for b in expanded)
         assert [t.label for t in res.terms[:3]] == [
@@ -581,6 +594,53 @@ def test_the_five_builders_and_a_tensor_shift_share_one_c1_numerator():
         for fn in BUILDERS.values():
             fn(q, None, order)
     assert assemble._c1_table.cache_info().misses == 1
+
+
+def test_u21_expands_its_c1_sum_and_unknown_once_per_point_and_order():
+    # both u21 routes at a point, its dual and a tensor shift share one
+    # expansion of the C1 sum over lambda and one of the unknown's
+    # coefficient, as the two unknowns lie over the same lambda
+    from higgsbetti import assemble
+
+    _clear_assembly_caches()
+    p, order = make_params(3, 1, 0), 40
+    for q in (p, p.dual(), p.tensor_shift(2)):
+        for fn in (u21_closed_form, u21_stratum_route):
+            unknown = fn(q, None, order).unknown
+            assert list(unknown.values()) == [jacobian_block(3, 1, 2).expand(order)]
+    assert assemble._c1_over_lambda.cache_info().misses == 1
+    assert assemble._block_expansion.cache_info().misses == 1
+
+
+def test_every_assembly_cache_is_bounded():
+    caches = _assembly_caches()
+    assert {"_c1_table", "_c1_over_lambda", "_block_expansion"} <= set(caches)
+    for name, fn in caches.items():
+        assert 0 < fn.cache_info().maxsize < float("inf"), name
+
+
+# (point, order) past the pinned genera: g = 33 is the first genus whose
+# large P(S^m) are packed slot by slot, and at (40, 0, 0) the order keeps
+# 18 of the 78 C1 indices
+_HIGH_GENUS = [((33, 0, 0), 280), ((40, 0, 0), 150), ((64, 3, -10), 120),
+               ((100, 0, -50), 100), ((128, 5, 0), 80)]
+
+
+@pytest.mark.parametrize("point, order", _HIGH_GENUS,
+                         ids=[f"g{g}-{d1}-{d2}" for (g, d1, d2), _ in _HIGH_GENUS])
+def test_u21_routes_agree_and_builders_are_shift_invariant_at_high_genus(point, order):
+    p = make_params(*point)
+    rep = verify_route_equivalence("u21", p, order)
+    assert rep.zero, rep.first_nonzero_degree()
+    if point == (40, 0, 0):
+        c1 = [t for t in rep.closed_terms if t.label.startswith("C1[")]
+        assert (len(c1), len(kind_indices(p, "C1"))) == (18, 78)
+    results = {key: fn(p, None, order) for key, fn in BUILDERS.items()}
+    _clear_assembly_caches()  # the shifted point builds every part anew
+    for key, fn in BUILDERS.items():
+        shifted = fn(p.tensor_shift(3), None, order)
+        assert (shifted.series, shifted.unknown) == \
+            (results[key].series, results[key].unknown), key
 
 
 def test_the_c1_numerator_stops_at_the_order(monkeypatch):
