@@ -21,6 +21,13 @@ closed form, moduli_min in a route).  A provider can substitute absolute
 values: ``_provided`` takes the series the provider holds and derives
 the other side through the difference when that is the one needed.
 
+The difference of two results, and the elimination of the pairs unknown
+through the wall-crossing difference, are one rule on values
+(``_difference`` and ``_pairs_eliminated``).  ``AssemblyResult.__sub__``
+and ``eliminate_pairs`` add their terms to it; ``residual`` runs it
+alone, for a check that reads only the series and unknowns of
+``(closed - route).eliminate_pairs()``, so it negates no term.
+
 A group is data, its row of ``_GROUPS``, read by one closed-form body
 and one route body.  Every assembly is a sum of blocks.  A block is a
 ``RationalExpr``, the factor over the denominator that all strata of one
@@ -115,7 +122,10 @@ class TermValue(Frozen):
 
     @classmethod
     def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
-        return cls(label, ((1, 0, (series.coeffs,)),), PLAIN, series.order)
+        """The term holding ``series``, which is its own expansion."""
+        term = cls(label, ((1, 0, (series.coeffs,)),), PLAIN, series.order)
+        term.__dict__["series"] = series
+        return term
 
     @cached_property
     def series(self) -> TruncatedSeries:
@@ -179,18 +189,11 @@ class AssemblyResult(NamedTuple):
         return "relative" if self.unknown else "absolute"
 
     def __sub__(self, other: "AssemblyResult") -> "AssemblyResult":
-        if self.order != other.order:
-            raise ParameterError("order mismatch between assemblies")
-        unknown: dict[str, TruncatedSeries] = {}
-        for key in sorted(set(self.unknown) | set(other.unknown)):
-            zero = TruncatedSeries.zero(self.order)
-            diff = self.unknown.get(key, zero) - other.unknown.get(key, zero)
-            if not diff.is_zero():
-                unknown[key] = diff
+        series, unknown = _difference(self, other)
         return self._replace(
             group=f"{self.group}-minus-{other.group}" if self.group != other.group
             else self.group,
-            series=self.series - other.series,
+            series=series,
             unknown=unknown,
             terms=self.terms + tuple(t.negated() for t in other.terms),
         )
@@ -207,21 +210,13 @@ class AssemblyResult(NamedTuple):
         wall-crossing difference."""
         if PAIRS not in self.unknown:
             return self
-        coeff = self.unknown[PAIRS]
-        ww = ww_difference(self.params, self.order)
-        unknown = dict(self.unknown)
-        del unknown[PAIRS]
-        zero = TruncatedSeries.zero(self.order)
-        merged = unknown.get(MODULI_MIN, zero) + coeff
-        if merged.is_zero():
-            unknown.pop(MODULI_MIN, None)
-        else:
-            unknown[MODULI_MIN] = merged
-        extra = TermValue.of_series("wall-crossing-elimination", coeff * ww)
+        series, unknown, product = _pairs_eliminated(self.series, self.unknown,
+                                                     self.params)
         return self._replace(
-            series=self.series + extra.series,
+            series=series,
             unknown=unknown,
-            terms=self.terms + (extra,),
+            terms=self.terms + (TermValue.of_series("wall-crossing-elimination",
+                                                    product),),
         )
 
     def to_json_dict(self) -> dict:
@@ -248,6 +243,47 @@ class AssemblyResult(NamedTuple):
         if self.transforms:
             doc["transforms"] = list(self.transforms)
         return doc
+
+
+def _difference(a: AssemblyResult, b: AssemblyResult) -> tuple[
+        TruncatedSeries, dict[str, TruncatedSeries]]:
+    """The series and unknowns of a - b: each unknown's coefficient
+    subtracted, in sorted key order, and a zero difference dropped."""
+    if a.order != b.order:
+        raise ParameterError("order mismatch between assemblies")
+    zero = TruncatedSeries.zero(a.order)
+    unknown: dict[str, TruncatedSeries] = {}
+    for key in sorted(set(a.unknown) | set(b.unknown)):
+        diff = a.unknown.get(key, zero) - b.unknown.get(key, zero)
+        if not diff.is_zero():
+            unknown[key] = diff
+    return a.series - b.series, unknown
+
+
+def _pairs_eliminated(series: TruncatedSeries, unknown: dict[str, TruncatedSeries],
+                      p: ModuliParams) -> tuple[TruncatedSeries, dict, TruncatedSeries]:
+    """The series and unknowns at p with the pairs unknown, which they
+    hold, rewritten as moduli_min plus the wall-crossing difference, and
+    the product (pairs coefficient) * difference that joins the series."""
+    unknown = dict(unknown)
+    coeff = unknown.pop(PAIRS)
+    merged = unknown.get(MODULI_MIN, TruncatedSeries.zero(series.order)) + coeff
+    if merged.is_zero():
+        unknown.pop(MODULI_MIN, None)
+    else:
+        unknown[MODULI_MIN] = merged
+    product = coeff * ww_difference(p, series.order)
+    return series + product, unknown, product
+
+
+def residual(a: AssemblyResult, b: AssemblyResult) -> tuple[
+        TruncatedSeries, dict[str, TruncatedSeries]]:
+    """The series and unknowns of ``(a - b).eliminate_pairs()``, by the
+    same rule, without listing or negating a term."""
+    series, unknown = _difference(a, b)
+    if PAIRS in unknown:
+        series, unknown, _ = _pairs_eliminated(series, unknown, a.params)
+    return series, unknown
 
 
 def _reaches(entry, order: int) -> bool:

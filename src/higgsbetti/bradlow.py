@@ -27,13 +27,16 @@ is zero.
 
 Every wall shares the factor P(J)/(1-t^2), so ``ww_from_invariants``
 expands the walls' (t^a - t^b) P(S^{e-j} X) over that one block
-(``RationalExpr.expand``): one product sum and one division.
+(``RationalExpr.expand``): one product sum and one division, once per
+(g, e, order) (a bounded cache).  The walls, the maximal provider's
+|tau| = 2g-2 and a provider file's sigma are decided on integers; a
+``Fraction`` is formed only to print one.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParameterError, ProviderFileError
 from .ingredients import (
@@ -41,29 +44,32 @@ from .ingredients import (
     jacobian_block,
     sym_factor,
 )
-from .params import MAX_GENUS, MAX_ORDER, ModuliParams, _require_valid, pairs_sigma
+from .params import (MAX_GENUS, MAX_ORDER, ModuliParams, _rational, _require_valid,
+                     pairs_sigma)
 from .series import (
     TruncatedSeries,
     parse_integer,
 )
 
 
+@lru_cache(maxsize=256)
 def ww_from_invariants(g: int, e: int, order: int) -> TruncatedSeries:
     """pairs_equivariant - moduli_min, the wall-crossing sum over the walls
-    of the module docstring; it depends on (g, e) alone, which fix sigma."""
-    sigma = pairs_sigma(g, e)
+    of the module docstring; it depends on (g, e) alone, which fix sigma.
+    Each (g, e, order) is summed once: every point of one (g, e), its dual
+    and its tensor shifts share the sum.  The walls are found on integers,
+    as 3 sigma = e + 2g - 2."""
     terms = []
-    half = Fraction(e, 2)
     j = e // 2 + 1
-    while j < sigma:
+    while 3 * j < e + 2 * g - 2:  # j < sigma
         sym = sym_factor(e - j, g, order)
         terms += [(1, 2 * (g - 1 + 2 * j - e), (sym,)), (-1, 2 * (e - j), (sym,))]
         j += 1
-    if sigma.denominator == 1:
-        s = int(sigma)
-        if s > half:
+    s, rem = divmod(e + 2 * g - 2, 3)
+    if not rem:  # sigma = s is a wall
+        if 2 * s > e:
             terms.append((1, 2 * (g - 1 + 2 * s - e), (sym_factor(e - s, g, order),)))
-        elif s == half:
+        elif 2 * s == e:
             terms.append((1, e, (sym_factor(e // 2, g, order),)))
     return jacobian_block(g, 1, 2).expand(order, terms)
 
@@ -150,8 +156,10 @@ def _parse_record(data: dict) -> tuple:
     try:
         g = parse_integer(data["g"], "g")
         e = parse_integer(data["e"], "e")
-        sigma = Fraction(parse_integer(data["sigma"]["num"], "sigma num"),
-                         parse_integer(data["sigma"]["den"], "sigma den"))
+        num = parse_integer(data["sigma"]["num"], "sigma num")
+        den = parse_integer(data["sigma"]["den"], "sigma den")
+        if not den:
+            _rational(num, den)  # raises the ZeroDivisionError of Fraction(num, 0)
         order = parse_integer(data["order"], "order")
         pairs = _series("pairs_equivariant")
         min_moduli = _series("moduli_min")
@@ -165,9 +173,9 @@ def _parse_record(data: dict) -> tuple:
         raise ProviderFileError(
             f"provider record has e = {e} outside {g - 1}..{7 * g - 7}, "
             f"the range |tau| <= 2g-2 allows at g = {g}")
-    if sigma != pairs_sigma(g, e):
+    if 3 * num != (e + 2 * g - 2) * den:  # num/den != (e+2g-2)/3, on integers
         raise ProviderFileError(
-            f"provider record has sigma = {sigma}; (e + 2g - 2)/3 = "
+            f"provider record has sigma = {_rational(num, den)}; (e + 2g - 2)/3 = "
             f"{pairs_sigma(g, e)} at (g, e) = ({g}, {e})")
     if order < 0:
         raise ProviderFileError(f"provider record has negative order {order}")
@@ -219,7 +227,7 @@ def provider_for_spec(spec: str, p: ModuliParams) -> BradlowProvider | None:
     if spec == "relative":
         return None
     if spec == "maximal":
-        if abs(p.tau) != 2 * p.g - 2:
+        if abs(4 * p.d1 - 2 * p.d2) != 3 * (2 * p.g - 2):  # |tau| != 2g-2
             raise ParameterError(
                 f"provider 'maximal' is valid only at |tau| = 2g-2 = {2 * p.g - 2}, "
                 f"got tau = {p.tau}")

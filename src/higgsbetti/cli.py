@@ -10,10 +10,13 @@ import argparse
 import os
 import stat
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import assemble, bradlow, ingredients, params, series
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -166,9 +169,12 @@ def cmd_ingredients(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-# largest genus of a verify grid: every suite together takes 3.2 s at
-# g = 16 alone and 12.7 s on g = 2..16 (one process, 2-CPU Intel Xeon),
-# growing about as g^4 per genus, so a grid up to MAX_GENUS would run for days
+# largest genus of a verify grid.  At g = 16 alone, in one process pinned
+# to one CPU of a 2-CPU Intel Xeon (medians of eight runs), shift-invariance
+# takes 2.0 s, route-su21 1.8 s, route-u21 1.4 s, series-laws 0.65 s and
+# the other four 0.2 s together: 6.0 s, and g = 2..16 about 24 s (hosts of
+# that name have run the same grids about twice as fast).  Time grows
+# about as g^4 per genus, so a grid up to MAX_GENUS would run for days
 MAX_GRID_GENUS = 16
 
 
@@ -326,6 +332,8 @@ class _SuiteListFormatter(argparse.HelpFormatter):
 
 def _parse_lmax(text: str) -> Fraction:
     """Parse an integer or an n/2 half-integer."""
+    from fractions import Fraction  # only strata reads a rational argument
+
     try:
         frac = Fraction(text)
     except ZeroDivisionError:

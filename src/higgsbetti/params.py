@@ -19,12 +19,14 @@ surjectivity) are decided exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import floor
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError, RangeViolationError
 from .records import dataclass_compatible
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # largest genus accepted from outside input (CLI arguments, provider files)
 MAX_GENUS = 128
@@ -33,9 +35,18 @@ MAX_GENUS = 128
 MAX_ORDER = 2048
 
 
+def _rational(num: int, den: int) -> Fraction:
+    """num/den as an exact ``Fraction``.  Only what returns or prints a
+    rational imports ``fractions`` (and, through it, ``decimal``): every
+    comparison a ``compute`` makes is decided on integers."""
+    from fractions import Fraction
+
+    return Fraction(num, den)
+
+
 def pairs_sigma(g: int, e: int) -> Fraction:
     """The pairs stability parameter sigma = (e+2g-2)/3 of (g, e)."""
-    return Fraction(e + 2 * g - 2, 3)
+    return _rational(e + 2 * g - 2, 3)
 
 
 @dataclass_compatible
@@ -48,7 +59,7 @@ class ModuliParams(NamedTuple):
 
     @property
     def tau(self) -> Fraction:
-        return Fraction(2 * (2 * self.d1 - self.d2), 3)
+        return _rational(2 * (2 * self.d1 - self.d2), 3)
 
     @property
     def e(self) -> int:
@@ -61,7 +72,7 @@ class ModuliParams(NamedTuple):
     @property
     def sigma_min(self) -> Fraction:
         """2g-2 - d1 + d2/2 + 1/4, which is e/2 + 1/4."""
-        return Fraction(2 * self.e + 1, 4)
+        return _rational(2 * self.e + 1, 4)
 
     @property
     def mod3_class(self) -> int:
@@ -130,7 +141,7 @@ def kind_range(p: ModuliParams, kind: str) -> KindRange:
     """The index range of the stratum kind named ``kind``: B1, B3, C1, C2 or
     C3; A (l = d2/2) and B2 (l = d1, when d1 > d2/2) are single points."""
     num, den, upper, closed = _kind_ends(p, kind)
-    return KindRange(Fraction(num, den), upper, closed)
+    return KindRange(_rational(num, den), upper, closed)
 
 
 def kind_indices(p: ModuliParams, kind: str, top: int | None = None) -> range:
@@ -214,7 +225,7 @@ def delta_set(p: ModuliParams, l_max: int | Fraction) -> list[int | Fraction]:
     # the integers above the lower end of the C2 range, up to l_max
     members = set(range(floor(kind_range(p, "C2").lower) + 1, floor(l_max) + 1))
     if p.d2 <= 2 * l_max:
-        members.add(Fraction(p.d2, 2))
+        members.add(_rational(p.d2, 2))
     return sorted(members)
 
 

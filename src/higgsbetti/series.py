@@ -18,7 +18,9 @@ check.
 Products use Kronecker substitution: a polynomial is evaluated at
 t = 2^(8w), one slot of w bytes per coefficient, and one big-integer
 product stands for the whole convolution.  ``_pack`` and ``_unpack`` are
-the one home of that format.  A packed value is exact and signed; to read
+the home of that format; the one other place that writes it is the
+narrow ``TruncatedSeries`` product (below), which repeats their 1-8 byte
+steps inline.  A packed value is exact and signed; to read
 it back, an offset 2^(8w-1) is added to every slot, which makes each slot
 the digit c_k + 2^(8w-1) with no borrows between slots.  That is right as
 long as every |c_k| is below 2^(8w-1), so w always comes from a bound on
@@ -45,17 +47,22 @@ counts as much as the big-integer products: each factor is cut once,
 and that cut gives both its norm and its pack.  A factor given twice in
 a row (P(S^m) P(S^m), every C1 term at tau = 0) is cut and packed once
 and squared, which CPython does faster than a general product.  A
-``TruncatedSeries`` product is one Kronecker step, ``_product``: both
-factors packed at the width of their norms, one product, one unpack,
-with no entries to classify.  ``polynomial_product`` is the sum with
-one term.
+``TruncatedSeries`` product is one Kronecker step with no entries to
+classify: both factors packed at the width of their norms, one product,
+one unpack.  It is the most frequent short product (``series-laws``
+makes 8000 at order 24), so at slots of 1-8 bytes ``__mul__`` runs the
+step in its own frame, with one ``_layout`` lookup, one signed pack per
+factor (one for a square) and an unpack straight into the result's
+tuple; wider slots, and a zero factor, go through ``_product``.
+``polynomial_product`` is the sum with one term.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
 
-Each result tuple is built once from a list: short intermediate tuples
-(prefix tuples concatenated with slices, tuple(generator) + zeros) stay
-in CPython's tuple free lists after use and raise peak memory.
+Each result tuple is built once, from a list or whole by ``struct``:
+short intermediate tuples (prefix tuples concatenated with slices,
+tuple(generator) + zeros) stay in CPython's tuple free lists after use
+and raise peak memory.
 
 All values are immutable; all operations are pure functions of their
 inputs and safe for concurrent use.
@@ -407,7 +414,7 @@ class TruncatedSeries(Frozen):
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_nonnegative(self) -> bool:
         """Betti-number sanity check used by the higher modules."""
@@ -447,13 +454,29 @@ class TruncatedSeries(Frozen):
         return _trusted(tuple(list(map(operator.neg, self.coeffs))))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+        """The product at this order, one Kronecker step.  At slots of 1-8
+        bytes the step runs here, as ``_pack`` and ``_unpack`` would run
+        it: each factor packed by one signed ``struct`` call (once for a
+        square), one product, and one unpack straight into the result's
+        tuple.  Wider slots and a zero factor go through ``_product``."""
         if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_order(other)
+            return self.scale(other) if isinstance(other, int) else NotImplemented
         a, b = self.coeffs, other.coeffs
-        return _trusted(tuple(_product((a, b), sum(map(abs, a)) * sum(map(abs, b)), len(a))))
+        n = len(a)
+        if n != len(b):
+            self._check_order(other)
+        norm = sum(map(abs, a))
+        norm *= norm if a is b else sum(map(abs, b))
+        w = _slot_width(norm)
+        if w > 8 or not norm:
+            return _trusted(tuple(_product((a, b), norm, n)))
+        layout, offset, mask = _layout(w, n)
+        x = (int.from_bytes(layout.pack(*a), "little") ^ offset) - offset
+        x *= x if a is b else (int.from_bytes(layout.pack(*b), "little") ^ offset) - offset
+        out = object.__new__(TruncatedSeries)
+        object.__setattr__(out, "coeffs", layout.unpack(
+            (((x + offset) & mask) ^ offset).to_bytes(w * n, "little")))
+        return out
 
     __rmul__ = __mul__
 

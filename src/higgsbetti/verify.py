@@ -4,7 +4,9 @@ the coprime moduli probe.  These reach the assemblies through
 ``assemble.BUILDERS``; no builder depends on this module, so a
 ``compute`` process never loads it.  The Atiyah-Bott block has no
 identity here: ``ab-cancellation`` checks each of its parts against
-binomials.
+binomials.  A route report takes its residual from ``assemble.residual``,
+the rule that ``(closed - route).eliminate_pairs()`` runs, without the
+difference's terms: it keeps each side's own terms for provenance.
 
 Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
 genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
@@ -89,12 +91,12 @@ def verify_route_equivalence(
         raise errors.ParameterError(f"no route pair for group {group!r}")
     closed = assemble.BUILDERS[(group, "closed")](p, None, order)
     route = assemble.BUILDERS[(group, "stratum")](p, None, order)
-    diff = (closed - route).eliminate_pairs()
+    residual, unknowns = assemble.residual(closed, route)
     return RouteEquivalenceReport(
         group=group,
         params=closed.params,
-        residual=diff.series,
-        residual_unknowns=dict(diff.unknown),
+        residual=residual,
+        residual_unknowns=unknowns,
         closed_terms=closed.terms,
         route_terms=route.terms,
     )

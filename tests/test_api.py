@@ -78,8 +78,10 @@ def _modules_loaded_by(statement: str) -> set[str]:
     return set(proc.stdout.splitlines()[-1].split())
 
 
-# what no compute process runs: verify's suites, JSON and file paths
-NOT_FOR_COMPUTE = {"higgsbetti.verify", "json", "pathlib"}
+# what no compute process runs: verify's suites, JSON, file paths and
+# exact rationals (``fractions`` imports ``decimal``), as a compute decides
+# its comparisons on integers
+NOT_FOR_COMPUTE = {"higgsbetti.verify", "json", "pathlib", "fractions", "decimal"}
 
 
 def test_the_cli_does_not_import_what_compute_never_runs():

@@ -250,8 +250,30 @@ def test_route_equivalence_su21_reports():
     assert k is not None
     assert "moduli_min" in rep.residual_unknowns
     assert isinstance(rep.term_provenance(k), dict)
+    # the terms each side lists, unnegated; the values are those of the
+    # su21 bookkeeping, which ROADMAP item 2 changes
+    assert (k, rep.term_provenance(k)) == (
+        1, {"route:classifying-total": 4, "route:semistable-bundle-block": -4})
+    assert rep.term_provenance(8) == {
+        "route:classifying-total": 193, "route:semistable-bundle-block": -63,
+        "route:line-splitting-tail": -130, "route:B1-diff[l=1]": 8}
     with pytest.raises(ParameterError):
         verify_route_equivalence("pu21", make_params(2, 2, 1), 10)
+
+
+@pytest.mark.parametrize("group", ["u21", "su21"])
+def test_the_route_residual_is_that_of_the_eliminated_difference(group):
+    # the report reads the value rule that the difference of results, with
+    # its terms, runs too: the same series, unknowns and key order
+    # (route-su21 prints the unknowns' dict)
+    for g in (2, 3, 4):
+        for q in valid_points(g):
+            for p in (q, q.dual()):
+                rep = verify_route_equivalence(group, p)
+                diff = (BUILDERS[group, "closed"](p)
+                        - BUILDERS[group, "stratum"](p)).eliminate_pairs()
+                assert rep.residual == diff.series, p
+                assert list(rep.residual_unknowns.items()) == list(diff.unknown.items())
 
 
 def test_assembly_substitutes_through_one_sided_provider():

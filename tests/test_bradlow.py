@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -93,6 +94,19 @@ def test_ww_matches_invariant_coordinates():
                 assert w == ww_from_invariants(g, p.e, order)
                 if p.tau < 0:
                     assert w.is_zero(), (g, p.d1, p.d2)
+
+
+def test_the_wall_crossing_sum_is_summed_once_per_key():
+    # a bounded cache: every point of one (g, e), its dual and its shifts
+    # share one sum
+    assert 0 < ww_from_invariants.cache_info().maxsize < 10**6
+    ww_from_invariants.cache_clear()
+    first = ww_from_invariants(3, 5, 40)
+    assert ww_from_invariants(3, 5, 40) is first
+    assert ww_from_invariants.cache_info()[:2] == (1, 1)  # hits, misses
+    ww_from_invariants.cache_clear()
+    again = ww_from_invariants(3, 5, 40)
+    assert again is not first and again == first
 
 
 def test_ww_zero_at_negative_toledo():
@@ -218,6 +232,9 @@ def _write(tmp_path, payload, name="rec.json"):
     ("e", 0, "e = 0 outside 1..7"),
     ("e", 8, "e = 8 outside 1..7"),
     ("g", 129, "genus 129; it must be in 2..128"),
+    # sigma is compared on integers, and printed as the Fraction it names
+    ("sigma", {"num": 4, "den": 2}, "sigma = 2; (e + 2g - 2)/3 = 1"),
+    ("sigma", {"num": 1, "den": 0}, "malformed provider record: Fraction(1, 0)"),
 ])
 def test_provider_file_rejects_inconsistent_invariants(tmp_path, capsys, field, value,
                                                        message):
@@ -225,7 +242,7 @@ def test_provider_file_rejects_inconsistent_invariants(tmp_path, capsys, field, 
     record["pairs_equivariant"] = None
     record[field] = value
     path = _write(tmp_path, record)
-    with pytest.raises(ProviderFileError, match=message):
+    with pytest.raises(ProviderFileError, match=re.escape(message)):
         provider_from_file(path)
     code = main(["compute", "--group", "u21", "--genus", "2", "--d1", "2",
                  "--d2", "1", "--provider", f"file:{path}", "--order", "20"])

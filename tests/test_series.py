@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import operator
 import random
 import struct
@@ -273,6 +274,38 @@ def test_public_products_at_the_norm_bound(bits):
             _both_products([sx * x, 0], [sy * y, 0])
             _both_products([sx * x, 0, 0], [0, 0, sy * y])
             _both_products([sx * x], [0, sy * y])
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 9])
+def test_product_at_the_slot_width_boundaries(w):
+    # a norm product of 2^(8w-1) - 1 takes w-byte slots and 2^(8w-1) the
+    # next width; past 2^63 (w = 8) the product leaves the narrow path
+    edge = 2 ** (8 * w - 1)
+    assert series._slot_width(edge - 1) == w < series._slot_width(edge)
+    half = 2 ** (4 * w - 2)
+    root = math.isqrt(edge)  # root^2 < edge < (root + 1)^2
+    for norm in (edge - 1, edge):
+        cases = [
+            ([0, -1, 0, 0, 0, 0], [norm - 3, -1, 0, 2, 0, 0]),  # -t * b
+            ([-1, 0, 0, 0, 0, 0], [0, 0, -norm, 0, 0, 0]),  # a coefficient is the norm
+        ]
+        if norm == edge:  # two factors of two terms each, of norms 2^(4w) and 2^(4w-1)
+            cases.append(([2 * half, -2 * half, 0, 0, 0, 0], [-half, 0, half, 0, 0, 0]))
+        for a, b in cases:
+            assert sum(map(abs, a)) * sum(map(abs, b)) == norm
+            _both_products(a, b)
+            _both_products(b, a)
+    for r in (root, root + 1):  # squares just below and just above the edge
+        f = TruncatedSeries((r - 2, 1, 0, -1, 0, 0))
+        assert (sum(map(abs, f.coeffs)) ** 2 < edge) == (r == root)
+        assert list((f * f).coeffs) == naive_product(f.coeffs, f.coeffs, 6)
+    big = TruncatedSeries((edge, -edge, 0, 3, 0, 1))
+    zero = TruncatedSeries.zero(5)
+    assert big * zero == zero and zero * big == zero and zero * zero == zero
+    with pytest.raises(ParameterError, match="order mismatch"):
+        big * TruncatedSeries.zero(4)
+    with pytest.raises(ParameterError, match="order mismatch"):
+        TruncatedSeries.one(6) * big
 
 
 def naive_product_sum(terms, size, factor):
