@@ -63,15 +63,22 @@ The Atiyah-Bott block gathers nothing: its three terms are shown but not
 summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
 and their expansion would only add zero; what checks the cancellation
-is the ``ab-cancellation`` suite, against an oracle of its own.  A term
-is expanded on its own only when it is read (JSON ``terms``, residual
-provenance), in one expansion of its own entries at the degree read, so
-provenance, which reads one low coefficient of each term, cuts every
-factor there; ``scaled_by`` appends its factor to each entry.
+is the ``ab-cancellation`` suite, against an oracle of its own.
+A build lists no term: it records each added term's label, block and
+entries, and the C1 sum as one record, and ``AssemblyResult.terms``
+makes the ``TermValue``s on first read and keeps them (``_Unlisted``),
+so a reader that never reads a term (a sweep, text or CSV output, a
+passing check) pays for none.  A term is expanded on its own only when
+it is read (JSON ``terms``, residual provenance), in one expansion of
+its own entries at the degree read, so provenance, which reads one low
+coefficient of each term, cuts every factor there; ``scaled_by`` appends
+its factor to each entry.
 Every block is a unit series and a product of nonzero polynomials starts
-at the sum of their lowest degrees, so a term is dropped exactly when none
-of its entries reaches the order (``_reaches``); the C1 sum ends where its
-shift passes the order, so each C1 term it lists reaches the order.
+at the sum of their lowest degrees, so the listing drops a term exactly
+when none of its entries reaches the order (``_reaches``).  Such a term
+is still summed in its block: it adds only multiples of t^(order+1),
+which the expansion cuts.  The C1 sum ends where its shift passes the
+order, so each C1 term it lists reaches the order.
 """
 
 from __future__ import annotations
@@ -161,11 +168,66 @@ class TermValue(Frozen):
         return hash((self.label, self.series))
 
 
+class _Unlisted:
+    """The terms of an assembly as its build recorded them, listed as
+    ``TermValue``s on first read and kept.  A record is (label, block,
+    entries, checked) for one term, dropped when ``checked`` and none of
+    its entries reaches the order, or (name, indices, covers, cover,
+    block) for a C1 sum, one term per cover, each reaching the order.  A
+    field made by ``terms_fields`` reads it as the tuple; it compares,
+    prints, pickles and copies as that tuple."""
+
+    __slots__ = ("records", "order", "terms")
+
+    def __init__(self, records: list, order: int):
+        self.records, self.order, self.terms = records, order, None
+
+    def listed(self) -> tuple[TermValue, ...]:
+        if self.terms is None:
+            order, terms = self.order, []
+            for record in self.records:
+                if len(record) == 5:  # a C1 sum
+                    name, indices, covers, cover, block = record
+                    terms += [TermValue(f"{name}[l={l}]", entries if cover else entries[:1],
+                                        block, order)
+                              for l, entries in zip(indices, covers)]
+                else:
+                    label, block, entries, checked = record
+                    if not checked or any(_reaches(e, order) for e in entries):
+                        terms.append(TermValue(label, entries, block, order))
+            self.terms = tuple(terms)
+        return self.terms
+
+    def __eq__(self, other):
+        return self.listed() == _listed(other)
+
+    def __repr__(self) -> str:
+        return repr(self.listed())
+
+    def __reduce__(self):
+        return tuple, (self.listed(),)
+
+
+def _listed(terms):
+    return terms.listed() if type(terms) is _Unlisted else terms
+
+
+def terms_fields(cls: type, *names: str) -> None:
+    """Make each NamedTuple field of ``cls`` in ``names`` read as a tuple
+    of terms, listing an ``_Unlisted`` it holds.  Iterating or indexing a
+    value of ``cls`` gives the fields as held."""
+    for index in map(cls._fields.index, names):
+        setattr(cls, cls._fields[index],
+                property(lambda self, i=index: _listed(self[i]),
+                         doc="Terms, listed on first read."))
+
+
 @dataclass_compatible
 class AssemblyResult(NamedTuple):
     """Known series plus explicit unknown blocks a*pairs + b*moduli_min.
 
-    The expanded terms always sum to the known series exactly.  The
+    The expanded terms always sum to the known series exactly; a build
+    lists them when ``terms`` is first read.  The
     result is in relative mode while an unknown block remains, and in
     absolute mode when the unknown map is empty; its order is that of its
     series.  ``params`` is the point assembled; ``transforms`` records how
@@ -245,6 +307,9 @@ class AssemblyResult(NamedTuple):
         return doc
 
 
+terms_fields(AssemblyResult, "terms")
+
+
 def _difference(a: AssemblyResult, b: AssemblyResult) -> tuple[
         TruncatedSeries, dict[str, TruncatedSeries]]:
     """The series and unknowns of a - b: each unknown's coefficient
@@ -320,7 +385,9 @@ class _Builder:
 
     ``add`` only records a term and gathers its entries under its block
     (``sum``); ``finish`` expands every block once, over all the entries
-    gathered under it, and adds the ``parts`` expanded before.
+    gathered under it, and adds the ``parts`` expanded before.  The
+    ``records`` are plain data, listed as terms only when the result's
+    ``terms`` are read (``_Unlisted``).
     """
 
     def __init__(self, group: str, p: ModuliParams, order: int,
@@ -329,7 +396,8 @@ class _Builder:
         self.p = p
         self.order = order
         self.transforms = tuple(transforms)
-        self.terms: list[TermValue] = []
+        # the terms, as ``_Unlisted`` records
+        self.records: list[tuple] = []
         # the summed entries of each block, keyed by the block's id
         self.sums: dict[int, tuple[RationalExpr, list]] = {}
         # expansions formed elsewhere (the cached u21 C1 sum), added as they are
@@ -340,17 +408,12 @@ class _Builder:
 
     def add(self, label: str, block: RationalExpr, *entries,
             listed_only: bool = False) -> None:
-        """Add (sum of the entries (sign, shift, factors)) * block.  A term
-        none of whose entries reaches the order is dropped (every block is
-        a unit series).  A term that is ``listed_only`` is listed, not
-        summed: its group of terms sums to zero by construction."""
-        order = self.order
-        for e in entries:
-            if _reaches(e, order):
-                break
-        else:
-            return
-        self.terms.append(TermValue(label, entries, block, order))
+        """Add (sum of the entries (sign, shift, factors)) * block, recorded
+        as the term ``label``, which the listing drops when none of its
+        entries reaches the order.  A term that is ``listed_only`` is
+        listed, not summed: its group of terms sums to zero by
+        construction."""
+        self.records.append((label, block, entries, True))
         if not listed_only:
             self.sum(block, entries)
 
@@ -369,11 +432,11 @@ class _Builder:
         p, order = self.p, self.order
         name, block, label = self.unknown
         value = _provided(provider, p, name, order)
-        terms = list(self.terms)
         if value is not None:
-            # the value over the unknown's block, summed with that block
+            # the value over the unknown's block, summed with that block and
+            # listed even when it is zero
             concrete = (1, 0, (value.coeffs,))
-            terms.append(TermValue(label, (concrete,), block, order))
+            self.records.append((label, block, (concrete,), False))
             self.sum(block, (concrete,))
         parts = self.parts + [expr.expand(order, entries)
                               for expr, entries in self.sums.values()]
@@ -385,7 +448,7 @@ class _Builder:
             params=p,
             series=known,
             unknown={name: _block_expansion(block, order)} if value is None else {},
-            terms=tuple(terms),
+            terms=_Unlisted(self.records, order),
             transforms=self.transforms,
         )
 
@@ -470,14 +533,15 @@ def _block_expansion(block: RationalExpr, order: int) -> TruncatedSeries:
 
 def _add_c1_sum(b: _Builder, row) -> None:
     """One term t^s P(S^m1) P(S^m2), or a Gothen cover, over
-    lambda^power per C1 index, listed with its entries from the
-    ``_c1_table``.  The shift s grows by 4 from one index to the next, so
-    the sum ends at the first s past the order.  Every listed term reaches
-    the order, its product's shift s being at most the order and every
-    factor having constant term 1, so no term is checked with
-    ``_reaches``.  The u21 sum, over lambda, is one cached part of the
-    series (``_c1_over_lambda``); over the plain block of su21 and pu21
-    the table's numerator, plus the covers' monomials, is summed with the
+    lambda^power per C1 index, recorded once for the whole sum as the
+    name, indices, ``_c1_table`` covers and block that the listing labels.
+    The shift s grows by 4 from one index to the next, so the sum ends at
+    the first s past the order.  Every listed term reaches the order, its
+    product's shift s being at most the order and every factor having
+    constant term 1, so no term is checked with ``_reaches``.  The u21
+    sum, over lambda, is one cached part of the series
+    (``_c1_over_lambda``); over the plain block of su21 and pu21 the
+    table's numerator, plus the covers' monomials, is summed with the
     block's other entries."""
     name, cover, power, _ = row
     p, order = b.p, b.order
@@ -493,10 +557,8 @@ def _add_c1_sum(b: _Builder, row) -> None:
     # every C1 term has the degree s + 2(m1 + m2), which is 10g-10
     key = (p.g, first, n, min(order, s + 2 * (m1 + m2)) + 1)
     numerator, covers = _c1_table(*key)
-    listed = covers if cover else [(product,) for product, _ in covers]
     block = jacobian_block(p.g, power, *[2] * power)
-    b.terms += [TermValue(f"{name}[l={l}]", entries, block, order)
-                for l, entries in zip(indices, listed)]
+    b.records.append((name, indices, covers, cover, block))
     if power:  # u21, whose row has no covers
         b.parts.append(_c1_over_lambda(*key, order))
     elif cover:

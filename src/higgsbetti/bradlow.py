@@ -153,6 +153,9 @@ def _parse_record(data: dict) -> tuple:
             raise ValueError(f"{key} length does not match order {order}")
         return TruncatedSeries(tuple(coeffs))
 
+    # the checks stay outside the ``try``s: a ProviderFileError is a
+    # ValueError, which they would report as malformed
+    malformed = (KeyError, TypeError, ValueError, ZeroDivisionError)
     try:
         g = parse_integer(data["g"], "g")
         e = parse_integer(data["e"], "e")
@@ -161,9 +164,7 @@ def _parse_record(data: dict) -> tuple:
         if not den:
             _rational(num, den)  # raises the ZeroDivisionError of Fraction(num, 0)
         order = parse_integer(data["order"], "order")
-        pairs = _series("pairs_equivariant")
-        min_moduli = _series("moduli_min")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except malformed as exc:
         raise ProviderFileError(f"malformed provider record: {exc}") from exc
     # the cap keeps the load-time wall-crossing check (about g^3.3) short
     if not 2 <= g <= MAX_GENUS:
@@ -183,6 +184,12 @@ def _parse_record(data: dict) -> tuple:
         raise ProviderFileError(
             f"provider record has order {order}, above the largest supported, "
             f"{MAX_ORDER}")
+    # the series are read once the order is known to be in budget
+    try:
+        pairs = _series("pairs_equivariant")
+        min_moduli = _series("moduli_min")
+    except malformed as exc:
+        raise ProviderFileError(f"malformed provider record: {exc}") from exc
     if pairs is None and min_moduli is None:
         raise ProviderFileError("record carries neither series")
     if pairs is not None and min_moduli is not None:

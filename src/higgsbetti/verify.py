@@ -6,7 +6,8 @@ the coprime moduli probe.  These reach the assemblies through
 identity here: ``ab-cancellation`` checks each of its parts against
 binomials.  A route report takes its residual from ``assemble.residual``,
 the rule that ``(closed - route).eliminate_pairs()`` runs, without the
-difference's terms: it keeps each side's own terms for provenance.
+difference's terms: it keeps each side's own terms for provenance,
+unlisted, so a zero residual lists none.
 
 Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
 genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
@@ -78,6 +79,9 @@ class RouteEquivalenceReport(NamedTuple):
         return out
 
 
+assemble.terms_fields(RouteEquivalenceReport, "closed_terms", "route_terms")
+
+
 def verify_route_equivalence(
     group: str, p: params.ModuliParams, order: int | None = None
 ) -> RouteEquivalenceReport:
@@ -92,13 +96,18 @@ def verify_route_equivalence(
     closed = assemble.BUILDERS[(group, "closed")](p, None, order)
     route = assemble.BUILDERS[(group, "stratum")](p, None, order)
     residual, unknowns = assemble.residual(closed, route)
+    # each side's terms as its build left them: unpacking a result reads
+    # its fields as held, past the listing ``terms`` property, and
+    # provenance lists them when it reads them
+    *_, closed_terms, _ = closed
+    *_, route_terms, _ = route
     return RouteEquivalenceReport(
         group=group,
         params=closed.params,
         residual=residual,
         residual_unknowns=unknowns,
-        closed_terms=closed.terms,
-        route_terms=route.terms,
+        closed_terms=closed_terms,
+        route_terms=route_terms,
     )
 
 

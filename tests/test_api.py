@@ -30,6 +30,18 @@ def test_every_exported_name_resolves():
     assert len(set(higgsbetti.__all__)) == len(higgsbetti.__all__)
 
 
+def test_no_module_checks_with_assert():
+    # ``python -O`` drops assert statements, so a suite check written as
+    # one would pass whatever it checks; CI runs ``verify`` under -O
+    import ast
+
+    package = Path(higgsbetti.__file__).parent
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert len(list(package.glob("*.py"))) > 10 and asserts == []
+
+
 def test_every_builder_is_reachable_by_its_name():
     # the benchmark's tracer and the README look the builders up by name
     from higgsbetti import assemble

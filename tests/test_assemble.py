@@ -736,3 +736,113 @@ def test_terms_sum_to_the_series_at_the_maximal_point_at_genus_32():
     res = u21_closed_form(make_params(32, 62, 31), MaximalCaseProvider(), 1120)
     assert res.mode == "absolute"
     assert _term_sum(res) == res.series
+
+
+@pytest.fixture
+def term_spies(monkeypatch):
+    """The TermValues ``assemble`` makes, the entries it checks with
+    ``_reaches`` and the labels of the terms expanded, from here on."""
+    from types import SimpleNamespace
+
+    from higgsbetti import assemble
+
+    spies = SimpleNamespace(made=[], checked=[], expanded=[])
+    reaches = assemble._reaches
+
+    class Spy(TermValue):
+        def __init__(self, *args):
+            spies.made.append(self)
+            super().__init__(*args)
+
+        def expanded(self, order):
+            spies.expanded.append(self.label)
+            return super().expanded(order)
+
+    def spy_reaches(entry, order):
+        spies.checked.append(entry)
+        return reaches(entry, order)
+
+    monkeypatch.setattr(assemble, "TermValue", Spy)
+    monkeypatch.setattr(assemble, "_reaches", spy_reaches)
+    return spies
+
+
+# points with even and odd d2 and a dual, at an order low enough that the
+# routes drop terms
+_LAZY_POINTS = [(3, 2, 2), (3, -2, -2), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("key", sorted(BUILDERS))
+def test_terms_are_listed_when_first_read(term_spies, key):
+    # a build records its terms and makes none; the first read lists them
+    # and checks the entries, and every later read, of the result or of a
+    # copy made by _replace, returns the same terms, each expanded once
+    for point in _LAZY_POINTS:
+        res = BUILDERS[key](make_params(*point), None, 12)
+        clone = res._replace(series=res.series)
+        assert term_spies.made == term_spies.checked == [], point
+        terms = res.terms
+        assert type(terms) is tuple and term_spies.made == list(terms) != []
+        assert bool(term_spies.checked) == (key[1] == "stratum")
+        assert res.terms is terms and clone.terms is terms
+        assert [t.series for t in res.terms] == [t.series for t in clone.terms]
+        assert term_spies.expanded == [t.label for t in terms]
+        term_spies.made.clear()
+        term_spies.checked.clear()
+        term_spies.expanded.clear()
+
+
+def test_a_route_lists_only_the_terms_that_reach_its_order():
+    # the listing drops a term exactly when it is zero at the order, and
+    # the build's series is the sum of what it lists
+    p, order = make_params(3, 2, 2), 6
+    res = u21_stratum_route(p, None, order)
+    low = [t.label for t in res.terms]
+    high = u21_stratum_route(p, None, 40).terms
+    assert set(low) < {t.label for t in high}
+    assert [t.label for t in high if not t.expanded(order).is_zero()] == low
+    assert _term_sum(res) == res.series
+
+
+def test_a_provided_value_is_listed_even_when_zero(tmp_path):
+    # an added term that reaches nothing is dropped, but a provider's value
+    # is listed as given
+    import json
+
+    p, order = make_params(2, 1, 0), 16  # e = 2, sigma = 4/3
+    record = {"g": 2, "e": 2, "sigma": {"num": 4, "den": 3}, "order": order,
+              "moduli_min": ["0"] * (order + 1)}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(record))
+    res = u21_stratum_route(p, provider_from_file(path), order)
+    assert res.mode == "absolute" and res.terms[-1].label == "bradlow-moduli-block"
+    assert res.terms[-1].series.is_zero()
+
+
+def test_a_zero_route_residual_lists_neither_side(term_spies):
+    rep = verify_route_equivalence("u21", make_params(3, 2, 2), 20)
+    assert rep.zero and term_spies.made == []
+    assert rep.term_provenance(0) and term_spies.made
+
+
+@pytest.mark.parametrize("make", [
+    lambda: u21_stratum_route(make_params(3, 2, 2), None, 20),
+    lambda: verify_route_equivalence("u21", make_params(3, 2, 2), 20),
+], ids=["AssemblyResult", "RouteEquivalenceReport"])
+def test_unlisted_values_copy_and_compare_as_listed(make):
+    import copy
+    import pickle
+
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
+                  copy.copy, dataclasses.replace):
+        value, other = make(), make()
+        copied = clone(value)
+        assert copied == other and other == copied and not copied != other
+        assert copied == value and repr(copied) == repr(other)
+        if clone is not copy.copy:  # which shares what the value holds
+            held = dict(zip(type(copied)._fields, copied))
+            assert all(type(held[name]) is tuple for name in held if "terms" in name)
+    # asdict turns each listed term into a dict of its fields
+    fields = dataclasses.asdict(make())
+    assert all(type(t) is dict and t["label"]
+               for name in fields if "terms" in name for t in fields[name])

@@ -260,11 +260,21 @@ def test_provider_file_order_is_held_to_the_budget(tmp_path, capsys):
     assert code == 2
     assert message in capsys.readouterr().err
     provider_from_file(_write(tmp_path, maximal_provider_record(2, MAX_ORDER)))
-    # a negative order is refused before the record's series are looked at
+    # an order out of budget is refused before the record's series are
+    # looked at: with none, with the series of another order, or with
+    # coefficients that would not parse
     record = maximal_provider_record(2, 20)
     record.update(order=-1, pairs_equivariant=None, moduli_min=None)
     with pytest.raises(ProviderFileError, match="negative order -1"):
         provider_from_file(_write(tmp_path, record))
+    for order, refusal in ((-1, "negative order -1"), (MAX_ORDER + 1, message)):
+        for series in (maximal_provider_record(2, 20), {
+                "pairs_equivariant": ["x"] * 3, "moduli_min": ["1.5"]}):
+            record = dict(maximal_provider_record(2, 20), order=order)
+            record.update(pairs_equivariant=series["pairs_equivariant"],
+                          moduli_min=series["moduli_min"])
+            with pytest.raises(ProviderFileError, match=refusal):
+                provider_from_file(_write(tmp_path, record))
 
 
 def test_provider_file_rejects_duplicate_records(tmp_path):

@@ -389,6 +389,51 @@ def test_shifted_product_sum_at_the_norm_bound(bits):
                 naive_product_sum(terms, 3, factor)
 
 
+def _cut_product_sum(terms, size, factor):
+    """Reference for shifted_product_sum by schoolbook convolution, each
+    product cut at size - shift as it grows."""
+    total = [0] * size
+    for sign, shift, factors in terms:
+        prod = [1]
+        for f in factors:
+            prod = naive_product(prod, f, max(size - shift, 0))
+        for k, c in enumerate(prod):
+            total[shift + k] += sign * c
+    return naive_product(total, factor, size)
+
+
+def test_the_kernel_matches_a_schoolbook_convolution_past_genus_32():
+    # from g = 33 on, P(S^m) holds coefficients of 2^64 and more, so its
+    # packs go one slot at a time, a path the pinned outputs (g <= 32) do
+    # not reach: seeded signed sums of products of symmetric products,
+    # squares included, against the schoolbook product
+    from higgsbetti.ingredients import sym_polynomial
+
+    rng = random.Random(128)
+    wide = 0
+    for _ in range(32):
+        g, size = rng.randint(33, 128), rng.randint(50, 200)
+
+        def sym():
+            return sym_polynomial(rng.randint(0, size // 2 + 8), g)
+
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            factors = [sym() for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                factors.insert(0, factors[0])  # the same object twice: a square
+            wide += sum(max(f) >= 2**64 for f in factors)
+            terms.append((rng.choice((-1, 1)), rng.randint(0, size // 4), tuple(factors)))
+        factor = rng.choice(((1,), sym()))
+        assert shifted_product_sum(terms, size, factor) == \
+            _cut_product_sum(terms, size, factor), (g, size)
+        a, b = (S(sym(), size - 1) - S(sym(), size - 1).shifted(rng.randint(1, 9))
+                for _ in range(2))
+        for x, y in ((a, b), (a, a)):
+            assert list((x * y).coeffs) == naive_product(x.coeffs, y.coeffs, size), (g, size)
+    assert wide >= 32
+
+
 def _round_trip(c, w):
     packed = _pack(c, w)
     assert packed == sum(x << (8 * w * k) for k, x in enumerate(c))
