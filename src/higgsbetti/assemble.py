@@ -59,6 +59,11 @@ the coefficient an unknown carries in relative mode is its block's
 expansion, once per block and order (``_block_expansion``).  Expansion
 is exact and linear, so summing parts expanded apart changes no
 coefficient.
+A relative build is made once per process: ``_store`` keeps its series,
+as int64s, and its unknown, keyed by the builder, the canonical point
+and the order, so a repeat or the dual point is served with no
+arithmetic (2^17 coefficients at most, the oldest dropped first).  A
+series with a coefficient beyond int64 is not kept.
 The Atiyah-Bott block gathers nothing: its three terms are shown but not
 summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
@@ -83,7 +88,9 @@ order, so each C1 term it lists reaches the order.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+import struct
+from _thread import allocate_lock
+from functools import _CacheInfo, cached_property, lru_cache
 from typing import NamedTuple
 
 from .bradlow import BradlowProvider, ww_difference
@@ -98,7 +105,8 @@ from .ingredients import (
 from .params import (ModuliParams, _require_valid, canonicalize, h01_s_star_q,
                      kind_indices, sym_exponent)
 from .records import Frozen, dataclass_compatible
-from .series import RationalExpr, TruncatedSeries, resolve_order, shifted_product_sum
+from .series import (RationalExpr, TruncatedSeries, _layout, _trusted, resolve_order,
+                     shifted_product_sum)
 
 PAIRS = "pairs_equivariant"
 MODULI_MIN = "moduli_min"
@@ -174,18 +182,21 @@ class _Unlisted:
     entries, checked) for one term, dropped when ``checked`` and none of
     its entries reaches the order, or (name, indices, covers, cover,
     block) for a C1 sum, one term per cover, each reaching the order.  A
-    field made by ``terms_fields`` reads it as the tuple; it compares,
-    prints, pickles and copies as that tuple."""
+    result served from the store holds, in place of the records, a
+    function that runs the build's body again and returns them.  A field
+    made by ``terms_fields`` reads it as the tuple; it compares, prints,
+    pickles and copies as that tuple."""
 
     __slots__ = ("records", "order", "terms")
 
-    def __init__(self, records: list, order: int):
+    def __init__(self, records, order: int):
         self.records, self.order, self.terms = records, order, None
 
     def listed(self) -> tuple[TermValue, ...]:
         if self.terms is None:
             order, terms = self.order, []
-            for record in self.records:
+            records = self.records() if callable(self.records) else self.records
+            for record in records:
                 if len(record) == 5:  # a C1 sum
                     name, indices, covers, cover, block = record
                     terms += [TermValue(f"{name}[l={l}]", entries if cover else entries[:1],
@@ -385,7 +396,7 @@ class _Builder:
 
     ``add`` only records a term and gathers its entries under its block
     (``sum``); ``finish`` expands every block once, over all the entries
-    gathered under it, and adds the ``parts`` expanded before.  The
+    gathered under it, and adds the cached ``parts``.  The
     ``records`` are plain data, listed as terms only when the result's
     ``terms`` are read (``_Unlisted``).
     """
@@ -400,8 +411,9 @@ class _Builder:
         self.records: list[tuple] = []
         # the summed entries of each block, keyed by the block's id
         self.sums: dict[int, tuple[RationalExpr, list]] = {}
-        # expansions formed elsewhere (the cached u21 C1 sum), added as they are
-        self.parts: list[TruncatedSeries] = []
+        # the ``_c1_over_lambda`` keys of the cached u21 C1 sum, whose
+        # expansion ``finish`` adds as it is
+        self.parts: list[tuple] = []
         # the one unknown (name, block, label), set by the body: its
         # coefficient is the block's expansion
         self.unknown: tuple[str, RationalExpr, str] | None = None
@@ -438,8 +450,8 @@ class _Builder:
             concrete = (1, 0, (value.coeffs,))
             self.records.append((label, block, (concrete,), False))
             self.sum(block, (concrete,))
-        parts = self.parts + [expr.expand(order, entries)
-                              for expr, entries in self.sums.values()]
+        parts = [_c1_over_lambda(*key, order) for key in self.parts]
+        parts += [expr.expand(order, entries) for expr, entries in self.sums.values()]
         known = parts[0] if parts else TruncatedSeries.zero(order)
         for part in parts[1:]:
             known = known + part
@@ -465,6 +477,67 @@ _GROUPS = {
 }
 
 
+class _Store:
+    """The series and unknown of each relative build, kept for the
+    process and keyed by (builder name, g, d1, d2, order) of the
+    canonical point.  A series is kept as one ``bytes`` of signed int64s,
+    packed by the ``_layout(8, n)`` struct, and a series with a
+    coefficient outside [-2^63, 2^63) is not kept: ``struct`` raises
+    rather than wrap.  The unknown is kept as its (name, series), the
+    ``_block_expansion`` object that every build at its block and order
+    shares.  At most ``budget`` series coefficients are held, the oldest
+    entries dropped first.  ``cache_info`` is that of an ``lru_cache``
+    whose ``maxsize`` and ``currsize`` count coefficients."""
+
+    def __init__(self, budget: int):
+        self.budget, self.lock = budget, allocate_lock()
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.entries, self.held, self.hits, self.misses = {}, 0, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.budget, self.held)
+
+    def get(self, key: tuple):
+        """The series and the unknown (name, series) kept for key, or None."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+        packed, unknown = entry
+        return _trusted(_layout(8, len(packed) // 8)[0].unpack(packed)), unknown
+
+    def keep(self, key: tuple, series: TruncatedSeries, unknown: tuple) -> None:
+        n = len(series.coeffs)
+        try:
+            packed = _layout(8, n)[0].pack(*series.coeffs)
+        except struct.error:  # a coefficient beyond int64
+            return
+        with self.lock:
+            # too long for the budget, or kept by a concurrent build
+            if n > self.budget or key in self.entries:
+                return
+            self.entries[key] = packed, unknown
+            self.held += n
+            while self.held > self.budget:
+                self.held -= len(self.entries.pop(next(iter(self.entries)))[0]) // 8
+
+
+# every relative build of the process: 2^17 coefficients, 1 MiB of int64s
+_store = _Store(1 << 17)
+
+
+def _built(group: str, body, p: ModuliParams, order: int, transforms=()) -> _Builder:
+    """A builder at p and order that ``body`` has run on, not finished."""
+    b = _Builder(group, p, order, transforms)
+    body(b, _GROUPS[group])
+    return b
+
+
 def _assembly(group: str, body, name: str, doc: str):
     """The public builder ``name(p, provider=None, order=None)``, the one
     way into every assembly.  It refuses |tau| > 2g-2, where the moduli
@@ -472,15 +545,28 @@ def _assembly(group: str, body, name: str, doc: str):
     (-d1, -d2) through ``canonicalize`` (duality of Higgs bundles
     identifies the two moduli spaces, so every series depends on tau only
     up to sign), resolves the order, runs ``body`` on a fresh builder and
-    ``group``'s row, and substitutes the provider."""
+    ``group``'s row, and substitutes the provider.  A relative build (no
+    provider) is served from ``_store`` when it holds the canonical point
+    and order, and kept there after it is built; a served result lists
+    its terms on first read by running ``body`` again, without
+    ``finish``."""
 
     def build(p: ModuliParams, provider: BradlowProvider | None = None,
               order: int | None = None) -> AssemblyResult:
         _require_valid(p)
         point, transforms = canonicalize(p)
-        b = _Builder(group, point, resolve_order(p.g, order), transforms)
-        body(b, _GROUPS[group])
-        return b.finish(provider)
+        order = resolve_order(p.g, order)
+        if provider is None:
+            key = (name, point.g, point.d1, point.d2, order)
+            kept = _store.get(key)
+            if kept is not None:
+                return AssemblyResult(group, point, kept[0], dict([kept[1]]),
+                                      _Unlisted(lambda: _built(group, body, point, order).records,
+                                                order), tuple(transforms))
+        result = _built(group, body, point, order, transforms).finish(provider)
+        if provider is None:
+            _store.keep(key, result.series, *result.unknown.items())
+        return result
 
     build.__name__ = build.__qualname__ = name
     build.__doc__ = doc
@@ -560,7 +646,7 @@ def _add_c1_sum(b: _Builder, row) -> None:
     block = jacobian_block(p.g, power, *[2] * power)
     b.records.append((name, indices, covers, cover, block))
     if power:  # u21, whose row has no covers
-        b.parts.append(_c1_over_lambda(*key, order))
+        b.parts.append(key)
     elif cover:
         b.sum(block, (numerator, *(monomial for _, monomial in covers)))
     else:

@@ -148,10 +148,11 @@ def _parse_record(data: dict) -> tuple:
             return None
         if not isinstance(raw, list):
             raise TypeError(f"{key} must be a list of coefficients")
-        coeffs = [parse_integer(c, f"{key} coefficient") for c in raw]
-        if len(coeffs) != order + 1:
+        # the length first, so that a list of the wrong length is refused
+        # before any of its coefficients is converted
+        if len(raw) != order + 1:
             raise ValueError(f"{key} length does not match order {order}")
-        return TruncatedSeries(tuple(coeffs))
+        return TruncatedSeries(tuple([parse_integer(c, f"{key} coefficient") for c in raw]))
 
     # the checks stay outside the ``try``s: a ProviderFileError is a
     # ValueError, which they would report as malformed

@@ -442,13 +442,23 @@ class TruncatedSeries(Frozen):
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
+    # a sum or difference with anything but a series is NotImplemented, so
+    # that Python raises TypeError, as it does for ``1 + s``
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return _trusted(tuple(list(map(operator.add, self.coeffs, other.coeffs))))
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
+            self._check_order(other)
+        return _trusted(tuple(list(map(operator.add, a, b))))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return _trusted(tuple(list(map(operator.sub, self.coeffs, other.coeffs))))
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
+            self._check_order(other)
+        return _trusted(tuple(list(map(operator.sub, a, b))))
 
     def __neg__(self) -> "TruncatedSeries":
         return _trusted(tuple(list(map(operator.neg, self.coeffs))))

@@ -43,8 +43,10 @@ from higgsbetti.verify import (
 def _assembly_caches():
     from higgsbetti import assemble
 
+    # the lru_caches and the store of relative builds, not the store's class
     return {name: fn for name, fn in vars(assemble).items()
-            if hasattr(fn, "cache_info") and fn.__module__ == assemble.__name__}
+            if hasattr(fn, "cache_info") and not isinstance(fn, type)
+            and fn.__module__ == assemble.__name__}
 
 
 def _clear_assembly_caches():
@@ -636,9 +638,150 @@ def test_u21_expands_its_c1_sum_and_unknown_once_per_point_and_order():
 
 def test_every_assembly_cache_is_bounded():
     caches = _assembly_caches()
-    assert {"_c1_table", "_c1_over_lambda", "_block_expansion"} <= set(caches)
+    assert {"_c1_table", "_c1_over_lambda", "_block_expansion", "_store"} <= set(caches)
     for name, fn in caches.items():
         assert 0 < fn.cache_info().maxsize < float("inf"), name
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_a_served_build_equals_a_built_one(g):
+    # at every point and its dual: the second build is served from the
+    # store, and lists its terms by running the body again; results compare
+    # field by field (group, params, series, unknown, terms, transforms)
+    import json
+
+    from higgsbetti.assemble import _store
+
+    for fn in BUILDERS.values():
+        for p in valid_points(g):
+            for q in (p, p.dual()):
+                _store.cache_clear()
+                built, served = fn(q), fn(q)
+                assert _store.cache_info()[:2] == (1, 1)  # hits, misses
+                assert served is not built and served.unknown is not built.unknown
+                assert served == built
+                assert json.dumps(served.to_json_dict()).encode() == \
+                    json.dumps(built.to_json_dict()).encode()
+
+
+def test_a_served_build_expands_nothing(monkeypatch):
+    from higgsbetti import assemble, series
+
+    p, order = make_params(3, 1, 0), 40
+    built = {(key, q): fn(q, None, order)
+             for key, fn in BUILDERS.items() for q in (p, p.dual())}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a served build expanded")
+
+    hits = assemble._store.cache_info().hits
+    monkeypatch.setattr(RationalExpr, "expand", refused)
+    monkeypatch.setattr(series, "shifted_product_sum", refused)
+    monkeypatch.setattr(assemble, "shifted_product_sum", refused)
+    for (key, q), result in built.items():
+        served = BUILDERS[key](q, None, order)
+        assert (served.series, served.unknown) == (result.series, result.unknown)
+    assert assemble._store.cache_info().hits == hits + len(built)
+
+
+def test_provider_builds_bypass_the_store(tmp_path):
+    import json
+
+    from higgsbetti.assemble import _store
+    from higgsbetti.bradlow import maximal_provider_record
+
+    g, order = 3, 30
+    p = make_params(g, 2 * g - 2, g - 1)  # the maximal point, tau = 2g-2
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(maximal_provider_record(g, order)))
+    u21_closed_form(p, None, order)  # kept
+    info = _store.cache_info()
+    for provider in (MaximalCaseProvider(), provider_from_file(path)):
+        for fn in BUILDERS.values():
+            assert fn(p, provider, order).mode == "absolute"
+    assert _store.cache_info() == info
+
+
+def test_the_store_keeps_only_what_int64_holds_exactly():
+    from higgsbetti.assemble import _store
+
+    unknown = (MODULI_MIN, TruncatedSeries.one(2))
+    _store.keep("kept", TruncatedSeries((2**63 - 1, -(2**63), 0)), unknown)
+    series, value = _store.get("kept")
+    assert (series.coeffs, value) == ((2**63 - 1, -(2**63), 0), unknown)
+    assert all(type(c) is int for c in series.coeffs)
+    for key, coeffs in (("above", (1, 2**63, 0)), ("below", (0, 0, -(2**63) - 1))):
+        _store.keep(key, TruncatedSeries(coeffs), unknown)
+        assert _store.get(key) is None
+    assert _store.cache_info().currsize == 3
+    # every relative build at g = 32 holds a coefficient beyond int64
+    _store.cache_clear()
+    for fn in BUILDERS.values():
+        fn(make_params(32, 0, 0), None, 280)
+    assert _store.cache_info().currsize == 0
+
+
+def test_the_store_drops_its_oldest_entries_first(monkeypatch):
+    from higgsbetti.assemble import _store
+
+    monkeypatch.setattr(_store, "budget", 10)
+    unknown = (MODULI_MIN, TruncatedSeries.one(3))
+    for key in "abc":
+        _store.keep(key, TruncatedSeries((1, 2, 3, 4)), unknown)
+    assert list(_store.entries) == ["b", "c"] and _store.cache_info().currsize == 8
+    _store.keep("d", TruncatedSeries(tuple(range(11))), unknown)  # past it
+    assert list(_store.entries) == ["b", "c"]
+    # through the builders: a point built two points ago is built again
+    _store.cache_clear()
+    order = 40
+    monkeypatch.setattr(_store, "budget", 2 * (order + 1))
+    points = [make_params(3, d1, 0) for d1 in (0, 1, 2)]
+    first = [u21_closed_form(p, None, order) for p in points]
+    assert _store.cache_info()[:2] == (0, 3)
+    assert u21_closed_form(points[2], None, order).series == first[2].series
+    assert u21_closed_form(points[0], None, order).series == first[0].series
+    assert _store.cache_info()[:2] == (1, 4)
+    assert _store.cache_info().currsize <= 2 * (order + 1)
+
+
+def test_a_served_result_copies_as_the_built_one_and_owns_its_unknowns():
+    import copy
+    import pickle
+
+    p, order = make_params(3, 0, 1), 40  # tau < 0: served with a dualization
+    built = su21_stratum_route(p, None, order)
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        assert clone(su21_stratum_route(p, None, order)) == built
+    served = su21_stratum_route(p, None, order)
+    served.unknown.clear()
+    served.transforms[0]["op"] = "mutated"
+    again = su21_stratum_route(p, None, order)
+    assert again.unknown == built.unknown and again.transforms == built.transforms
+
+
+def test_concurrent_builds_share_the_store(monkeypatch):
+    # more threads than cores, switching often, on a store that evicts as it
+    # goes: a lost update would miscount the lookups or the coefficients held
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from higgsbetti.assemble import _store
+
+    points = [q for p in valid_points(2) for q in (p, p.dual())] * 4
+    want = [u21_stratum_route(q, None, 30).series for q in points]
+    _store.cache_clear()
+    monkeypatch.setattr(_store, "budget", 31 * 7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda q: u21_stratum_route(q, None, 30).series,
+                                points, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    info = _store.cache_info()
+    assert got == want and info.hits + info.misses == len(points)
+    assert info.currsize == 31 * len(_store.entries) <= 31 * 7
 
 
 # (point, order) past the pinned genera: g = 33 is the first genus whose

@@ -235,6 +235,10 @@ def _write(tmp_path, payload, name="rec.json"):
     # sigma is compared on integers, and printed as the Fraction it names
     ("sigma", {"num": 4, "den": 2}, "sigma = 2; (e + 2g - 2)/3 = 1"),
     ("sigma", {"num": 1, "den": 0}, "malformed provider record: Fraction(1, 0)"),
+    # a list of the wrong length is refused by its length, before any
+    # coefficient is converted
+    ("pairs_equivariant", ["x"] + ["0"] * 21,
+     "malformed provider record: pairs_equivariant length does not match order 20"),
 ])
 def test_provider_file_rejects_inconsistent_invariants(tmp_path, capsys, field, value,
                                                        message):

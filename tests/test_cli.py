@@ -586,8 +586,10 @@ def test_a_negative_symmetric_product_exponent_is_a_range_violation():
 
 
 def test_suite_memos_live_inside_one_call(monkeypatch):
-    # a second run rebuilds what the first did: nothing is kept between
-    # calls, so a worker's memory does not grow with the grids it has run
+    # a second run asks for what the first did: no suite keeps a memo
+    # between calls, and the store of relative builds is bounded, so a
+    # worker's memory grows with the grids it has run only up to the store's
+    # budget
     from higgsbetti import strata, verify
 
     counts = _count_shift_invariance_calls(monkeypatch)

@@ -55,6 +55,15 @@ def test_add_order_mismatch():
         S([1, 1]) + S([1, 1, 1])
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+@pytest.mark.parametrize("other", [1, 1.5, None, (1, 2, 3)], ids=repr)
+def test_a_sum_with_anything_but_a_series_is_a_type_error(op, other):
+    # on either side, as for a product with a float: never an AttributeError
+    for a, b in ((S([1, 2]), other), (other, S([1, 2]))):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
 @pytest.mark.parametrize("refused, message", [
     pytest.param(lambda: TruncatedSeries(()), "degree-0 coefficient", id="empty"),
     pytest.param(lambda: S([1, 2], -1), "order must be nonnegative", id="negative-order"),
