@@ -21,13 +21,6 @@ closed form, moduli_min in a route).  A provider can substitute absolute
 values: ``_provided`` takes the series the provider holds and derives
 the other side through the difference when that is the one needed.
 
-The difference of two results, and the elimination of the pairs unknown
-through the wall-crossing difference, are one rule on values
-(``_difference`` and ``_pairs_eliminated``).  ``AssemblyResult.__sub__``
-and ``eliminate_pairs`` add their terms to it; ``residual`` runs it
-alone, for a check that reads only the series and unknowns of
-``(closed - route).eliminate_pairs()``, so it negates no term.
-
 A group is data, its row of ``_GROUPS``, read by one closed-form body
 and one route body.  Every assembly is a sum of blocks.  A block is a
 ``RationalExpr``, the factor over the denominator that all strata of one
@@ -135,13 +128,6 @@ class TermValue(Frozen):
         fields["label"], fields["entries"] = label, entries
         fields["block"], fields["order"] = block, order
 
-    @classmethod
-    def of_series(cls, label: str, series: TruncatedSeries) -> "TermValue":
-        """The term holding ``series``, which is its own expansion."""
-        term = cls(label, ((1, 0, (series.coeffs,)),), PLAIN, series.order)
-        term.__dict__["series"] = series
-        return term
-
     @cached_property
     def series(self) -> TruncatedSeries:
         return self.expanded(self.order)
@@ -154,12 +140,6 @@ class TermValue(Frozen):
 
     def coefficient(self, degree: int) -> int:
         return self.expanded(degree).coeffs[degree]
-
-    def negated(self) -> "TermValue":
-        return TermValue(f"-({self.label})",
-                         tuple((-sign, shift, factors)
-                               for sign, shift, factors in self.entries),
-                         self.block, self.order)
 
     def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
         return TermValue(self.label,
@@ -261,35 +241,11 @@ class AssemblyResult(NamedTuple):
     def mode(self) -> str:
         return "relative" if self.unknown else "absolute"
 
-    def __sub__(self, other: "AssemblyResult") -> "AssemblyResult":
-        series, unknown = _difference(self, other)
-        return self._replace(
-            group=f"{self.group}-minus-{other.group}" if self.group != other.group
-            else self.group,
-            series=series,
-            unknown=unknown,
-            terms=self.terms + tuple(t.negated() for t in other.terms),
-        )
-
     def scaled_by(self, factor: TruncatedSeries) -> "AssemblyResult":
         return self._replace(
             series=self.series * factor,
             unknown={k: v * factor for k, v in self.unknown.items()},
             terms=tuple(t.scaled_by(factor) for t in self.terms),
-        )
-
-    def eliminate_pairs(self) -> "AssemblyResult":
-        """Rewrite the pairs unknown as moduli_min plus the concrete
-        wall-crossing difference."""
-        if PAIRS not in self.unknown:
-            return self
-        series, unknown, product = _pairs_eliminated(self.series, self.unknown,
-                                                     self.params)
-        return self._replace(
-            series=series,
-            unknown=unknown,
-            terms=self.terms + (TermValue.of_series("wall-crossing-elimination",
-                                                    product),),
         )
 
     def to_json_dict(self) -> dict:
@@ -319,47 +275,6 @@ class AssemblyResult(NamedTuple):
 
 
 terms_fields(AssemblyResult, "terms")
-
-
-def _difference(a: AssemblyResult, b: AssemblyResult) -> tuple[
-        TruncatedSeries, dict[str, TruncatedSeries]]:
-    """The series and unknowns of a - b: each unknown's coefficient
-    subtracted, in sorted key order, and a zero difference dropped."""
-    if a.order != b.order:
-        raise ParameterError("order mismatch between assemblies")
-    zero = TruncatedSeries.zero(a.order)
-    unknown: dict[str, TruncatedSeries] = {}
-    for key in sorted(set(a.unknown) | set(b.unknown)):
-        diff = a.unknown.get(key, zero) - b.unknown.get(key, zero)
-        if not diff.is_zero():
-            unknown[key] = diff
-    return a.series - b.series, unknown
-
-
-def _pairs_eliminated(series: TruncatedSeries, unknown: dict[str, TruncatedSeries],
-                      p: ModuliParams) -> tuple[TruncatedSeries, dict, TruncatedSeries]:
-    """The series and unknowns at p with the pairs unknown, which they
-    hold, rewritten as moduli_min plus the wall-crossing difference, and
-    the product (pairs coefficient) * difference that joins the series."""
-    unknown = dict(unknown)
-    coeff = unknown.pop(PAIRS)
-    merged = unknown.get(MODULI_MIN, TruncatedSeries.zero(series.order)) + coeff
-    if merged.is_zero():
-        unknown.pop(MODULI_MIN, None)
-    else:
-        unknown[MODULI_MIN] = merged
-    product = coeff * ww_difference(p, series.order)
-    return series + product, unknown, product
-
-
-def residual(a: AssemblyResult, b: AssemblyResult) -> tuple[
-        TruncatedSeries, dict[str, TruncatedSeries]]:
-    """The series and unknowns of ``(a - b).eliminate_pairs()``, by the
-    same rule, without listing or negating a term."""
-    series, unknown = _difference(a, b)
-    if PAIRS in unknown:
-        series, unknown, _ = _pairs_eliminated(series, unknown, a.params)
-    return series, unknown
 
 
 def _reaches(entry, order: int) -> bool:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import stat
 import sys
 from typing import TYPE_CHECKING
@@ -331,9 +332,13 @@ class _SuiteListFormatter(argparse.HelpFormatter):
 
 
 def _parse_lmax(text: str) -> Fraction:
-    """Parse an integer or an n/2 half-integer."""
+    """Parse an integer or an n/2 half-integer, written [+-]digits[/digits]
+    (``Fraction`` would also take 2.5, 1_0 and 1e9999999, the last a
+    10^9999999 built before any bound is checked)."""
     from fractions import Fraction  # only strata reads a rational argument
 
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not written n or n/m")
     try:
         frac = Fraction(text)
     except ZeroDivisionError:

@@ -4,10 +4,10 @@ the coprime moduli probe.  These reach the assemblies through
 ``assemble.BUILDERS``; no builder depends on this module, so a
 ``compute`` process never loads it.  The Atiyah-Bott block has no
 identity here: ``ab-cancellation`` checks each of its parts against
-binomials.  A route report takes its residual from ``assemble.residual``,
-the rule that ``(closed - route).eliminate_pairs()`` runs, without the
-difference's terms: it keeps each side's own terms for provenance,
-unlisted, so a zero residual lists none.
+binomials.  The route residual is written once, in
+``verify_route_equivalence``, from the two sides' series and unknowns
+alone: it negates no term, and keeps each side's own terms for
+provenance, unlisted, so a zero residual lists none.
 
 Each suite takes a grid (``{"g": (lo, hi)}``, empty for its default
 genera) and returns a SuiteResult.  A hard suite that fails makes the CLI
@@ -95,7 +95,25 @@ def verify_route_equivalence(
         raise errors.ParameterError(f"no route pair for group {group!r}")
     closed = assemble.BUILDERS[(group, "closed")](p, None, order)
     route = assemble.BUILDERS[(group, "stratum")](p, None, order)
-    residual, unknowns = assemble.residual(closed, route)
+    # closed minus route: each unknown's coefficient subtracted in sorted
+    # key order, a zero difference dropped; then the pairs unknown rewritten
+    # as moduli_min plus the wall-crossing difference (Thaddeus flips)
+    order = closed.order
+    zero = series.TruncatedSeries.zero(order)
+    unknowns = {}
+    for key in sorted(closed.unknown.keys() | route.unknown.keys()):
+        diff = closed.unknown.get(key, zero) - route.unknown.get(key, zero)
+        if not diff.is_zero():
+            unknowns[key] = diff
+    residual = closed.series - route.series
+    pairs = unknowns.pop(assemble.PAIRS, None)
+    if pairs is not None:
+        merged = unknowns.get(assemble.MODULI_MIN, zero) + pairs
+        if merged.is_zero():
+            unknowns.pop(assemble.MODULI_MIN, None)
+        else:
+            unknowns[assemble.MODULI_MIN] = merged
+        residual = residual + pairs * bradlow.ww_difference(closed.params, order)
     # each side's terms as its build left them: unpacking a result reads
     # its fields as held, past the listing ``terms`` property, and
     # provenance lists them when it reads them
@@ -427,11 +445,11 @@ def _suite_torelli(grid) -> list[str]:
             p = params.make_params(g, tau, tau // 2)
             if p.tau != tau or p.mod3_class != 0:
                 raise _Failed({"g": g, "tau": tau, "law": "point"})
-            diff = assemble.su21_closed_form(p, None, order) \
-                - assemble.pu21_poincare(p, None, order)
-            if diff.unknown:
+            su = assemble.su21_closed_form(p, None, order)
+            pu = assemble.pu21_poincare(p, None, order)
+            if su.unknown != pu.unknown:
                 raise _Failed({"g": g, "tau": tau, "law": "difference not concrete"})
-            support = {k: c for k, c in enumerate(diff.series.coeffs) if c}
+            support = {k: c for k, c in enumerate((su.series - pu.series).coeffs) if c}
             expected = torelli_anomalous_part(p)
             if support != expected:
                 raise _Failed({"g": g, "tau": tau, "expected": expected,

@@ -736,6 +736,10 @@ def test_strata_lmax_is_held_to_the_order_budget(capsys):
 @pytest.mark.parametrize("lmax, message", [
     ("1/3", "'1/3' is not a half-integer"),
     ("1/0", "'1/0' has a zero denominator"),  # was a ZeroDivisionError traceback
+    # Fraction's other spellings: the first built 10^9999999, and its
+    # message raised ValueError (exit 1, a traceback)
+    ("1e9999999", "'1e9999999' is not written n or n/m"),
+    ("2.5", "'2.5' is not written n or n/m"),
 ])
 def test_strata_lmax_that_is_no_half_integer_is_an_argument_error(capsys, lmax, message):
     with pytest.raises(SystemExit) as exc:
