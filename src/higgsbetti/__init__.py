@@ -46,8 +46,7 @@ _NAMES_BY_MODULE = {
         "enumerate_critical", "negative_dim", "table_note",
     ),
     "verify": (
-        "ModuliReport", "PolynomialWindow", "RouteEquivalenceReport",
-        "is_polynomial_window", "moduli_poincare", "torelli_anomalous_part",
+        "RouteEquivalenceReport", "torelli_anomalous_part",
         "verify_route_equivalence",
     ),
 }

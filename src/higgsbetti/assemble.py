@@ -69,8 +69,7 @@ so a reader that never reads a term (a sweep, text or CSV output, a
 passing check) pays for none.  A term is expanded on its own only when
 it is read (JSON ``terms``, residual provenance), in one expansion of
 its own entries at the degree read, so provenance, which reads one low
-coefficient of each term, cuts every factor there; ``scaled_by`` appends
-its factor to each entry.
+coefficient of each term, cuts every factor there.
 Every block is a unit series and a product of nonzero polynomials starts
 at the sum of their lowest degrees, so the listing drops a term exactly
 when none of its entries reaches the order (``_reaches``).  Such a term
@@ -140,12 +139,6 @@ class TermValue(Frozen):
 
     def coefficient(self, degree: int) -> int:
         return self.expanded(degree).coeffs[degree]
-
-    def scaled_by(self, factor: TruncatedSeries) -> "TermValue":
-        return TermValue(self.label,
-                         tuple((sign, shift, (*factors, factor.coeffs))
-                               for sign, shift, factors in self.entries),
-                         self.block, self.order)
 
     def __eq__(self, other):
         if not isinstance(other, TermValue):
@@ -240,13 +233,6 @@ class AssemblyResult(NamedTuple):
     @property
     def mode(self) -> str:
         return "relative" if self.unknown else "absolute"
-
-    def scaled_by(self, factor: TruncatedSeries) -> "AssemblyResult":
-        return self._replace(
-            series=self.series * factor,
-            unknown={k: v * factor for k, v in self.unknown.items()},
-            terms=tuple(t.scaled_by(factor) for t in self.terms),
-        )
 
     def to_json_dict(self) -> dict:
         def _coeffs(s: TruncatedSeries | None):

@@ -264,10 +264,10 @@ def build_parser(commands) -> argparse.ArgumentParser:
 
     # each command's --format choices are the formats its _render call builds
     def add_common(sp, formats=("text", "json", "csv")):
-        sp.add_argument("--genus", "-g", type=int, required=True)
-        sp.add_argument("--d1", type=int, required=True)
-        sp.add_argument("--d2", type=int, required=True)
-        sp.add_argument("--order", type=int, default=None,
+        sp.add_argument("--genus", "-g", type=_parse_int, required=True)
+        sp.add_argument("--d1", type=_parse_int, required=True)
+        sp.add_argument("--d2", type=_parse_int, required=True)
+        sp.add_argument("--order", type=_parse_int, default=None,
                         help="truncation order (default 8g+24)")
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--out", default=None, help="write output to a file")
@@ -298,20 +298,20 @@ def build_parser(commands) -> argparse.ArgumentParser:
 
     if sp := command("ingredients", help="evaluate one ingredient series"):
         sp.add_argument("--op", required=True, choices=tuple(ingredients.OPS))
-        sp.add_argument("--genus", "-g", type=int, default=2)
-        sp.add_argument("--m", type=int, default=0)
-        sp.add_argument("--m1", type=int, default=0)
-        sp.add_argument("--m2", type=int, default=0)
-        sp.add_argument("--n", type=int, default=0)
-        sp.add_argument("--d2", type=int, default=0)
-        sp.add_argument("--order", type=int, default=None)
+        sp.add_argument("--genus", "-g", type=_parse_int, default=2)
+        sp.add_argument("--m", type=_parse_int, default=0)
+        sp.add_argument("--m1", type=_parse_int, default=0)
+        sp.add_argument("--m2", type=_parse_int, default=0)
+        sp.add_argument("--n", type=_parse_int, default=0)
+        sp.add_argument("--d2", type=_parse_int, default=0)
+        sp.add_argument("--order", type=_parse_int, default=None)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", default=None)
         sp.set_defaults(fn=cmd_ingredients)
 
     if sp := command("export", help="write a maximal-case provider file"):
-        sp.add_argument("--genus", "-g", type=int, required=True)
-        sp.add_argument("--order", type=int, default=None)
+        sp.add_argument("--genus", "-g", type=_parse_int, required=True)
+        sp.add_argument("--order", type=_parse_int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--what", choices=("provider",), default="provider")
         sp.set_defaults(fn=cmd_export, format="json")
@@ -331,13 +331,23 @@ class _SuiteListFormatter(argparse.HelpFormatter):
         return action.help + ", ".join(SUITES)
 
 
+# the one spelling of an integer argument (int also takes 1_0, " 10", "\u0663")
+_INT = "[+-]?[0-9]+"
+
+
+def _parse_int(text: str) -> int:
+    if not re.fullmatch(_INT, text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not written [+-]digits")
+    return int(text)
+
+
 def _parse_lmax(text: str) -> Fraction:
     """Parse an integer or an n/2 half-integer, written [+-]digits[/digits]
     (``Fraction`` would also take 2.5, 1_0 and 1e9999999, the last a
     10^9999999 built before any bound is checked)."""
     from fractions import Fraction  # only strata reads a rational argument
 
-    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+    if not re.fullmatch(f"{_INT}(/[0-9]+)?", text):
         raise argparse.ArgumentTypeError(f"{text!r} is not written n or n/m")
     try:
         frac = Fraction(text)

@@ -420,13 +420,6 @@ class TruncatedSeries(Frozen):
         """Betti-number sanity check used by the higher modules."""
         return all(c >= 0 for c in self.coeffs)
 
-    def degree(self) -> int | None:
-        """Largest index with a nonzero coefficient, None for the zero series."""
-        for k in range(self.order, -1, -1):
-            if self.coeffs[k] != 0:
-                return k
-        return None
-
     def evaluate(self, x: int) -> int:
         """Evaluate the truncated polynomial at an integer point (Horner)."""
         acc = 0

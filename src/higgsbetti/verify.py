@@ -1,10 +1,9 @@
 """Identity verification suites behind ``higgsbetti verify``, and the
-identities they check: route equivalence, the Torelli anomalous part and
-the coprime moduli probe.  These reach the assemblies through
-``assemble.BUILDERS``; no builder depends on this module, so a
-``compute`` process never loads it.  The Atiyah-Bott block has no
-identity here: ``ab-cancellation`` checks each of its parts against
-binomials.  The route residual is written once, in
+identities they check: route equivalence and the Torelli anomalous part.
+These reach the assemblies through ``assemble.BUILDERS``; no builder
+depends on this module, so a ``compute`` process never loads it.  The
+Atiyah-Bott block has no identity here: ``ab-cancellation`` checks each
+of its parts against binomials.  The route residual is written once, in
 ``verify_route_equivalence``, from the two sides' series and unknowns
 alone: it negates no term, and keeps each side's own terms for
 provenance, unlisted, so a zero residual lists none.
@@ -127,62 +126,6 @@ def verify_route_equivalence(
         closed_terms=closed_terms,
         route_terms=route_terms,
     )
-
-
-@dataclass_compatible
-class PolynomialWindow(NamedTuple):
-    """Result of the heuristic polynomiality probe.
-
-    Truncation can only falsify polynomiality, never prove it, so the
-    positive answer means "no coefficient in the top window".
-    """
-
-    is_polynomial: bool
-    degree: int | None
-    window: int
-
-
-def is_polynomial_window(f: series.TruncatedSeries, window: int) -> PolynomialWindow:
-    """True iff the top `window` coefficients vanish; reports the top degree."""
-    if window < 1:
-        raise errors.ParameterError("window must be positive")
-    if window > f.order:
-        raise errors.ParameterError("window exceeds the truncation order")
-    clean = all(c == 0 for c in f.coeffs[f.order - window + 1 :])
-    return PolynomialWindow(is_polynomial=clean, degree=f.degree(), window=window)
-
-
-@dataclass_compatible
-class ModuliReport(NamedTuple):
-    result: assemble.AssemblyResult
-    polynomial: PolynomialWindow | None
-    nonnegative: bool | None
-
-
-def moduli_poincare(
-    p: params.ModuliParams,
-    provider: bradlow.BradlowProvider | None = None,
-    order: int | None = None,
-) -> ModuliReport:
-    """Moduli-space series (1-t^2) times the equivariant series, defined
-    in the coprime classes only, with a truncation-window polynomiality
-    probe over the top max(2, order // 4) coefficients (heuristic:
-    truncation can only falsify polynomiality)."""
-    if not p.is_coprime:
-        raise errors.ParameterError(
-            "moduli series defined only in the coprime case (d1+d2 not "
-            "divisible by 3)"
-        )
-    equivariant = assemble.BUILDERS["u21", "closed"](p, provider, order)
-    one_minus_t2 = series.TruncatedSeries.from_coeffs([1, 0, -1], equivariant.order)
-    result = equivariant.scaled_by(one_minus_t2)._replace(group="moduli")
-    if result.mode == "absolute":
-        return ModuliReport(
-            result=result,
-            polynomial=is_polynomial_window(result.series, max(2, result.order // 4)),
-            nonnegative=result.series.is_nonnegative(),
-        )
-    return ModuliReport(result=result, polynomial=None, nonnegative=None)
 
 
 @dataclass_compatible

@@ -16,12 +16,7 @@ from higgsbetti.errors import ParameterError
 from higgsbetti.params import make_params
 from higgsbetti.series import RationalExpr, TruncatedSeries
 from higgsbetti.strata import StratumDescriptor
-from higgsbetti.verify import (
-    PolynomialWindow,
-    SuiteResult,
-    moduli_poincare,
-    verify_route_equivalence,
-)
+from higgsbetti.verify import SuiteResult, verify_route_equivalence
 
 
 def test_every_exported_name_resolves():
@@ -53,11 +48,7 @@ def test_every_builder_is_reachable_by_its_name():
 
 
 # the identities the verify suites check, and their records
-IDENTITY_API = (
-    "ModuliReport", "PolynomialWindow", "RouteEquivalenceReport",
-    "is_polynomial_window", "moduli_poincare", "torelli_anomalous_part",
-    "verify_route_equivalence",
-)
+IDENTITY_API = ("RouteEquivalenceReport", "torelli_anomalous_part", "verify_route_equivalence")
 
 
 @pytest.mark.parametrize("name", IDENTITY_API)
@@ -148,10 +139,8 @@ P = make_params(2, 1, 0)
 # each factory builds a new value; two calls give equal values
 VALUES = {
     "ModuliParams": lambda: make_params(2, 1, 0),
-    "PolynomialWindow": lambda: PolynomialWindow(True, 4, 2),
     "AssemblyResult": lambda: u21_closed_form(P, None, 12),
     "RouteEquivalenceReport": lambda: verify_route_equivalence("u21", P, 12),
-    "ModuliReport": lambda: moduli_poincare(P, None, 12),
     "SuiteResult": lambda: SuiteResult("laws", True, True, ["checked"]),
     "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
     "RationalExpr": lambda: RationalExpr((1, 1), (4, 2)),
@@ -159,7 +148,7 @@ VALUES = {
     "TermValue": lambda: TermValue("x", ((1, 0, ((1, 1),)),), PLAIN, 5),
 }
 # a dict or list field makes these unhashable, as they always were
-UNHASHABLE = {"AssemblyResult", "RouteEquivalenceReport", "ModuliReport", "SuiteResult"}
+UNHASHABLE = {"AssemblyResult", "RouteEquivalenceReport", "SuiteResult"}
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))

@@ -35,11 +35,7 @@ from higgsbetti.ingredients import (
 )
 from higgsbetti.params import kind_indices, make_params, valid_points
 from higgsbetti.series import RationalExpr, TruncatedSeries, default_order, geometric_inverse
-from higgsbetti.verify import (
-    moduli_poincare,
-    torelli_anomalous_part,
-    verify_route_equivalence,
-)
+from higgsbetti.verify import torelli_anomalous_part, verify_route_equivalence
 
 
 def _assembly_caches():
@@ -54,6 +50,14 @@ def _assembly_caches():
 def _clear_assembly_caches():
     for fn in _assembly_caches().values():
         fn.cache_clear()
+
+
+def _scaled(term, factor):
+    # the term times a series: the factor appended to each entry's factors
+    return TermValue(term.label,
+                     tuple((sign, shift, (*factors, factor.coeffs))
+                           for sign, shift, factors in term.entries),
+                     term.block, term.order)
 
 
 def _support(series):
@@ -400,38 +404,6 @@ def test_invalid_params_are_refused():
         for fn in BUILDERS.values():
             with pytest.raises(ParameterError, match="2g-2"):
                 fn(p, None, 10)
-        if p.is_coprime:
-            with pytest.raises(ParameterError, match="2g-2"):
-                moduli_poincare(p, None, 10)
-
-
-def test_moduli_poincare_errors_and_relative():
-    with pytest.raises(ParameterError):
-        moduli_poincare(make_params(2, 0, 0), None, 16)  # non-coprime
-    rep = moduli_poincare(make_params(2, 1, 0), None, 16)
-    assert rep.result.mode == "relative"
-    # (1-t^2) * (P(J)/(1-t^2)) = P(J)
-    assert rep.result.unknown["pairs_equivariant"] == jacobian_poincare(2, 16)
-    assert rep.polynomial is None
-
-
-def test_moduli_poincare_concrete_via_file_provider(tmp_path):
-    import json
-
-    p = make_params(2, 1, 0)  # coprime, e = 2, sigma = 4/3, empty wall range
-    order = 16
-    pairs = (jacobian_poincare(2, order) * geometric_inverse(2, order)).coeffs
-    record = {
-        "g": 2, "e": 2, "sigma": {"num": 4, "den": 3}, "order": order,
-        "pairs_equivariant": [str(c) for c in pairs],
-        "moduli_min": [str(c) for c in pairs],
-    }
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps(record))
-    rep = moduli_poincare(p, provider_from_file(path), order)
-    assert rep.result.mode == "absolute"
-    assert rep.nonnegative
-    assert rep.polynomial is not None
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -510,9 +482,6 @@ def test_terms_sum_to_the_series(case):
     key, p, order, provider, degree = case
     res = BUILDERS[key](p, provider, order)
     assert _term_sum(res) == res.series
-    if p.is_coprime:
-        moduli = moduli_poincare(p, provider, order).result
-        assert _term_sum(moduli) == moduli.series
     k = min(degree, order)
     for t in res.terms:
         assert t.expanded(k) == t.series.truncated(k)
@@ -523,8 +492,8 @@ def test_terms_sum_to_the_series(case):
 
 @pytest.mark.parametrize("key", sorted(BUILDERS))
 def test_reading_a_term_leaves_its_numerator_unformed(key):
-    # a read expands the entries at the degree read, and scaled_by appends
-    # its factor to each entry
+    # a read expands the entries at the degree read, and a factor appended
+    # to each entry scales the term
     order = 40
     res = BUILDERS[key](make_params(3, 1, 0), None, order)
     one = TruncatedSeries.one(order)
@@ -532,8 +501,8 @@ def test_reading_a_term_leaves_its_numerator_unformed(key):
     for t in res.terms:
         for k in (0, 7, order):
             assert t.coefficient(k) == t.series.coeffs[k]
-        assert t.scaled_by(one) == t
-        assert t.scaled_by(one_minus_t2).series == t.series * one_minus_t2
+        assert _scaled(t, one) == t
+        assert _scaled(t, one_minus_t2).series == t.series * one_minus_t2
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -588,9 +557,9 @@ def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():
     # it must still reach every degree up to the order
     one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], 5)
     term = TermValue("x", ((1, 0, ((1,),)),), PLAIN, 5)
-    assert term.scaled_by(one_minus_t2).series == one_minus_t2
+    assert _scaled(term, one_minus_t2).series == one_minus_t2
     shifted = TermValue("y", ((-1, 2, ((1, 1),)),), PLAIN, 5)  # -t^2 (1 + t)
-    assert shifted.scaled_by(one_minus_t2).series == \
+    assert _scaled(shifted, one_minus_t2).series == \
         TruncatedSeries.from_coeffs([0, 0, -1, -1, 1, 1], 5)
 
 
@@ -610,8 +579,8 @@ def test_negated_and_scaled_gothen_term(g, m1, m2):
                             block, order)
         assert term.series == want
         assert negated.series == -want
-        assert term.scaled_by(scale).series == want * scale
-        assert negated.scaled_by(scale).series == -(want * scale)
+        assert _scaled(term, scale).series == want * scale
+        assert _scaled(negated, scale).series == -(want * scale)
 
 
 def test_the_five_builders_and_a_tensor_shift_share_one_c1_numerator():

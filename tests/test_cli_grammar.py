@@ -5,7 +5,9 @@ an exit 2 writes nothing on stdout, and stderr's last line holds
 ``error:``.  Genera and orders are drawn mostly small, with the values
 just outside the accepted ranges, so that a draw runs in milliseconds;
 degrees and ``--lmax`` are drawn up to 20 digits, with d2 often on a
-valid point of a huge d1.
+valid point of a huge d1.  Every integer option takes only the
+spelling ``[+-]digits``: the spellings ``int`` would also take are
+refused with exit 2.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import io
 import os
 import signal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,9 @@ DIGITS = st.integers(-(10**20 - 1), 10**20 - 1)
 GENERA = st.sampled_from([2, 2, 2, 3, 3, 4, -1, 0, 1, 129, 10**20 - 1])
 ORDERS = st.one_of(st.integers(1, 40), st.sampled_from([0, -1, 2049, 10**20 - 1]))
 INTS = st.one_of(st.integers(-6, 40), DIGITS)
-JUNK = st.sampled_from(["x", "1.5", ""])
+# int() reads each of these as a number; the CLI refuses them
+MISSPELLED = ["1_0", " 10", "10 ", "\u0663"]  # U+0663 is an Arabic-Indic 3
+JUNK = st.sampled_from(["x", "1.5", "", *MISSPELLED])
 
 
 @st.composite
@@ -111,3 +116,33 @@ def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):
     if code == 2:
         assert out.getvalue() == ""
         assert "error:" in err.getvalue().splitlines()[-1]
+
+
+# an argv of each command that takes an integer, every value an integer
+INTEGER_ARGVS = [
+    ["compute", "--group", "u21", "--genus", "2", "--d1", "0", "--d2", "0", "--order", "8"],
+    ["strata", "--genus", "2", "--d1", "0", "--d2", "0", "--order", "8", "--lmax", "1"],
+    ["ingredients", "--op", "sym", "--genus", "2", "--m", "1", "--m1", "0", "--m2", "0",
+     "--n", "0", "--d2", "0", "--order", "8"],
+    ["export", "--genus", "2", "--order", "8", "--out", os.devnull],
+]
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return main(argv), err.getvalue()
+        except SystemExit as exc:  # argparse
+            return exc.code, err.getvalue()
+
+
+@pytest.mark.parametrize("text", MISSPELLED)
+def test_every_integer_option_refuses_what_int_alone_would_read(text):
+    for argv in INTEGER_ARGVS:
+        assert _run(argv)[0] == 0, argv
+        for i, value in enumerate(argv):
+            if value.isdigit():
+                flag = argv[i - 1]
+                code, err = _run([*argv[:i - 1], f"{flag}={text}", *argv[i + 1:]])
+                assert code == 2 and f"argument {flag}" in err, (flag, err)

@@ -25,7 +25,6 @@ from higgsbetti.series import (
     _unpack,
     shifted_product_sum,
 )
-from higgsbetti.verify import is_polynomial_window
 
 
 def S(coeffs, order=None):
@@ -135,17 +134,6 @@ def test_expand_recovery():
     expr = RationalExpr((1, 4, 6, 4, 1), (2, 2, 4))
     back = expr.expand(16) * expr.denominator_polynomial(16)
     assert back == S(expr.numerator, 16)
-
-
-def test_polynomial_window():
-    rep = is_polynomial_window(S([1, 0, 1], 10), 5)
-    assert rep.is_polynomial and rep.degree == 2
-    rep = is_polynomial_window(geometric_inverse(2, 10), 5)
-    assert not rep.is_polynomial
-    rep = is_polynomial_window(TruncatedSeries.zero(8), 3)
-    assert rep.is_polynomial and rep.degree is None
-    with pytest.raises(ParameterError):
-        is_polynomial_window(S([1], 3), 4)
 
 
 def test_json_round_trip(tmp_path):
