@@ -104,10 +104,6 @@ PAIRS = "pairs_equivariant"
 MODULI_MIN = "moduli_min"
 
 
-# the block of a term that is its own expansion
-PLAIN = RationalExpr((1,))
-
-
 @dataclass_compatible
 class TermValue(Frozen):
     """One labeled summand of an assembly: the sum of its ``entries``

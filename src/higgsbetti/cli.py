@@ -189,11 +189,10 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
     if key.strip() != "g":
         raise ParameterError(f"unknown grid key {key.strip()!r}; the grid takes g=lo..hi")
     lo, dots, hi = rng.partition("..")
-    try:
-        lo, hi = int(lo), int(hi if dots else lo)
-    except ValueError as exc:
-        raise ParameterError(
-            f"bad grid range {rng!r}; the grid takes one g=lo..hi") from exc
+    hi = hi if dots else lo
+    if not (re.fullmatch(_INT, lo) and re.fullmatch(_INT, hi)):
+        raise ParameterError(f"bad grid range {rng!r}; the grid takes one g=lo..hi")
+    lo, hi = int(lo), int(hi)
     if lo > hi:
         raise ParameterError(f"grid range {rng!r} is empty")
     if lo < 2 or hi > MAX_GRID_GENUS:

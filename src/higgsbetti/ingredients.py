@@ -212,7 +212,8 @@ def gothen_cover(m1: int, m2: int, g: int, order: int,
 
 def gothen_cover_poincare(m1: int, m2: int, g: int, order: int) -> TruncatedSeries:
     """The cover polynomial of ``gothen_cover`` truncated at order."""
-    return RationalExpr((1,)).expand(order, gothen_cover(m1, m2, g, order))
+    entries = gothen_cover(m1, m2, g, order)  # checks the exponents first
+    return jacobian_block(g, 0).expand(order, entries)
 
 
 # the ops of ``higgsbetti ingredients`` by name: each takes the genus, the

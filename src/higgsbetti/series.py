@@ -39,8 +39,8 @@ are read back, one slot at a time.  Packed values may be reduced modulo
 
 ``shifted_product_sum`` is the one sum kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
-numerator) as one big-integer expression and unpacks it once, and its w
-comes from the l1 norms of the factors.  ``_slot_width`` is the one
+numerator) as one big-integer expression at one slot width, from the l1
+norms of the factors, and unpacks it once.  ``_slot_width`` is the one
 slot-width rule and ``_packed_product`` the one packed product.  Most
 of its sums are short (tens of coefficients), so its cost per call
 counts as much as the big-integer products: each factor is cut once,
@@ -53,8 +53,8 @@ one unpack.  It is the most frequent short product (``series-laws``
 makes 8000 at order 24), so at slots of 1-8 bytes ``__mul__`` runs the
 step in its own frame, with one ``_layout`` lookup, one signed pack per
 factor (one for a square) and an unpack straight into the result's
-tuple; wider slots, and a zero factor, go through ``_product``.
-``polynomial_product`` is the sum with one term.
+tuple; wider slots, and a zero factor, go through the sum with one
+term, which is also ``polynomial_product``.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -219,24 +219,16 @@ def _unpack(x: int, w: int, n: int) -> list:
 
 
 def _packed_product(factors, w: int) -> int:
-    """The product of ``factors``, each packed at w bytes per slot.  A
-    factor that is the same object as the one before it is packed once,
-    so f times f is x * x, which CPython squares about a third faster."""
+    """The product of ``factors`` (at least one), each packed at w bytes
+    per slot.  A factor that is the same object as the one before it is
+    packed once, so f times f is x * x, which CPython squares about a
+    third faster."""
     prod = last = None
     for f in factors:
         if f is not last:
             last, x = f, _pack(f, w)
         prod = x if prod is None else prod * x
-    return 1 if prod is None else prod
-
-
-def _product(factors, norm: int, size: int) -> list:
-    """Coefficients 0..size-1 of the product of ``factors``, each at most
-    size long, whose l1 norms multiply to ``norm``: one Kronecker step."""
-    if not norm:  # a zero factor, whose slots would not hold the others
-        return [0] * size
-    w = _slot_width(norm)
-    return _unpack(_packed_product(factors, w), w, size)
+    return prod
 
 
 def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
@@ -254,20 +246,15 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
     bound: every coefficient of a sum of products is at most the sum over
     its terms of the product of the factors' l1 norms (the l1 norm of a
     product is at most the product of the norms), times the l1 norm of
-    the factor, and one more bit holds the sign.
+    the factor, and one more bit holds the sign.  The whole sum is packed
+    at that one width.
 
-    Slots as wide as the largest coefficient make every product slower,
-    so two kinds of term do not set the width of the products.  A term
-    whose cut factors are all constants (a monomial, such as a Gothen
-    cover's correction) is added to its coefficient after the unpack, or
-    as a shifted integer when the slots hold it, and a sum of monomials
-    alone (the expansion of an expression itself) is summed as shifted
-    multiples of the factor, one slice each, with no packing.  A factor
-    that needs wider slots than the products is applied after the sum is
-    unpacked and packed again at the wider width.  Terms of one factor
-    each multiply nothing before the factor: under the factor 1 they are
-    added slice by slice, unpacked, and under another they are packed
-    once, at the width of the whole sum.
+    A term whose cut factors are all constants (a monomial, such as a
+    Gothen cover's correction) is added as a shifted integer, and a sum
+    of monomials alone (the expansion of an expression itself) is summed
+    as shifted multiples of the factor, one slice each, with no packing.
+    Terms of one factor each under the factor 1 multiply nothing: they
+    are added slice by slice.
     """
     factor = factor[:size]
     if size <= 0 or not any(factor):
@@ -301,10 +288,8 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
             end = min(size, shift + len(factor))
             cs[shift:end] = map(operator.add, cs[shift:end], map(c.__mul__, factor))
         return cs
-    plain = tuple(factor) == (1,)
-    single = all(len(factors) == 1 for _, _, factors in products)
-    if plain and single:  # single factors under 1: nothing to multiply
-        cs = [0] * size
+    if tuple(factor) == (1,) and all(len(fs) == 1 for _, _, fs in products):
+        cs = [0] * size  # single factors under 1: nothing to multiply
         for sign, shift, (cut,) in products:
             end = shift + len(cut)
             op = operator.add if sign > 0 else operator.sub
@@ -312,28 +297,15 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
         for shift, c in monomials:
             cs[shift] += c
         return cs
-    wide = (bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor))
-    w_wide = _slot_width(wide)
-    # single factors multiply nothing before the factor: pack them as wide
-    w = w_wide if single else _slot_width(bound)
+    w = _slot_width((bound + sum(abs(c) for _, c in monomials)) * sum(map(abs, factor)))
     total = 0
     for sign, shift, factors in products:
         prod = _packed_product(factors, w)
         if shift:
             prod <<= 8 * w * shift
         total = total + prod if sign > 0 else total - prod
-    if w == w_wide:
-        for shift, c in monomials:
-            total += c << (8 * w * shift)
-    else:
-        cs = _unpack(total, w, size)
-        for shift, c in monomials:
-            cs[shift] += c
-        if plain:
-            return cs
-        total, w = _pack(cs, w_wide), w_wide
-    if plain:
-        return _unpack(total, w, size)
+    for shift, c in monomials:
+        total += c << (8 * w * shift)
     total = (total & ((1 << (8 * w * size)) - 1)) * _pack(factor, w)
     return _unpack(total, w, size)
 
@@ -461,7 +433,8 @@ class TruncatedSeries(Frozen):
         bytes the step runs here, as ``_pack`` and ``_unpack`` would run
         it: each factor packed by one signed ``struct`` call (once for a
         square), one product, and one unpack straight into the result's
-        tuple.  Wider slots and a zero factor go through ``_product``."""
+        tuple.  Wider slots and a zero factor go through the one-entry
+        ``shifted_product_sum``."""
         if not isinstance(other, TruncatedSeries):
             return self.scale(other) if isinstance(other, int) else NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -472,7 +445,7 @@ class TruncatedSeries(Frozen):
         norm *= norm if a is b else sum(map(abs, b))
         w = _slot_width(norm)
         if w > 8 or not norm:
-            return _trusted(tuple(_product((a, b), norm, n)))
+            return _trusted(tuple(shifted_product_sum(((1, 0, (a, b)),), n)))
         layout, offset, mask = _layout(w, n)
         x = (int.from_bytes(layout.pack(*a), "little") ^ offset) - offset
         x *= x if a is b else (int.from_bytes(layout.pack(*b), "little") ^ offset) - offset

@@ -11,8 +11,9 @@ import pytest
 
 import higgsbetti
 from higgsbetti import cli, verify
-from higgsbetti.assemble import PLAIN, TermValue, u21_closed_form
+from higgsbetti.assemble import TermValue, u21_closed_form
 from higgsbetti.errors import ParameterError
+from higgsbetti.ingredients import jacobian_block
 from higgsbetti.params import make_params
 from higgsbetti.series import RationalExpr, TruncatedSeries
 from higgsbetti.strata import StratumDescriptor
@@ -145,7 +146,7 @@ VALUES = {
     "TruncatedSeries": lambda: TruncatedSeries((1, 2, 3)),
     "RationalExpr": lambda: RationalExpr((1, 1), (4, 2)),
     "StratumDescriptor": lambda: StratumDescriptor("A", 0, P),
-    "TermValue": lambda: TermValue("x", ((1, 0, ((1, 1),)),), PLAIN, 5),
+    "TermValue": lambda: TermValue("x", ((1, 0, ((1, 1),)),), jacobian_block(2, 0), 5),
 }
 # a dict or list field makes these unhashable, as they always were
 UNHASHABLE = {"AssemblyResult", "RouteEquivalenceReport", "SuiteResult"}
@@ -205,10 +206,11 @@ def test_values_with_different_fields_differ():
 
 def test_term_values_compare_by_label_and_expansion():
     # t + t^2 as one entry, and as two
-    one = TermValue("x", ((1, 1, ((1, 1),)),), PLAIN, 5)
-    two = TermValue("x", ((1, 1, ((1,),)), (1, 2, ((1,),))), PLAIN, 5)
+    plain = jacobian_block(2, 0)
+    one = TermValue("x", ((1, 1, ((1, 1),)),), plain, 5)
+    two = TermValue("x", ((1, 1, ((1,),)), (1, 2, ((1,),))), plain, 5)
     assert one == two and hash(one) == hash(two)
-    assert one != TermValue("y", one.entries, PLAIN, 5)
+    assert one != TermValue("y", one.entries, plain, 5)
 
 
 def test_series_and_rational_expressions_never_equal_a_tuple():

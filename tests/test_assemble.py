@@ -8,7 +8,6 @@ from higgsbetti.assemble import (
     BUILDERS,
     MODULI_MIN,
     PAIRS,
-    PLAIN,
     TermValue,
     pu21_poincare,
     su21_closed_form,
@@ -556,9 +555,9 @@ def test_scaled_term_keeps_the_coefficients_past_its_own_polynomial():
     # a term's polynomial may be shorter than order - shift + 1; scaling
     # it must still reach every degree up to the order
     one_minus_t2 = TruncatedSeries.from_coeffs([1, 0, -1], 5)
-    term = TermValue("x", ((1, 0, ((1,),)),), PLAIN, 5)
+    term = TermValue("x", ((1, 0, ((1,),)),), jacobian_block(2, 0), 5)
     assert _scaled(term, one_minus_t2).series == one_minus_t2
-    shifted = TermValue("y", ((-1, 2, ((1, 1),)),), PLAIN, 5)  # -t^2 (1 + t)
+    shifted = TermValue("y", ((-1, 2, ((1, 1),)),), jacobian_block(2, 0), 5)  # -t^2 (1 + t)
     assert _scaled(shifted, one_minus_t2).series == \
         TruncatedSeries.from_coeffs([0, 0, -1, -1, 1, 1], 5)
 
@@ -573,7 +572,7 @@ def test_negated_and_scaled_gothen_term(g, m1, m2):
     cover = gothen_cover_poincare(m1, m2, g, order).shifted(shift)
     scale = TruncatedSeries.from_coeffs([1, 0, -1, 5], order)
     jac_over = jacobian_poincare(g, order) * geometric_inverse(2, order)
-    for block, want in ((PLAIN, cover), (jacobian_block(g, 1, 2), cover * jac_over)):
+    for block, want in ((jacobian_block(g, 0), cover), (jacobian_block(g, 1, 2), cover * jac_over)):
         term = TermValue("cover", entries, block, order)
         negated = TermValue("cover", tuple((-sign, s, factors) for sign, s, factors in entries),
                             block, order)

@@ -782,6 +782,11 @@ def test_order_at_the_budget_is_accepted(capsys):
     ("g=2..3,g=5..5", "one g=lo..hi"),  # used to run g = 5 alone
     ("g3", "bad grid"),
     (f"g=2..{MAX_GENUS}", f"2..{MAX_GRID_GENUS}"),  # used to run for days
+    # spellings every integer option refuses, which int() used to read
+    ("g=2..1_0", "bad grid range"),
+    ("g= 2", "bad grid range"),
+    ("g=\u0662", "bad grid range"),
+    ("g=2 ..3", "bad grid range"),
 ])
 def test_verify_refuses_a_bad_grid(capsys, grid, message):
     code, out, err = run(capsys, "verify", "--suite", "route-u21", "--grid", grid)

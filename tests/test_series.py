@@ -364,6 +364,10 @@ def product_sums(draw):
 @given(product_sums())
 @example(([(1, 3, ((1, 2, 3), (4, 5))), (-1, 0, ((1, 1),))], 4, (1,)))  # cut to a constant
 @example(([(1, 0, ()), (-1, 1, ((3,),))], 5, (1, 2, 3)))  # monomials alone
+# a monomial wider than the products, under 1 (a Gothen cover's shape)
+@example(([(1, 0, ((1, 1), (1, 1))), (1, 2, ((1000,),))], 5, (1,)))
+# two-factor products under a factor that widens the slots (a u21 C1 term)
+@example(([(1, 0, ((1, 1), (1, 1)))], 5, (100, 100)))
 def test_shifted_product_sum_matches_naive_convolution(case):
     terms, size, factor = case
     assert shifted_product_sum(terms, size, factor) == naive_product_sum(terms, size, factor)
