@@ -62,13 +62,13 @@ summed.  ``atiyah_bott_numerators`` builds the semistable block as the
 total minus the tail, so the three numerators sum to the zero polynomial
 and their expansion would only add zero; what checks the cancellation
 is the ``ab-cancellation`` suite, against an oracle of its own.
-A build lists no term: it records each added term's label, block and
-entries, and the C1 sum as one record, and ``AssemblyResult.terms``
-makes the ``TermValue``s on first read and keeps them (``_Unlisted``),
-so a reader that never reads a term (a sweep, text or CSV output, a
-passing check) pays for none.  A term is expanded on its own only when
-it is read (JSON ``terms``, residual provenance), in one expansion of
-its own entries at the degree read, so provenance, which reads one low
+The body is the one statement of an assembly's terms.  A build lists
+and keeps none: ``AssemblyResult.terms`` runs the body again in listing
+mode on first read and keeps the ``TermValue``s (``_Unlisted``), so a
+reader that never reads a term (a sweep, text or CSV output, a passing
+check) pays for none.  A term is expanded on its own only when it is
+read (JSON ``terms``, residual provenance), in one expansion of its own
+entries at the degree read, so provenance, which reads one low
 coefficient of each term, cuts every factor there.
 Every block is a unit series and a product of nonzero polynomials starts
 at the sum of their lowest degrees, so the listing drops a term exactly
@@ -146,36 +146,19 @@ class TermValue(Frozen):
 
 
 class _Unlisted:
-    """The terms of an assembly as its build recorded them, listed as
-    ``TermValue``s on first read and kept.  A record is (label, block,
-    entries, checked) for one term, dropped when ``checked`` and none of
-    its entries reaches the order, or (name, indices, covers, cover,
-    block) for a C1 sum, one term per cover, each reaching the order.  A
-    result served from the store holds, in place of the records, a
-    function that runs the build's body again and returns them.  A field
+    """The terms of an assembly, listed on first read by ``listing``,
+    which runs the build's body again in listing mode, and kept.  A field
     made by ``terms_fields`` reads it as the tuple; it compares, prints,
     pickles and copies as that tuple."""
 
-    __slots__ = ("records", "order", "terms")
+    __slots__ = ("listing", "terms")
 
-    def __init__(self, records, order: int):
-        self.records, self.order, self.terms = records, order, None
+    def __init__(self, listing):
+        self.listing, self.terms = listing, None
 
     def listed(self) -> tuple[TermValue, ...]:
         if self.terms is None:
-            order, terms = self.order, []
-            records = self.records() if callable(self.records) else self.records
-            for record in records:
-                if len(record) == 5:  # a C1 sum
-                    name, indices, covers, cover, block = record
-                    terms += [TermValue(f"{name}[l={l}]", entries if cover else entries[:1],
-                                        block, order)
-                              for l, entries in zip(indices, covers)]
-                else:
-                    label, block, entries, checked = record
-                    if not checked or any(_reaches(e, order) for e in entries):
-                        terms.append(TermValue(label, entries, block, order))
-            self.terms = tuple(terms)
+            self.terms = tuple(self.listing())
         return self.terms
 
     def __eq__(self, other):
@@ -289,23 +272,18 @@ def _provided(provider: BradlowProvider | None, p: ModuliParams, name: str,
 
 
 class _Builder:
-    """Collects the terms of one assembly at a point with tau >= 0.
-
-    ``add`` only records a term and gathers its entries under its block
-    (``sum``); ``finish`` expands every block once, over all the entries
-    gathered under it, and adds the cached ``parts``.  The
-    ``records`` are plain data, listed as terms only when the result's
-    ``terms`` are read (``_Unlisted``).
+    """Runs one assembly's body at a point with tau >= 0, in one of two
+    modes.  Building (``terms`` None): ``add`` gathers a term's entries
+    under its block (``sum``) and ``finish`` expands every block once,
+    over all the entries gathered under it, and adds the cached ``parts``.
+    Listing (``terms`` a list): ``add`` appends each term that reaches the
+    order to ``terms`` as a ``TermValue``, and nothing is summed.
     """
 
-    def __init__(self, group: str, p: ModuliParams, order: int,
-                 transforms: list[dict]):
-        self.group = group
+    def __init__(self, p: ModuliParams, order: int, terms: list | None = None):
         self.p = p
         self.order = order
-        self.transforms = tuple(transforms)
-        # the terms, as ``_Unlisted`` records
-        self.records: list[tuple] = []
+        self.terms = terms
         # the summed entries of each block, keyed by the block's id
         self.sums: dict[int, tuple[RationalExpr, list]] = {}
         # the ``_c1_over_lambda`` keys of the cached u21 C1 sum, whose
@@ -317,13 +295,14 @@ class _Builder:
 
     def add(self, label: str, block: RationalExpr, *entries,
             listed_only: bool = False) -> None:
-        """Add (sum of the entries (sign, shift, factors)) * block, recorded
-        as the term ``label``, which the listing drops when none of its
-        entries reaches the order.  A term that is ``listed_only`` is
-        listed, not summed: its group of terms sums to zero by
-        construction."""
-        self.records.append((label, block, entries, True))
-        if not listed_only:
+        """Add (sum of the entries (sign, shift, factors)) * block as the
+        term ``label``, which is listed only when one of its entries
+        reaches the order.  A term that is ``listed_only`` is listed, not
+        summed: its group of terms sums to zero by construction."""
+        if self.terms is not None:
+            if any(_reaches(e, self.order) for e in entries):
+                self.terms.append(TermValue(label, entries, block, self.order))
+        elif not listed_only:
             self.sum(block, entries)
 
     def sum(self, block: RationalExpr, entries) -> None:
@@ -337,29 +316,20 @@ class _Builder:
         else:
             group[1].extend(entries)
 
-    def finish(self, provider: BradlowProvider | None) -> AssemblyResult:
-        p, order = self.p, self.order
-        name, block, label = self.unknown
-        value = _provided(provider, p, name, order)
+    def finish(self, value: TruncatedSeries | None) -> tuple[TruncatedSeries, dict]:
+        """The series and the unknowns of the build, given the provider's
+        value of its unknown (None in relative mode), which is summed over
+        the unknown's block."""
+        order = self.order
+        name, block, _ = self.unknown
         if value is not None:
-            # the value over the unknown's block, summed with that block and
-            # listed even when it is zero
-            concrete = (1, 0, (value.coeffs,))
-            self.records.append((label, block, (concrete,), False))
-            self.sum(block, (concrete,))
+            self.sum(block, ((1, 0, (value.coeffs,)),))
         parts = [_c1_over_lambda(*key, order) for key in self.parts]
         parts += [expr.expand(order, entries) for expr, entries in self.sums.values()]
         known = parts[0] if parts else TruncatedSeries.zero(order)
         for part in parts[1:]:
             known = known + part
-        return AssemblyResult(
-            group=self.group,
-            params=p,
-            series=known,
-            unknown={name: _block_expansion(block, order)} if value is None else {},
-            terms=_Unlisted(self.records, order),
-            transforms=self.transforms,
-        )
+        return known, {name: _block_expansion(block, order)} if value is None else {}
 
 
 # each group's row: its C1 label, whether a C1 term is a Gothen cover, the
@@ -428,13 +398,6 @@ class _Store:
 _store = _Store(1 << 17)
 
 
-def _built(group: str, body, p: ModuliParams, order: int, transforms=()) -> _Builder:
-    """A builder at p and order that ``body`` has run on, not finished."""
-    b = _Builder(group, p, order, transforms)
-    body(b, _GROUPS[group])
-    return b
-
-
 def _assembly(group: str, body, name: str, doc: str):
     """The public builder ``name(p, provider=None, order=None)``, the one
     way into every assembly.  It refuses |tau| > 2g-2, where the moduli
@@ -442,28 +405,41 @@ def _assembly(group: str, body, name: str, doc: str):
     (-d1, -d2) through ``canonicalize`` (duality of Higgs bundles
     identifies the two moduli spaces, so every series depends on tau only
     up to sign), resolves the order, runs ``body`` on a fresh builder and
-    ``group``'s row, and substitutes the provider.  A relative build (no
-    provider) is served from ``_store`` when it holds the canonical point
-    and order, and kept there after it is built; a served result lists
-    its terms on first read by running ``body`` again, without
-    ``finish``."""
+    ``group``'s row, and substitutes the provider's value, asked for once.
+    A relative build (no provider) is served from ``_store`` when it holds
+    the canonical point and order, and kept there after it is built.
+    Built or served, a result lists its terms on first read by running
+    ``body`` again in listing mode, with the provider's value appended
+    last, even when it is zero."""
 
     def build(p: ModuliParams, provider: BradlowProvider | None = None,
               order: int | None = None) -> AssemblyResult:
         _require_valid(p)
         point, transforms = canonicalize(p)
         order = resolve_order(p.g, order)
-        if provider is None:
-            key = (name, point.g, point.d1, point.d2, order)
-            kept = _store.get(key)
-            if kept is not None:
-                return AssemblyResult(group, point, kept[0], dict([kept[1]]),
-                                      _Unlisted(lambda: _built(group, body, point, order).records,
-                                                order), tuple(transforms))
-        result = _built(group, body, point, order, transforms).finish(provider)
-        if provider is None:
-            _store.keep(key, result.series, *result.unknown.items())
-        return result
+        key, row = (name, point.g, point.d1, point.d2, order), _GROUPS[group]
+        kept = _store.get(key) if provider is None else None
+        value = None
+        if kept is None:
+            b = _Builder(point, order)
+            body(b, row)
+            value = _provided(provider, point, b.unknown[0], order)
+            series, unknown = b.finish(value)
+            if provider is None:
+                _store.keep(key, series, *unknown.items())
+        else:
+            series, unknown = kept[0], dict([kept[1]])
+
+        def listing():
+            b = _Builder(point, order, [])
+            body(b, row)
+            if value is not None:
+                _, block, label = b.unknown
+                b.terms.append(TermValue(label, ((1, 0, (value.coeffs,)),), block, order))
+            return b.terms
+
+        return AssemblyResult(group, point, series, unknown, _Unlisted(listing),
+                              tuple(transforms))
 
     build.__name__ = build.__qualname__ = name
     build.__doc__ = doc
@@ -516,16 +492,15 @@ def _block_expansion(block: RationalExpr, order: int) -> TruncatedSeries:
 
 def _add_c1_sum(b: _Builder, row) -> None:
     """One term t^s P(S^m1) P(S^m2), or a Gothen cover, over
-    lambda^power per C1 index, recorded once for the whole sum as the
-    name, indices, ``_c1_table`` covers and block that the listing labels.
-    The shift s grows by 4 from one index to the next, so the sum ends at
-    the first s past the order.  Every listed term reaches the order, its
-    product's shift s being at most the order and every factor having
-    constant term 1, so no term is checked with ``_reaches``.  The u21
-    sum, over lambda, is one cached part of the series
-    (``_c1_over_lambda``); over the plain block of su21 and pu21 the
-    table's numerator, plus the covers' monomials, is summed with the
-    block's other entries."""
+    lambda^power per C1 index; a listing lists one term per index from the
+    ``_c1_table`` covers.  The shift s grows by 4 from one index to the
+    next, so the sum ends at the first s past the order.  Every listed term
+    reaches the order, its product's shift s being at most the order and
+    every factor having constant term 1, so no term is checked with
+    ``_reaches``.  A build adds the u21 sum, over lambda, as one cached
+    part of the series (``_c1_over_lambda``); over the plain block of su21
+    and pu21 the table's numerator, plus the covers' monomials, is summed
+    with the block's other entries."""
     name, cover, power, _ = row
     p, order = b.p, b.order
     indices = kind_indices(p, "C1")
@@ -541,8 +516,11 @@ def _add_c1_sum(b: _Builder, row) -> None:
     key = (p.g, first, n, min(order, s + 2 * (m1 + m2)) + 1)
     numerator, covers = _c1_table(*key)
     block = jacobian_block(p.g, power, *[2] * power)
-    b.records.append((name, indices, covers, cover, block))
-    if power:  # u21, whose row has no covers
+    if b.terms is not None:
+        b.terms += [TermValue(f"{name}[l={l}]", entries if cover else entries[:1],
+                              block, order)
+                    for l, entries in zip(indices, covers)]
+    elif power:  # u21, whose row has no covers
         b.parts.append(key)
     elif cover:
         b.sum(block, (numerator, *(monomial for _, monomial in covers)))

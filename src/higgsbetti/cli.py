@@ -185,19 +185,24 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
         return {}
     key, eq, rng = spec.partition("=")
     if not eq:
-        raise ParameterError(f"bad grid {spec!r}; expected g=lo..hi")
+        raise ParameterError(f"bad grid {_quoted(spec)}; expected g=lo..hi")
     if key.strip() != "g":
-        raise ParameterError(f"unknown grid key {key.strip()!r}; the grid takes g=lo..hi")
+        raise ParameterError(
+            f"unknown grid key {_quoted(key.strip())}; the grid takes g=lo..hi")
     lo, dots, hi = rng.partition("..")
     hi = hi if dots else lo
+    bad = f"bad grid range {_quoted(rng)}; the grid takes one g=lo..hi"
     if not (re.fullmatch(_INT, lo) and re.fullmatch(_INT, hi)):
-        raise ParameterError(f"bad grid range {rng!r}; the grid takes one g=lo..hi")
-    lo, hi = int(lo), int(hi)
+        raise ParameterError(bad)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:  # beyond the interpreter's digit limit
+        raise ParameterError(bad) from None
     if lo > hi:
-        raise ParameterError(f"grid range {rng!r} is empty")
+        raise ParameterError(f"grid range {_quoted(rng)} is empty")
     if lo < 2 or hi > MAX_GRID_GENUS:
         raise ParameterError(
-            f"grid genus range {rng!r} must lie in 2..{MAX_GRID_GENUS}")
+            f"grid genus range {_quoted(rng)} must lie in 2..{MAX_GRID_GENUS}")
     return {"g": (lo, hi)}
 
 
@@ -334,10 +339,18 @@ class _SuiteListFormatter(argparse.HelpFormatter):
 _INT = "[+-]?[0-9]+"
 
 
+def _quoted(text: str) -> str:
+    """text quoted, cut at 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
 def _parse_int(text: str) -> int:
     if not re.fullmatch(_INT, text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not written [+-]digits")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not written [+-]digits")
+    try:
+        return int(text)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise argparse.ArgumentTypeError(f"{_quoted(text)}: {exc}") from None
 
 
 def _parse_lmax(text: str) -> Fraction:
@@ -347,13 +360,15 @@ def _parse_lmax(text: str) -> Fraction:
     from fractions import Fraction  # only strata reads a rational argument
 
     if not re.fullmatch(f"{_INT}(/[0-9]+)?", text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not written n or n/m")
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not written n or n/m")
     try:
         frac = Fraction(text)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} has a zero denominator") from None
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise argparse.ArgumentTypeError(f"{_quoted(text)}: {exc}") from None
     if (2 * frac).denominator != 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a half-integer")
+        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not a half-integer")
     return frac
 
 

@@ -213,8 +213,12 @@ def valid_points(g: int):
 
 def _require_valid(p: ModuliParams) -> None:
     if not p.valid:
+        # tau = 2c/3 is printed only when short: str() refuses an int of
+        # more than 4300 digits, and a long one would fill the message
+        c = 2 * p.d1 - p.d2
+        tau = f"tau = {p.tau}" if c.bit_length() <= 64 else "|tau| > 10^19,"
         raise ParameterError(
-            f"invalid parameters: tau = {p.tau} outside [-(2g-2), 2g-2] = "
+            f"invalid parameters: {tau} outside [-(2g-2), 2g-2] = "
             f"[{-(2 * p.g - 2)}, {2 * p.g - 2}]"
         )
 

@@ -397,6 +397,7 @@ def test_invalid_params_are_refused():
         make_params(2, 3, 0),  # tau = 4 > 2g-2 = 2
         make_params(2, -3, 0),  # tau = -4
         make_params(2, 129, 10**20),  # a sum over every index up to d2 would never end
+        make_params(2, 10**4300 - 1, 0),  # a tau past str()'s 4300-digit limit
         # a copy of (2, 0, 0) moved to tau = 4 derives its bound from (d1, d2)
         dataclasses.replace(make_params(2, 0, 0), d1=3, d2=0),
     ]:
@@ -938,6 +939,52 @@ def test_a_provided_value_is_listed_even_when_zero(tmp_path):
     res = u21_stratum_route(p, provider_from_file(path), order)
     assert res.mode == "absolute" and res.terms[-1].label == "bradlow-moduli-block"
     assert res.terms[-1].series.is_zero()
+
+
+def test_listing_is_a_body_run_and_nothing_more(monkeypatch):
+    # reading the terms asks the provider nothing and expands nothing, and
+    # it needs no cache that the build filled
+    from higgsbetti import assemble
+
+    calls, expansions = [], []
+
+    class Counting(MaximalCaseProvider):
+        def lookup(self, g, e, order):
+            calls.append((g, e, order))
+            return super().lookup(g, e, order)
+
+    expand = RationalExpr.expand
+
+    def counted(self, *args):
+        expansions.append(args)
+        return expand(self, *args)
+
+    monkeypatch.setattr(RationalExpr, "expand", counted)
+    order, listed = 20, 0
+    for p in (make_params(2, 2, 1), make_params(2, -2, -1), make_params(3, 2, 2)):
+        for fn in BUILDERS.values():
+            # built with a provider, built alone, then served from the store
+            for res in (fn(p, Counting(), order), fn(p, None, order), fn(p, None, order)):
+                made, asked = len(expansions), len(calls)
+                terms = res.terms
+                assert len(expansions) == made and len(calls) == asked
+                for t in terms:
+                    t.series
+                assert len(expansions) == made + len(terms) and len(calls) == asked
+                listed += len(terms)
+            assert len(calls) == 1
+            calls.clear()
+    assert listed > 100
+    # a result whose caches were emptied after its build lists as a fresh one
+    built = {key: fn(make_params(3, 2, 2), None, order) for key, fn in BUILDERS.items()}
+    assemble._c1_table.cache_clear()
+    assemble._c1_over_lambda.cache_clear()
+    assemble._store.cache_clear()
+    for key, fn in BUILDERS.items():
+        fresh = fn(make_params(3, 2, 2), None, order)
+        assert [(t.label, t.entries) for t in built[key].terms] == \
+            [(t.label, t.entries) for t in fresh.terms]
+        assert built[key].terms == fresh.terms
 
 
 def test_a_zero_route_residual_lists_neither_side(term_spies):

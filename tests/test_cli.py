@@ -51,7 +51,7 @@ def test_compute_rejects_invalid_tau(capsys):
         capsys, "compute", "--group", "su21", "--genus", "2", "--d1", "3",
         "--d2", "0")
     assert code == 2
-    assert "2g-2" in err
+    assert "tau = 4 outside [-(2g-2), 2g-2]" in err
     code, out, err = run(capsys, "compute", "--group", "pu21", "--route", "stratum",
                          "--genus", "2", "--d1", "2", "--d2", "1")
     assert (code, out) == (2, "")
@@ -705,6 +705,33 @@ def test_genus_above_the_cap_is_refused(capsys, argv):
     assert f"genus {MAX_GENUS + 1}" in err
 
 
+@pytest.mark.parametrize("text", ["9" * 5000, "x" * 5000], ids=["nines", "letters"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "u21", "--d1", "0", "--d2", "0", "-g"],
+    ["strata", "--d1", "0", "--d2", "0", "--lmax"],
+], ids=["genus", "lmax"])
+def test_a_refused_integer_is_quoted_in_part(capsys, argv, text):
+    # the first digits of a number past int()'s digit limit, or of a value
+    # that is no number, not the whole 5000 characters
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, text])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert repr(text[:20]) + "..." in err and len(err) < 1000
+
+
+@pytest.mark.parametrize("digits", [1000, 4300])
+@pytest.mark.parametrize("argv", [
+    ["compute", "--group", "u21", "-g", "2", "--d2", "0"],
+    ["strata", "-g", "2", "--d2", "0"],
+])
+def test_a_tau_too_long_to_print_is_refused_in_a_short_message(capsys, argv, digits):
+    # at 4300 nines, 2 d1 has 4301 digits, which str() refuses
+    code, out, err = run(capsys, *argv, "--d1", "9" * digits)
+    assert code == 2 and out == ""
+    assert "|tau| > 10^19, outside [-(2g-2), 2g-2] = [-2, 2]" in err and len(err) < 200
+
+
 @pytest.mark.parametrize("genus", ["1", "0", "-3"])
 def test_genus_below_two_is_refused_before_the_order(capsys, genus):
     # the default order 8g+24 is below 1 at g = -3; the genus is named first
@@ -787,6 +814,9 @@ def test_order_at_the_budget_is_accepted(capsys):
     ("g= 2", "bad grid range"),
     ("g=\u0662", "bad grid range"),
     ("g=2 ..3", "bad grid range"),
+    # past the interpreter's 4300-digit limit of int(), which used to raise
+    pytest.param("g=2.." + "9" * 5000, "bad grid range", id="g=2..<5000 nines>"),
+    pytest.param("g=" + "0" * 4999 + "2", "bad grid range", id="g=<4999 zeros>2"),
 ])
 def test_verify_refuses_a_bad_grid(capsys, grid, message):
     code, out, err = run(capsys, "verify", "--suite", "route-u21", "--grid", grid)
