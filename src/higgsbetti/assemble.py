@@ -43,9 +43,13 @@ one big-integer expression, unpacked once, and one division):
   t^mu P(S^m1) P(S^m2), plus, for su21, the covers' monomials;
 - a provider's value, one entry over its unknown's block.
 A build computes only what belongs to its own point.  The C1 sum and
-each C1 term's entries are formed once per exponent progression
-(``_c1_table``, cached) and shared by all five builders, the dual point
-and every tensor shift of the point; a build only labels them.  The u21
+each C1 term's entries are formed once per exponent progression and
+shared by all five builders, the dual point and every tensor shift of
+the point; a build only labels them.  The progression's table
+(``_c1_table``) is held at the largest order asked: a lower order is
+served from it, and a higher one extends it, with the new numerator
+coefficients read from the palindromy of P(S^m) when the held ones
+cover more than half of its degree.  The u21
 C1 sum over lambda is expanded once per progression and order
 (``_c1_over_lambda``) and enters the series as a part of its own, and
 the coefficient an unknown carries in relative mode is its block's
@@ -446,31 +450,95 @@ def _assembly(group: str, body, name: str, doc: str):
     return build
 
 
-@lru_cache(maxsize=256)
-def _c1_table(g: int, first: tuple, n: int, size: int) -> tuple[tuple, tuple]:
-    """The C1 sum that every builder carries, over its first n indices, as
-    a pair: the entry of its numerator (coefficients 0..size-1 of
-    sum t^s P(S^m1) P(S^m2)), and each index's ``gothen_cover`` entries,
-    its product and its cover's monomial.
+class _C1Tables:
+    """The C1 sum that every builder carries, as a pair: the entry of its
+    numerator (sum t^s P(S^m1) P(S^m2) over the first n indices, with at
+    least size coefficients) and each index's ``gothen_cover`` entries,
+    its product and its cover's monomial, n of them.
 
-    The exponents form a progression: from one C1 index to the next the
-    shift s = 2(g-1+2l-d2) grows by 4 and both m1 = d2-l-d1+2g-2 and
-    m2 = d1-l+2g-2 fall by 1, so the key is the first index's (s, m1, m2)
-    and the count n.  No exponent of the n is negative: at the top of the
-    range, l = d2-d1+2g-2, m1 is 0 and m2 is 2d1-d2, which is at least 0
-    at tau >= 0.  Every builder, the dual point and every tensor shift
-    keep the progression, so they share one record.
+    Called as ``_c1_table(g, first, n, size)``.  The exponents form a
+    progression: from one C1 index to the next the shift s =
+    2(g-1+2l-d2) grows by 4 and both m1 = d2-l-d1+2g-2 and m2 =
+    d1-l+2g-2 fall by 1, so a sum is fixed by the first index's (s, m1,
+    m2) and the count n.  No exponent of the n is negative: at the top of
+    the range, l = d2-d1+2g-2, m1 is 0 and m2 is 2d1-d2, which is at
+    least 0 at tau >= 0.  Every builder, the dual point and every tensor
+    shift keep the progression, so they share one table.
 
-    No cut at the order changes an exponent, so a key cut at the order
-    is this key, the products are a build's ``sym_factor``s, and each
-    cover's monomial v t^{s+m1+m2} is that of the uncut (m1, m2): at tau
-    >= 0 an index with s <= order has m1, m2 < s, as l > (d1+d2)/3 gives
-    s - m1 = 5l - 3d2 + d1 > 2 tau and s - m2 = 5l - 2d2 - d1 > tau/2."""
+    One table is held per progression (g, first), the largest asked, for
+    at most ``maxsize`` progressions, the oldest dropped first.  n and
+    size grow with the order, so a lower order is served from the held
+    table (a hit): its first n covers, and the held numerator, which the
+    build's kernel cuts at its order.  A higher order (a miss) extends the
+    table.  It appends the new indices' covers, whose shifts pass the held
+    order, so the held S numerator coefficients stand.  When S is more
+    than half of the degree D = s + 2(m1+m2) = 10g-10, the others come
+    from palindromy: P(S^m) is palindromic of degree 2m (Macdonald), so
+    coefficient D-j of each term t^s_i P(S^{m1-i}) P(S^{m2-i}) is
+    coefficient j of its unshifted product, and one ``shifted_product_sum``
+    of the unshifted products at D-S+1 slots gives coefficients S and up.
+    Otherwise, as at a first request, the whole sum is computed at size.
+    A lock guards the tables; of two made at once the larger is kept.
+
+    No cut at the order changes an exponent, so the products are a
+    build's ``sym_factor``s, and each cover's monomial v t^{s+m1+m2} is
+    that of the uncut (m1, m2): at tau >= 0 an index with s <= order has
+    m1, m2 < s, as l > (d1+d2)/3 gives s - m1 = 5l - 3d2 + d1 > 2 tau and
+    s - m2 = 5l - 2d2 - d1 > tau/2.  So no cover depends on the size it
+    was made at, and an extension remakes none."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize, self.lock = maxsize, allocate_lock()
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        with self.lock:
+            self.tables, self.hits, self.misses = {}, 0, 0
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.tables))
+
+    def __call__(self, g: int, first: tuple, n: int, size: int) -> tuple[tuple, tuple]:
+        key = (g, first)
+        with self.lock:
+            held = self.tables.get(key)
+            if held is not None and n <= len(held[1]) and size <= held[2]:
+                self.hits += 1
+                return held[0], held[1][:n]
+            self.misses += 1
+        table = _c1_extended(g, first, n, size, held)
+        with self.lock:
+            kept = self.tables.pop(key, None)
+            # a table at least as large, made by a concurrent build
+            if kept is not None and len(kept[1]) >= len(table[1]) and kept[2] >= table[2]:
+                table = kept
+            self.tables[key] = table
+            while len(self.tables) > self.maxsize:
+                del self.tables[next(iter(self.tables))]
+        return table[0], table[1][:n]
+
+
+def _c1_extended(g: int, first: tuple, n: int, size: int, held) -> tuple:
+    """The C1 table of a progression over at least n indices and size
+    coefficients, as (numerator entry, covers, size), extending ``held``,
+    a smaller table of the progression, or None."""
     s, m1, m2 = first
-    covers = tuple(gothen_cover(m1 - i, m2 - i, g, size - 1, s + 4 * i)
-                   for i in range(n))
-    numerator = tuple(shifted_product_sum([product for product, _ in covers], size))
-    return (1, 0, (numerator,)), covers
+    entry, covers, held_size = held or ((1, 0, ((),)), (), 0)
+    n, size = max(n, len(covers)), max(size, held_size)
+    covers += tuple(gothen_cover(m1 - i, m2 - i, g, size - 1, s + 4 * i)
+                    for i in range(len(covers), n))
+    numerator, degree = entry[2][0], s + 2 * (m1 + m2)
+    if 2 * held_size > degree:
+        # coefficient k is coefficient degree-k of the unshifted sum
+        mirror = shifted_product_sum(
+            [(1, 0, factors) for (_, _, factors), _ in covers], degree - held_size + 1)
+        numerator += tuple(mirror[degree - k] for k in range(held_size, size))
+    else:
+        numerator = tuple(shifted_product_sum([product for product, _ in covers], size))
+    return (1, 0, (numerator,)), covers, size
+
+
+_c1_table = _C1Tables(256)
 
 
 @lru_cache(maxsize=256)

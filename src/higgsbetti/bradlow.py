@@ -38,7 +38,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from functools import lru_cache
 
-from .errors import ParameterError, ProviderFileError
+from .errors import ParameterError, ProviderFileError, quoted, shown
 from .ingredients import (
     bg_rank1,
     jacobian_block,
@@ -210,8 +210,12 @@ def provider_from_file(path) -> FileBackedProvider:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError: not UTF-8, not JSON, or an integer past the digit limit
-        raise ProviderFileError(f"cannot read provider file {path}: {exc}") from exc
+        # ValueError: not UTF-8, not JSON, or an integer past the digit limit;
+        # a long path is named once, in part, as an OSError's text repeats it
+        name, reason = shown(str(path)), exc
+        if name != str(path) and isinstance(exc, OSError) and exc.strerror:
+            reason = exc.strerror
+        raise ProviderFileError(f"cannot read provider file {name}: {reason}") from exc
     raw_records = payload if isinstance(payload, list) else [payload]
     return FileBackedProvider([_parse_record(r) for r in raw_records])
 
@@ -242,4 +246,4 @@ def provider_for_spec(spec: str, p: ModuliParams) -> BradlowProvider | None:
         return MaximalCaseProvider()
     if spec.startswith("file:"):
         return provider_from_file(spec[5:])
-    raise ParameterError(f"unknown provider {spec!r}")
+    raise ParameterError(f"unknown provider {quoted(spec)}")

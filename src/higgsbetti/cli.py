@@ -14,7 +14,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import assemble, bradlow, ingredients, params, series
-from .errors import ParameterError
+from .errors import ParameterError, quoted, shown
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -185,13 +185,13 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
         return {}
     key, eq, rng = spec.partition("=")
     if not eq:
-        raise ParameterError(f"bad grid {_quoted(spec)}; expected g=lo..hi")
+        raise ParameterError(f"bad grid {quoted(spec)}; expected g=lo..hi")
     if key.strip() != "g":
         raise ParameterError(
-            f"unknown grid key {_quoted(key.strip())}; the grid takes g=lo..hi")
+            f"unknown grid key {quoted(key.strip())}; the grid takes g=lo..hi")
     lo, dots, hi = rng.partition("..")
     hi = hi if dots else lo
-    bad = f"bad grid range {_quoted(rng)}; the grid takes one g=lo..hi"
+    bad = f"bad grid range {quoted(rng)}; the grid takes one g=lo..hi"
     if not (re.fullmatch(_INT, lo) and re.fullmatch(_INT, hi)):
         raise ParameterError(bad)
     try:
@@ -199,10 +199,10 @@ def _parse_grid(spec: str | None) -> dict[str, tuple[int, int]]:
     except ValueError:  # beyond the interpreter's digit limit
         raise ParameterError(bad) from None
     if lo > hi:
-        raise ParameterError(f"grid range {_quoted(rng)} is empty")
+        raise ParameterError(f"grid range {quoted(rng)} is empty")
     if lo < 2 or hi > MAX_GRID_GENUS:
         raise ParameterError(
-            f"grid genus range {_quoted(rng)} must lie in 2..{MAX_GRID_GENUS}")
+            f"grid genus range {quoted(rng)} must lie in 2..{MAX_GRID_GENUS}")
     return {"g": (lo, hi)}
 
 
@@ -211,7 +211,8 @@ def cmd_verify(args) -> int:
 
     grid = _parse_grid(args.grid)
     if args.suite != "all" and args.suite not in SUITES:
-        raise ParameterError(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}")
+        raise ParameterError(
+            f"unknown suite {quoted(args.suite)}; available: {', '.join(SUITES)}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = [SUITES[name](grid) for name in names]
     hard_failed = any(r.hard and not r.passed for r in results)
@@ -339,18 +340,13 @@ class _SuiteListFormatter(argparse.HelpFormatter):
 _INT = "[+-]?[0-9]+"
 
 
-def _quoted(text: str) -> str:
-    """text quoted, cut at 20 characters."""
-    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
-
-
 def _parse_int(text: str) -> int:
     if not re.fullmatch(_INT, text):
-        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not written [+-]digits")
+        raise argparse.ArgumentTypeError(f"{quoted(text)} is not written [+-]digits")
     try:
         return int(text)
     except ValueError as exc:  # beyond the interpreter's digit limit
-        raise argparse.ArgumentTypeError(f"{_quoted(text)}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"{quoted(text)}: {exc}") from None
 
 
 def _parse_lmax(text: str) -> Fraction:
@@ -360,15 +356,15 @@ def _parse_lmax(text: str) -> Fraction:
     from fractions import Fraction  # only strata reads a rational argument
 
     if not re.fullmatch(f"{_INT}(/[0-9]+)?", text):
-        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not written n or n/m")
+        raise argparse.ArgumentTypeError(f"{quoted(text)} is not written n or n/m")
     try:
         frac = Fraction(text)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{_quoted(text)} has a zero denominator") from None
+        raise argparse.ArgumentTypeError(f"{quoted(text)} has a zero denominator") from None
     except ValueError as exc:  # beyond the interpreter's digit limit
-        raise argparse.ArgumentTypeError(f"{_quoted(text)}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"{quoted(text)}: {exc}") from None
     if (2 * frac).denominator != 1:
-        raise argparse.ArgumentTypeError(f"{_quoted(text)} is not a half-integer")
+        raise argparse.ArgumentTypeError(f"{quoted(text)} is not a half-integer")
     return frac
 
 
@@ -379,10 +375,10 @@ def main(argv: list[str] | None = None) -> int:
         genus = getattr(args, "genus", 2)
         if not 2 <= genus <= params.MAX_GENUS:
             raise ParameterError(
-                f"genus {genus} is outside the supported range 2..{params.MAX_GENUS}")
+                f"genus {shown(str(genus))} is outside the supported range 2..{params.MAX_GENUS}")
         if (getattr(args, "order", None) or 0) > params.MAX_ORDER:
-            raise ParameterError(
-                f"order {args.order} is above the largest supported, {params.MAX_ORDER}")
+            raise ParameterError(f"order {shown(str(args.order))} is above "
+                                 f"the largest supported, {params.MAX_ORDER}")
         return args.fn(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

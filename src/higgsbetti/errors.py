@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+echo outside input."""
+
+
+def quoted(text: str) -> str:
+    """text quoted, cut at 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
+def shown(text: str) -> str:
+    """text as given when it has at most 20 characters, else ``quoted``."""
+    return text if len(text) <= 20 else quoted(text)
 
 
 class ParameterError(ValueError):

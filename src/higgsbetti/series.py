@@ -40,21 +40,24 @@ are read back, one slot at a time.  Packed values may be reduced modulo
 ``shifted_product_sum`` is the one sum kernel.  It forms a whole sum
 factor * sum_j sign_j t^shift_j prod_i f_ji (an assembly block's
 numerator) as one big-integer expression at one slot width, from the l1
-norms of the factors, and unpacks it once.  ``_slot_width`` is the one
-slot-width rule and ``_packed_product`` the one packed product.  Most
-of its sums are short (tens of coefficients), so its cost per call
-counts as much as the big-integer products: each factor is cut once,
-and that cut gives both its norm and its pack.  A factor given twice in
-a row (P(S^m) P(S^m), every C1 term at tau = 0) is cut and packed once
-and squared, which CPython does faster than a general product.  A
+norms of the factors, and unpacks it once, over the slots that the sum
+times the factor can reach: a sum of polynomials expanded past its
+degree (the u21 C1 sum over P(J) at order 1120 reaches 375 of 1121 slots
+at g = 32) multiplies and unpacks no zero slot.  ``_slot_width`` is the
+one slot-width rule and ``_packed_product`` the one packed product.
+Most of its sums are short (tens of coefficients), so its cost per call
+counts as much as the big-integer products: each factor is cut once, and
+that cut gives both its norm and its pack.  A factor given twice in a
+row (P(S^m) P(S^m), every C1 term at tau = 0) is cut and packed once and
+squared, which CPython does faster than a general product.  A
 ``TruncatedSeries`` product is one Kronecker step with no entries to
 classify: both factors packed at the width of their norms, one product,
 one unpack.  It is the most frequent short product (``series-laws``
 makes 8000 at order 24), so at slots of 1-8 bytes ``__mul__`` runs the
 step in its own frame, with one ``_layout`` lookup, one signed pack per
 factor (one for a square) and an unpack straight into the result's
-tuple; wider slots, and a zero factor, go through the sum with one
-term, which is also ``polynomial_product``.
+tuple; wider slots, and a zero factor, go through the sum with one term,
+which is also ``polynomial_product``.
 
 Division by (1 - t^a) is the in-place recurrence c[k] += c[k-a], O(N) per
 factor, in place of a product with the geometric series.
@@ -77,7 +80,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .errors import ParameterError
+from .errors import ParameterError, quoted
 from .records import Frozen, dataclass_compatible
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")
@@ -119,7 +122,7 @@ def parse_integer(value, what: str = "coefficient") -> int:
         try:
             return int(value)
         except ValueError as exc:  # beyond the interpreter's digit limit
-            raise ParameterError(f"{what} {value[:20]!r}...: {exc}") from exc
+            raise ParameterError(f"{what} {quoted(value)}: {exc}") from exc
     return _require_int(value, what)
 
 
@@ -241,10 +244,15 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
 
     The sum is one big-integer expression at t = 2^(8w): each term is one
     product of its packed factors shifted by whole slots, and the sum,
-    reduced modulo 2^(8w size) (modulo t^size), is multiplied by the
-    packed factor and unpacked once.  The slot width comes from an exact
-    bound: every coefficient of a sum of products is at most the sum over
-    its terms of the product of the factors' l1 norms (the l1 norm of a
+    reduced modulo 2^(8w n) (modulo t^n), is multiplied by the packed
+    factor and unpacked once.  n is the reach: the slots that the sum
+    times the factor can fill, at most size; the slots past it are zeros.
+    Every slot holds a coefficient below 2^(8w-1) in absolute value, so a
+    sum of degree d is above 2^(8wd-1) and below 2^(8w(d+1)-1) in
+    absolute value, its bit length floor-divided by 8w is d, and n is d
+    plus the factor's length.  The slot width comes from an exact bound:
+    every coefficient of a sum of products is at most the sum over its
+    terms of the product of the factors' l1 norms (the l1 norm of a
     product is at most the product of the norms), times the l1 norm of
     the factor, and one more bit holds the sign.  The whole sum is packed
     at that one width.
@@ -306,8 +314,14 @@ def shifted_product_sum(terms, size: int, factor=(1,)) -> list:
         total = total + prod if sign > 0 else total - prod
     for shift, c in monomials:
         total += c << (8 * w * shift)
-    total = (total & ((1 << (8 * w * size)) - 1)) * _pack(factor, w)
-    return _unpack(total, w, size)
+    # the slots that the sum times the factor can reach, at most size: the
+    # sum's degree is its bit length over 8w, as every slot is below 2^(8w-1)
+    n = min(size, total.bit_length() // (8 * w) + len(factor))
+    total = (total & ((1 << (8 * w * n)) - 1)) * _pack(factor, w)
+    cs = _unpack(total, w, n)
+    if n < size:
+        cs += [0] * (size - n)
+    return cs
 
 
 def _over_one_minus(cs: list, exponents) -> "TruncatedSeries":

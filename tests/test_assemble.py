@@ -763,6 +763,49 @@ def test_concurrent_builds_share_the_store(monkeypatch):
     assert info.currsize == 31 * len(_store.entries) <= 31 * 7
 
 
+def test_concurrent_builds_grow_the_c1_tables(monkeypatch):
+    # more threads than cores, switching often: builds at rising and
+    # falling orders race to extend the tables of three progressions, of
+    # which two are kept; every series is a fresh build's, and a lost
+    # update would miscount the calls or keep too many tables
+    import random
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from higgsbetti import assemble
+
+    table, calls = assemble._c1_table, []
+    jobs = [(fn, make_params(g, 0, 0), order) for fn in BUILDERS.values()
+            for g in (6, 7, 8) for order in (20, 40, 60, 80)]
+    want = {}
+    for fn, p, order in jobs:
+        _clear_assembly_caches()
+        want[fn, p, order] = fn(p, None, order).series
+    jobs *= 8
+    random.Random(39).shuffle(jobs)
+    _clear_assembly_caches()
+
+    def counted(*key):
+        calls.append(key)
+        return table(*key)
+
+    monkeypatch.setattr(assemble, "_c1_table", counted)
+    monkeypatch.setattr(table, "maxsize", 2)
+    monkeypatch.setattr(assemble._store, "budget", 0)  # every build runs its body
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda job: job[0](job[1], None, job[2]).series, jobs,
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    info = table.cache_info()
+    assert got == [want[job] for job in jobs]
+    assert info.hits + info.misses == len(calls) > len(jobs)
+    assert info.currsize == len(table.tables) <= 2
+
+
 # (point, order) past the pinned genera: g = 33 is the first genus whose
 # large P(S^m) are packed slot by slot, and at (40, 0, 0) the order keeps
 # 18 of the 78 C1 indices
@@ -810,6 +853,68 @@ def test_the_c1_numerator_stops_at_the_order(monkeypatch):
         pu21_poincare(make_params(3, 0, 0), None, order)
         assert sizes.pop() == 21
     assert table.cache_info().misses == 1
+
+
+def _as_built(result, read):
+    # what a reader sees of a result: its JSON document (series, unknowns
+    # and terms), or, where expanding every term would be slow, its series,
+    # unknowns and each term's label, entries, block and order, which fix
+    # the term's coefficients
+    if read == "json":
+        return result.to_json_dict()
+    return (result.series, result.unknown,
+            [(t.label, t.entries, t.block, t.order) for t in result.terms])
+
+
+@pytest.mark.parametrize("g, d1, d2, orders, read", [
+    (32, 0, 0, (280, 1120), "json"),  # the held table past half the degree
+    (32, 16, 0, (280, 1120), "json"),
+    (64, 0, 0, (150, 400, 700), "terms"),  # 151 of 631 coefficients held: direct
+], ids=["g32-0-0", "g32-16-0", "g64-0-0"])
+def test_a_c1_table_grown_across_orders_builds_what_a_fresh_one_does(g, d1, d2, orders,
+                                                                       read):
+    # in one process the orders go up, extending the held C1 table, then
+    # down, served from it; each result, read as it is built, equals a
+    # build made at its order after emptying the assembly caches
+    p = make_params(g, d1, d2)
+    _clear_assembly_caches()
+    seen = {}
+    for order in (*orders, *reversed(orders)):
+        for key, fn in BUILDERS.items():
+            seen.setdefault((key, order), []).append(_as_built(fn(p, None, order), read))
+    for order in orders:
+        _clear_assembly_caches()
+        for key, fn in BUILDERS.items():
+            fresh = _as_built(fn(p, None, order), read)
+            assert seen[key, order] == [fresh, fresh], (key, order)
+
+
+def test_a_second_order_extends_the_held_c1_table(monkeypatch):
+    # at g = 32 the C1 numerator has degree 310: order 280 computes its 281
+    # coefficients, order 1120 reads the other 30 from the palindromy, one
+    # sum of 30 slots and none of 311, and an order inside the table is a hit
+    from higgsbetti import assemble
+
+    kernel, sizes = assemble.shifted_product_sum, []
+
+    def recording(terms, size, *factor):
+        sizes.append(size)
+        return kernel(terms, size, *factor)
+
+    monkeypatch.setattr(assemble, "shifted_product_sum", recording)
+    _clear_assembly_caches()
+    p, table = make_params(32, 0, 0), assemble._c1_table
+    for order, made in ((280, [281]), (1120, [310 - 281 + 1])):
+        for fn in BUILDERS.values():
+            fn(p, None, order)
+        assert (sizes, table.cache_info().misses) == (made, 1 + (order > 280))
+        sizes.clear()
+    hits = table.cache_info().hits
+    for order in (700, 280):
+        for fn in BUILDERS.values():
+            fn(p, None, order)
+    info = table.cache_info()
+    assert sizes == [] and info.misses == 2 and info.hits >= hits + 10
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])

@@ -720,6 +720,26 @@ def test_a_refused_integer_is_quoted_in_part(capsys, argv, text):
     assert repr(text[:20]) + "..." in err and len(err) < 1000
 
 
+_COMPUTE = ["compute", "--group", "u21", "--d1", "0", "--d2", "0"]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["verify", "--suite", "x" * 5000], "unknown suite 'xxxxxxxxxxxxxxxxxxxx'..."),
+    ([*_COMPUTE, "-g", "2", "--provider", "x" * 5000],
+     "unknown provider 'xxxxxxxxxxxxxxxxxxxx'..."),
+    # named once: the OSError's own text would repeat the path
+    ([*_COMPUTE, "-g", "2", "--provider", "file:" + "x" * 5000],
+     "cannot read provider file 'xxxxxxxxxxxxxxxxxxxx'...: "),
+    # 4000 digits pass _parse_int, under int()'s 4300-digit limit
+    ([*_COMPUTE, "-g", "9" * 4000], "genus '99999999999999999999'... is outside"),
+    ([*_COMPUTE, "-g", "2", "--order", "9" * 4000],
+     "order '99999999999999999999'... is above"),
+], ids=["suite", "provider", "provider-file", "genus", "order"])
+def test_a_refused_value_is_echoed_in_part(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and shown in err and len(err) < 200
+
+
 @pytest.mark.parametrize("digits", [1000, 4300])
 @pytest.mark.parametrize("argv", [
     ["compute", "--group", "u21", "-g", "2", "--d2", "0"],

@@ -368,6 +368,12 @@ def product_sums(draw):
 @example(([(1, 0, ((1, 1), (1, 1))), (1, 2, ((1000,),))], 5, (1,)))
 # two-factor products under a factor that widens the slots (a u21 C1 term)
 @example(([(1, 0, ((1, 1), (1, 1)))], 5, (100, 100)))
+# sums that reach fewer slots than the size, the rest padded with zeros:
+# short factors at a large size, a monomial at the top of the reach, and a
+# factor longer than the terms' reach
+@example(([(1, 0, ((1, 2), (3, 4))), (-1, 3, ((1, 1, 1),))], 40, (1, 1)))
+@example(([(1, 0, ((1, 1), (1, 1))), (-1, 9, ((7,),))], 30, (2, 1)))
+@example(([(1, 0, ((1, -1), (1, 1))), (1, 1, ((2, 3),))], 30, tuple(range(1, 12))))
 def test_shifted_product_sum_matches_naive_convolution(case):
     terms, size, factor = case
     assert shifted_product_sum(terms, size, factor) == naive_product_sum(terms, size, factor)
